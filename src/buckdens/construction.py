@@ -28,7 +28,6 @@ from .sets import (
     PeriodicSet,
     ResidueSet,
     ResourceLimitError,
-    dense_limit,
     rebase,
     sumset_mod,
 )
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 10
-HARD_MAX_DEPTH = 11
+HARD_MAX_DEPTH = 11   # 11! < sets.DENSE_LIMIT: every level fits a bitmap
 
 SCHEMA = "buckdens-tower-v1"
 
@@ -174,9 +173,6 @@ def construct(oracle: CoverOracle, alpha, depth: int, *,
         raise ResourceLimitError(
             f"depth {depth} exceeds the cap {cap}"
             + ("" if allow_deep else " (use allow_deep for 11)"))
-    if math.factorial(depth) > dense_limit():
-        raise ResourceLimitError(
-            f"{depth}! = {math.factorial(depth)} exceeds the dense budget {dense_limit()}")
 
     if alpha == 1:
         return Tower(alpha=alpha, oracle_spec=oracle.name, exact=oracle.exact,
@@ -240,7 +236,7 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         upper = sumset_mod(PeriodicSet(lv.modulus, lv.H), cover).density()
         bracket_ok = lower <= t.alpha < upper
         stored_ok = (lower == lv.sum_lower and upper == lv.sum_upper
-                     and lv.h in lv.H
+                     and 0 <= lv.h < lv.modulus and lv.h in lv.H
                      and lv.density_a == Fraction(len(lv.H), lv.modulus))
         nesting_ok: bool | None = None
         if i + 1 < len(t.levels):
@@ -326,14 +322,18 @@ def _encode_residue_set(rs: ResidueSet) -> dict:
     return {"encoding": "hex-bitmap-le", "data": packed.tobytes().hex()}
 
 
-def _decode_residue_set(modulus: int, doc: dict) -> ResidueSet:
-    if doc.get("encoding") != "hex-bitmap-le":
-        raise ValueError(f"unknown residue-set encoding {doc.get('encoding')!r}")
+def _decode_residue_set(modulus: int, doc) -> ResidueSet:
+    _require(doc, ("encoding", "data"), "H")
+    if doc["encoding"] != "hex-bitmap-le":
+        raise ValueError(f"unknown residue-set encoding {doc['encoding']!r}")
+    if not isinstance(doc["data"], str):
+        raise ValueError("H data must be a hex string")
     packed = np.frombuffer(bytes.fromhex(doc["data"]), dtype=np.uint8)
-    bits = np.unpackbits(packed, bitorder="little")[:modulus].astype(np.uint8)
-    if bits.shape[0] != modulus:
-        raise ValueError("bitmap shorter than modulus")
-    return ResidueSet.from_bits(bits)
+    if packed.shape[0] != -(-modulus // 8):
+        raise ValueError(f"bitmap of {packed.shape[0]} bytes does not fit modulus {modulus}")
+    # an owned copy rather than a view: with the view, glibc kept ~17 MB
+    # more resident over primes+powers depth-10 round trips (peak RSS)
+    return ResidueSet.from_bits(np.unpackbits(packed, bitorder="little")[:modulus].copy())
 
 
 def tower_to_json(t: Tower, config: dict | None = None) -> str:
@@ -360,25 +360,63 @@ def tower_to_json(t: Tower, config: dict | None = None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _require(doc, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _rational(value, what: str) -> Fraction:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a rational string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"{what}: bad rational {value!r}") from e
+
+
 def tower_from_json(text: str) -> tuple[Tower, dict | None]:
+    """Parse and validate a tower document; any malformation is a ValueError."""
     doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported tower schema {doc.get('schema')!r}")
+    _require(doc, ("schema", "alpha", "oracle", "exact", "trivial", "levels"), "tower")
+    if doc["schema"] != SCHEMA:
+        raise ValueError(f"unsupported tower schema {doc['schema']!r}")
+    if not isinstance(doc["exact"], bool) or not isinstance(doc["trivial"], bool):
+        raise ValueError("'exact' and 'trivial' must be booleans")
+    lvdocs = doc["levels"]
+    if not isinstance(lvdocs, list) or len(lvdocs) > HARD_MAX_DEPTH:
+        raise ValueError(f"'levels' must be a list of at most {HARD_MAX_DEPTH} levels")
+    if doc["trivial"] == bool(lvdocs):
+        raise ValueError("a tower has levels exactly when it is not trivial")
     levels = []
-    for lvdoc in doc["levels"]:
-        n = int(lvdoc["n"])
+    for n, lvdoc in enumerate(lvdocs, start=1):
+        what = f"level {n}"
+        _require(lvdoc, ("n", "k_chosen", "h", "H", "densityA", "L", "U"), what)
+        if lvdoc["n"] != n or not _is_int(lvdoc["n"]):
+            raise ValueError(f"{what} has n={lvdoc['n']!r}; levels must run n = 1, 2, ...")
         modulus = math.factorial(n)
+        h, k = lvdoc["h"], lvdoc["k_chosen"]
+        if not _is_int(h) or not 0 <= h < modulus:
+            raise ValueError(f"{what}: h={h!r} is not in [0, {modulus})")
+        if not (k is None if n == 1 else _is_int(k) and k >= 0):
+            raise ValueError(f"{what}: bad k_chosen {k!r} (none at level 1, "
+                             "a non-negative integer after it)")
         levels.append(Level(
             n=n,
             modulus=modulus,
             H=_decode_residue_set(modulus, lvdoc["H"]),
-            h=int(lvdoc["h"]),
-            k_chosen=lvdoc["k_chosen"],
-            density_a=Fraction(lvdoc["densityA"]),
-            sum_lower=Fraction(lvdoc["L"]),
-            sum_upper=Fraction(lvdoc["U"]),
+            h=h,
+            k_chosen=k,
+            density_a=_rational(lvdoc["densityA"], f"{what} densityA"),
+            sum_lower=_rational(lvdoc["L"], f"{what} L"),
+            sum_upper=_rational(lvdoc["U"], f"{what} U"),
         ))
-    tower = Tower(alpha=Fraction(doc["alpha"]), oracle_spec=doc["oracle"],
-                  exact=bool(doc["exact"]), levels=levels,
-                  trivial=bool(doc["trivial"]))
+    tower = Tower(alpha=_rational(doc["alpha"], "alpha"), oracle_spec=doc["oracle"],
+                  exact=doc["exact"], levels=levels, trivial=doc["trivial"])
     return tower, doc.get("config")

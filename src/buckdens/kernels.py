@@ -1,62 +1,22 @@
-"""Hot inner-loop kernels over uint8 0/1 arrays.
-
-Two interchangeable backends:
-
-* ``numba`` -- the loop bodies below compiled with ``@njit`` (default when
-  numba imports cleanly);
-* ``numpy`` -- pure slice/ufunc fallbacks.
-
-Select with the environment variable ``BUCKDENS_BACKEND`` set to ``numba``,
-``numpy`` or ``auto``.  Both backends must produce bit-identical results;
-``benchmarks/bench_kernels.py`` compares their throughput.
-"""
-
-import os
+"""Inner-loop kernels over uint8 0/1 arrays, written as numpy slice ORs."""
 
 import numpy as np
 
 __all__ = [
     "active_backend",
     "or_rotated",
-    "and_periodic",
     "or_shifted_clipped",
     "tile_periodic",
 ]
 
 
-# ---------------------------------------------------------------------------
-# loop-style implementations (compiled under numba)
-
-def _loop_or_rotated(out, bits, shift):
-    k = bits.shape[0]
-    for i in range(k - shift):
-        out[i + shift] |= bits[i]
-    for i in range(shift):
-        out[i] |= bits[k - shift + i]
+def active_backend() -> str:
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
-def _loop_and_periodic(mask, bits, period):
-    n = mask.shape[0]
-    j = 0
-    for i in range(n):
-        mask[i] &= bits[j]
-        j += 1
-        if j == period:
-            j = 0
-
-
-def _loop_or_shifted_clipped(out, bits, shift):
-    n = out.shape[0]
-    m = bits.shape[0]
-    stop = min(m, n - shift)
-    for i in range(stop):
-        out[i + shift] |= bits[i]
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-
-def _np_or_rotated(out, bits, shift):
+def or_rotated(out: np.ndarray, bits: np.ndarray, shift: int) -> None:
+    """``out |= bits`` rotated right by ``shift`` (``0 <= shift < len(bits)``)."""
     k = bits.shape[0]
     if shift == 0:
         np.bitwise_or(out, bits, out=out)
@@ -65,50 +25,13 @@ def _np_or_rotated(out, bits, shift):
         np.bitwise_or(out[:shift], bits[k - shift:], out=out[:shift])
 
 
-def _np_and_periodic(mask, bits, period):
-    n = mask.shape[0]
-    reps = -(-n // period)
-    np.bitwise_and(mask, np.tile(bits, reps)[:n], out=mask)
-
-
-def _np_or_shifted_clipped(out, bits, shift):
+def or_shifted_clipped(out: np.ndarray, bits: np.ndarray, shift: int) -> None:
+    """``out[i + shift] |= bits[i]`` wherever ``i + shift < len(out)``."""
     n = out.shape[0]
     stop = min(bits.shape[0], n - shift)
     if stop > 0:
         np.bitwise_or(out[shift: shift + stop], bits[:stop],
                       out=out[shift: shift + stop])
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_requested = os.environ.get("BUCKDENS_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(f"BUCKDENS_BACKEND must be auto/numba/numpy, got {_requested!r}")
-
-_backend = "numpy"
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-    else:
-        _backend = "numba"
-
-if _backend == "numba":
-    or_rotated = njit(cache=True, nogil=True)(_loop_or_rotated)
-    and_periodic = njit(cache=True, nogil=True)(_loop_and_periodic)
-    or_shifted_clipped = njit(cache=True, nogil=True)(_loop_or_shifted_clipped)
-else:
-    or_rotated = _np_or_rotated
-    and_periodic = _np_and_periodic
-    or_shifted_clipped = _np_or_shifted_clipped
-
-
-def active_backend() -> str:
-    """Name of the kernel backend in use ('numba' or 'numpy')."""
-    return _backend
 
 
 def tile_periodic(bits: np.ndarray, length: int) -> np.ndarray:

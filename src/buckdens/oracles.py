@@ -20,7 +20,7 @@ import numpy as np
 import sympy
 from sympy.functions.combinatorial.numbers import reduced_totient
 
-from .sets import ResidueSet, ResourceLimitError, dense_limit
+from .sets import ResidueSet, check_budget
 
 __all__ = [
     "CoverOracle",
@@ -102,9 +102,7 @@ def primes_cover(m: int) -> ResidueSet:
         raise ValueError("modulus must be positive")
     if m == 1:
         return ResidueSet(1, [0])
-    if m > dense_limit():
-        raise ResourceLimitError(
-            f"primes cover at modulus {m} exceeds the dense budget")
+    check_budget(m)
     bits = (np.gcd(np.arange(m, dtype=np.int64), m) == 1).astype(np.uint8)
     for p in sympy.factorint(m):
         bits[p % m] = 1
@@ -132,15 +130,16 @@ def factorials_cover(m: int) -> ResidueSet:
         raise ValueError("modulus must be positive")
     if m == 1:
         return ResidueSet(1, [0])
-    residues = set()
+    check_budget(m)
+    bits = np.zeros(m, dtype=np.uint8)
     f, j = 1, 1
     while True:
-        residues.add(f % m)
-        if f % m == 0:
+        bits[f] = 1
+        if f == 0:
             break
         j += 1
-        f = (f * j) % m
-    return ResidueSet(m, residues)
+        f = f * j % m
+    return ResidueSet.from_bits(bits)
 
 
 class FactorialsOracle(CoverOracle):
@@ -190,9 +189,7 @@ def perfect_powers_cover(m: int) -> ResidueSet:
         raise ValueError("modulus must be positive")
     if m == 1:
         return ResidueSet(1, [0])
-    if m > dense_limit():
-        raise ResourceLimitError(
-            f"perfect-powers cover at modulus {m} exceeds the dense budget")
+    check_budget(m)
     factors = sympy.factorint(m)
     v_max = max(factors.values())
     lam = int(reduced_totient(m))

@@ -5,15 +5,14 @@ A :class:`PeriodicSet` with modulus ``k`` and residue set ``H`` denotes the
 subset ``k*N + H`` of the non-negative integers.  All densities are
 :class:`fractions.Fraction`; no floats appear anywhere in this module.
 
-Residue sets are stored as dense uint8 bitmaps while the modulus fits the
-dense budget (default ``2**28``, override with ``BUCKDENS_DENSE_LIMIT``) and
-as sorted tuples beyond it.  The representation is semantically invisible.
+Residue sets are dense uint8 bitmaps.  A modulus above ``DENSE_LIMIT``
+(``2**28``, which every tower modulus ``n! <= 11!`` fits) is refused with
+:class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -24,7 +23,8 @@ from . import kernels
 
 __all__ = [
     "ResourceLimitError",
-    "dense_limit",
+    "DENSE_LIMIT",
+    "check_budget",
     "ResidueSet",
     "PeriodicSet",
     "make_periodic",
@@ -42,10 +42,7 @@ __all__ = [
     "loads_periodic",
 ]
 
-DEFAULT_DENSE_LIMIT = 1 << 28
-
-# sparse fallbacks refuse to materialize more residues than this
-SPARSE_CAP = 1 << 22
+DENSE_LIMIT = 1 << 28
 
 # sumset strategy: shift-OR when the smaller operand has at most this many
 # residues (or the modulus is tiny), FFT support convolution otherwise
@@ -54,45 +51,40 @@ _FFT_MIN_MODULUS = 1 << 14
 
 
 class ResourceLimitError(Exception):
-    """An operation would exceed the configured memory budget."""
+    """An operation would exceed the memory budget."""
 
 
-def dense_limit() -> int:
-    value = os.environ.get("BUCKDENS_DENSE_LIMIT")
-    return int(value) if value else DEFAULT_DENSE_LIMIT
+def check_budget(modulus: int) -> None:
+    """Refuse a modulus whose bitmap would exceed ``DENSE_LIMIT`` bytes."""
+    if modulus > DENSE_LIMIT:
+        raise ResourceLimitError(
+            f"modulus {modulus} exceeds the dense budget {DENSE_LIMIT}")
 
 
 class ResidueSet:
-    """A subset of ``[0, modulus)``, dense bitmap or sorted sparse tuple."""
+    """A subset of ``[0, modulus)``, stored as a uint8 bitmap."""
 
-    __slots__ = ("modulus", "_bits", "_sparse")
+    __slots__ = ("modulus", "_bits")
 
     def __init__(self, modulus: int, residues: Iterable[int] = (), *,
                  _bits: np.ndarray | None = None):
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
+        check_budget(modulus)
         self.modulus = int(modulus)
         if _bits is not None:
-            assert _bits.shape[0] == modulus
+            if _bits.shape != (modulus,):
+                raise ValueError(
+                    f"bitmap of shape {_bits.shape} does not match modulus {modulus}")
             self._bits = np.ascontiguousarray(_bits, dtype=np.uint8)
-            self._sparse = None
             return
-        if modulus <= dense_limit():
-            bits = np.zeros(modulus, dtype=np.uint8)
-            if isinstance(residues, np.ndarray):
-                bits[residues.astype(np.int64) % modulus] = 1
-            else:
-                for r in residues:
-                    bits[r % modulus] = 1
-            self._bits = bits
-            self._sparse = None
+        bits = np.zeros(modulus, dtype=np.uint8)
+        if isinstance(residues, np.ndarray):
+            bits[residues.astype(np.int64) % modulus] = 1
         else:
-            reduced = sorted({int(r) % modulus for r in residues})
-            if len(reduced) > SPARSE_CAP:
-                raise ResourceLimitError(
-                    f"{len(reduced)} residues exceed the sparse cap {SPARSE_CAP}")
-            self._bits = None
-            self._sparse = tuple(reduced)
+            for r in residues:
+                bits[r % modulus] = 1
+        self._bits = bits
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "ResidueSet":
@@ -100,51 +92,28 @@ class ResidueSet:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def is_dense(self) -> bool:
-        return self._bits is not None
-
     def __len__(self) -> int:
-        if self._bits is not None:
-            return int(np.count_nonzero(self._bits))
-        return len(self._sparse)
+        return int(np.count_nonzero(self._bits))
 
     def __contains__(self, r: int) -> bool:
-        r %= self.modulus
-        if self._bits is not None:
-            return bool(self._bits[r])
-        import bisect
-        i = bisect.bisect_left(self._sparse, r)
-        return i < len(self._sparse) and self._sparse[i] == r
+        return bool(self._bits[r % self.modulus])
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.residues())
 
     def residues(self) -> list[int]:
         """Sorted list of members."""
-        if self._bits is not None:
-            return [int(r) for r in np.nonzero(self._bits)[0]]
-        return list(self._sparse)
+        return np.nonzero(self._bits)[0].tolist()
 
     def bits(self) -> np.ndarray:
-        """Dense 0/1 view; materializes a sparse set if the modulus allows."""
-        if self._bits is not None:
-            return self._bits
-        if self.modulus > dense_limit():
-            raise ResourceLimitError(
-                f"modulus {self.modulus} exceeds dense budget {dense_limit()}")
-        bits = np.zeros(self.modulus, dtype=np.uint8)
-        bits[np.fromiter(self._sparse, dtype=np.int64, count=len(self._sparse))] = 1
-        return bits
+        """The 0/1 bitmap (shared, not copied)."""
+        return self._bits
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResidueSet):
             return NotImplemented
-        if self.modulus != other.modulus:
-            return False
-        if self._bits is not None and other._bits is not None:
-            return bool(np.array_equal(self._bits, other._bits))
-        return self.residues() == other.residues()
+        return (self.modulus == other.modulus
+                and bool(np.array_equal(self._bits, other._bits)))
 
     def __hash__(self):
         return hash((self.modulus, tuple(self.residues())))
@@ -157,48 +126,31 @@ class ResidueSet:
     def issubset(self, other: "ResidueSet") -> bool:
         if self.modulus != other.modulus:
             raise ValueError("issubset requires equal moduli")
-        if self._bits is not None and other._bits is not None:
-            return not np.any(self._bits > other._bits)
-        return set(self.residues()) <= set(other.residues())
+        return not np.any(self._bits > other._bits)
 
     # -- same-modulus algebra ----------------------------------------------
 
     def shift(self, c: int) -> "ResidueSet":
         """The set ``{(r + c) mod modulus}``."""
-        c %= self.modulus
-        if self._bits is not None:
-            out = np.zeros_like(self._bits)
-            kernels.or_rotated(out, self._bits, c)
-            return ResidueSet.from_bits(out)
-        return ResidueSet(self.modulus, ((r + c) % self.modulus for r in self._sparse))
+        out = np.zeros_like(self._bits)
+        kernels.or_rotated(out, self._bits, c % self.modulus)
+        return ResidueSet.from_bits(out)
 
     def union_same(self, other: "ResidueSet") -> "ResidueSet":
         self._check_same(other)
-        if self._bits is not None and other._bits is not None:
-            return ResidueSet.from_bits(self._bits | other._bits)
-        return ResidueSet(self.modulus, self.residues() + other.residues())
+        return ResidueSet.from_bits(self._bits | other._bits)
 
     def intersect_same(self, other: "ResidueSet") -> "ResidueSet":
         self._check_same(other)
-        if self._bits is not None and other._bits is not None:
-            return ResidueSet.from_bits(self._bits & other._bits)
-        return ResidueSet(self.modulus, set(self.residues()) & set(other.residues()))
+        return ResidueSet.from_bits(self._bits & other._bits)
 
     def complement_same(self) -> "ResidueSet":
-        if self._bits is not None:
-            return ResidueSet.from_bits(np.uint8(1) - self._bits)
-        members = set(self._sparse)
-        if self.modulus - len(members) > SPARSE_CAP:
-            raise ResourceLimitError("complement of a sparse set is too large")
-        return ResidueSet(self.modulus, (r for r in range(self.modulus) if r not in members))
+        return ResidueSet.from_bits(np.uint8(1) - self._bits)
 
     def discard(self, r: int) -> "ResidueSet":
-        r %= self.modulus
-        if self._bits is not None:
-            out = self._bits.copy()
-            out[r] = 0
-            return ResidueSet.from_bits(out)
-        return ResidueSet(self.modulus, (x for x in self._sparse if x != r))
+        out = self._bits.copy()
+        out[r % self.modulus] = 0
+        return ResidueSet.from_bits(out)
 
     def _check_same(self, other: "ResidueSet") -> None:
         if self.modulus != other.modulus:
@@ -271,15 +223,9 @@ def rebase(p: PeriodicSet, m: int) -> PeriodicSet:
         raise ValueError(f"cannot rebase modulus {k} to non-multiple {m}")
     if m == k:
         return p
-    q = m // k
-    if m <= dense_limit():
-        bits = kernels.tile_periodic(p.residues.bits(), m)
-        return PeriodicSet(m, ResidueSet.from_bits(bits))
-    if len(p.residues) * q > SPARSE_CAP:
-        raise ResourceLimitError(
-            f"rebasing to modulus {m} needs {len(p.residues) * q} residues")
-    rs = [r + t * k for r in p.residues.residues() for t in range(q)]
-    return PeriodicSet(m, ResidueSet(m, rs))
+    check_budget(m)
+    bits = kernels.tile_periodic(p.residues.bits(), m)
+    return PeriodicSet(m, ResidueSet.from_bits(bits))
 
 
 def _common_modulus(p: PeriodicSet, q: PeriodicSet) -> tuple[PeriodicSet, PeriodicSet, int]:
@@ -314,13 +260,11 @@ def affine(p: PeriodicSet, k: int, h: int) -> PeriodicSet:
     if h < 0:
         raise ValueError(f"offset must be non-negative, got {h}")
     m = k * p.modulus
-    if m <= dense_limit() and p.residues.is_dense:
-        bits = np.zeros(m, dtype=np.uint8)
-        idx = np.nonzero(p.residues.bits())[0].astype(np.int64) * k + (h % m)
-        bits[idx % m] = 1
-        return PeriodicSet(m, ResidueSet.from_bits(bits))
-    rs = ((k * r + h) % m for r in p.residues.residues())
-    return PeriodicSet(m, ResidueSet(m, rs))
+    check_budget(m)
+    bits = np.zeros(m, dtype=np.uint8)
+    idx = np.nonzero(p.residues.bits())[0].astype(np.int64) * k + (h % m)
+    bits[idx % m] = 1
+    return PeriodicSet(m, ResidueSet.from_bits(bits))
 
 
 def sumset_mod(p: PeriodicSet, c: ResidueSet) -> PeriodicSet:
@@ -335,20 +279,14 @@ def sumset_mod(p: PeriodicSet, c: ResidueSet) -> PeriodicSet:
     np_, nc = len(p.residues), len(c)
     if np_ == 0 or nc == 0:
         return PeriodicSet(k, ResidueSet(k))
-    if k <= dense_limit():
-        small, large = (p.residues, c) if np_ <= nc else (c, p.residues)
-        if len(small) <= _SHIFT_MAX or k < _FFT_MIN_MODULUS:
-            out = np.zeros(k, dtype=np.uint8)
-            large_bits = large.bits()
-            for s in small.residues():
-                kernels.or_rotated(out, large_bits, s)
-            return PeriodicSet(k, ResidueSet.from_bits(out))
-        return PeriodicSet(k, ResidueSet.from_bits(_fft_cyclic_or(p.residues.bits(), c.bits())))
-    if np_ * nc > SPARSE_CAP:
-        raise ResourceLimitError(
-            f"sparse sumset with {np_}x{nc} pairs exceeds the cap")
-    rs = {(h + r) % k for h in p.residues.residues() for r in c.residues()}
-    return PeriodicSet(k, ResidueSet(k, rs))
+    small, large = (p.residues, c) if np_ <= nc else (c, p.residues)
+    if len(small) <= _SHIFT_MAX or k < _FFT_MIN_MODULUS:
+        out = np.zeros(k, dtype=np.uint8)
+        large_bits = large.bits()
+        for s in small.residues():
+            kernels.or_rotated(out, large_bits, s)
+        return PeriodicSet(k, ResidueSet.from_bits(out))
+    return PeriodicSet(k, ResidueSet.from_bits(_fft_cyclic_or(p.residues.bits(), c.bits())))
 
 
 def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -368,20 +306,12 @@ def canonicalize(p: PeriodicSet) -> PeriodicSet:
         return PeriodicSet(1, ResidueSet(1))
     if k == 1:
         return p
-    if p.residues.is_dense:
-        bits = p.residues.bits()
-        for d in sympy.divisors(k):
-            if d == k:
-                break
-            if np.array_equal(bits.reshape(k // d, d), np.broadcast_to(bits[:d], (k // d, d))):
-                return PeriodicSet(d, ResidueSet.from_bits(bits[:d].copy()))
-        return p
-    members = set(p.residues.residues())
+    bits = p.residues.bits()
     for d in sympy.divisors(k):
         if d == k:
             break
-        if all((r + d) % k in members for r in members):
-            return PeriodicSet(d, ResidueSet(d, {r % d for r in members}))
+        if np.array_equal(bits.reshape(k // d, d), np.broadcast_to(bits[:d], (k // d, d))):
+            return PeriodicSet(d, ResidueSet.from_bits(bits[:d].copy()))
     return p
 
 

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import buckdens
 from buckdens.cli import main, parse_rational
 from buckdens.construction import Tower, construct, tower_from_json, tower_to_json
 from buckdens.oracles import FiniteOracle
 from buckdens.sets import dumps_periodic, make_periodic
+
+SRC = str(Path(buckdens.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -109,6 +116,17 @@ class TestCover:
         code, out, _ = run(capsys, "cover", "--b", "primes", "--mod", "720")
         assert out.splitlines()[0] == "195"
 
+    def test_factorials_beyond_budget_exits_3_at_once(self):
+        # a prime modulus above 2**28: the j! loop would run ~10**9 times
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "buckdens.cli", "cover", "--b", "factorials",
+             "--mod", "1073741831"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource error:")
+
 
 class TestProfile:
     def test_text(self, capsys):
@@ -126,6 +144,52 @@ class TestProfile:
         doc = json.loads(out.read_text())
         assert doc["oracle"] == "primes"
         assert len(doc["rows"]) == 6
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _set(path, value):
+    """Mutator setting ``doc[path[0]][path[1]]... = value``."""
+    return lambda doc: _parent(doc, path).__setitem__(path[-1], value)
+
+
+def _delete(*path):
+    return lambda doc: _parent(doc, path).__delitem__(path[-1])
+
+
+# each entry edits a valid depth-4 tower document in place, or returns
+# replacement text
+MALFORMED = {
+    "not-json": lambda doc: "{levels: [",
+    "not-an-object": lambda doc: "[1, 2]",
+    "no-alpha": _delete("alpha"),
+    "no-L": _delete("levels", 2, "L"),
+    "no-H-data": _delete("levels", 1, "H", "data"),
+    "levels-not-a-list": _set(("levels",), {"n": 1}),
+    "too-deep": lambda doc: doc["levels"].extend(doc["levels"][-1:] * 8),
+    "n-skips": _set(("levels", 2, "n"), 5),
+    "n-huge": _set(("levels", 0, "n"), 10**9),
+    "n-as-string": _set(("levels", 0, "n"), "1"),
+    "h-at-modulus": _set(("levels", 3, "h"), 24),
+    "h-plus-modulus": lambda doc: doc["levels"][3].update(h=doc["levels"][3]["h"] + 24),
+    "h-negative": _set(("levels", 2, "h"), -1),
+    "k-at-level-one": _set(("levels", 0, "k_chosen"), 0),
+    "k-negative": _set(("levels", 1, "k_chosen"), -1),
+    "k-missing-after-level-one": _set(("levels", 1, "k_chosen"), None),
+    "k-as-string": _set(("levels", 1, "k_chosen"), "1"),
+    "rational-zero-denominator": _set(("levels", 1, "U"), "1/0"),
+    "rational-garbage": _set(("levels", 1, "densityA"), "half"),
+    "rational-not-a-string": _set(("alpha",), 0.5),
+    "bad-hex": _set(("levels", 1, "H", "data"), "zz"),
+    "short-bitmap": _set(("levels", 3, "H", "data"), "ff"),
+    "unknown-encoding": _set(("levels", 1, "H", "encoding"), "rle"),
+    "exact-not-bool": _set(("exact",), "false"),
+    "trivial-with-levels": _set(("trivial",), True),
+}
 
 
 class TestVerify:
@@ -169,6 +233,20 @@ class TestVerify:
                          str(tmp_path / "nope.json"),
                          "--b", "primes", "--horizon", "100")
         assert code == 1
+
+    @pytest.mark.parametrize("mutate", list(MALFORMED), ids=list(MALFORMED))
+    def test_malformed_tower_is_usage_error(self, tmp_path, capsys, mutate):
+        doc = json.loads(tower_to_json(
+            construct(FiniteOracle([0]), Fraction(1, 2), 4)))
+        text = MALFORMED[mutate](doc)
+        path = tmp_path / "bad.json"
+        path.write_text(text if isinstance(text, str) else json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--tower", str(path),
+                             "--b", "finite:0", "--horizon", "1000")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestAxioms:

@@ -189,6 +189,17 @@ class TestClaimA:
         assert not report.ok
         assert report.first_violation() in (2, 3)
 
+    def test_marked_element_beyond_modulus_is_caught(self):
+        # h + n! has the same residue, so it is "in H", but it is not in [0, n!)
+        oracle = FactorialsOracle()
+        t = construct(oracle, Fraction(1, 3), 5)
+        top = t.levels[-1]
+        bad = Tower(alpha=t.alpha, oracle_spec=t.oracle_spec, exact=t.exact,
+                    levels=t.levels[:-1] + [replace(top, h=top.h + top.modulus)])
+        report = check_claimA(bad, oracle)
+        assert not report.ok
+        assert report.first_violation() == 5
+
 
 class TestBounds:
     def test_a_bounds_b_zero(self):

@@ -1,70 +1,39 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from buckdens import kernels
-from buckdens.kernels import (
-    _np_and_periodic,
-    _np_or_rotated,
-    _np_or_shifted_clipped,
-    active_backend,
-    tile_periodic,
-)
+from buckdens.kernels import tile_periodic
 
 
 def random_bits(rng, n, p=0.3):
     return (rng.random(n) < p).astype(np.uint8)
 
 
-class TestActiveKernelsAgreeWithNumpyReference:
-    """Whatever backend is live, it must match the pure-numpy fallbacks
-    bit for bit."""
-
-    def test_or_rotated(self):
+class TestKernelsAgreeWithReferences:
+    def test_or_rotated_is_or_with_np_roll(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             k = int(rng.integers(1, 3000))
             shift = int(rng.integers(0, k))
             bits = random_bits(rng, k)
             got = random_bits(rng, k)
-            want = got.copy()
+            want = got | np.roll(bits, shift)
             kernels.or_rotated(got, bits, shift)
-            _np_or_rotated(want, bits, shift)
             assert np.array_equal(got, want)
-            # independent check: rotation really is np.roll
-            ref = want.copy()
-            np.bitwise_or(ref, np.roll(bits, shift), out=ref)
-            assert np.array_equal(got, ref)
 
-    def test_and_periodic(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            period = int(rng.integers(1, 500))
-            n = int(rng.integers(1, 5000))
-            bits = random_bits(rng, period)
-            got = random_bits(rng, n)
-            want = got.copy()
-            kernels.and_periodic(got, bits, period)
-            _np_and_periodic(want, bits, period)
-            assert np.array_equal(got, want)
-            for i in range(min(n, 200)):
-                assert got[i] == (want[i] & bits[i % period])
-
-    def test_or_shifted_clipped(self):
+    def test_or_shifted_clipped_matches_a_plain_loop(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            n = int(rng.integers(1, 4000))
-            m = int(rng.integers(1, 4000))
+            n = int(rng.integers(1, 400))
+            m = int(rng.integers(1, 400))
             shift = int(rng.integers(0, n))
             bits = random_bits(rng, m)
             got = random_bits(rng, n)
-            want = got.copy()
+            want = got.tolist()
+            for i in range(m):
+                if i + shift < n:
+                    want[i + shift] |= int(bits[i])
             kernels.or_shifted_clipped(got, bits, shift)
-            _np_or_shifted_clipped(want, bits, shift)
-            assert np.array_equal(got, want)
+            assert got.tolist() == want
 
     def test_edge_shifts(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
@@ -74,6 +43,9 @@ class TestActiveKernelsAgreeWithNumpyReference:
         out = np.zeros(4, dtype=np.uint8)
         kernels.or_shifted_clipped(out, bits, 3)
         assert out.tolist() == [0, 0, 0, 1]
+
+    def test_active_backend_is_numpy(self):
+        assert kernels.active_backend() == "numpy"
 
 
 class TestTilePeriodic:
@@ -90,42 +62,3 @@ class TestTilePeriodic:
         tiled = tile_periodic(bits, 3)
         tiled[0] = 0
         assert bits[0] == 1
-
-
-class TestBackendSelection:
-    def test_active_backend_name(self):
-        assert active_backend() in ("numba", "numpy")
-
-    def test_default_environment_uses_numba(self):
-        # numba is installed here, so auto must resolve to it
-        if os.environ.get("BUCKDENS_BACKEND", "auto") in ("auto", "numba"):
-            assert active_backend() == "numba"
-
-    def _run(self, env_value, code):
-        env = dict(os.environ, BUCKDENS_BACKEND=env_value)
-        return subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-
-    def test_numpy_backend_selectable(self):
-        r = self._run("numpy",
-                      "from buckdens.kernels import active_backend;"
-                      "print(active_backend())")
-        assert r.returncode == 0
-        assert r.stdout.strip() == "numpy"
-
-    def test_bad_value_rejected(self):
-        r = self._run("cuda", "import buckdens.kernels")
-        assert r.returncode != 0
-        assert "BUCKDENS_BACKEND" in r.stderr
-
-    def test_backends_build_identical_towers(self, tmp_path):
-        out_nb, out_np = tmp_path / "nb.json", tmp_path / "np.json"
-        code = ("import sys; from buckdens.cli import main;"
-                "sys.exit(main(['construct', '--b', 'primes',"
-                " '--alpha', '1/3', '--depth', '6', '--out', sys.argv[1]]))")
-        for backend, path in (("numba", out_nb), ("numpy", out_np)):
-            env = dict(os.environ, BUCKDENS_BACKEND=backend)
-            r = subprocess.run([sys.executable, "-c", code, str(path)],
-                               capture_output=True, text=True, env=env)
-            assert r.returncode == 0, r.stderr
-        assert out_nb.read_bytes() == out_np.read_bytes()

@@ -175,7 +175,7 @@ class TestSmallnessProfile:
         assert eps == Fraction(9220, math.factorial(8))
         assert abs(float(eps) - 0.2287) < 2e-4
 
-    def test_sparse_but_not_small(self):
+    def test_thin_but_not_small(self):
         vals = [math.factorial(n) + n for n in range(1, 31)]
         prof = smallness_profile(FiniteOracle(vals), 4)
         assert prof.rows[-1][2] == 1

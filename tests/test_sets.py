@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buckdens.cli import main
 from buckdens.sets import (
+    DENSE_LIMIT,
     PeriodicSet,
     ResidueSet,
     ResourceLimitError,
@@ -84,9 +86,11 @@ class TestBoolean:
         assert density(c) == Fraction(1, 2)
 
     def test_lcm_blowup_is_a_resource_error(self):
-        big = make_periodic(2**30 + 1, [0])
+        # both operands fit the budget, their lcm 2**15 * 3**10 does not
+        p, q = make_periodic(2**15, [0]), make_periodic(3**10, [0])
+        assert math.lcm(p.modulus, q.modulus) > DENSE_LIMIT
         with pytest.raises(ResourceLimitError):
-            union(make_periodic(2, [0]), big)
+            union(p, q)
 
     @given(small_periodic, small_periodic)
     @settings(max_examples=60, deadline=None)
@@ -254,18 +258,21 @@ class TestDensityAxiomsOnPeriodicSets:
         assert includes(p, intersect(p, q))
 
 
-class TestSparseRepresentation:
-    def test_sparse_beyond_dense_budget(self):
-        m = (1 << 30) + 7
-        rs = ResidueSet(m, [3, m + 3, 10**9])
-        assert not rs.is_dense
-        assert len(rs) == 2
-        assert 3 in rs and 4 not in rs
+class TestBitmapRepresentation:
+    def test_modulus_beyond_dense_budget_is_a_resource_error(self, capsys):
+        with pytest.raises(ResourceLimitError):
+            ResidueSet(DENSE_LIMIT + 1, [3])
+        code = main(["cover", "--b", "finite:0,24,7", "--mod", str(10**12)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("resource error:")
 
-    def test_dense_sparse_equality_is_semantic(self):
-        dense = make_periodic(10, [1, 7])
-        sparse_like = make_periodic(10, [7, 11, 1])
-        assert dense == sparse_like
+    def test_equality_ignores_order_and_duplicates(self):
+        assert make_periodic(10, [1, 7]) == make_periodic(10, [7, 11, 1])
+
+    def test_mismatched_bitmap_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            ResidueSet(5, _bits=np.zeros(4, dtype=np.uint8))
 
 
 class TestFileFormat:
