@@ -74,8 +74,7 @@ def _levels_csv(path: str, tower) -> None:
 def _cmd_construct(args) -> int:
     alpha = parse_rational(args.alpha)
     oracle = parse_oracle(args.b)
-    tower = construct(oracle, alpha, args.depth,
-                      linear_scan=args.linear_k_search, allow_deep=args.allow_deep)
+    tower = construct(oracle, alpha, args.depth, allow_deep=args.allow_deep)
     config = {
         "command": "construct", "b": args.b, "alpha": str(alpha),
         "depth": args.depth, "linear_k_search": args.linear_k_search,
@@ -179,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="tower JSON path (default stdout)")
     p.add_argument("--csv", help="per-level CSV path")
     p.add_argument("--linear-k-search", action="store_true",
-                   help="debug: linear cutoff scan instead of binary search")
+                   help="no effect; echoed in the config")
     p.add_argument("--allow-deep", action="store_true", help="permit depth 11")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="no effect; echoed in the config")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("cover", help="residue cover of B at a modulus")

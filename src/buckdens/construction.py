@@ -12,11 +12,10 @@ rational and is re-checkable from scratch.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +70,8 @@ class Level:
     density_a: Fraction     # |H| / n!
     sum_lower: Fraction     # density of (n!N + H\{h}) + B
     sum_upper: Fraction     # density of (n!N + H) + B
+    # (H\{h}) + cover(n!) mod n!, carried between steps; never serialized
+    lower_sumset: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -96,52 +97,46 @@ def _base_level(cover_one: ResidueSet) -> Level:
     if len(cover_one) == 0:
         raise CertificateError("cover of B mod 1 is empty; B must be non-empty")
     return Level(n=1, modulus=1, H=ResidueSet(1, [0]), h=0, k_chosen=None,
-                 density_a=Fraction(1), sum_lower=Fraction(0), sum_upper=Fraction(1))
+                 density_a=Fraction(1), sum_lower=Fraction(0), sum_upper=Fraction(1),
+                 lower_sumset=np.zeros(1, dtype=np.uint8))
 
 
-def step(prev: Level, cover_next: ResidueSet, alpha: Fraction, *,
-         linear_scan: bool = False) -> Level:
-    """One inductive step from level m to level m+1.
+def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
+    """One inductive step from level m to level m+1, modulo (m+1)!.
 
-    Works modulo (m+1)!.  The candidate for a cutoff k is
-
-        (H_m' rebased) ∪ {h_m + j*m! : j = 0..k},
-
-    whose sumset density with cover((m+1)!) is non-decreasing in k because
-    the candidates are nested; k_{m+1} is the least k making it exceed
-    alpha strictly.  The base sumset is computed once and each extra class
-    is a single rotated OR of the cover bitmap.
+    Candidate k is H_m' tiled plus the classes h_m + j*m!, j <= k.  As
+    cover((m+1)!) mod m! = cover(m!), tiled H_m' has as sumset the tiling
+    of the lower sumset H_m' + cover(m!) that ``prev`` carries, and each
+    class ORs in one rotated cover.  Densities grow with k: k_{m+1} is the
+    first class passing alpha, the state before it is the new lower sumset
+    and the state after it gives U.  ``check_claimA`` re-derives both by
+    convolution, catching an oracle that breaks the projection identity.
     """
+    if prev.lower_sumset is None:
+        raise ValueError(f"level {prev.n} carries no lower sumset to step from")
     m = prev.n
     fact_m = prev.modulus
     big = fact_m * (m + 1)
     if cover_next.modulus != big:
         raise ValueError(f"cover has modulus {cover_next.modulus}, expected {big}")
 
-    h_prime = prev.H.discard(prev.h)
-    base = rebase(PeriodicSet(fact_m, h_prime), big)
     cover_bits = cover_next.bits()
-
-    s_bits = sumset_mod(base, cover_next).residues.bits().copy()
-    base_density = Fraction(int(np.count_nonzero(s_bits)), big)
-    densities: list[Fraction] = []
-    for j in range(m + 1):
-        kernels.or_rotated(s_bits, cover_bits, (prev.h + j * fact_m) % big)
-        densities.append(Fraction(int(np.count_nonzero(s_bits)), big))
-
-    if linear_scan:
-        k = next((j for j, d in enumerate(densities) if d > alpha), m + 1)
+    before = np.tile(prev.lower_sumset, m + 1)
+    after = np.empty_like(before)
+    for k in range(m + 1):
+        kernels.or_rotated(after, before, cover_bits, prev.h + k * fact_m)
+        upper = Fraction(int(np.count_nonzero(after)), big)
+        if upper > alpha:
+            break
+        before, after = after, before
     else:
-        k = bisect.bisect_right(densities, alpha)
-    if k > m:
         raise CertificateError(
             f"no admissible cutoff at level {m + 1}: max candidate density "
-            f"{densities[-1]} fails to exceed alpha={alpha}")
+            f"{upper} fails to exceed alpha={alpha}")
 
-    h_bits = base.residues.bits().copy()
-    for j in range(k + 1):
-        h_bits[(prev.h + j * fact_m) % big] = 1
     h_next = prev.h + k * fact_m
+    h_bits = np.tile(prev.H.bits(), m + 1)
+    h_bits[h_next + fact_m::fact_m] = 0   # the classes beyond the cutoff
 
     return Level(
         n=m + 1,
@@ -150,13 +145,14 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction, *,
         h=h_next,
         k_chosen=k,
         density_a=Fraction(int(np.count_nonzero(h_bits)), big),
-        sum_lower=densities[k - 1] if k > 0 else base_density,
-        sum_upper=densities[k],
+        sum_lower=Fraction(int(np.count_nonzero(before)), big),
+        sum_upper=upper,
+        lower_sumset=before,
     )
 
 
 def construct(oracle: CoverOracle, alpha, depth: int, *,
-              linear_scan: bool = False, allow_deep: bool = False) -> Tower:
+              allow_deep: bool = False) -> Tower:
     """Build a depth-``depth`` tower targeting sumset density ``alpha``.
 
     alpha = 1 short-circuits to the trivial tower denoting A = N.  Depth is
@@ -186,8 +182,9 @@ def construct(oracle: CoverOracle, alpha, depth: int, *,
     fact = 1
     for n in range(2, depth + 1):
         fact *= n
-        cover = oracle.cover_cached(fact)
-        levels.append(step(levels[-1], cover, alpha, linear_scan=linear_scan))
+        levels.append(step(levels[-1], oracle.cover_cached(fact), alpha))
+        levels[-2] = replace(levels[-2], lower_sumset=None)
+    levels[-1] = replace(levels[-1], lower_sumset=None)
     return Tower(alpha=alpha, oracle_spec=oracle.name, exact=oracle.exact,
                  levels=levels)
 

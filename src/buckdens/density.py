@@ -21,6 +21,7 @@ import sympy
 from .sets import (
     PeriodicSet,
     ResidueSet,
+    ResourceLimitError,
     affine,
     complement,
     dumps_periodic,
@@ -36,6 +37,8 @@ __all__ = [
     "buck_upper_finite",
     "conjugate",
     "in_domain",
+    "DEFAULT_ENUM_BUDGET",
+    "check_horizon",
     "periodic_indicator",
     "predicate_indicator",
     "finite_indicator",
@@ -106,9 +109,21 @@ def in_domain(lower: Fraction, upper: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 # empirical estimators (float-only, verification side)
 
+# the longest window [0, horizon] that verification materializes
+DEFAULT_ENUM_BUDGET = 10_000_000
+
+
+def check_horizon(horizon: int) -> None:
+    """Refuse a horizon whose windows would exceed ``DEFAULT_ENUM_BUDGET``."""
+    if horizon > DEFAULT_ENUM_BUDGET:
+        raise ResourceLimitError(
+            f"horizon {horizon} exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
+
+
 def periodic_indicator(p: PeriodicSet, horizon: int) -> np.ndarray:
     """0/1 uint8 array over [0, horizon]; index i says whether i is a member."""
     from .kernels import tile_periodic
+    check_horizon(horizon)
     return tile_periodic(p.residues.bits(), horizon + 1)
 
 

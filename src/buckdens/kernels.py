@@ -15,14 +15,12 @@ def active_backend() -> str:
     return "numpy"
 
 
-def or_rotated(out: np.ndarray, bits: np.ndarray, shift: int) -> None:
-    """``out |= bits`` rotated right by ``shift`` (``0 <= shift < len(bits)``)."""
+def or_rotated(out: np.ndarray, src: np.ndarray, bits: np.ndarray, shift: int) -> None:
+    """``out = src | roll(bits, shift)`` for ``0 <= shift < len(bits)``;
+    ``src`` may be ``out`` itself."""
     k = bits.shape[0]
-    if shift == 0:
-        np.bitwise_or(out, bits, out=out)
-    else:
-        np.bitwise_or(out[shift:], bits[: k - shift], out=out[shift:])
-        np.bitwise_or(out[:shift], bits[k - shift:], out=out[:shift])
+    np.bitwise_or(src[shift:], bits[: k - shift], out=out[shift:])
+    np.bitwise_or(src[:shift], bits[k - shift:], out=out[:shift])
 
 
 def or_shifted_clipped(out: np.ndarray, bits: np.ndarray, shift: int) -> None:

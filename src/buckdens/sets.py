@@ -34,6 +34,7 @@ __all__ = [
     "complement",
     "affine",
     "sumset_mod",
+    "fft_cyclic_or",
     "rebase",
     "member",
     "canonicalize",
@@ -133,7 +134,7 @@ class ResidueSet:
     def shift(self, c: int) -> "ResidueSet":
         """The set ``{(r + c) mod modulus}``."""
         out = np.zeros_like(self._bits)
-        kernels.or_rotated(out, self._bits, c % self.modulus)
+        kernels.or_rotated(out, out, self._bits, c % self.modulus)
         return ResidueSet.from_bits(out)
 
     def union_same(self, other: "ResidueSet") -> "ResidueSet":
@@ -284,19 +285,29 @@ def sumset_mod(p: PeriodicSet, c: ResidueSet) -> PeriodicSet:
         out = np.zeros(k, dtype=np.uint8)
         large_bits = large.bits()
         for s in small.residues():
-            kernels.or_rotated(out, large_bits, s)
+            kernels.or_rotated(out, out, large_bits, s)
         return PeriodicSet(k, ResidueSet.from_bits(out))
-    return PeriodicSet(k, ResidueSet.from_bits(_fft_cyclic_or(p.residues.bits(), c.bits())))
+    return PeriodicSet(k, ResidueSet.from_bits(fft_cyclic_or(p.residues.bits(), c.bits())))
 
 
-def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # support of the cyclic convolution; counts are integers, and the FFT
-    # round-off is O(eps * k * log k) << 1/2 for every modulus in budget
+def fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Support of the cyclic convolution of two equal-length 0/1 arrays.
+
+    The convolution counts are integers; the float result must lie within
+    1/4 of them everywhere, otherwise the support is not trusted and
+    :class:`ResourceLimitError` is raised.
+    """
     k = a.shape[0]
     fa = np.fft.rfft(a.astype(np.float64))
     fb = np.fft.rfft(b.astype(np.float64))
     conv = np.fft.irfft(fa * fb, n=k)
-    return (conv > 0.5).astype(np.uint8)
+    counts = np.rint(conv)
+    conv -= counts
+    err = float(np.abs(conv, out=conv).max())
+    if not err < 0.25:
+        raise ResourceLimitError(
+            f"FFT round-off {err:.3g} at length {k} leaves the support undecided")
+    return (counts > 0.5).astype(np.uint8)
 
 
 def canonicalize(p: PeriodicSet) -> PeriodicSet:

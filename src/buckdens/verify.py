@@ -26,11 +26,13 @@ from .construction import (
     sum_bounds,
 )
 from .density import (
+    check_horizon,
     empirical_asymptotic,
     empirical_banach,
     empirical_logarithmic,
 )
 from .oracles import CoverOracle
+from .sets import fft_cyclic_or
 
 __all__ = [
     "a_window",
@@ -45,8 +47,6 @@ __all__ = [
 
 # below this many B-members the window sumset is shift-OR; beyond it, FFT
 _WINDOW_SHIFT_MAX = 512
-
-DEFAULT_ENUM_BUDGET = 10_000_000
 
 
 def sampling_slack(horizon: int) -> float:
@@ -85,14 +85,13 @@ def sumset_window(a_indicator: np.ndarray, b_values: np.ndarray, horizon: int) -
         for b in b_values:
             kernels.or_shifted_clipped(out, a_view, int(b))
         return out
+    # zero-padded to 2n >= 2n - 1, the cyclic convolution is the linear one
     n = horizon + 1
-    b_ind = np.zeros(n, dtype=np.float64)
-    b_ind[b_values] = 1.0
-    size = 2 * n  # linear convolution needs >= 2n - 1
-    fa = np.fft.rfft(a_indicator[:n].astype(np.float64), n=size)
-    fb = np.fft.rfft(b_ind, n=size)
-    conv = np.fft.irfft(fa * fb, n=size)[:n]
-    return (conv > 0.5).astype(np.uint8)
+    a_pad = np.zeros(2 * n, dtype=np.uint8)
+    a_pad[:n] = a_indicator[:n]
+    b_pad = np.zeros(2 * n, dtype=np.uint8)
+    b_pad[b_values] = 1
+    return fft_cyclic_or(a_pad, b_pad)[:n]
 
 
 def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, int]:
@@ -103,13 +102,12 @@ def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, 
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if horizon > DEFAULT_ENUM_BUDGET:
-        raise ValueError(f"horizon {horizon} exceeds the enumeration budget")
     lo_cov, hi_cov = _coverages(t, oracle, horizon)
     return int(np.count_nonzero(lo_cov[1:])), int(np.count_nonzero(hi_cov[1:]))
 
 
 def _coverages(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    check_horizon(horizon)
     b_values = oracle.enumerate(horizon)
     definite, exceptional = a_window(t, horizon)
     lo_cov = sumset_window(definite, b_values, horizon)
@@ -218,15 +216,13 @@ def _level_rows(t: Tower, oracle: CoverOracle) -> list[dict]:
 
 def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
                    t_grid: list[int] | None = None,
-                   linear_scan: bool = False,
                    allow_deep: bool = False,
                    tower: Tower | None = None) -> DensityReport:
     """Build (or reuse) a tower, re-check every certificate, and compare
     empirical A+B frequencies against the certified interval at a grid of
     horizons.  Raises CertificateError if any exact certificate fails."""
     if tower is None:
-        tower = construct(oracle, alpha, depth, linear_scan=linear_scan,
-                          allow_deep=allow_deep)
+        tower = construct(oracle, alpha, depth, allow_deep=allow_deep)
     claim = check_claimA(tower, oracle)
     if not claim.ok:
         raise CertificateError(
@@ -253,8 +249,10 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
     )
     lo_cert = float(sb.final.lower)
     hi_cert = float(sb.final.upper)
+    # coverage of [0, t] is a prefix of coverage of [0, max(t_grid)]
+    lo_all, hi_all = _coverages(tower, oracle, max(t_grid, default=1))
     for t_val in t_grid:
-        lo_cov, hi_cov = _coverages(tower, oracle, t_val)
+        lo_cov, hi_cov = lo_all[: t_val + 1], hi_all[: t_val + 1]
         c_lo = int(np.count_nonzero(lo_cov[1:]))
         c_hi = int(np.count_nonzero(hi_cov[1:]))
         freq = (c_lo / t_val, c_hi / t_val)
@@ -311,7 +309,8 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int, *,
     the finite-scale reflection of uniformity across quasi-densities.
     """
     sb = sum_bounds(t, oracle)
-    lo_cov, _ = _coverages(t, oracle, horizon)
+    check_horizon(horizon)
+    lo_cov = sumset_window(a_window(t, horizon)[0], oracle.enumerate(horizon), horizon)
     if window is None:
         window = max(1, horizon // 10)
     asym = empirical_asymptotic(lo_cov, horizon)

@@ -23,6 +23,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv):
+    """The CLI in a fresh interpreter, for failures that must not allocate."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "buckdens.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestParseRational:
     def test_fraction(self):
         assert parse_rational("9/10") == Fraction(9, 10)
@@ -118,12 +126,7 @@ class TestCover:
 
     def test_factorials_beyond_budget_exits_3_at_once(self):
         # a prime modulus above 2**28: the j! loop would run ~10**9 times
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "buckdens.cli", "cover", "--b", "factorials",
-             "--mod", "1073741831"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_process("cover", "--b", "factorials", "--mod", "1073741831")
         assert proc.returncode == 3
         assert proc.stderr.startswith("resource error:")
 
@@ -213,6 +216,15 @@ class TestVerify:
         assert doc["cross_density"]["verdict"] == "PASS"
         assert doc["config"]["horizon"] == 10000
 
+    def test_horizon_beyond_budget_exits_3_at_once(self, tmp_path, capsys):
+        # 10**11 bytes per window: refused before any window is allocated
+        tower = self._tower_file(tmp_path, capsys)
+        proc = run_process("verify", "--tower", str(tower), "--b", "finite:0",
+                           "--horizon", "100000000000")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource error:")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_tampered_tower_exits_2(self, tmp_path, capsys):
         t = construct(FiniteOracle([0]), Fraction(1, 2), 4)
         lv = t.levels[2]
@@ -288,6 +300,14 @@ class TestEstimate:
                     continue
                 if 0 < val <= 1:
                     assert abs(val - 2 / 3) < 0.01
+
+    def test_horizon_beyond_budget_exits_3_at_once(self, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text(dumps_periodic(make_periodic(6, [1, 2, 3, 5])))
+        proc = run_process("estimate", "--set", str(path), "--horizon", "100000000000")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource error:")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_bad_file(self, tmp_path, capsys):
         path = tmp_path / "set.txt"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from buckdens import construction, sets
 from buckdens.construction import (
     CertificateError,
     Tower,
@@ -93,9 +94,7 @@ class TestStep:
         assert t.levels[1].k_chosen == 1  # k=0 gives exactly 1/2, not > 1/2
 
     def test_level_three_takes_k_zero(self):
-        oracle = FiniteOracle([0])
-        prev = construct(oracle, HALF, 2).levels[-1]
-        lv = step(prev, oracle.cover_cached(6), HALF)
+        lv = construct(FiniteOracle([0]), HALF, 3).levels[-1]
         assert lv.k_chosen == 0
         assert lv.sum_upper == Fraction(4, 6)
 
@@ -117,15 +116,42 @@ class TestStep:
             densities.append(sumset_mod(cand, cover).density())
         assert densities == sorted(densities)
 
-    def test_linear_and_binary_search_agree(self):
-        for spec in ("finite:0", "factorials", "primes"):
-            oracle_a, oracle_b = parse_oracle(spec), parse_oracle(spec)
-            for alpha in (Fraction(0), Fraction(1, 3), Fraction(9, 10)):
-                ta = construct(oracle_a, alpha, 6)
-                tb = construct(oracle_b, alpha, 6, linear_scan=True)
-                assert [lv.k_chosen for lv in ta.levels] == \
-                    [lv.k_chosen for lv in tb.levels]
-                assert tower_to_json(ta) == tower_to_json(tb)
+    def test_construct_never_calls_the_convolution(self, monkeypatch):
+        # the builder tiles the carried lower sumset; only check_claimA
+        # convolves, so its certificates are an independent re-derivation
+        def refuse(*args, **kwargs):
+            raise AssertionError("the builder must not convolve or rebase")
+
+        for spec, alpha in (("primes", HALF), ("powers", Fraction(9, 10)),
+                            ("factorials", Fraction(1, 3)), ("finite:0,24,7", HALF)):
+            oracle = parse_oracle(spec)
+            with monkeypatch.context() as patched:
+                for name in ("sumset_mod", "rebase"):
+                    patched.setattr(construction, name, refuse)
+                    patched.setattr(sets, name, refuse)
+                t = construct(oracle, alpha, 7)
+            assert check_claimA(t, oracle).ok
+
+    def test_stepping_needs_the_carried_lower_sumset(self):
+        oracle = FiniteOracle([0])
+        built = construct(oracle, HALF, 3)
+        assert all(lv.lower_sumset is None for lv in built.levels)
+        loaded, _ = tower_from_json(tower_to_json(built))
+        with pytest.raises(ValueError, match="no lower sumset"):
+            step(loaded.top, oracle.cover_cached(24), HALF)
+
+    def test_step_carries_the_lower_sumset(self):
+        def lower_sumset(lv):  # (H minus h) + cover(n!) mod n!, by convolution
+            lower = sumset_mod(PeriodicSet(lv.modulus, lv.H.discard(lv.h)),
+                               oracle.cover_cached(lv.modulus))
+            return lower.residues.bits()
+
+        oracle = PrimesOracle()
+        t = construct(oracle, Fraction(1, 3), 4)
+        lv = step(replace(t.top, lower_sumset=lower_sumset(t.top)),
+                  oracle.cover_cached(120), Fraction(1, 3))
+        assert np.array_equal(lv.lower_sumset, lower_sumset(lv))
+        assert lv.sum_lower == Fraction(int(np.count_nonzero(lv.lower_sumset)), lv.modulus)
 
     def test_cardinality_recurrence(self):
         t = construct(PrimesOracle(), Fraction(1, 3), 7)

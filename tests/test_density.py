@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from buckdens.density import (
     BUCK,
+    DEFAULT_ENUM_BUDGET,
     DensityInterval,
     UpperDensityFn,
     axiom_suite,
@@ -20,7 +21,14 @@ from buckdens.density import (
     in_domain,
     periodic_indicator,
 )
-from buckdens.sets import complement, density, make_periodic, naturals, union
+from buckdens.sets import (
+    ResourceLimitError,
+    complement,
+    density,
+    make_periodic,
+    naturals,
+    union,
+)
 
 
 class TestBuckOnPeriodic:
@@ -160,6 +168,10 @@ class TestEmpiricalBanachAndLog:
         ind = periodic_indicator(p, 1000)
         assert ind[2] == 1 and ind[3] == 0 and ind[9] == 1
         assert int(ind.sum()) == len([x for x in range(1001) if p.member(x)])
+
+    def test_indicator_horizon_is_bounded(self):
+        with pytest.raises(ResourceLimitError):
+            periodic_indicator(make_periodic(2, [0]), DEFAULT_ENUM_BUDGET + 1)
 
 
 class TestAxiomSuite:

@@ -17,7 +17,10 @@ class TestKernelsAgreeWithReferences:
             bits = random_bits(rng, k)
             got = random_bits(rng, k)
             want = got | np.roll(bits, shift)
-            kernels.or_rotated(got, bits, shift)
+            into = np.zeros_like(got)
+            kernels.or_rotated(into, got, bits, shift)
+            assert np.array_equal(into, want)
+            kernels.or_rotated(got, got, bits, shift)
             assert np.array_equal(got, want)
 
     def test_or_shifted_clipped_matches_a_plain_loop(self):
@@ -38,7 +41,7 @@ class TestKernelsAgreeWithReferences:
     def test_edge_shifts(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
         out = np.zeros(4, dtype=np.uint8)
-        kernels.or_rotated(out, bits, 0)
+        kernels.or_rotated(out, out, bits, 0)
         assert out.tolist() == [1, 0, 1, 1]
         out = np.zeros(4, dtype=np.uint8)
         kernels.or_shifted_clipped(out, bits, 3)

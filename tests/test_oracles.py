@@ -161,6 +161,17 @@ class TestDivisorCompatibility:
             projected = {r % d for r in oracle.cover(m).residues()}
             assert projected == set(oracle.cover(d).residues())
 
+    @pytest.mark.parametrize("spec", ["primes", "factorials", "powers", "finite:0,24,7",
+                                      "enumerated"])
+    def test_factorial_ladder_projects(self, spec):
+        # the builder tiles level n-1's lower sumset to level n on this identity
+        oracle = (EnumeratedOracle(lambda b: b % 3 == 1 or b == 5, 5000)
+                  if spec == "enumerated" else parse_oracle(spec))
+        for n in range(2, 9):
+            fact = math.factorial(n - 1)
+            projected = np.unique(np.array(oracle.cover(fact * n).residues()) % fact)
+            assert projected.tolist() == oracle.cover(fact).residues()
+
 
 class TestSmallnessProfile:
     def test_factorials(self):

@@ -17,6 +17,7 @@ from buckdens.sets import (
     complement,
     density,
     dumps_periodic,
+    fft_cyclic_or,
     includes,
     intersect,
     loads_periodic,
@@ -180,6 +181,19 @@ class TestSumsetMod:
             rolled = np.roll(bits, int(s))
             np.bitwise_or(out, rolled, out=out)
         assert np.array_equal(fft.residues.bits(), out)
+
+    def test_fft_round_off_beyond_the_margin_is_refused(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        k = 5040 * 4
+        a = (rng.random(k) < 0.1).astype(np.uint8)
+        b = (rng.random(k) < 0.1).astype(np.uint8)
+        assert fft_cyclic_or(a, b).any()
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+        with pytest.raises(ResourceLimitError, match="round-off"):
+            fft_cyclic_or(a, b)
+        with pytest.raises(ResourceLimitError, match="round-off"):
+            sumset_mod(PeriodicSet(k, ResidueSet.from_bits(a)), ResidueSet.from_bits(b))
 
 
 class TestRebase:

@@ -6,6 +6,7 @@ import pytest
 
 from buckdens.construction import CertificateError, Tower, construct, tower_from_json, tower_to_json
 from buckdens.oracles import FactorialsOracle, FiniteOracle, PrimesOracle, parse_oracle
+from buckdens.sets import ResourceLimitError
 from buckdens.verify import (
     a_window,
     cross_density_check,
@@ -95,7 +96,7 @@ class TestEnumerateSumset:
 
     def test_budget_enforced(self):
         t = construct(FiniteOracle([0]), HALF, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceLimitError):
             enumerate_sumset(t, FiniteOracle([0]), 10**8)
         with pytest.raises(ValueError):
             enumerate_sumset(t, FiniteOracle([0]), 0)
