@@ -5,7 +5,6 @@ import numpy as np
 __all__ = [
     "active_backend",
     "or_rotated",
-    "or_shifted_clipped",
     "tile_periodic",
 ]
 
@@ -21,15 +20,6 @@ def or_rotated(out: np.ndarray, src: np.ndarray, bits: np.ndarray, shift: int) -
     k = bits.shape[0]
     np.bitwise_or(src[shift:], bits[: k - shift], out=out[shift:])
     np.bitwise_or(src[:shift], bits[k - shift:], out=out[:shift])
-
-
-def or_shifted_clipped(out: np.ndarray, bits: np.ndarray, shift: int) -> None:
-    """``out[i + shift] |= bits[i]`` wherever ``i + shift < len(out)``."""
-    n = out.shape[0]
-    stop = min(bits.shape[0], n - shift)
-    if stop > 0:
-        np.bitwise_or(out[shift: shift + stop], bits[:stop],
-                      out=out[shift: shift + stop])
 
 
 def tile_periodic(bits: np.ndarray, length: int) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "complement",
     "affine",
     "sumset_mod",
-    "fft_cyclic_or",
     "rebase",
     "member",
     "canonicalize",
@@ -287,10 +286,10 @@ def sumset_mod(p: PeriodicSet, c: ResidueSet) -> PeriodicSet:
         for s in small.residues():
             kernels.or_rotated(out, out, large_bits, s)
         return PeriodicSet(k, ResidueSet.from_bits(out))
-    return PeriodicSet(k, ResidueSet.from_bits(fft_cyclic_or(p.residues.bits(), c.bits())))
+    return PeriodicSet(k, ResidueSet.from_bits(_fft_cyclic_or(p.residues.bits(), c.bits())))
 
 
-def fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Support of the cyclic convolution of two equal-length 0/1 arrays.
 
     The convolution counts are integers; the float result must lie within

@@ -32,7 +32,7 @@ from .density import (
     empirical_logarithmic,
 )
 from .oracles import CoverOracle
-from .sets import fft_cyclic_or
+from .sets import PeriodicSet, ResidueSet, sumset_mod
 
 __all__ = [
     "a_window",
@@ -45,8 +45,7 @@ __all__ = [
     "sampling_slack",
 ]
 
-# below this many B-members the window sumset is shift-OR; beyond it, FFT
-_WINDOW_SHIFT_MAX = 512
+_CROSS_SLACK = 0.03  # widening of the certified interval for the proxies
 
 
 def sampling_slack(horizon: int) -> float:
@@ -62,36 +61,50 @@ def a_window(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     only ever removes elements congruent to h_N mod N!.  ``exceptional``
     marks that single undecided class.
     """
-    if t.trivial:
-        definite = np.ones(horizon + 1, dtype=np.uint8)
-        return definite, np.zeros(horizon + 1, dtype=np.uint8)
-    top = t.top
-    in_an = kernels.tile_periodic(top.H.bits(), horizon + 1)
-    marked = np.zeros(top.modulus, dtype=np.uint8)
-    marked[top.h] = 1
-    exceptional = kernels.tile_periodic(marked, horizon + 1)
-    definite = in_an & (1 - exceptional)
-    return definite, exceptional
+    lower, upper = _periods(t)
+    return (kernels.tile_periodic(lower, horizon + 1),
+            kernels.tile_periodic(upper - lower, horizon + 1))
 
 
-def sumset_window(a_indicator: np.ndarray, b_values: np.ndarray, horizon: int) -> np.ndarray:
-    """Indicator on [0, horizon] of {a + b : a in A-window, b in B-window}."""
+def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -> np.ndarray:
+    """Indicator on [0, horizon] of A + B, with A = {a >= 0 : P[a mod M]}
+    for the length-M bitmap P = ``period_bits``.
+
+    x ≡ r (mod M) lies in A + B iff x >= t_r, the least first member f_c
+    of a class c of B with P[r − c].  Classes are scanned in ascending f_c
+    over the residues below min(M, horizon + 1) reachable mod M.
+    """
+    m = period_bits.shape[0]
+    n = min(m, horizon + 1)
     out = np.zeros(horizon + 1, dtype=np.uint8)
-    b_values = b_values[b_values <= horizon]
-    if b_values.size == 0 or not a_indicator.any():
-        return out
-    if b_values.size <= _WINDOW_SHIFT_MAX:
-        a_view = a_indicator[: horizon + 1]
-        for b in b_values:
-            kernels.or_shifted_clipped(out, a_view, int(b))
-        return out
-    # zero-padded to 2n >= 2n - 1, the cyclic convolution is the linear one
-    n = horizon + 1
-    a_pad = np.zeros(2 * n, dtype=np.uint8)
-    a_pad[:n] = a_indicator[:n]
-    b_pad = np.zeros(2 * n, dtype=np.uint8)
-    b_pad[b_values] = 1
-    return fft_cyclic_or(a_pad, b_pad)[:n]
+    b_values = np.sort(b_values[b_values <= horizon])
+    classes, first = np.unique(b_values % m, return_index=True)
+    reach = sumset_mod(PeriodicSet(m, ResidueSet.from_bits(period_bits)),
+                       ResidueSet(m, classes))
+    unresolved = np.flatnonzero(reach.residues.bits()[:n])
+    threshold = np.full(n, horizon + 1, dtype=np.int64)
+    for i in np.argsort(first):
+        hit = period_bits[(unresolved - classes[i]) % m].astype(bool)
+        threshold[unresolved[hit]] = b_values[first[i]]
+        unresolved = unresolved[~hit]
+        if unresolved.size == 0:
+            break
+    # x = q*n + r is covered iff q*n >= t_r - r (and q = 0 whenever n < M)
+    threshold -= np.arange(n)
+    full, rest = divmod(horizon + 1, n)
+    np.greater_equal(np.arange(full)[:, None] * n, threshold,
+                     out=out[: full * n].reshape(full, n))
+    np.greater_equal(full * n, threshold[:rest], out=out[full * n:])
+    return out
+
+
+def _periods(t: Tower) -> tuple[np.ndarray, np.ndarray]:
+    """One period of the definite part of A and of A_N: H∖{h} and H at the
+    top level, or ``[1]`` for both when A = N."""
+    if t.trivial:
+        return np.ones(1, dtype=np.uint8), np.ones(1, dtype=np.uint8)
+    top = t.top
+    return top.H.discard(top.h).bits(), top.H.bits()
 
 
 def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, int]:
@@ -109,13 +122,12 @@ def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, 
 def _coverages(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     check_horizon(horizon)
     b_values = oracle.enumerate(horizon)
-    definite, exceptional = a_window(t, horizon)
-    lo_cov = sumset_window(definite, b_values, horizon)
-    if exceptional.any():
-        hi_cov = sumset_window(definite | exceptional, b_values, horizon)
-    else:
-        hi_cov = lo_cov
-    return lo_cov, hi_cov
+    lower, upper = _periods(t)
+    lo_cov = sumset_window(lower, b_values, horizon)
+    # the two periods differ only at h, whose class first enters the window at h
+    if t.trivial or t.top.h > horizon:
+        return lo_cov, lo_cov
+    return lo_cov, sumset_window(upper, b_values, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +161,13 @@ class DensityReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
+
+    def cross_density(self, slack: float = _CROSS_SLACK) -> "CrossDensityReport":
+        """``cross_density_check`` at the longest horizon, with its default
+        window, read from that row instead of recomputing the window."""
+        r = max(self.rows, key=lambda row: row.horizon)
+        return CrossDensityReport(self.alpha, self.interval_sum, slack,
+                                  r.asymptotic, r.banach, r.logarithmic)
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,8 +244,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
         tower = construct(oracle, alpha, depth, allow_deep=allow_deep)
     claim = check_claimA(tower, oracle)
     if not claim.ok:
-        raise CertificateError(
-            f"certificate violation at level {claim.first_violation()}")
+        raise CertificateError(f"certificate FAILED at level {claim.first_violation()}")
 
     ab = a_bounds(tower)
     sb = sum_bounds(tower, oracle)
@@ -284,7 +302,12 @@ class CrossDensityReport:
     asymptotic: tuple[float, float]
     banach: float
     logarithmic: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        lo = float(self.interval[0]) - self.slack
+        hi = float(self.interval[1]) + self.slack
+        return all(lo <= v <= hi for v in (*self.asymptotic, self.banach, self.logarithmic))
 
     def to_json_dict(self) -> dict:
         return {
@@ -301,7 +324,7 @@ class CrossDensityReport:
 
 def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int, *,
                         window: int | None = None,
-                        slack: float = 0.03) -> CrossDensityReport:
+                        slack: float = _CROSS_SLACK) -> CrossDensityReport:
     """Evaluate all three empirical proxies on the realized A+B window and
     test that each lies within the certified interval widened by ``slack``.
 
@@ -310,16 +333,11 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int, *,
     """
     sb = sum_bounds(t, oracle)
     check_horizon(horizon)
-    lo_cov = sumset_window(a_window(t, horizon)[0], oracle.enumerate(horizon), horizon)
+    lo_cov = sumset_window(_periods(t)[0], oracle.enumerate(horizon), horizon)
     if window is None:
         window = max(1, horizon // 10)
-    asym = empirical_asymptotic(lo_cov, horizon)
-    ban = empirical_banach(lo_cov, window, horizon)
-    log = empirical_logarithmic(lo_cov, horizon)
-    lo = float(sb.final.lower) - slack
-    hi = float(sb.final.upper) + slack
-    values = [asym[0], asym[1], ban, log]
-    passed = all(lo <= v <= hi for v in values)
     return CrossDensityReport(
         alpha=t.alpha, interval=(sb.final.lower, sb.final.upper), slack=slack,
-        asymptotic=asym, banach=ban, logarithmic=log, passed=passed)
+        asymptotic=empirical_asymptotic(lo_cov, horizon),
+        banach=empirical_banach(lo_cov, window, horizon),
+        logarithmic=empirical_logarithmic(lo_cov, horizon))

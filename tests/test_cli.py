@@ -216,6 +216,21 @@ class TestVerify:
         assert doc["cross_density"]["verdict"] == "PASS"
         assert doc["config"]["horizon"] == 10000
 
+    def test_tower_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        import buckdens.construction as construction
+        checks = []
+
+        class CountingReport(construction.ClaimAReport):
+            def __init__(self, *args, **kwargs):
+                checks.append(1)
+                super().__init__(*args, **kwargs)
+
+        tower = self._tower_file(tmp_path, capsys)
+        monkeypatch.setattr(construction, "ClaimAReport", CountingReport)
+        code, _, _ = run(capsys, "verify", "--tower", str(tower),
+                         "--b", "finite:0", "--horizon", "1000")
+        assert code == 0 and len(checks) == 1
+
     def test_horizon_beyond_budget_exits_3_at_once(self, tmp_path, capsys):
         # 10**11 bytes per window: refused before any window is allocated
         tower = self._tower_file(tmp_path, capsys)

@@ -23,29 +23,11 @@ class TestKernelsAgreeWithReferences:
             kernels.or_rotated(got, got, bits, shift)
             assert np.array_equal(got, want)
 
-    def test_or_shifted_clipped_matches_a_plain_loop(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            n = int(rng.integers(1, 400))
-            m = int(rng.integers(1, 400))
-            shift = int(rng.integers(0, n))
-            bits = random_bits(rng, m)
-            got = random_bits(rng, n)
-            want = got.tolist()
-            for i in range(m):
-                if i + shift < n:
-                    want[i + shift] |= int(bits[i])
-            kernels.or_shifted_clipped(got, bits, shift)
-            assert got.tolist() == want
-
     def test_edge_shifts(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
         out = np.zeros(4, dtype=np.uint8)
         kernels.or_rotated(out, out, bits, 0)
         assert out.tolist() == [1, 0, 1, 1]
-        out = np.zeros(4, dtype=np.uint8)
-        kernels.or_shifted_clipped(out, bits, 3)
-        assert out.tolist() == [0, 0, 0, 1]
 
     def test_active_backend_is_numpy(self):
         assert kernels.active_backend() == "numpy"

@@ -17,7 +17,7 @@ from buckdens.sets import (
     complement,
     density,
     dumps_periodic,
-    fft_cyclic_or,
+    _fft_cyclic_or,
     includes,
     intersect,
     loads_periodic,
@@ -187,11 +187,11 @@ class TestSumsetMod:
         k = 5040 * 4
         a = (rng.random(k) < 0.1).astype(np.uint8)
         b = (rng.random(k) < 0.1).astype(np.uint8)
-        assert fft_cyclic_or(a, b).any()
+        assert _fft_cyclic_or(a, b).any()
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
         with pytest.raises(ResourceLimitError, match="round-off"):
-            fft_cyclic_or(a, b)
+            _fft_cyclic_or(a, b)
         with pytest.raises(ResourceLimitError, match="round-off"):
             sumset_mod(PeriodicSet(k, ResidueSet.from_bits(a)), ResidueSet.from_bits(b))
 

@@ -43,36 +43,43 @@ class TestAWindow:
         assert not np.any(definite & exceptional)
 
 
-class TestSumsetWindow:
-    def test_matches_double_loop_small(self):
-        rng = np.random.default_rng(1)
-        horizon = 300
-        a_ind = (rng.random(horizon + 1) < 0.3).astype(np.uint8)
-        b_vals = np.sort(rng.choice(horizon, size=12, replace=False))
-        got = sumset_window(a_ind, b_vals, horizon)
-        want = np.zeros(horizon + 1, dtype=np.uint8)
-        for a in np.flatnonzero(a_ind):
-            for b in b_vals:
+def window_by_double_loop(period_bits, b_values, horizon):
+    m = len(period_bits)
+    want = np.zeros(horizon + 1, dtype=np.uint8)
+    for a in range(horizon + 1):
+        if period_bits[a % m]:
+            for b in b_values:
                 if a + b <= horizon:
                     want[a + b] = 1
-        assert np.array_equal(got, want)
+    return want
 
-    def test_fft_branch_matches_shift_branch(self):
-        rng = np.random.default_rng(2)
-        horizon = 4000
-        a_ind = (rng.random(horizon + 1) < 0.2).astype(np.uint8)
-        b_vals = np.sort(rng.choice(horizon, size=600, replace=False))  # > 512
-        got = sumset_window(a_ind, b_vals, horizon)
-        want = np.zeros(horizon + 1, dtype=np.uint8)
-        for b in b_vals:
-            shifted = np.zeros(horizon + 1, dtype=np.uint8)
-            shifted[b:] = a_ind[: horizon + 1 - b]
-            np.bitwise_or(want, shifted, out=want)
-        assert np.array_equal(got, want)
+
+class TestSumsetWindow:
+    # horizon 120 against periods M <= T, T < M <= 2T and M > 2T
+    @pytest.mark.parametrize("modulus", [1, 37, 120, 121, 150, 240, 241, 400])
+    def test_matches_double_loop(self, modulus):
+        rng = np.random.default_rng(modulus)
+        horizon = 120
+        for density in (0.02, 0.3, 0.9):
+            period = (rng.random(modulus) < density).astype(np.uint8)
+            for size in (1, 6, 40):
+                b_vals = rng.choice(2 * horizon, size=size, replace=False)
+                for extra in ([], [0], [horizon], [0, horizon]):
+                    b = np.concatenate((b_vals, extra)).astype(np.int64)
+                    assert np.array_equal(sumset_window(period, b, horizon),
+                                          window_by_double_loop(period, b, horizon))
 
     def test_empty_operands(self):
-        assert sumset_window(np.zeros(10, np.uint8), np.array([1]), 9).sum() == 0
-        assert sumset_window(np.ones(10, np.uint8), np.array([], dtype=np.int64), 9).sum() == 0
+        ones, zeros = np.ones(30, np.uint8), np.zeros(30, np.uint8)
+        assert sumset_window(zeros, np.array([1]), 9).tolist() == [0] * 10
+        assert sumset_window(ones, np.array([], dtype=np.int64), 9).tolist() == [0] * 10
+        assert sumset_window(ones, np.array([10, 11]), 9).tolist() == [0] * 10
+
+    def test_period_one(self):
+        # A = N: A + B is everything from min(B) on
+        got = sumset_window(np.ones(1, np.uint8), np.array([7, 3, 5]), 9)
+        assert got.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 1, 1]
+        assert sumset_window(np.ones(1, np.uint8), np.array([0]), 0).tolist() == [1]
 
 
 class TestEnumerateSumset:
@@ -126,6 +133,21 @@ class TestTheoremReport:
         budgets = [r.budget for r in rep.rows]
         assert budgets == sorted(budgets, reverse=True)
 
+    def test_no_transform_longer_than_the_top_modulus(self, monkeypatch):
+        # the windows come from residue thresholds mod 8!, not from a linear
+        # convolution over [0, T]
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recording_rfft(a, n=None, *args, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+        rep = theorem_report(PrimesOracle(), HALF, 8, 10**6)
+        assert rep.passed
+        assert lengths and max(lengths) <= math.factorial(8)
+
     def test_tampered_tower_raises(self):
         from dataclasses import replace
         oracle = FiniteOracle([0])
@@ -172,6 +194,14 @@ class TestCrossDensity:
         # definite members only, whose density is exactly the lower bound
         for v in (*rep.asymptotic, rep.banach, rep.logarithmic):
             assert abs(v - float(t.top.sum_lower)) < 0.05
+
+    @pytest.mark.parametrize("slack", [0.0, 0.03])
+    def test_report_row_gives_the_same_block(self, slack):
+        oracle = FactorialsOracle()
+        t = construct(oracle, Fraction(1, 3), 6)
+        rep = theorem_report(oracle, t.alpha, 6, 10**5, tower=t)
+        assert (rep.cross_density(slack).to_json_dict()
+                == cross_density_check(t, oracle, 10**5, slack=slack).to_json_dict())
 
     def test_json_dict(self):
         oracle = FiniteOracle([0])
