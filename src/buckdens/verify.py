@@ -72,15 +72,18 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
 
     x ≡ r (mod M) lies in A + B iff x >= t_r, the least first member f_c
     of a class c of B with P[r − c].  Classes are scanned in ascending f_c
-    over the residues below min(M, horizon + 1) reachable mod M.
+    over the residues below n = min(M, horizon + 1) reachable mod M, or, if
+    2n <= M, reachable from P[:n] mod a power of two k >= 2n (no sum wraps).
     """
     m = period_bits.shape[0]
     n = min(m, horizon + 1)
     out = np.zeros(horizon + 1, dtype=np.uint8)
     b_values = np.sort(b_values[b_values <= horizon])
     classes, first = np.unique(b_values % m, return_index=True)
-    reach = sumset_mod(PeriodicSet(m, ResidueSet.from_bits(period_bits)),
-                       ResidueSet(m, classes))
+    k = m if 2 * n > m else 1 << (2 * n - 1).bit_length()
+    p_bits = period_bits if k == m else np.pad(period_bits[:n], (0, k - n))
+    reach = sumset_mod(PeriodicSet(k, ResidueSet.from_bits(p_bits)),
+                       ResidueSet(k, classes))
     unresolved = np.flatnonzero(reach.residues.bits()[:n])
     threshold = np.full(n, horizon + 1, dtype=np.int64)
     for i in np.argsort(first):
@@ -130,6 +133,13 @@ def _coverages(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[np.ndarray,
     return lo_cov, sumset_window(upper, b_values, horizon)
 
 
+def _proxies(cov: np.ndarray, horizon: int, window: int) -> tuple[tuple[float, float], float, float]:
+    """Asymptotic (min, max), Banach and logarithmic proxies of a window."""
+    return (empirical_asymptotic(cov, horizon),
+            empirical_banach(cov, window, horizon),
+            empirical_logarithmic(cov, horizon))
+
+
 # ---------------------------------------------------------------------------
 # consolidated report
 
@@ -162,11 +172,10 @@ class DensityReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def cross_density(self, slack: float = _CROSS_SLACK) -> "CrossDensityReport":
-        """``cross_density_check`` at the longest horizon, with its default
-        window, read from that row instead of recomputing the window."""
+    def cross_density(self) -> "CrossDensityReport":
+        """``cross_density_check`` at the longest horizon, read from its row."""
         r = max(self.rows, key=lambda row: row.horizon)
-        return CrossDensityReport(self.alpha, self.interval_sum, slack,
+        return CrossDensityReport(self.alpha, self.interval_sum, _CROSS_SLACK,
                                   r.asymptotic, r.banach, r.logarithmic)
 
     def to_json_dict(self) -> dict:
@@ -276,10 +285,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
         freq = (c_lo / t_val, c_hi / t_val)
         budget = float(eps_final) + tail + sampling_slack(t_val)
         passed = freq[0] <= hi_cert + budget and freq[1] >= lo_cert - budget
-        asym = empirical_asymptotic(lo_cov, t_val)
-        window = max(1, t_val // 10)
-        ban = empirical_banach(lo_cov, window, t_val)
-        log = empirical_logarithmic(lo_cov, t_val)
+        asym, ban, log = _proxies(lo_cov, t_val, max(1, t_val // 10))
         report.rows.append(EmpiricalRow(
             horizon=t_val,
             count_a=count_A(tower, t_val),
@@ -336,8 +342,5 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int, *,
     lo_cov = sumset_window(_periods(t)[0], oracle.enumerate(horizon), horizon)
     if window is None:
         window = max(1, horizon // 10)
-    return CrossDensityReport(
-        alpha=t.alpha, interval=(sb.final.lower, sb.final.upper), slack=slack,
-        asymptotic=empirical_asymptotic(lo_cov, horizon),
-        banach=empirical_banach(lo_cov, window, horizon),
-        logarithmic=empirical_logarithmic(lo_cov, horizon))
+    return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), slack,
+                              *_proxies(lo_cov, horizon, window))
