@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import sympy
 
 from .sets import (
     PeriodicSet,
@@ -24,6 +23,7 @@ from .sets import (
     ResourceLimitError,
     affine,
     complement,
+    divisors,
     dumps_periodic,
     intersect,
     make_periodic,
@@ -296,7 +296,7 @@ def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomR
         r = report.results["F3"]
         r.samples += 1
         k = rng.randrange(2, _SUITE_MAX_MODULUS + 1)
-        divs = sympy.divisors(k)
+        divs = divisors(k)
         ka = rng.choice(divs)
         kb = rng.choice(divs)
         pa = make_periodic(ka, _random_residue_subset(rng, ka))

@@ -17,10 +17,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy
-from sympy.functions.combinatorial.numbers import reduced_totient
 
-from .sets import ResidueSet, check_budget
+from .sets import ResidueSet, check_budget, factorize
 
 __all__ = [
     "CoverOracle",
@@ -103,8 +101,11 @@ def primes_cover(m: int) -> ResidueSet:
     if m == 1:
         return ResidueSet(1, [0])
     check_budget(m)
-    bits = (np.gcd(np.arange(m, dtype=np.int64), m) == 1).astype(np.uint8)
-    for p in sympy.factorint(m):
+    primes = factorize(m)
+    bits = np.ones(m, dtype=np.uint8)
+    for p in primes:
+        bits[::p] = 0
+    for p in primes:
         bits[p % m] = 1
     return ResidueSet.from_bits(bits)
 
@@ -162,7 +163,8 @@ class FactorialsOracle(CoverOracle):
 # perfect powers  B = {a^k : a >= 0, k >= 2}
 
 def _pow_mod_vec(base: np.ndarray, exp: int, m: int) -> np.ndarray:
-    # square-and-multiply; m <= 2^28 keeps int64 products exact
+    # square-and-multiply mod a prime power of a modulus in budget;
+    # m <= 2^28 keeps int64 products exact
     result = np.ones_like(base)
     b = base % m
     e = exp
@@ -172,6 +174,16 @@ def _pow_mod_vec(base: np.ndarray, exp: int, m: int) -> np.ndarray:
         b = b * b % m
         e >>= 1
     return result
+
+
+def _carmichael(factors: dict[int, int]) -> int:
+    """lambda(m) from the factorization of m: the lcm over p^e || m of
+    phi(p^e), halved for 2^e with e >= 3."""
+    lam = 1
+    for p, e in factors.items():
+        lam_q = 2 ** (e - 2) if p == 2 and e >= 3 else p ** (e - 1) * (p - 1)
+        lam = math.lcm(lam, lam_q)
+    return lam
 
 
 def perfect_powers_cover(m: int) -> ResidueSet:
@@ -184,24 +196,36 @@ def perfect_powers_cover(m: int) -> ResidueSet:
     non-units collapse onto 0 componentwise), so it suffices to take the
     exact images for k = 2, ..., v-1 plus one exponent k0 >= max(2, v)
     with gcd(k0, lambda(m)) = 1.
+
+    x -> x^k acts componentwise under the CRT, so each image is built from
+    the images mod the prime powers q || m: their sums weighted by the CRT
+    idempotents e_q = (m/q) * ((m/q)^-1 mod q).
     """
     if m < 1:
         raise ValueError("modulus must be positive")
     if m == 1:
         return ResidueSet(1, [0])
     check_budget(m)
-    factors = sympy.factorint(m)
+    factors = factorize(m)
     v_max = max(factors.values())
-    lam = int(reduced_totient(m))
+    lam = _carmichael(factors)
     exponents = list(range(2, v_max))
     k0 = max(2, v_max)
     while math.gcd(k0, lam) != 1:
         k0 += 1
     exponents.append(k0)
-    base = np.arange(m, dtype=np.int64)
+    components = []
+    for p, e in factors.items():
+        q = p ** e
+        idempotent = m // q * pow(m // q, -1, q) % m
+        components.append((q, idempotent))
     bits = np.zeros(m, dtype=np.uint8)
     for k in exponents:
-        bits[_pow_mod_vec(base, k, m)] = 1
+        image = np.zeros(1, dtype=np.int64)
+        for q, idempotent in components:
+            part = np.unique(_pow_mod_vec(np.arange(q, dtype=np.int64), k, q))
+            image = (image[:, None] + part * idempotent % m).ravel() % m
+        bits[image] = 1
     return ResidueSet.from_bits(bits)
 
 

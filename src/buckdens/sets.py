@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
-import sympy
 
 from . import kernels
 
@@ -25,6 +24,8 @@ __all__ = [
     "ResourceLimitError",
     "DENSE_LIMIT",
     "check_budget",
+    "factorize",
+    "divisors",
     "ResidueSet",
     "PeriodicSet",
     "make_periodic",
@@ -59,6 +60,35 @@ def check_budget(modulus: int) -> None:
     if modulus > DENSE_LIMIT:
         raise ResourceLimitError(
             f"modulus {modulus} exceeds the dense budget {DENSE_LIMIT}")
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization ``{p: e}`` of ``n >= 1``, primes ascending.
+
+    Trial division: a modulus in budget is at most ``2**28``, so the trial
+    divisors stop at ``2**14``.
+    """
+    if n < 1:
+        raise ValueError(f"can only factorize positive integers, got {n}")
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of ``n >= 1`` in ascending order (``canonicalize`` takes
+    the first that is a period as the smallest)."""
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 class ResidueSet:
@@ -317,7 +347,7 @@ def canonicalize(p: PeriodicSet) -> PeriodicSet:
     if k == 1:
         return p
     bits = p.residues.bits()
-    for d in sympy.divisors(k):
+    for d in divisors(k):
         if d == k:
             break
         if np.array_equal(bits.reshape(k // d, d), np.broadcast_to(bits[:d], (k // d, d))):

@@ -31,6 +31,19 @@ def run_process(*argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+class TestStartup:
+    def test_import_leaves_sympy_out(self, monkeypatch):
+        # -X importtime lists every module a fresh interpreter imports
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+        proc = run_process("cover", "--b", "finite:0", "--mod", "6")
+        assert proc.returncode == 0
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "buckdens.oracles" in imported
+        assert not [name for name in imported if name.split(".")[0] == "sympy"]
+
+
 class TestParseRational:
     def test_fraction(self):
         assert parse_rational("9/10") == Fraction(9, 10)

@@ -59,6 +59,14 @@ class TestPrimesCover:
         # phi(720) = 192 plus the three primes dividing 720
         assert len(primes_cover(720)) == 195
 
+    def test_matches_gcd_definition(self):
+        # the classes coprime to m, plus p mod m for each prime p | m
+        primes = sieve_primes(1000)
+        for m in list(range(1, 1001)) + [math.factorial(n) for n in range(2, 10)]:
+            bits = np.gcd(np.arange(m), m) == 1
+            bits[primes[m % primes == 0] % m] = True
+            assert primes_cover(m).residues() == np.nonzero(bits)[0].tolist(), m
+
 
 class TestFactorialsCover:
     def test_mod_six(self):
@@ -106,11 +114,26 @@ class TestPerfectPowersCover:
 
     def test_brute_force_exponent_union(self):
         # independent oracle: union over a generous exponent schedule
-        for m in (8, 9, 16, 24, 27, 45, 64, 90):
-            want = set()
-            for k in range(2, 2 * m + 10):
-                want |= {pow(r, k, m) for r in range(m)}
-            assert set(perfect_powers_cover(m).residues()) == want
+        for m in list(range(1, 151)) + [720]:
+            base = np.arange(m, dtype=np.int64)
+            power = base * base % m
+            want = np.zeros(m, dtype=bool)
+            for _ in range(2, 2 * m + 10):
+                want[power] = True
+                power = power * base % m
+            assert perfect_powers_cover(m).residues() == np.nonzero(want)[0].tolist(), m
+
+    def test_nine_factorial_matches_powers_of_every_base(self):
+        # 9! = 2^7 3^4 5 7: exponents 2..6, then k0 = 7, the least k >= 7
+        # coprime to lambda(9!) = lcm(32, 54, 4, 6) = 864
+        m = math.factorial(9)
+        base = np.arange(m, dtype=np.int64)
+        power = base.copy()
+        want = np.zeros(m, dtype=bool)
+        for k in range(2, 8):
+            power = power * base % m
+            want[power] = True
+        assert perfect_powers_cover(m).residues() == np.nonzero(want)[0].tolist()
 
 
 class TestFiniteCover:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buckdens.cli import main
+from buckdens.oracles import _carmichael
 from buckdens.sets import (
     DENSE_LIMIT,
     PeriodicSet,
@@ -16,7 +17,9 @@ from buckdens.sets import (
     canonicalize,
     complement,
     density,
+    divisors,
     dumps_periodic,
+    factorize,
     _fft_cyclic_or,
     includes,
     intersect,
@@ -242,6 +245,42 @@ class TestCanonicalize:
         assert canonicalize(c).modulus == c.modulus
         for x in range(p.modulus):
             assert member(c, x) == member(p, x)
+
+
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestNumberTheory:
+    def test_rejects_non_positive(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError):
+                factorize(n)
+
+    def test_factorize(self):
+        cases = (list(range(1, 3001)) + [math.factorial(n) for n in range(1, 12)]
+                 + [2**28 - 57])
+        for n in cases:
+            factors = factorize(n)
+            assert all(is_prime(p) and e >= 1 for p, e in factors.items()), n
+            assert math.prod(p ** e for p, e in factors.items()) == n
+
+    def test_divisors_ascending(self):
+        for n in list(range(1, 3001)) + [math.factorial(10)]:
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+    def test_carmichael_is_the_largest_unit_order(self):
+        for m in range(1, 501):
+            units = np.array([a for a in range(m) if math.gcd(a, m) == 1],
+                             dtype=np.int64)
+            order = np.zeros(units.size, dtype=np.int64)
+            power = units % m
+            t = 1
+            while not order.all():
+                order[(power == 1 % m) & (order == 0)] = t
+                power = power * units % m
+                t += 1
+            assert _carmichael(factorize(m)) == int(order.max()), m
 
 
 class TestDensityAxiomsOnPeriodicSets:
