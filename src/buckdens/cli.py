@@ -143,7 +143,7 @@ def _cmd_estimate(args) -> int:
         pset = loads_periodic(fh.read())
     ind = periodic_indicator(pset, args.horizon)
     lo, hi = empirical_asymptotic(ind, args.horizon)
-    window = args.window or max(1, args.horizon // 10)
+    window = args.window if args.window is not None else max(1, args.horizon // 10)
     ban = empirical_banach(ind, window, args.horizon)
     log = empirical_logarithmic(ind, args.horizon)
     print(f"exact density   : {pset.density()} (~{float(pset.density()):.9f})")

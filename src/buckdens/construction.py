@@ -23,13 +23,7 @@ import numpy as np
 from . import kernels
 from .density import DensityInterval
 from .oracles import CoverOracle
-from .sets import (
-    PeriodicSet,
-    ResidueSet,
-    ResourceLimitError,
-    rebase,
-    sumset_mod,
-)
+from .sets import PeriodicSet, ResidueSet, ResourceLimitError, sumset_mod
 
 __all__ = [
     "CertificateError",
@@ -109,8 +103,9 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
     of the lower sumset H_m' + cover(m!) that ``prev`` carries, and each
     class ORs in one rotated cover.  Densities grow with k: k_{m+1} is the
     first class passing alpha, the state before it is the new lower sumset
-    and the state after it gives U.  ``check_claimA`` re-derives both by
-    convolution, catching an oracle that breaks the projection identity.
+    and the state after it gives U.  ``check_claimA`` re-derives L by
+    convolution and U from it, catching an oracle that breaks the
+    projection identity.
     """
     if prev.lower_sumset is None:
         raise ValueError(f"level {prev.n} carries no lower sumset to step from")
@@ -222,26 +217,37 @@ class ClaimAReport:
 
 def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     """Recompute every level certificate from scratch and test the nesting
-    inclusions between consecutive levels."""
+    inclusions between consecutive levels.
+
+    Per level, one convolution gives L = d((n!N + H') + B); as
+    H = H' ∪ {h}, the sumset of H adds the cover rotated by h, so U needs
+    one rotated OR.  Level n+1 nests when each of its n+1 rows mod n! lies
+    between H' and H.  The builder instead tiles a carried bitmap, so these
+    certificates are an independent re-derivation.
+    """
     checks: list[LevelCheck] = []
     if t.trivial:
         return ClaimAReport(t.alpha, checks, heuristic=not oracle.exact)
     for i, lv in enumerate(t.levels):
         cover = oracle.cover_cached(lv.modulus)
         h_prime = lv.H.discard(lv.h)
-        lower = sumset_mod(PeriodicSet(lv.modulus, h_prime), cover).density()
-        upper = sumset_mod(PeriodicSet(lv.modulus, lv.H), cover).density()
+        low = sumset_mod(PeriodicSet(lv.modulus, h_prime), cover).residues.bits()
+        high = low   # h outside H (a broken tower) leaves H' = H
+        if lv.h in lv.H:
+            high = np.empty_like(low)
+            kernels.or_rotated(high, low, cover.bits(), lv.h % lv.modulus)
+        lower = Fraction(int(np.count_nonzero(low)), lv.modulus)
+        upper = Fraction(int(np.count_nonzero(high)), lv.modulus)
         bracket_ok = lower <= t.alpha < upper
         stored_ok = (lower == lv.sum_lower and upper == lv.sum_upper
                      and 0 <= lv.h < lv.modulus and lv.h in lv.H
                      and lv.density_a == Fraction(len(lv.H), lv.modulus))
         nesting_ok: bool | None = None
         if i + 1 < len(t.levels):
-            nxt = t.levels[i + 1]
-            lo_side = rebase(PeriodicSet(lv.modulus, h_prime), nxt.modulus)
-            hi_side = rebase(PeriodicSet(lv.modulus, lv.H), nxt.modulus)
-            nesting_ok = (lo_side.residues.issubset(nxt.H)
-                          and nxt.H.issubset(hi_side.residues))
+            rows = t.levels[i + 1].H.bits().reshape(-1, lv.modulus)
+            inner, outer = h_prime.bits(), lv.H.bits()
+            nesting_ok = all(not np.any(row < inner) and not np.any(row > outer)
+                             for row in rows)
         checks.append(LevelCheck(lv.n, lower, upper, bracket_ok, stored_ok, nesting_ok))
     return ClaimAReport(t.alpha, checks, heuristic=not oracle.exact)
 
@@ -294,7 +300,8 @@ def membership(t: Tower, x: int) -> str:
 def count_A(t: Tower, horizon: int) -> tuple[int, int]:
     """Integer interval for |A ∩ [1, horizon]|.
 
-    Upper bound counts A_N; the lower bound removes the marked class of h_N
+    Upper bound counts A_N, in closed form over whole periods of H_N and
+    one prefix; the lower bound removes the marked class of h_N
     (which contains every deeper removal) plus an outward-rounded tail
     allowance of horizon * sum_{n>N} 1/n! < horizon * 2/(N+1)!."""
     if horizon < 1:
@@ -302,8 +309,9 @@ def count_A(t: Tower, horizon: int) -> tuple[int, int]:
     if t.trivial:
         return horizon, horizon
     top = t.top
-    ind = kernels.tile_periodic(top.H.bits(), horizon + 1)
-    upper = int(np.count_nonzero(ind[1:]))
+    bits = top.H.bits()
+    full, rest = divmod(horizon + 1, top.modulus)
+    upper = full * len(top.H) + int(np.count_nonzero(bits[:rest])) - int(bits[0])
     first = top.h if top.h >= 1 else top.modulus
     marked = 0 if first > horizon else (horizon - first) // top.modulus + 1
     tail = math.ceil(Fraction(2 * horizon, math.factorial(top.n + 1)))

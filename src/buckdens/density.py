@@ -13,16 +13,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .sets import (
     PeriodicSet,
-    ResidueSet,
     ResourceLimitError,
     affine,
-    complement,
     divisors,
     dumps_periodic,
     intersect,
@@ -40,8 +38,6 @@ __all__ = [
     "DEFAULT_ENUM_BUDGET",
     "check_horizon",
     "periodic_indicator",
-    "predicate_indicator",
-    "finite_indicator",
     "empirical_asymptotic",
     "empirical_banach",
     "empirical_logarithmic",
@@ -127,42 +123,19 @@ def periodic_indicator(p: PeriodicSet, horizon: int) -> np.ndarray:
     return tile_periodic(p.residues.bits(), horizon + 1)
 
 
-def predicate_indicator(pred: Callable[[int], bool], horizon: int) -> np.ndarray:
-    out = np.zeros(horizon + 1, dtype=np.uint8)
-    for x in range(horizon + 1):
-        if pred(x):
-            out[x] = 1
-    return out
+def _check_indicator(ind: np.ndarray, horizon: int) -> None:
+    if ind.shape[0] < horizon + 1:
+        raise ValueError("indicator shorter than horizon")
 
 
-def finite_indicator(values: Iterable[int], horizon: int) -> np.ndarray:
-    out = np.zeros(horizon + 1, dtype=np.uint8)
-    for v in values:
-        if 0 <= v <= horizon:
-            out[v] = 1
-    return out
-
-
-def _as_indicator(x, horizon: int) -> np.ndarray:
-    if isinstance(x, np.ndarray):
-        if x.shape[0] < horizon + 1:
-            raise ValueError("indicator shorter than horizon")
-        return x
-    if isinstance(x, PeriodicSet):
-        return periodic_indicator(x, horizon)
-    if callable(x):
-        return predicate_indicator(x, horizon)
-    return finite_indicator(x, horizon)
-
-
-def empirical_asymptotic(member, horizon: int, grid: int = 60) -> tuple[float, float]:
+def empirical_asymptotic(ind: np.ndarray, horizon: int, grid: int = 60) -> tuple[float, float]:
     """(min, max) of |X ∩ [1, n]| / n over a log grid of n in [horizon/100, horizon].
 
     Finite-horizon proxies for liminf/limsup of the counting ratio.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    ind = _as_indicator(member, horizon)
+    _check_indicator(ind, horizon)
     counts = np.cumsum(ind[: horizon + 1].astype(np.int64))
     counts -= ind[0]  # counts[n] = |X ∩ [1, n]|
     lo_n = max(1, horizon // 100)
@@ -171,11 +144,11 @@ def empirical_asymptotic(member, horizon: int, grid: int = 60) -> tuple[float, f
     return float(ratios.min()), float(ratios.max())
 
 
-def empirical_banach(member, window: int, horizon: int) -> float:
+def empirical_banach(ind: np.ndarray, window: int, horizon: int) -> float:
     """Max over length-``window`` windows inside [1, horizon] of count/window."""
     if not 1 <= window <= horizon:
         raise ValueError("need 1 <= window <= horizon")
-    ind = _as_indicator(member, horizon)
+    _check_indicator(ind, horizon)
     counts = np.cumsum(ind[: horizon + 1].astype(np.int64))
     counts -= ind[0]
     # window [i+1, i+window] for i in [0, horizon-window]
@@ -183,7 +156,7 @@ def empirical_banach(member, window: int, horizon: int) -> float:
     return best / window
 
 
-def empirical_logarithmic(member, horizon: int) -> float:
+def empirical_logarithmic(ind: np.ndarray, horizon: int) -> float:
     """Weighted frequency with weights 1/i, normalized by the harmonic sum.
 
     Evaluated on (sqrt(horizon), horizon]: dropping a prefix leaves the
@@ -192,7 +165,7 @@ def empirical_logarithmic(member, horizon: int) -> float:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    ind = _as_indicator(member, horizon)
+    _check_indicator(ind, horizon)
     start = math.isqrt(horizon) + 1 if horizon > 4 else 1
     weights = 1.0 / np.arange(start, horizon + 1)
     return float(np.dot(ind[start: horizon + 1].astype(np.float64), weights) / weights.sum())

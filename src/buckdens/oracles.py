@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sets import ResidueSet, check_budget, factorize
+from .sets import ResidueSet, ResourceLimitError, check_budget, factorize
 
 __all__ = [
     "CoverOracle",
@@ -31,7 +31,6 @@ __all__ = [
     "factorials_cover",
     "perfect_powers_cover",
     "finite_cover",
-    "enumerated_cover",
     "SmallnessProfile",
     "smallness_profile",
     "parse_oracle",
@@ -124,14 +123,40 @@ class PrimesOracle(CoverOracle):
 # ---------------------------------------------------------------------------
 # factorials  B = {j! : j >= 1}
 
+# the most factorials j! mod m that ``factorials_cover`` steps through
+_FACTORIAL_STEP_MAX = 1_000_000
+
+
+def _kempner(m: int) -> int:
+    """The least j >= 1 with m | j!: the maximum over p^e || m of the least
+    multiple j of p whose factorial holds p at least e times."""
+    s = 1
+    for p, e in factorize(m).items():
+        j = 0
+        while e > 0:
+            j += p
+            x = j
+            while x % p == 0 and e > 0:
+                x //= p
+                e -= 1
+        s = max(s, j)
+    return s
+
+
 def factorials_cover(m: int) -> ResidueSet:
-    """Residues of j! mod m; the iteration stops once j! ≡ 0 (mod m), since
-    every later factorial is a multiple of m."""
+    """Residues of j! mod m; the iteration stops at the Kempner number of m,
+    the first j with j! ≡ 0 (mod m), since every later factorial is a
+    multiple of m.  Tower moduli n! stop by j = n."""
     if m < 1:
         raise ValueError("modulus must be positive")
     if m == 1:
         return ResidueSet(1, [0])
     check_budget(m)
+    steps = _kempner(m)
+    if steps > _FACTORIAL_STEP_MAX:
+        raise ResourceLimitError(
+            f"the factorials reach 0 mod {m} only at {steps}!, past the step "
+            f"budget {_FACTORIAL_STEP_MAX}")
     bits = np.zeros(m, dtype=np.uint8)
     f, j = 1, 1
     while True:
@@ -281,18 +306,6 @@ class FiniteOracle(CoverOracle):
         return np.array([v for v in self.values if v <= bound], dtype=np.int64)
 
 
-def enumerated_cover(pred: Callable[[int], bool], bound: int, m: int) -> ResidueSet:
-    """Under-approximate cover {b mod m : b <= bound, pred(b)}."""
-    if bound < 1:
-        raise ValueError("enumeration bound must be at least 1")
-    members = [b for b in range(bound + 1) if pred(b)]
-    if not members:
-        warnings.warn("predicate matched nothing up to the bound; "
-                      "B is required to be non-empty")
-        return ResidueSet(m, [])
-    return ResidueSet(m, (b % m for b in members))
-
-
 class EnumeratedOracle(CoverOracle):
     """Oracle for a user predicate, exact only up to its enumeration bound."""
 
@@ -350,6 +363,8 @@ def smallness_profile(oracle: CoverOracle, n_max: int) -> SmallnessProfile:
     ``eps_n -> 0`` is the defining property of a small set; a profile pinned
     at 1 certifies non-smallness, anything else is reported as observed.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     rows = []
     f = 1
     for n in range(1, n_max + 1):

@@ -160,12 +160,6 @@ class ResidueSet:
 
     # -- same-modulus algebra ----------------------------------------------
 
-    def shift(self, c: int) -> "ResidueSet":
-        """The set ``{(r + c) mod modulus}``."""
-        out = np.zeros_like(self._bits)
-        kernels.or_rotated(out, out, self._bits, c % self.modulus)
-        return ResidueSet.from_bits(out)
-
     def union_same(self, other: "ResidueSet") -> "ResidueSet":
         self._check_same(other)
         return ResidueSet.from_bits(self._bits | other._bits)
@@ -353,12 +347,6 @@ def canonicalize(p: PeriodicSet) -> PeriodicSet:
         if np.array_equal(bits.reshape(k // d, d), np.broadcast_to(bits[:d], (k // d, d))):
             return PeriodicSet(d, ResidueSet.from_bits(bits[:d].copy()))
     return p
-
-
-def includes(p: PeriodicSet, q: PeriodicSet) -> bool:
-    """True iff ``q`` is a subset of ``p`` (tested residue-wise after rebase)."""
-    a, b, _ = _common_modulus(p, q)
-    return b.residues.issubset(a.residues)
 
 
 # ---------------------------------------------------------------------------

@@ -244,13 +244,14 @@ def _level_rows(t: Tower, oracle: CoverOracle) -> list[dict]:
 
 def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
                    t_grid: list[int] | None = None,
-                   allow_deep: bool = False,
                    tower: Tower | None = None) -> DensityReport:
     """Build (or reuse) a tower, re-check every certificate, and compare
     empirical A+B frequencies against the certified interval at a grid of
     horizons.  Raises CertificateError if any exact certificate fails."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if tower is None:
-        tower = construct(oracle, alpha, depth, allow_deep=allow_deep)
+        tower = construct(oracle, alpha, depth)
     claim = check_claimA(tower, oracle)
     if not claim.ok:
         raise CertificateError(f"certificate FAILED at level {claim.first_violation()}")
@@ -328,11 +329,10 @@ class CrossDensityReport:
         }
 
 
-def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int, *,
-                        window: int | None = None,
-                        slack: float = _CROSS_SLACK) -> CrossDensityReport:
+def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int) -> CrossDensityReport:
     """Evaluate all three empirical proxies on the realized A+B window and
-    test that each lies within the certified interval widened by ``slack``.
+    test that each lies within the certified interval widened by
+    ``_CROSS_SLACK``.
 
     Periodic-set structure makes all the proxies agree in the limit; this is
     the finite-scale reflection of uniformity across quasi-densities.
@@ -340,7 +340,5 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int, *,
     sb = sum_bounds(t, oracle)
     check_horizon(horizon)
     lo_cov = sumset_window(_periods(t)[0], oracle.enumerate(horizon), horizon)
-    if window is None:
-        window = max(1, horizon // 10)
-    return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), slack,
-                              *_proxies(lo_cov, horizon, window))
+    return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), _CROSS_SLACK,
+                              *_proxies(lo_cov, horizon, max(1, horizon // 10)))

@@ -204,7 +204,7 @@ class TestCriterion10CrossDensity:
         start = time.perf_counter()
         oracle = parse_oracle("factorials")
         t = construct(oracle, Fraction(1, 3), 6)
-        rep = cross_density_check(t, oracle, 10**6, slack=0.03)
+        rep = cross_density_check(t, oracle, 10**6)
         vals = [*rep.asymptotic, rep.banach, rep.logarithmic]
         ok = rep.passed and all(abs(v - 1 / 3) <= 0.03 for v in vals)
         elapsed = time.perf_counter() - start

@@ -137,6 +137,12 @@ class TestCover:
         code, out, _ = run(capsys, "cover", "--b", "primes", "--mod", "720")
         assert out.splitlines()[0] == "195"
 
+    def test_factorials_past_the_step_budget_exit_3(self, capsys):
+        # in budget as a bitmap, but its factorials vanish only at 9999991!
+        code, out, err = run(capsys, "cover", "--b", "factorials", "--mod", "9999991")
+        assert code == 3 and out == ""
+        assert err.startswith("resource error:") and len(err.splitlines()) == 1
+
     def test_factorials_beyond_budget_exits_3_at_once(self):
         # a prime modulus above 2**28: the j! loop would run ~10**9 times
         proc = run_process("cover", "--b", "factorials", "--mod", "1073741831")
@@ -160,6 +166,12 @@ class TestProfile:
         doc = json.loads(out.read_text())
         assert doc["oracle"] == "primes"
         assert len(doc["rows"]) == 6
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_is_usage_error(self, capsys, n_max):
+        code, out, err = run(capsys, "profile", "--b", "primes", "--n-max", n_max)
+        assert code == 1 and out == ""
+        assert err == "error: n_max must be at least 1\n"
 
 
 def _parent(doc, path):
@@ -243,6 +255,14 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--tower", str(tower),
                          "--b", "finite:0", "--horizon", "1000")
         assert code == 0 and len(checks) == 1
+
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_horizon_below_one_is_usage_error(self, tmp_path, capsys, horizon):
+        tower = self._tower_file(tmp_path, capsys)
+        code, out, err = run(capsys, "verify", "--tower", str(tower),
+                             "--b", "finite:0", "--horizon", horizon)
+        assert code == 1 and out == ""
+        assert err == "error: horizon must be at least 1\n"
 
     def test_horizon_beyond_budget_exits_3_at_once(self, tmp_path, capsys):
         # 10**11 bytes per window: refused before any window is allocated
@@ -336,6 +356,15 @@ class TestEstimate:
         assert proc.returncode == 3
         assert proc.stderr.startswith("resource error:")
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_window_below_one_is_usage_error(self, tmp_path, capsys, window):
+        path = tmp_path / "set.txt"
+        path.write_text(dumps_periodic(make_periodic(6, [1, 2, 3, 5])))
+        code, out, err = run(capsys, "estimate", "--set", str(path),
+                             "--horizon", "1000", "--window", window)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_bad_file(self, tmp_path, capsys):
         path = tmp_path / "set.txt"

@@ -126,11 +126,33 @@ class TestStep:
                             ("factorials", Fraction(1, 3)), ("finite:0,24,7", HALF)):
             oracle = parse_oracle(spec)
             with monkeypatch.context() as patched:
-                for name in ("sumset_mod", "rebase"):
-                    patched.setattr(construction, name, refuse)
-                    patched.setattr(sets, name, refuse)
+                for module in (construction, sets):
+                    for name in ("sumset_mod", "rebase"):
+                        if hasattr(module, name):
+                            patched.setattr(module, name, refuse)
                 t = construct(oracle, alpha, 7)
             assert check_claimA(t, oracle).ok
+
+    def test_check_convolves_once_per_level(self, monkeypatch):
+        # H = H' ∪ {h}: U is L's sumset plus one rotated cover, and nesting
+        # reads rows of the next level, so no level is convolved twice or tiled
+        oracle = PrimesOracle()
+        t = construct(oracle, HALF, 8)
+        convolved = []
+        real = construction.sumset_mod
+
+        def counting(p, c):
+            convolved.append(p.modulus)
+            return real(p, c)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check must not rebase")
+
+        monkeypatch.setattr(construction, "sumset_mod", counting)
+        monkeypatch.setattr(construction, "rebase", refuse, raising=False)
+        monkeypatch.setattr(sets, "rebase", refuse)
+        assert check_claimA(t, oracle).ok
+        assert convolved == [lv.modulus for lv in t.levels]
 
     def test_stepping_needs_the_carried_lower_sumset(self):
         oracle = FiniteOracle([0])

@@ -17,7 +17,6 @@ from buckdens.density import (
     empirical_asymptotic,
     empirical_banach,
     empirical_logarithmic,
-    finite_indicator,
     in_domain,
     periodic_indicator,
 )
@@ -114,19 +113,26 @@ class TestDomain:
             DensityInterval(Fraction(1, 2), Fraction(1, 3))
 
 
+def _indicator(values, horizon):
+    ind = np.zeros(horizon + 1, dtype=np.uint8)
+    ind[np.asarray(values)] = 1
+    return ind
+
+
 class TestEmpiricalAsymptotic:
     def test_evens(self):
-        lo, hi = empirical_asymptotic(make_periodic(2, [0]), 10**6)
+        lo, hi = empirical_asymptotic(periodic_indicator(make_periodic(2, [0]), 10**6), 10**6)
         assert abs(lo - 0.5) < 1e-4 and abs(hi - 0.5) < 1e-4
 
     def test_squares(self):
-        squares = finite_indicator([n * n for n in range(1001)], 10**6)
+        squares = _indicator([n * n for n in range(1001)], 10**6)
         lo, hi = empirical_asymptotic(squares, 10**6)
         assert lo == pytest.approx(1e-3, rel=0.1)
         assert hi <= 1.1e-2
 
     def test_periodic_two_thirds(self):
-        lo, hi = empirical_asymptotic(make_periodic(6, [1, 2, 3, 5]), 10**6)
+        lo, hi = empirical_asymptotic(
+            periodic_indicator(make_periodic(6, [1, 2, 3, 5]), 10**6), 10**6)
         assert abs(lo - 2 / 3) < 1e-3 and abs(hi - 2 / 3) < 1e-3
 
     def test_sandwich_against_exact_density(self):
@@ -136,7 +142,7 @@ class TestEmpiricalAsymptotic:
         for _ in range(10):
             k = int(rng.integers(1, 500))
             p = make_periodic(k, rng.integers(0, k, size=min(k, 12)))
-            lo, hi = empirical_asymptotic(p, 10**6)
+            lo, hi = empirical_asymptotic(periodic_indicator(p, 10**6), 10**6)
             exact = float(buck_upper_periodic(p))
             assert abs(lo - exact) < 1e-3 and abs(hi - exact) < 1e-3
 
@@ -144,23 +150,23 @@ class TestEmpiricalAsymptotic:
 class TestEmpiricalBanachAndLog:
     def test_banach_evens(self):
         w = 10**4
-        val = empirical_banach(make_periodic(2, [0]), w, 10**6)
+        val = empirical_banach(periodic_indicator(make_periodic(2, [0]), 10**6), w, 10**6)
         assert abs(val - 0.5) <= 1 / w + 1e-12
 
     def test_banach_sixth(self):
-        val = empirical_banach(make_periodic(6, [0]), 6000, 10**6)
+        val = empirical_banach(periodic_indicator(make_periodic(6, [0]), 10**6), 6000, 10**6)
         assert val == pytest.approx(1 / 6, abs=1e-3)
 
     def test_banach_validates_window(self):
         with pytest.raises(ValueError):
-            empirical_banach(make_periodic(2, [0]), 0, 100)
+            empirical_banach(periodic_indicator(make_periodic(2, [0]), 100), 0, 100)
 
     def test_log_evens(self):
-        val = empirical_logarithmic(make_periodic(2, [0]), 10**6)
+        val = empirical_logarithmic(periodic_indicator(make_periodic(2, [0]), 10**6), 10**6)
         assert val == pytest.approx(0.5, abs=1e-3)
 
     def test_log_finite_set_vanishes(self):
-        val = empirical_logarithmic(finite_indicator(range(50), 10**6), 10**6)
+        val = empirical_logarithmic(_indicator(range(50), 10**6), 10**6)
         assert val < 1e-3
 
     def test_indicators_agree(self):

@@ -6,20 +6,22 @@ import numpy as np
 import pytest
 
 from buckdens.oracles import (
+    _FACTORIAL_STEP_MAX,
     EnumeratedOracle,
     FactorialsOracle,
     FiniteOracle,
     PerfectPowersOracle,
     PrimesOracle,
-    enumerated_cover,
     factorials_cover,
     finite_cover,
     parse_oracle,
     perfect_powers_cover,
+    _kempner,
     primes_cover,
     sieve_primes,
     smallness_profile,
 )
+from buckdens.sets import ResourceLimitError
 
 
 class TestSieve:
@@ -85,6 +87,26 @@ class TestFactorialsCover:
         for m in (7, 24, 97, 5040):
             enum_res = {int(v) % m for v in oracle.enumerate(10**7)}
             assert enum_res <= set(oracle.cover(m).residues())
+
+    def test_kempner_is_the_first_factorial_divisible_by_m(self):
+        for m in range(1, 3000):
+            j, f = 1, 1 % m
+            while f:
+                j += 1
+                f = f * j % m
+            assert _kempner(m) == j, m
+        assert [_kempner(math.factorial(n)) for n in range(1, 12)] == list(range(1, 12))
+
+    def test_kempner_past_the_step_budget_is_refused_before_the_loop(self):
+        # 9999991 is prime, so its factorials first vanish at 9999991!
+        assert _kempner(9999991) == 9999991 > _FACTORIAL_STEP_MAX
+        with pytest.raises(ResourceLimitError, match="step budget"):
+            factorials_cover(9999991)
+        # a large smooth modulus stays in budget: 2**27 divides 32!
+        m = 2**27
+        assert _kempner(m) == 32
+        assert factorials_cover(m).residues() == sorted(
+            {math.factorial(j) % m for j in range(1, 33)})
 
 
 class TestPerfectPowersCover:
@@ -156,18 +178,18 @@ class TestFiniteCover:
 class TestEnumeratedCover:
     def test_matches_exact_primes(self):
         primes = set(sieve_primes(10**6).tolist())
-        cov = enumerated_cover(lambda n: n in primes, 10**6, 6)
+        cov = EnumeratedOracle(lambda n: n in primes, 10**6).cover(6)
         assert cov.residues() == [1, 2, 3, 5]
 
     def test_empty_predicate_warns(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cov = enumerated_cover(lambda n: False, 100, 5)
+            cov = EnumeratedOracle(lambda n: False, 100).cover(5)
         assert len(cov) == 0
         assert any("non-empty" in str(w.message) for w in caught)
 
     def test_squares(self):
-        cov = enumerated_cover(lambda n: math.isqrt(n) ** 2 == n, 100, 5)
+        cov = EnumeratedOracle(lambda n: math.isqrt(n) ** 2 == n, 100).cover(5)
         assert set(cov.residues()) == {0, 1, 4}
 
     def test_oracle_is_flagged_heuristic(self):

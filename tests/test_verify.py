@@ -204,10 +204,10 @@ class TestCrossDensity:
         for v in (*rep.asymptotic, rep.banach, rep.logarithmic):
             assert abs(v - 1 / 3) <= 0.03
 
-    def test_slack_zero_can_fail(self):
+    def test_proxies_see_the_definite_members(self):
         oracle = FiniteOracle([0])
         t = construct(oracle, HALF, 3)
-        rep = cross_density_check(t, oracle, 10**4, slack=0.0)
+        rep = cross_density_check(t, oracle, 10**4)
         # certified interval at depth 3 is (1/2, 4/6]; the proxies see the
         # definite members only, whose density is exactly the lower bound
         for v in (*rep.asymptotic, rep.banach, rep.logarithmic):
