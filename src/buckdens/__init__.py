@@ -2,16 +2,12 @@
 certified sumset-density towers."""
 
 from .sets import (
-    PeriodicSet,
     ResidueSet,
     ResourceLimitError,
     affine,
     canonicalize,
     complement,
-    density,
     intersect,
-    make_periodic,
-    member,
     naturals,
     rebase,
     sumset_mod,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -40,8 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# the largest decimal exponent ``parse_rational`` accepts: Fraction builds
+# 10**|e| exactly, and past 4300 digits Python refuses to print it
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
-    """'p/q' or a decimal literal, converted exactly as written."""
+    """'p/q' or a decimal literal, converted exactly as written; a decimal
+    exponent beyond ``MAX_DECIMAL_EXPONENT`` is refused before any power of
+    ten is built."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"bad rational {text!r}: decimal exponent beyond "
+                             f"±{MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:

@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .density import DensityInterval
 from .oracles import CoverOracle
-from .sets import PeriodicSet, ResidueSet, ResourceLimitError, sumset_mod
+from .sets import ResidueSet, ResourceLimitError, sumset_mod
 
 __all__ = [
     "CertificateError",
@@ -231,7 +231,7 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     for i, lv in enumerate(t.levels):
         cover = oracle.cover_cached(lv.modulus)
         h_prime = lv.H.discard(lv.h)
-        low = sumset_mod(PeriodicSet(lv.modulus, h_prime), cover).residues.bits()
+        low = sumset_mod(h_prime, cover).bits()
         high = low   # h outside H (a broken tower) leaves H' = H
         if lv.h in lv.H:
             high = np.empty_like(low)

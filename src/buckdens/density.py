@@ -18,13 +18,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .sets import (
-    PeriodicSet,
+    ResidueSet,
     ResourceLimitError,
     affine,
     divisors,
     dumps_periodic,
     intersect,
-    make_periodic,
     union,
 )
 
@@ -53,7 +52,7 @@ class UpperDensityFn:
 
     name: str
     exact: bool
-    eval_periodic: Callable[[PeriodicSet], Fraction]
+    eval_periodic: Callable[[ResidueSet], Fraction]
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class DensityInterval:
         return self.upper - self.lower
 
 
-def buck_upper_periodic(p: PeriodicSet) -> Fraction:
+def buck_upper_periodic(p: ResidueSet) -> Fraction:
     """Upper Buck density of a finite union of APs: exactly |H|/k.
 
     The covering infimum is attained by the set itself, since any finite
@@ -116,11 +115,11 @@ def check_horizon(horizon: int) -> None:
             f"horizon {horizon} exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
 
 
-def periodic_indicator(p: PeriodicSet, horizon: int) -> np.ndarray:
+def periodic_indicator(p: ResidueSet, horizon: int) -> np.ndarray:
     """0/1 uint8 array over [0, horizon]; index i says whether i is a member."""
     from .kernels import tile_periodic
     check_horizon(horizon)
-    return tile_periodic(p.residues.bits(), horizon + 1)
+    return tile_periodic(p.bits(), horizon + 1)
 
 
 def _check_indicator(ind: np.ndarray, horizon: int) -> None:
@@ -222,9 +221,9 @@ def _random_residue_subset(rng: random.Random, k: int) -> list[int]:
     return [rng.randrange(k) for _ in range(target)]
 
 
-def _random_periodic(rng: random.Random, max_modulus: int = _SUITE_MAX_MODULUS) -> PeriodicSet:
+def _random_periodic(rng: random.Random, max_modulus: int = _SUITE_MAX_MODULUS) -> ResidueSet:
     k = rng.randrange(1, max_modulus + 1)
-    return make_periodic(k, _random_residue_subset(rng, k))
+    return ResidueSet(k, _random_residue_subset(rng, k))
 
 
 def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomReport:
@@ -235,12 +234,14 @@ def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomR
     stays within the 10^4 budget; F4 uses small scale factors so the exact
     equality ``d(k*X + h) = d(X)/k`` is testable directly.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     report = AxiomReport(evaluator=d.name, seed=seed)
     for ax in _AXIOMS:
         report.results[ax] = AxiomResult(axiom=ax)
 
-    full = make_periodic(1, [0])
+    full = ResidueSet(1, [0])
     if d.eval_periodic(full) != 1:
         report.results["F1"].passed = False
         report.results["F1"].counterexample = {"set": dumps_periodic(full),
@@ -260,7 +261,7 @@ def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomR
         r = report.results["F2"]
         r.samples += 1
         sub = p
-        sup = union(p, make_periodic(p.modulus, _random_residue_subset(rng, p.modulus)))
+        sup = union(p, ResidueSet(p.modulus, _random_residue_subset(rng, p.modulus)))
         if r.passed and d.eval_periodic(sub) > d.eval_periodic(sup):
             r.passed = False
             r.counterexample = {"subset": dumps_periodic(sub), "superset": dumps_periodic(sup)}
@@ -272,8 +273,8 @@ def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomR
         divs = divisors(k)
         ka = rng.choice(divs)
         kb = rng.choice(divs)
-        pa = make_periodic(ka, _random_residue_subset(rng, ka))
-        pb = make_periodic(kb, _random_residue_subset(rng, kb))
+        pa = ResidueSet(ka, _random_residue_subset(rng, ka))
+        pb = ResidueSet(kb, _random_residue_subset(rng, kb))
         u = union(pa, pb)
         va, vb, vu = d.eval_periodic(pa), d.eval_periodic(pb), d.eval_periodic(u)
         ok = vu <= va + vb
@@ -289,7 +290,7 @@ def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomR
         r.samples += 1
         scale = rng.randrange(1, 101)
         offset = rng.randrange(0, 101)
-        base = make_periodic(rng.randrange(1, 101), _random_residue_subset(rng, 100))
+        base = ResidueSet(rng.randrange(1, 101), _random_residue_subset(rng, 100))
         img = affine(base, scale, offset)
         if r.passed and d.eval_periodic(img) != d.eval_periodic(base) / scale:
             r.passed = False

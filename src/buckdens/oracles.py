@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .density import DEFAULT_ENUM_BUDGET
 from .sets import ResidueSet, ResourceLimitError, check_budget, factorize
 
 __all__ = [
@@ -313,6 +314,9 @@ class EnumeratedOracle(CoverOracle):
 
     def __init__(self, pred: Callable[[int], bool], bound: int, name: str = "pred-enum"):
         super().__init__()
+        if bound > DEFAULT_ENUM_BUDGET:
+            raise ResourceLimitError(
+                f"enumeration bound {bound} exceeds the budget {DEFAULT_ENUM_BUDGET}")
         self.pred = pred
         self.bound = bound
         self.name = name
@@ -320,8 +324,15 @@ class EnumeratedOracle(CoverOracle):
 
     def _materialize(self) -> np.ndarray:
         if self._members is None:
-            self._members = np.array(
-                [b for b in range(self.bound + 1) if self.pred(b)], dtype=np.int64)
+            members = []
+            for b in range(self.bound + 1):
+                try:
+                    if self.pred(b):
+                        members.append(b)
+                except Exception as e:   # the user's predicate, not ours
+                    raise ValueError(f"{self.name}: member({b}) raised "
+                                     f"{type(e).__name__}: {e}") from e
+            self._members = np.array(members, dtype=np.int64)
         return self._members
 
     def cover(self, m: int) -> ResidueSet:
@@ -391,7 +402,10 @@ def _load_predicate(path: str) -> Callable[[int], bool]:
     if spec is None or spec.loader is None:
         raise ValueError(f"cannot load predicate module from {path}")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except Exception as e:   # any error the user's module raises on import
+        raise ValueError(f"cannot import {path}: {type(e).__name__}: {e}") from e
     if not hasattr(module, "member"):
         raise ValueError(f"{path} must define member(n) -> bool")
     return module.member

@@ -1,8 +1,9 @@
 """Exact algebra of periodic integer sets (finite unions of arithmetic
 progressions), with exact rational densities.
 
-A :class:`PeriodicSet` with modulus ``k`` and residue set ``H`` denotes the
-subset ``k*N + H`` of the non-negative integers.  All densities are
+A :class:`ResidueSet` with modulus ``k`` and residues ``H`` denotes the
+subset ``k*N + H`` of the non-negative integers, and two residue sets are
+equal when they denote the same integers.  All densities are
 :class:`fractions.Fraction`; no floats appear anywhere in this module.
 
 Residue sets are dense uint8 bitmaps.  A modulus above ``DENSE_LIMIT``
@@ -27,16 +28,12 @@ __all__ = [
     "factorize",
     "divisors",
     "ResidueSet",
-    "PeriodicSet",
-    "make_periodic",
-    "density",
     "union",
     "intersect",
     "complement",
     "affine",
     "sumset_mod",
     "rebase",
-    "member",
     "canonicalize",
     "naturals",
     "dumps_periodic",
@@ -92,7 +89,8 @@ def divisors(n: int) -> list[int]:
 
 
 class ResidueSet:
-    """A subset of ``[0, modulus)``, stored as a uint8 bitmap."""
+    """The set ``modulus * N + residues``, its residues in ``[0, modulus)``
+    stored as a uint8 bitmap (no residues = the empty set)."""
 
     __slots__ = ("modulus", "_bits")
 
@@ -139,14 +137,28 @@ class ResidueSet:
         """The 0/1 bitmap (shared, not copied)."""
         return self._bits
 
+    def density(self) -> Fraction:
+        return Fraction(len(self), self.modulus)
+
+    def member(self, x: int) -> bool:
+        if x < 0:
+            raise ValueError("periodic sets live on the non-negative integers")
+        return x % self.modulus in self
+
+    def is_empty(self) -> bool:
+        return not self._bits.any()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResidueSet):
             return NotImplemented
-        return (self.modulus == other.modulus
-                and bool(np.array_equal(self._bits, other._bits)))
+        a, b = self, other
+        if a.modulus != b.modulus:
+            a, b = canonicalize(a), canonicalize(b)
+        return a.modulus == b.modulus and bool(np.array_equal(a._bits, b._bits))
 
     def __hash__(self):
-        return hash((self.modulus, tuple(self.residues())))
+        c = canonicalize(self)
+        return hash((c.modulus, c._bits.tobytes()))
 
     def __repr__(self):
         rs = self.residues()
@@ -158,89 +170,18 @@ class ResidueSet:
             raise ValueError("issubset requires equal moduli")
         return not np.any(self._bits > other._bits)
 
-    # -- same-modulus algebra ----------------------------------------------
-
-    def union_same(self, other: "ResidueSet") -> "ResidueSet":
-        self._check_same(other)
-        return ResidueSet.from_bits(self._bits | other._bits)
-
-    def intersect_same(self, other: "ResidueSet") -> "ResidueSet":
-        self._check_same(other)
-        return ResidueSet.from_bits(self._bits & other._bits)
-
-    def complement_same(self) -> "ResidueSet":
-        return ResidueSet.from_bits(np.uint8(1) - self._bits)
-
     def discard(self, r: int) -> "ResidueSet":
         out = self._bits.copy()
         out[r % self.modulus] = 0
         return ResidueSet.from_bits(out)
 
-    def _check_same(self, other: "ResidueSet") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}")
 
-
-class PeriodicSet:
-    """The set ``modulus * N + residues`` (empty residues = empty set)."""
-
-    __slots__ = ("modulus", "residues")
-
-    def __init__(self, modulus: int, residues: ResidueSet):
-        if residues.modulus != modulus:
-            raise ValueError("residue set modulus disagrees with period")
-        self.modulus = int(modulus)
-        self.residues = residues
-
-    def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.modulus)
-
-    def member(self, x: int) -> bool:
-        if x < 0:
-            raise ValueError("periodic sets live on the non-negative integers")
-        return (x % self.modulus) in self.residues
-
-    def is_empty(self) -> bool:
-        return len(self.residues) == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodicSet):
-            return NotImplemented
-        a, b = canonicalize(self), canonicalize(other)
-        return a.modulus == b.modulus and a.residues == b.residues
-
-    def __hash__(self):
-        c = canonicalize(self)
-        return hash((c.modulus, c.residues))
-
-    def __repr__(self):
-        return f"PeriodicSet(mod={self.modulus}, residues={self.residues.residues()[:12]}...)" \
-            if len(self.residues) > 12 else \
-            f"PeriodicSet(mod={self.modulus}, residues={self.residues.residues()})"
-
-
-def naturals() -> PeriodicSet:
+def naturals() -> ResidueSet:
     """All of N."""
-    return make_periodic(1, [0])
+    return ResidueSet(1, [0])
 
 
-def make_periodic(k: int, hs: Iterable[int]) -> PeriodicSet:
-    """Build ``k*N + hs`` with residues reduced mod ``k`` and deduplicated."""
-    if k < 1:
-        raise ValueError(f"period must be positive, got {k}")
-    return PeriodicSet(k, ResidueSet(k, hs))
-
-
-def density(p: PeriodicSet) -> Fraction:
-    return p.density()
-
-
-def member(p: PeriodicSet, x: int) -> bool:
-    return p.member(x)
-
-
-def rebase(p: PeriodicSet, m: int) -> PeriodicSet:
+def rebase(p: ResidueSet, m: int) -> ResidueSet:
     """The same set re-expressed with modulus ``m`` (``p.modulus | m``)."""
     k = p.modulus
     if m % k != 0:
@@ -248,33 +189,32 @@ def rebase(p: PeriodicSet, m: int) -> PeriodicSet:
     if m == k:
         return p
     check_budget(m)
-    bits = kernels.tile_periodic(p.residues.bits(), m)
-    return PeriodicSet(m, ResidueSet.from_bits(bits))
+    return ResidueSet.from_bits(kernels.tile_periodic(p.bits(), m))
 
 
-def _common_modulus(p: PeriodicSet, q: PeriodicSet) -> tuple[PeriodicSet, PeriodicSet, int]:
+def _common_bits(p: ResidueSet, q: ResidueSet) -> tuple[np.ndarray, np.ndarray]:
     m = math.lcm(p.modulus, q.modulus)
-    return rebase(p, m), rebase(q, m), m
+    return rebase(p, m).bits(), rebase(q, m).bits()
 
 
-def union(p: PeriodicSet, q: PeriodicSet) -> PeriodicSet:
-    a, b, m = _common_modulus(p, q)
-    return PeriodicSet(m, a.residues.union_same(b.residues))
+def union(p: ResidueSet, q: ResidueSet) -> ResidueSet:
+    a, b = _common_bits(p, q)
+    return ResidueSet.from_bits(a | b)
 
 
-def intersect(p: PeriodicSet, q: PeriodicSet) -> PeriodicSet:
-    a, b, m = _common_modulus(p, q)
-    return PeriodicSet(m, a.residues.intersect_same(b.residues))
+def intersect(p: ResidueSet, q: ResidueSet) -> ResidueSet:
+    a, b = _common_bits(p, q)
+    return ResidueSet.from_bits(a & b)
 
 
-def complement(p: PeriodicSet) -> PeriodicSet:
-    return PeriodicSet(p.modulus, p.residues.complement_same())
+def complement(p: ResidueSet) -> ResidueSet:
+    return ResidueSet.from_bits(np.uint8(1) - p.bits())
 
 
-def affine(p: PeriodicSet, k: int, h: int) -> PeriodicSet:
+def affine(p: ResidueSet, k: int, h: int) -> ResidueSet:
     """Periodic normal form of ``k*P + h``.
 
-    The result has modulus ``k * p.modulus`` and density ``density(p) / k``.
+    The result has modulus ``k * p.modulus`` and density ``p.density() / k``.
     For ``h >= k * p.modulus`` the true image differs from the returned
     periodic set in finitely many small elements; membership agrees from
     ``h`` onward and the density is exact either way.
@@ -286,13 +226,13 @@ def affine(p: PeriodicSet, k: int, h: int) -> PeriodicSet:
     m = k * p.modulus
     check_budget(m)
     bits = np.zeros(m, dtype=np.uint8)
-    idx = np.nonzero(p.residues.bits())[0].astype(np.int64) * k + (h % m)
+    idx = np.nonzero(p.bits())[0].astype(np.int64) * k + (h % m)
     bits[idx % m] = 1
-    return PeriodicSet(m, ResidueSet.from_bits(bits))
+    return ResidueSet.from_bits(bits)
 
 
-def sumset_mod(p: PeriodicSet, c: ResidueSet) -> PeriodicSet:
-    """``{(h + r) mod k : h in p.residues, r in c}`` as a periodic set.
+def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
+    """``{(h + r) mod k : h in p, r in c}``.
 
     When ``c`` is the residue cover of a set ``Y`` modulo ``k``, this
     realizes the sumset ``P + Y`` as a finite union of APs.
@@ -300,17 +240,17 @@ def sumset_mod(p: PeriodicSet, c: ResidueSet) -> PeriodicSet:
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
-    np_, nc = len(p.residues), len(c)
+    np_, nc = len(p), len(c)
     if np_ == 0 or nc == 0:
-        return PeriodicSet(k, ResidueSet(k))
-    small, large = (p.residues, c) if np_ <= nc else (c, p.residues)
+        return ResidueSet(k)
+    small, large = (p, c) if np_ <= nc else (c, p)
     if len(small) <= _SHIFT_MAX or k < _FFT_MIN_MODULUS:
         out = np.zeros(k, dtype=np.uint8)
         large_bits = large.bits()
         for s in small.residues():
             kernels.or_rotated(out, out, large_bits, s)
-        return PeriodicSet(k, ResidueSet.from_bits(out))
-    return PeriodicSet(k, ResidueSet.from_bits(_fft_cyclic_or(p.residues.bits(), c.bits())))
+        return ResidueSet.from_bits(out)
+    return ResidueSet.from_bits(_fft_cyclic_or(p.bits(), c.bits()))
 
 
 def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -333,19 +273,19 @@ def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (counts > 0.5).astype(np.uint8)
 
 
-def canonicalize(p: PeriodicSet) -> PeriodicSet:
+def canonicalize(p: ResidueSet) -> ResidueSet:
     """Smallest-period representation of the same set."""
     k = p.modulus
-    if len(p.residues) == 0:
-        return PeriodicSet(1, ResidueSet(1))
+    if p.is_empty():
+        return ResidueSet(1)
     if k == 1:
         return p
-    bits = p.residues.bits()
+    bits = p.bits()
     for d in divisors(k):
         if d == k:
             break
         if np.array_equal(bits.reshape(k // d, d), np.broadcast_to(bits[:d], (k // d, d))):
-            return PeriodicSet(d, ResidueSet.from_bits(bits[:d].copy()))
+            return ResidueSet.from_bits(bits[:d].copy())
     return p
 
 
@@ -357,17 +297,17 @@ def canonicalize(p: PeriodicSet) -> PeriodicSet:
 _RESIDUE_LIST_MAX = 1024
 
 
-def dumps_periodic(p: PeriodicSet) -> str:
+def dumps_periodic(p: ResidueSet) -> str:
     lines = [f"modulus {p.modulus}"]
-    if len(p.residues) <= _RESIDUE_LIST_MAX:
-        lines.append("residues " + ",".join(map(str, p.residues.residues())))
+    if len(p) <= _RESIDUE_LIST_MAX:
+        lines.append("residues " + ",".join(map(str, p.residues())))
     else:
-        packed = np.packbits(p.residues.bits(), bitorder="little")
+        packed = np.packbits(p.bits(), bitorder="little")
         lines.append("bitmap " + packed.tobytes().hex())
     return "\n".join(lines) + "\n"
 
 
-def loads_periodic(text: str) -> PeriodicSet:
+def loads_periodic(text: str) -> ResidueSet:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("modulus "):
         raise ValueError("periodic-set file must start with 'modulus <k>'")
@@ -378,11 +318,11 @@ def loads_periodic(text: str) -> PeriodicSet:
     payload = payload.strip()
     if tag == "residues":
         rs = [int(t) for t in payload.split(",") if t.strip()] if payload else []
-        return make_periodic(k, rs)
+        return ResidueSet(k, rs)
     if tag == "bitmap":
         packed = np.frombuffer(bytes.fromhex(payload), dtype=np.uint8)
         bits = np.unpackbits(packed, bitorder="little")[:k].astype(np.uint8)
         if bits.shape[0] < k:
             raise ValueError("bitmap shorter than modulus")
-        return PeriodicSet(k, ResidueSet.from_bits(bits))
+        return ResidueSet.from_bits(bits)
     raise ValueError(f"unknown payload tag {tag!r}")

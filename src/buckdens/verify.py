@@ -32,7 +32,7 @@ from .density import (
     empirical_logarithmic,
 )
 from .oracles import CoverOracle
-from .sets import PeriodicSet, ResidueSet, sumset_mod
+from .sets import ResidueSet, sumset_mod
 
 __all__ = [
     "a_window",
@@ -82,9 +82,8 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
     classes, first = np.unique(b_values % m, return_index=True)
     k = m if 2 * n > m else 1 << (2 * n - 1).bit_length()
     p_bits = period_bits if k == m else np.pad(period_bits[:n], (0, k - n))
-    reach = sumset_mod(PeriodicSet(k, ResidueSet.from_bits(p_bits)),
-                       ResidueSet(k, classes))
-    unresolved = np.flatnonzero(reach.residues.bits()[:n])
+    reach = sumset_mod(ResidueSet.from_bits(p_bits), ResidueSet(k, classes))
+    unresolved = np.flatnonzero(reach.bits()[:n])
     threshold = np.full(n, horizon + 1, dtype=np.int64)
     for i in np.argsort(first):
         hit = period_bits[(unresolved - classes[i]) % m].astype(bool)
@@ -243,11 +242,11 @@ def _level_rows(t: Tower, oracle: CoverOracle) -> list[dict]:
 
 
 def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
-                   t_grid: list[int] | None = None,
                    tower: Tower | None = None) -> DensityReport:
     """Build (or reuse) a tower, re-check every certificate, and compare
-    empirical A+B frequencies against the certified interval at a grid of
-    horizons.  Raises CertificateError if any exact certificate fails."""
+    empirical A+B frequencies against the certified interval at the
+    horizons T/100, T/10 and T.  Raises CertificateError if any exact
+    certificate fails."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if tower is None:
@@ -265,9 +264,6 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
         eps_final = sb.per_level[-1][3]
         tail = 2.0 / math.factorial(tower.top.n + 1)
 
-    if t_grid is None:
-        t_grid = sorted({max(1, horizon // 100), max(1, horizon // 10), horizon})
-
     report = DensityReport(
         alpha=tower.alpha, oracle=oracle.name, exact=oracle.exact,
         depth=depth, level_rows=_level_rows(tower, oracle),
@@ -277,9 +273,9 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
     )
     lo_cert = float(sb.final.lower)
     hi_cert = float(sb.final.upper)
-    # coverage of [0, t] is a prefix of coverage of [0, max(t_grid)]
-    lo_all, hi_all = _coverages(tower, oracle, max(t_grid, default=1))
-    for t_val in t_grid:
+    # coverage of [0, t] is a prefix of coverage of [0, horizon]
+    lo_all, hi_all = _coverages(tower, oracle, horizon)
+    for t_val in sorted({max(1, horizon // 100), max(1, horizon // 10), horizon}):
         lo_cov, hi_cov = lo_all[: t_val + 1], hi_all[: t_val + 1]
         c_lo = int(np.count_nonzero(lo_cov[1:]))
         c_hi = int(np.count_nonzero(hi_cov[1:]))

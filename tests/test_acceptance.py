@@ -21,7 +21,7 @@ from buckdens.construction import (
 )
 from buckdens.density import BUCK, axiom_suite
 from buckdens.oracles import FiniteOracle, parse_oracle, smallness_profile
-from buckdens.sets import ResidueSet, density, make_periodic, sumset_mod
+from buckdens.sets import ResidueSet, sumset_mod
 from buckdens.verify import cross_density_check, sampling_slack, theorem_report
 
 from naive_replay import naive_replay
@@ -56,8 +56,8 @@ class TestCriterion2Density:
             k = int(rng.integers(1, 10**4 + 1))
             size = int(rng.integers(0, min(k, 30) + 1))
             hs = np.unique(rng.integers(0, k, size=size))
-            p = make_periodic(k, hs)
-            if density(p) != Fraction(len(hs), k):
+            p = ResidueSet(k, hs)
+            if p.density() != Fraction(len(hs), k):
                 ok = False
                 break
         elapsed = time.perf_counter() - start
@@ -74,9 +74,9 @@ class TestCriterion3Sumset:
             k = int(rng.integers(1, 10**3 + 1))
             hs = rng.integers(0, k, size=int(rng.integers(0, 20)))
             cs = rng.integers(0, k, size=int(rng.integers(1, 20)))
-            got = sumset_mod(make_periodic(k, hs), ResidueSet(k, cs))
+            got = sumset_mod(ResidueSet(k, hs), ResidueSet(k, cs))
             want = {(int(a) + int(c)) % k for a in hs for c in cs}
-            if set(got.residues.residues()) != want:
+            if set(got.residues()) != want:
                 ok = False
                 break
         elapsed = time.perf_counter() - start
@@ -160,8 +160,7 @@ class TestCriterion7TheoremDeskScale:
         start = time.perf_counter()
         oracle = parse_oracle("primes")
         horizon = 10**7
-        rep = theorem_report(oracle, Fraction(1, 2), 8, horizon,
-                             t_grid=[horizon])
+        rep = theorem_report(oracle, Fraction(1, 2), 8, horizon)
         row = rep.rows[-1]
         band = 0.2287 + 2 / math.factorial(9) + sampling_slack(horizon)
         ok = (0.5 - band <= row.freq[0] and row.freq[1] <= 0.5 + band)
@@ -176,8 +175,7 @@ class TestCriterion8TightQuantitative:
         start = time.perf_counter()
         oracle = parse_oracle("factorials")
         horizon = 10**6
-        rep = theorem_report(oracle, Fraction(1, 3), 6, horizon,
-                             t_grid=[horizon])
+        rep = theorem_report(oracle, Fraction(1, 3), 6, horizon)
         row = rep.rows[-1]
         third = 1 / 3
         ok = (third - 0.012 <= row.freq[0] and row.freq[1] <= third + 0.012)

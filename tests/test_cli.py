@@ -12,7 +12,7 @@ import buckdens
 from buckdens.cli import main, parse_rational
 from buckdens.construction import Tower, construct, tower_from_json, tower_to_json
 from buckdens.oracles import FiniteOracle
-from buckdens.sets import dumps_periodic, make_periodic
+from buckdens.sets import ResidueSet, dumps_periodic
 
 SRC = str(Path(buckdens.__file__).resolve().parents[1])
 
@@ -333,7 +333,7 @@ class TestAxioms:
 class TestEstimate:
     def test_periodic_file(self, tmp_path, capsys):
         path = tmp_path / "set.txt"
-        path.write_text(dumps_periodic(make_periodic(6, [1, 2, 3, 5])))
+        path.write_text(dumps_periodic(ResidueSet(6, [1, 2, 3, 5])))
         code, out, _ = run(capsys, "estimate", "--set", str(path),
                            "--horizon", "100000")
         assert code == 0
@@ -351,7 +351,7 @@ class TestEstimate:
 
     def test_horizon_beyond_budget_exits_3_at_once(self, tmp_path):
         path = tmp_path / "set.txt"
-        path.write_text(dumps_periodic(make_periodic(6, [1, 2, 3, 5])))
+        path.write_text(dumps_periodic(ResidueSet(6, [1, 2, 3, 5])))
         proc = run_process("estimate", "--set", str(path), "--horizon", "100000000000")
         assert proc.returncode == 3
         assert proc.stderr.startswith("resource error:")
@@ -360,7 +360,7 @@ class TestEstimate:
     @pytest.mark.parametrize("window", ["0", "-2"])
     def test_window_below_one_is_usage_error(self, tmp_path, capsys, window):
         path = tmp_path / "set.txt"
-        path.write_text(dumps_periodic(make_periodic(6, [1, 2, 3, 5])))
+        path.write_text(dumps_periodic(ResidueSet(6, [1, 2, 3, 5])))
         code, out, err = run(capsys, "estimate", "--set", str(path),
                              "--horizon", "1000", "--window", window)
         assert code == 1 and out == ""

@@ -26,7 +26,7 @@ from buckdens.oracles import (
     PrimesOracle,
     parse_oracle,
 )
-from buckdens.sets import PeriodicSet, ResidueSet, ResourceLimitError, rebase, sumset_mod
+from buckdens.sets import ResidueSet, ResourceLimitError, rebase, sumset_mod
 
 from naive_replay import materialize, naive_replay
 
@@ -106,13 +106,13 @@ class TestStep:
         big = prev.modulus * 5
         cover = oracle.cover_cached(big)
         h_prime = prev.H.discard(prev.h)
-        base = rebase(PeriodicSet(prev.modulus, h_prime), big)
+        base = rebase(h_prime, big)
         densities = []
         for k in range(prev.n + 1):
-            bits = base.residues.bits().copy()
+            bits = base.bits().copy()
             for j in range(k + 1):
                 bits[(prev.h + j * prev.modulus) % big] = 1
-            cand = PeriodicSet(big, ResidueSet.from_bits(bits))
+            cand = ResidueSet.from_bits(bits)
             densities.append(sumset_mod(cand, cover).density())
         assert densities == sorted(densities)
 
@@ -164,9 +164,8 @@ class TestStep:
 
     def test_step_carries_the_lower_sumset(self):
         def lower_sumset(lv):  # (H minus h) + cover(n!) mod n!, by convolution
-            lower = sumset_mod(PeriodicSet(lv.modulus, lv.H.discard(lv.h)),
-                               oracle.cover_cached(lv.modulus))
-            return lower.residues.bits()
+            lower = sumset_mod(lv.H.discard(lv.h), oracle.cover_cached(lv.modulus))
+            return lower.bits()
 
         oracle = PrimesOracle()
         t = construct(oracle, Fraction(1, 3), 4)
@@ -377,7 +376,7 @@ class TestNesting:
         t = construct(oracle, Fraction(1, 3), 6)
         for prev, cur in zip(t.levels, t.levels[1:]):
             h_prime = prev.H.discard(prev.h)
-            lo = rebase(PeriodicSet(prev.modulus, h_prime), cur.modulus)
-            hi = rebase(PeriodicSet(prev.modulus, prev.H), cur.modulus)
-            assert lo.residues.issubset(cur.H)
-            assert cur.H.issubset(hi.residues)
+            lo = rebase(h_prime, cur.modulus)
+            hi = rebase(prev.H, cur.modulus)
+            assert lo.issubset(cur.H)
+            assert cur.H.issubset(hi)

@@ -21,10 +21,9 @@ from buckdens.density import (
     periodic_indicator,
 )
 from buckdens.sets import (
+    ResidueSet,
     ResourceLimitError,
     complement,
-    density,
-    make_periodic,
     naturals,
     union,
 )
@@ -32,24 +31,24 @@ from buckdens.sets import (
 
 class TestBuckOnPeriodic:
     def test_evens(self):
-        assert buck_upper_periodic(make_periodic(2, [0])) == Fraction(1, 2)
+        assert buck_upper_periodic(ResidueSet(2, [0])) == Fraction(1, 2)
 
     def test_full_line(self):
         assert buck_upper_periodic(naturals()) == 1
 
     def test_union_class(self):
-        assert buck_upper_periodic(make_periodic(6, [1, 2, 3, 5])) == Fraction(2, 3)
+        assert buck_upper_periodic(ResidueSet(6, [1, 2, 3, 5])) == Fraction(2, 3)
 
     def test_infimum_attained_by_the_set_itself(self):
         # any finite union of APs containing P has at least P's density
         rng = np.random.default_rng(11)
         for _ in range(50):
             k = int(rng.integers(1, 200))
-            p = make_periodic(k, rng.integers(0, k, size=5))
-            extra = make_periodic(int(rng.integers(1, 50)),
+            p = ResidueSet(k, rng.integers(0, k, size=5))
+            extra = ResidueSet(int(rng.integers(1, 50)),
                                   rng.integers(0, 50, size=3))
             sup = union(p, extra)
-            assert density(sup) >= buck_upper_periodic(p)
+            assert sup.density() >= buck_upper_periodic(p)
 
 
 class TestBuckOnFinite:
@@ -90,10 +89,10 @@ class TestConjugate:
         # 1 - d(complement) respects inclusion on periodic sets
         hs = data.draw(st.lists(st.integers(0, k - 1), max_size=10))
         extra = data.draw(st.lists(st.integers(0, k - 1), max_size=10))
-        p = make_periodic(k, hs)
-        q = union(p, make_periodic(k, extra))
-        lower_p = 1 - density(complement(p))
-        lower_q = 1 - density(complement(q))
+        p = ResidueSet(k, hs)
+        q = union(p, ResidueSet(k, extra))
+        lower_p = 1 - complement(p).density()
+        lower_q = 1 - complement(q).density()
         assert lower_p <= lower_q
 
 
@@ -121,7 +120,7 @@ def _indicator(values, horizon):
 
 class TestEmpiricalAsymptotic:
     def test_evens(self):
-        lo, hi = empirical_asymptotic(periodic_indicator(make_periodic(2, [0]), 10**6), 10**6)
+        lo, hi = empirical_asymptotic(periodic_indicator(ResidueSet(2, [0]), 10**6), 10**6)
         assert abs(lo - 0.5) < 1e-4 and abs(hi - 0.5) < 1e-4
 
     def test_squares(self):
@@ -132,7 +131,7 @@ class TestEmpiricalAsymptotic:
 
     def test_periodic_two_thirds(self):
         lo, hi = empirical_asymptotic(
-            periodic_indicator(make_periodic(6, [1, 2, 3, 5]), 10**6), 10**6)
+            periodic_indicator(ResidueSet(6, [1, 2, 3, 5]), 10**6), 10**6)
         assert abs(lo - 2 / 3) < 1e-3 and abs(hi - 2 / 3) < 1e-3
 
     def test_sandwich_against_exact_density(self):
@@ -141,7 +140,7 @@ class TestEmpiricalAsymptotic:
         rng = np.random.default_rng(5)
         for _ in range(10):
             k = int(rng.integers(1, 500))
-            p = make_periodic(k, rng.integers(0, k, size=min(k, 12)))
+            p = ResidueSet(k, rng.integers(0, k, size=min(k, 12)))
             lo, hi = empirical_asymptotic(periodic_indicator(p, 10**6), 10**6)
             exact = float(buck_upper_periodic(p))
             assert abs(lo - exact) < 1e-3 and abs(hi - exact) < 1e-3
@@ -150,19 +149,19 @@ class TestEmpiricalAsymptotic:
 class TestEmpiricalBanachAndLog:
     def test_banach_evens(self):
         w = 10**4
-        val = empirical_banach(periodic_indicator(make_periodic(2, [0]), 10**6), w, 10**6)
+        val = empirical_banach(periodic_indicator(ResidueSet(2, [0]), 10**6), w, 10**6)
         assert abs(val - 0.5) <= 1 / w + 1e-12
 
     def test_banach_sixth(self):
-        val = empirical_banach(periodic_indicator(make_periodic(6, [0]), 10**6), 6000, 10**6)
+        val = empirical_banach(periodic_indicator(ResidueSet(6, [0]), 10**6), 6000, 10**6)
         assert val == pytest.approx(1 / 6, abs=1e-3)
 
     def test_banach_validates_window(self):
         with pytest.raises(ValueError):
-            empirical_banach(periodic_indicator(make_periodic(2, [0]), 100), 0, 100)
+            empirical_banach(periodic_indicator(ResidueSet(2, [0]), 100), 0, 100)
 
     def test_log_evens(self):
-        val = empirical_logarithmic(periodic_indicator(make_periodic(2, [0]), 10**6), 10**6)
+        val = empirical_logarithmic(periodic_indicator(ResidueSet(2, [0]), 10**6), 10**6)
         assert val == pytest.approx(0.5, abs=1e-3)
 
     def test_log_finite_set_vanishes(self):
@@ -170,14 +169,14 @@ class TestEmpiricalBanachAndLog:
         assert val < 1e-3
 
     def test_indicators_agree(self):
-        p = make_periodic(7, [2, 5])
+        p = ResidueSet(7, [2, 5])
         ind = periodic_indicator(p, 1000)
         assert ind[2] == 1 and ind[3] == 0 and ind[9] == 1
         assert int(ind.sum()) == len([x for x in range(1001) if p.member(x)])
 
     def test_indicator_horizon_is_bounded(self):
         with pytest.raises(ResourceLimitError):
-            periodic_indicator(make_periodic(2, [0]), DEFAULT_ENUM_BUDGET + 1)
+            periodic_indicator(ResidueSet(2, [0]), DEFAULT_ENUM_BUDGET + 1)
 
 
 class TestAxiomSuite:
@@ -188,7 +187,7 @@ class TestAxiomSuite:
         assert all(r.samples >= 300 for r in report.results.values())
 
     def test_doubled_evaluator_fails_f1_with_witness(self):
-        broken = UpperDensityFn("doubled", True, lambda p: density(p) * 2)
+        broken = UpperDensityFn("doubled", True, lambda p: p.density() * 2)
         report = axiom_suite(broken, samples=100, seed=0)
         assert not report.results["F1"].passed
         assert report.results["F1"].counterexample is not None
@@ -196,7 +195,7 @@ class TestAxiomSuite:
 
     def test_f4_spot_check(self):
         from buckdens.sets import affine
-        img = affine(make_periodic(2, [0]), 3, 2)
+        img = affine(ResidueSet(2, [0]), 3, 2)
         assert BUCK.eval_periodic(img) == Fraction(1, 6)
 
     def test_report_is_json(self):

@@ -30,7 +30,9 @@ SPECS = st.one_of(
                      "file:{dir}/b.txt", "pred-enum:{dir}/pred.py:50"]),
     st.sampled_from(["finite:", "finite:x", "finite:-1", "nope", "file:{dir}/set.txt",
                      "file:{dir}/missing.txt", "pred-enum:{dir}/pred.py:x",
-                     "pred-enum:{dir}/missing.py:10", "pred-enum:"]),
+                     "pred-enum:{dir}/missing.py:10", "pred-enum:",
+                     "pred-enum:{dir}/syntax.py:10", "pred-enum:{dir}/raises.py:10",
+                     "pred-enum:{dir}/pred.py:100000000000"]),
 )
 
 
@@ -44,7 +46,8 @@ def ints(lo, hi, *edges):
 
 ALPHAS = st.one_of(
     st.sampled_from(["1/2", "0", "1", "9/10", "1/3", "3/2", "-1/2", "0.25", "x",
-                     "1/0", "", "nan", "inf", "1e5", " 2/3 "]),
+                     "1/0", "", "nan", "inf", "1e5", " 2/3 ", "1e-3000000", "1e5000",
+                     "1e-4400"]),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 12), st.integers(-1, 12)),
 )
 
@@ -133,6 +136,7 @@ COMMANDS = st.one_of(
         SPECS, ALPHAS, ints(-2, 7, 11, 12)),
     st.builds(lambda spec, mod: ({}, ["cover", "--b", spec, "--mod", mod]),
               SPECS, ints(-3, 5000, 2**28 + 1, 1073741831)),
+    st.builds(lambda samples: ({}, ["axioms", "--samples", samples]), ints(-3, 20)),
 )
 
 
@@ -141,6 +145,8 @@ def workdir(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("fuzz")
     (path / "b.txt").write_text("0\n24\n7\n")
     (path / "pred.py").write_text("def member(n):\n    return n % 3 == 0\n")
+    (path / "syntax.py").write_text("def member(n) return\n")
+    (path / "raises.py").write_text("def member(n):\n    return 1 / 0\n")
     return path
 
 
@@ -160,6 +166,9 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @example(({"tower.json": TOWER},
           ["verify", "--tower", "{dir}/tower.json", "--b", "primes", "--horizon", "0"]))
 @example(({}, ["profile", "--b", "primes", "--n-max", "0"]))
+@example(({}, ["cover", "--b", "pred-enum:{dir}/syntax.py:10", "--mod", "6"]))
+@example(({}, ["cover", "--b", "pred-enum:{dir}/raises.py:10", "--mod", "6"]))
+@example(({}, ["cover", "--b", "pred-enum:{dir}/pred.py:100000000000", "--mod", "6"]))
 def test_every_input_ends_in_a_documented_exit_code(workdir, command):
     files, argv = command
     for name, text in files.items():
@@ -168,3 +177,30 @@ def test_every_input_ends_in_a_documented_exit_code(workdir, command):
     assert code in EXIT_CODES
     if code != 0:
         assert err.strip()
+
+
+CONSTRUCT = ["construct", "--b", "primes", "--depth", "3", "--alpha"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # decimal exponents past cli.MAX_DECIMAL_EXPONENT, refused before Fraction
+    pytest.param(CONSTRUCT + ["1e-3000000"], 1, id="alpha-1e-3000000"),
+    pytest.param(CONSTRUCT + ["1e5000"], 1, id="alpha-1e5000"),
+    pytest.param(CONSTRUCT + ["1e-4400"], 1, id="alpha-1e-4400"),
+    # a predicate file that does not import, or whose member raises
+    pytest.param(["cover", "--b", "pred-enum:{dir}/syntax.py:10", "--mod", "6"], 1,
+                 id="pred-syntax-error"),
+    pytest.param(["cover", "--b", "pred-enum:{dir}/raises.py:10", "--mod", "6"], 1,
+                 id="pred-member-raises"),
+    # an enumeration bound past density.DEFAULT_ENUM_BUDGET
+    pytest.param(["cover", "--b", "pred-enum:{dir}/pred.py:100000000000", "--mod", "6"], 3,
+                 id="pred-bound-1e11"),
+    pytest.param(["axioms", "--samples", "0"], 1, id="samples-0"),
+    pytest.param(["axioms", "--samples", "-1"], 1, id="samples-minus-1"),
+])
+def test_refused_input_exits_with_one_line(workdir, argv, expected):
+    code, err = run_cli([arg.replace("{dir}", str(workdir)) for arg in argv])
+    assert code == expected
+    assert len(err.splitlines()) == 1
+    assert err.startswith("resource error:" if expected == 3 else "error:")
+    assert "4300 digits" not in err

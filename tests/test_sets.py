@@ -6,25 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buckdens import sets
 from buckdens.cli import main
 from buckdens.oracles import _carmichael
 from buckdens.sets import (
     DENSE_LIMIT,
-    PeriodicSet,
     ResidueSet,
     ResourceLimitError,
     affine,
     canonicalize,
     complement,
-    density,
     divisors,
     dumps_periodic,
     factorize,
     _fft_cyclic_or,
     intersect,
     loads_periodic,
-    make_periodic,
-    member,
     naturals,
     rebase,
     sumset_mod,
@@ -33,64 +30,64 @@ from buckdens.sets import (
 
 
 def brute_members(p, bound):
-    return {x for x in range(bound) if x % p.modulus in set(p.residues.residues())}
+    return {x for x in range(bound) if x % p.modulus in set(p.residues())}
 
 
 small_periodic = st.builds(
-    make_periodic,
+    ResidueSet,
     st.integers(min_value=1, max_value=60),
     st.lists(st.integers(min_value=0, max_value=300), max_size=20),
 )
 
 
-class TestMakePeriodic:
+class TestConstructor:
     def test_evens(self):
-        p = make_periodic(2, [0])
-        assert density(p) == Fraction(1, 2)
+        p = ResidueSet(2, [0])
+        assert p.density() == Fraction(1, 2)
 
     def test_full_line(self):
-        assert make_periodic(1, [0]) == naturals()
+        assert ResidueSet(1, [0]) == naturals()
 
     def test_reduction_and_dedup(self):
-        p = make_periodic(4, [5, 1, 9])
-        assert p.residues.residues() == [1]
+        p = ResidueSet(4, [5, 1, 9])
+        assert p.residues() == [1]
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
-            make_periodic(0, [0])
+            ResidueSet(0, [0])
 
 
 class TestDensity:
     def test_evens(self):
-        assert density(make_periodic(2, [0])) == Fraction(1, 2)
+        assert ResidueSet(2, [0]).density() == Fraction(1, 2)
 
     def test_empty(self):
-        assert density(make_periodic(720, [])) == 0
+        assert ResidueSet(720, []).density() == 0
 
     def test_union_of_two_and_three(self):
-        p = make_periodic(6, [0, 2, 3, 4])
+        p = ResidueSet(6, [0, 2, 3, 4])
         # enumeration oracle: count members in [0, 10 * 6)
-        assert density(p) == Fraction(len(brute_members(p, 60)), 60) == Fraction(2, 3)
+        assert p.density() == Fraction(len(brute_members(p, 60)), 60) == Fraction(2, 3)
 
 
 class TestBoolean:
     def test_union_two_three(self):
-        u = union(make_periodic(2, [0]), make_periodic(3, [0]))
+        u = union(ResidueSet(2, [0]), ResidueSet(3, [0]))
         assert u.modulus == 6
-        assert u.residues.residues() == [0, 2, 3, 4]
-        assert density(u) == Fraction(1, 2) + Fraction(1, 3) - Fraction(1, 6)
+        assert u.residues() == [0, 2, 3, 4]
+        assert u.density() == Fraction(1, 2) + Fraction(1, 3) - Fraction(1, 6)
 
     def test_union_partition(self):
-        assert union(make_periodic(2, [0]), make_periodic(2, [1])) == naturals()
+        assert union(ResidueSet(2, [0]), ResidueSet(2, [1])) == naturals()
 
     def test_complement_evens(self):
-        c = complement(make_periodic(2, [0]))
-        assert c == make_periodic(2, [1])
-        assert density(c) == Fraction(1, 2)
+        c = complement(ResidueSet(2, [0]))
+        assert c == ResidueSet(2, [1])
+        assert c.density() == Fraction(1, 2)
 
     def test_lcm_blowup_is_a_resource_error(self):
         # both operands fit the budget, their lcm 2**15 * 3**10 does not
-        p, q = make_periodic(2**15, [0]), make_periodic(3**10, [0])
+        p, q = ResidueSet(2**15, [0]), ResidueSet(3**10, [0])
         assert math.lcm(p.modulus, q.modulus) > DENSE_LIMIT
         with pytest.raises(ResourceLimitError):
             union(p, q)
@@ -108,23 +105,23 @@ class TestBoolean:
 
 class TestAffine:
     def test_shifted_thirds(self):
-        assert affine(naturals(), 3, 1) == make_periodic(3, [1])
-        assert density(affine(naturals(), 3, 1)) == Fraction(1, 3)
+        assert affine(naturals(), 3, 1) == ResidueSet(3, [1])
+        assert affine(naturals(), 3, 1).density() == Fraction(1, 3)
 
     def test_identity(self):
-        p = make_periodic(6, [1, 5])
+        p = ResidueSet(6, [1, 5])
         assert affine(p, 1, 0) == p
 
     def test_double_shift(self):
-        p = affine(make_periodic(2, [0]), 2, 1)
-        assert p == make_periodic(4, [1])
+        p = affine(ResidueSet(2, [0]), 2, 1)
+        assert p == ResidueSet(4, [1])
         # enumeration of {2*(2t)+1}
         assert brute_members(p, 100) == {4 * t + 1 for t in range(25)}
 
     @given(small_periodic, st.integers(1, 100), st.integers(0, 100))
     @settings(max_examples=80, deadline=None)
     def test_density_scales_exactly(self, p, k, h):
-        assert density(affine(p, k, h)) == density(p) / k
+        assert affine(p, k, h).density() == p.density() / k
 
     @given(small_periodic, st.integers(1, 20), st.integers(0, 40))
     @settings(max_examples=50, deadline=None)
@@ -138,35 +135,35 @@ class TestAffine:
 
 class TestSumsetMod:
     def test_basic(self):
-        p = make_periodic(4, [0, 1])
+        p = ResidueSet(4, [0, 1])
         s = sumset_mod(p, ResidueSet(4, [0, 2]))
-        assert s.residues.residues() == [0, 1, 2, 3]
+        assert s.residues() == [0, 1, 2, 3]
 
     def test_identity_class(self):
-        p = make_periodic(6, [1, 4])
+        p = ResidueSet(6, [1, 4])
         assert sumset_mod(p, ResidueSet(6, [0])) == p
 
     def test_shift_classes(self):
-        s = sumset_mod(make_periodic(6, [0]), ResidueSet(6, [1, 2, 3, 5]))
-        assert s.residues.residues() == [1, 2, 3, 5]
-        assert density(s) == Fraction(2, 3)
+        s = sumset_mod(ResidueSet(6, [0]), ResidueSet(6, [1, 2, 3, 5]))
+        assert s.residues() == [1, 2, 3, 5]
+        assert s.density() == Fraction(2, 3)
 
     def test_modulus_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sumset_mod(make_periodic(4, [0]), ResidueSet(2, [0]))
+            sumset_mod(ResidueSet(4, [0]), ResidueSet(2, [0]))
 
     def test_empty_operands(self):
-        assert sumset_mod(make_periodic(4, []), ResidueSet(4, [1])).is_empty()
-        assert sumset_mod(make_periodic(4, [1]), ResidueSet(4, [])).is_empty()
+        assert sumset_mod(ResidueSet(4, []), ResidueSet(4, [1])).is_empty()
+        assert sumset_mod(ResidueSet(4, [1]), ResidueSet(4, [])).is_empty()
 
     @given(st.integers(2, 200), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_double_loop(self, k, data):
         hs = data.draw(st.lists(st.integers(0, k - 1), max_size=15))
         cs = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=15))
-        got = sumset_mod(make_periodic(k, hs), ResidueSet(k, cs))
+        got = sumset_mod(ResidueSet(k, hs), ResidueSet(k, cs))
         want = {(a + c) % k for a in hs for c in cs}
-        assert set(got.residues.residues()) == want
+        assert set(got.residues()) == want
 
     def test_fft_path_matches_shift_path(self):
         # modulus above the FFT threshold with both operands large
@@ -174,15 +171,15 @@ class TestSumsetMod:
         k = 5040 * 4
         hs = rng.choice(k, size=400, replace=False)
         cs = rng.choice(k, size=300, replace=False)
-        p = make_periodic(k, hs)
+        p = ResidueSet(k, hs)
         c = ResidueSet(k, cs)
         fft = sumset_mod(p, c)
         out = np.zeros(k, dtype=np.uint8)
-        bits = p.residues.bits()
+        bits = p.bits()
         for s in cs:
             rolled = np.roll(bits, int(s))
             np.bitwise_or(out, rolled, out=out)
-        assert np.array_equal(fft.residues.bits(), out)
+        assert np.array_equal(fft.bits(), out)
 
     def test_fft_round_off_beyond_the_margin_is_refused(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -195,46 +192,46 @@ class TestSumsetMod:
         with pytest.raises(ResourceLimitError, match="round-off"):
             _fft_cyclic_or(a, b)
         with pytest.raises(ResourceLimitError, match="round-off"):
-            sumset_mod(PeriodicSet(k, ResidueSet.from_bits(a)), ResidueSet.from_bits(b))
+            sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
 
 
 class TestRebase:
     def test_expansion(self):
-        assert rebase(make_periodic(2, [0]), 6).residues.residues() == [0, 2, 4]
+        assert rebase(ResidueSet(2, [0]), 6).residues() == [0, 2, 4]
 
     def test_identity(self):
-        p = make_periodic(5, [2])
+        p = ResidueSet(5, [2])
         assert rebase(p, 5) is p
 
     def test_naturals_any_modulus(self):
-        assert rebase(naturals(), 2).residues.residues() == [0, 1]
+        assert rebase(naturals(), 2).residues() == [0, 1]
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
-            rebase(make_periodic(4, [0]), 6)
+            rebase(ResidueSet(4, [0]), 6)
 
 
 class TestMember:
     @pytest.mark.parametrize("p,x,expected", [
-        (make_periodic(2, [0]), 4, True),
-        (make_periodic(2, [0]), 7, False),
-        (make_periodic(6, [1, 2, 3, 5]), 25, True),
+        (ResidueSet(2, [0]), 4, True),
+        (ResidueSet(2, [0]), 7, False),
+        (ResidueSet(6, [1, 2, 3, 5]), 25, True),
     ])
     def test_examples(self, p, x, expected):
-        assert member(p, x) is expected
+        assert p.member(x) is expected
 
 
 class TestCanonicalize:
     def test_collapses_period(self):
-        assert canonicalize(make_periodic(6, [0, 2, 4])) == make_periodic(2, [0])
-        assert canonicalize(make_periodic(6, [0, 2, 4])).modulus == 2
+        assert canonicalize(ResidueSet(6, [0, 2, 4])) == ResidueSet(2, [0])
+        assert canonicalize(ResidueSet(6, [0, 2, 4])).modulus == 2
 
     def test_already_minimal(self):
-        p = make_periodic(6, [1, 2, 3, 5])
+        p = ResidueSet(6, [1, 2, 3, 5])
         assert canonicalize(p).modulus == 6
 
     def test_empty(self):
-        c = canonicalize(make_periodic(4, []))
+        c = canonicalize(ResidueSet(4, []))
         assert c.modulus == 1 and c.is_empty()
 
     @given(small_periodic)
@@ -243,7 +240,7 @@ class TestCanonicalize:
         c = canonicalize(p)
         assert canonicalize(c).modulus == c.modulus
         for x in range(p.modulus):
-            assert member(c, x) == member(p, x)
+            assert c.member(x) == p.member(x)
 
 
 def is_prime(n):
@@ -286,21 +283,21 @@ class TestDensityAxiomsOnPeriodicSets:
     @given(small_periodic)
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_full_line(self, p):
-        assert 0 <= density(p) <= density(naturals()) == 1
+        assert 0 <= p.density() <= naturals().density() == 1
 
     @given(small_periodic, small_periodic)
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_subadditive(self, p, q):
         u = union(p, q)
-        assert density(p) <= density(u)
-        assert density(u) <= density(p) + density(q)
+        assert p.density() <= u.density()
+        assert u.density() <= p.density() + q.density()
         if intersect(p, q).is_empty():
-            assert density(u) == density(p) + density(q)
+            assert u.density() == p.density() + q.density()
 
     @given(small_periodic)
     @settings(max_examples=40, deadline=None)
     def test_complement_sums_to_one(self, p):
-        assert density(p) + density(complement(p)) == 1
+        assert p.density() + complement(p).density() == 1
 
     @given(small_periodic, small_periodic)
     @settings(max_examples=40, deadline=None)
@@ -321,29 +318,57 @@ class TestBitmapRepresentation:
         assert len(err.splitlines()) == 1 and err.startswith("resource error:")
 
     def test_equality_ignores_order_and_duplicates(self):
-        assert make_periodic(10, [1, 7]) == make_periodic(10, [7, 11, 1])
+        assert ResidueSet(10, [1, 7]) == ResidueSet(10, [7, 11, 1])
 
     def test_mismatched_bitmap_is_a_value_error(self):
         with pytest.raises(ValueError):
             ResidueSet(5, _bits=np.zeros(4, dtype=np.uint8))
 
 
+class TestEquality:
+    def test_sets_denoting_the_same_integers_are_equal(self):
+        evens, evens_mod_4 = ResidueSet(2, [0]), ResidueSet(4, [0, 2])
+        assert evens == evens_mod_4 and hash(evens) == hash(evens_mod_4)
+        assert ResidueSet(2, [0]) != ResidueSet(4, [0])
+        assert ResidueSet(6, []) == ResidueSet(5, []) == canonicalize(ResidueSet(7, []))
+
+    def test_same_modulus_compares_bitmaps(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("equal moduli need no canonical form")
+
+        monkeypatch.setattr(sets, "canonicalize", refuse)
+        assert ResidueSet(6, [1, 5]) == ResidueSet(6, [5, 1, 7])
+        assert ResidueSet(6, [1, 5]) != ResidueSet(6, [1])
+        assert ResidueSet(6, [0, 2, 4]) != ResidueSet(6, [0, 3])
+
+    @given(small_periodic, small_periodic)
+    @settings(max_examples=80, deadline=None)
+    def test_equality_is_equality_of_members(self, p, q):
+        bound = math.lcm(p.modulus, q.modulus)
+        same = brute_members(p, bound) == brute_members(q, bound)
+        assert (p == q) is same
+        if same:
+            assert hash(p) == hash(q)
+        tiled = rebase(p, 3 * p.modulus)
+        assert tiled == p and hash(tiled) == hash(p)
+
+
 class TestFileFormat:
     def test_residue_list_round_trip(self):
-        p = make_periodic(6, [0, 2, 4])
+        p = ResidueSet(6, [0, 2, 4])
         text = dumps_periodic(p)
         assert text == "modulus 6\nresidues 0,2,4\n"
         assert loads_periodic(text) == p
 
     def test_bitmap_round_trip(self):
         rng = np.random.default_rng(3)
-        p = make_periodic(20000, rng.choice(20000, size=5000, replace=False))
+        p = ResidueSet(20000, rng.choice(20000, size=5000, replace=False))
         text = dumps_periodic(p)
         assert text.splitlines()[1].startswith("bitmap ")
         assert loads_periodic(text) == p
 
     def test_empty_set(self):
-        p = make_periodic(4, [])
+        p = ResidueSet(4, [])
         assert loads_periodic(dumps_periodic(p)) == p
 
     def test_bad_header(self):
