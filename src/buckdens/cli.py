@@ -41,21 +41,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# the largest decimal exponent ``parse_rational`` accepts: Fraction builds
-# 10**|e| exactly, and past 4300 digits Python refuses to print it
+# the largest power of ten ``parse_rational`` lets a decimal literal imply:
+# Fraction builds 10**|e| exactly, and past 4300 digits Python refuses to
+# print it
 MAX_DECIMAL_EXPONENT = 1000
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+_DECIMAL = re.compile(r"[-+]?[\d_]*(?:\.([\d_]*))?(?:e([-+]?\d[\d_]*))?", re.IGNORECASE)
 
 
 def parse_rational(text: str) -> Fraction:
-    """'p/q' or a decimal literal, converted exactly as written; a decimal
-    exponent beyond ``MAX_DECIMAL_EXPONENT`` is refused before any power of
-    ten is built."""
-    exponent = _EXPONENT.search(text)
-    if exponent:
-        digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0")
-        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-                or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+    """'p/q' or a decimal literal, converted exactly as written.  A decimal
+    literal stands for digits times 10**(exponent - fraction digits); one
+    whose power of ten lies beyond ``MAX_DECIMAL_EXPONENT`` either way is
+    refused before any power of ten is built."""
+    decimal = _DECIMAL.fullmatch(text.strip())
+    if decimal:
+        places = len((decimal.group(1) or "").replace("_", ""))
+        exponent = (decimal.group(2) or "0").replace("_", "")
+        # an exponent longer than MAX + places is out of bounds unread, so
+        # int() never sees a long digit string
+        if (len(exponent.lstrip("+-").lstrip("0")) > len(str(MAX_DECIMAL_EXPONENT + places))
+                or abs(int(exponent) - places) > MAX_DECIMAL_EXPONENT):
             raise ValueError(f"bad rational {text!r}: decimal exponent beyond "
                              f"±{MAX_DECIMAL_EXPONENT}")
     try:

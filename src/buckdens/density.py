@@ -214,11 +214,31 @@ class AxiomReport:
         return json.dumps(doc, indent=2)
 
 
-def _random_residue_subset(rng: random.Random, k: int) -> list[int]:
+def _randrange_block(rng: random.Random, k: int, count: int) -> np.ndarray:
+    """``[rng.randrange(k) for _ in range(count)]`` as an array, from the
+    same generator words drawn in blocks (for ``0 < k < 2**32``).
+
+    ``randrange(k)`` takes 32-bit words ``w >> (32 - k.bit_length())`` until
+    one is below k, and ``getrandbits(32 * n)`` is the next n words, low word
+    first.  Each round draws one word per value still missing, so no word
+    is drawn that the loop of ``randrange`` calls would not draw.
+    """
+    shift = 32 - k.bit_length()
+    blocks = [np.empty(0, dtype=np.uint32)]
+    need = count
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                              dtype="<u4") >> shift
+        blocks.append(words[words < k])
+        need -= blocks[-1].size
+    return np.concatenate(blocks)
+
+
+def _random_residue_subset(rng: random.Random, k: int) -> np.ndarray:
     # geometric mix of sparse and dense subsets
     target = rng.choice([1, 2, max(1, k // 100), max(1, k // 10), max(1, k // 2)])
     target = min(target, k)
-    return [rng.randrange(k) for _ in range(target)]
+    return _randrange_block(rng, k, target)
 
 
 def _random_periodic(rng: random.Random, max_modulus: int = _SUITE_MAX_MODULUS) -> ResidueSet:

@@ -314,6 +314,8 @@ class EnumeratedOracle(CoverOracle):
 
     def __init__(self, pred: Callable[[int], bool], bound: int, name: str = "pred-enum"):
         super().__init__()
+        if bound < 0:
+            raise ValueError(f"enumeration bound {bound} is negative")
         if bound > DEFAULT_ENUM_BUDGET:
             raise ResourceLimitError(
                 f"enumeration bound {bound} exceeds the budget {DEFAULT_ENUM_BUDGET}")

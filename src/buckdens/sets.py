@@ -14,8 +14,9 @@ Residue sets are dense uint8 bitmaps.  A modulus above ``DENSE_LIMIT``
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,6 +47,9 @@ DENSE_LIMIT = 1 << 28
 # residues (or the modulus is tiny), FFT support convolution otherwise
 _SHIFT_MAX = 64
 _FFT_MIN_MODULUS = 1 << 14
+# _cyclic_convolution runs its two half-length products on two threads from
+# this length on; below it a thread costs more than the overlap saves
+_THREAD_MIN_LENGTH = 1 << 18
 
 
 class ResourceLimitError(Exception):
@@ -258,19 +262,121 @@ def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The convolution counts are integers; the float result must lie within
     1/4 of them everywhere, otherwise the support is not trusted and
-    :class:`ResourceLimitError` is raised.
+    :class:`ResourceLimitError` is raised.  The check runs on one half of
+    the counts at a time, so its temporaries are half-length.
     """
     k = a.shape[0]
-    fa = np.fft.rfft(a.astype(np.float64))
-    fb = np.fft.rfft(b.astype(np.float64))
-    conv = np.fft.irfft(fa * fb, n=k)
-    counts = np.rint(conv)
-    conv -= counts
-    err = float(np.abs(conv, out=conv).max())
+    conv = _cyclic_convolution(a, b)
+    out = np.empty(k, dtype=np.uint8)
+    half = -(-k // 2)
+    err = 0.0
+    for lo in range(0, k, half):
+        part = conv[lo:lo + half]
+        # within the margin, a count is positive iff its float exceeds 1/2
+        np.greater(part, 0.5, out=out[lo:lo + half])
+        part -= np.rint(part)
+        err = max(err, float(np.abs(part, out=part).max()))
     if not err < 0.25:
         raise ResourceLimitError(
             f"FFT round-off {err:.3g} at length {k} leaves the support undecided")
-    return (counts > 0.5).astype(np.uint8)
+    return out
+
+
+def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Float64 cyclic convolution of two equal-length 0/1 arrays.
+
+    For ``4 | k`` with ``k = 2m``, x^k - 1 = (x^m - 1)(x^m + 1): with a, a'
+    the two halves of a (b, b' of b), the convolution mod x^m - 1 is the
+    real cyclic product of a + a' and b + b', and mod x^m + 1 the negacyclic
+    product of a - a' and b - b'.  The halves of the result are
+    ((c+ + c-)/2, (c+ - c-)/2).  From ``_THREAD_MIN_LENGTH`` on, the
+    negacyclic product runs on a worker thread (numpy's FFTs release the
+    GIL) while this thread takes the cyclic one.  The work buffers are
+    allocated here, before the worker starts.  Any other k takes one real
+    transform.
+    """
+    k = a.shape[0]
+    if k % 4:
+        fa = np.fft.rfft(a.astype(np.float64))
+        fa *= np.fft.rfft(b.astype(np.float64))
+        return np.fft.irfft(fa, n=k)
+    m, q = k // 2, k // 4
+    conv = np.empty(k)
+    spectra = np.empty((2, q + 1), dtype=np.complex128)
+    za = np.empty(q, dtype=np.complex128)
+    zb = np.empty(q, dtype=np.complex128)
+    twist = np.empty(q, dtype=np.complex128)
+    low, high = conv[:m], conv[m:]
+    _run_pair(lambda: _cyclic_half(a, b, spectra, high),
+              lambda: _negacyclic_half(a, b, za, zb, twist),
+              threaded=k >= _THREAD_MIN_LENGTH)
+    for j, c_minus in ((slice(0, q), za.real), (slice(q, m), za.imag)):
+        np.add(high[j], c_minus, out=low[j])
+        np.subtract(high[j], c_minus, out=high[j])
+    conv *= 0.5
+    return conv
+
+
+def _cyclic_half(a: np.ndarray, b: np.ndarray, spectra: np.ndarray,
+                 out: np.ndarray) -> None:
+    """``out`` = (a + a') * (b + b') mod x^m - 1, with m = len(out) and a, a'
+    the halves of a; ``out`` also holds each float sum until its transform
+    exists."""
+    m = out.shape[0]
+    for x, spectrum in zip((a, b), spectra):
+        np.add(x[:m], x[m:], out=out, dtype=np.float64)
+        np.fft.rfft(out, out=spectrum)
+    spectra[0] *= spectra[1]
+    np.fft.irfft(spectra[0], n=m, out=out)
+
+
+def _negacyclic_half(a: np.ndarray, b: np.ndarray, za: np.ndarray,
+                     zb: np.ndarray, twist: np.ndarray) -> None:
+    """``za`` = (a - a') * (b - b') mod x^m + 1, with m = 2 len(za), as one
+    complex cyclic product of length m/2: u ↦ z_j = (u_j + i u_{j+m/2}) θ^j
+    with θ = e^{iπ/m} maps the negacyclic product to a cyclic one.
+    Afterwards the real part of ``za`` holds the low half of the result and
+    the imaginary part the high half; ``zb`` and ``twist`` are scratch."""
+    q = za.shape[0]
+    m = 2 * q
+    angle = twist.imag
+    np.multiply(np.arange(q), np.pi / m, out=angle)
+    np.cos(angle, out=twist.real)
+    np.sin(angle, out=angle)
+    for x, z in ((a, za), (b, zb)):
+        np.subtract(x[:q], x[m:m + q], out=z.real, dtype=np.float64)
+        np.subtract(x[q:m], x[m + q:], out=z.imag, dtype=np.float64)
+        z *= twist
+        np.fft.fft(z, out=z)
+    za *= zb
+    np.fft.ifft(za, out=za)
+    za *= np.conjugate(twist, out=twist)
+
+
+def _run_pair(first: Callable[[], None], second: Callable[[], None], *,
+              threaded: bool) -> None:
+    """Run ``first`` here and ``second`` on one worker thread, or both here
+    when not ``threaded``.  An exception from either reaches the caller."""
+    if not threaded:
+        first()
+        second()
+        return
+    failure: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            second()
+        except BaseException as exc:   # re-raised in the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=work, name="buckdens-negacyclic")
+    worker.start()
+    try:
+        first()
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
 
 
 def canonicalize(p: ResidueSet) -> ResidueSet:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from buckdens.density import (
     empirical_logarithmic,
     in_domain,
     periodic_indicator,
+    _randrange_block,
 )
 from buckdens.sets import (
     ResidueSet,
@@ -204,3 +206,15 @@ class TestAxiomSuite:
         doc = json.loads(report.to_json())
         assert doc["verdict"] == "PASS"
         assert len(doc["axioms"]) == 4
+
+
+class TestRandrangeBlock:
+    # the suite's sets must be the ones a loop of randrange calls draws, and
+    # the generator must end in the same state for the draws that follow
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 2**13 - 1, 2**13 + 1, 10**4])
+    @pytest.mark.parametrize("count", [0, 1, 2, 17, 1000])
+    def test_matches_a_loop_of_randrange(self, k, count):
+        loop_rng, block_rng = random.Random(k * 1000 + count), random.Random(k * 1000 + count)
+        want = [loop_rng.randrange(k) for _ in range(count)]
+        assert _randrange_block(block_rng, k, count).tolist() == want
+        assert block_rng.getstate() == loop_rng.getstate()

@@ -20,6 +20,8 @@ from buckdens.construction import construct, tower_to_json
 from buckdens.oracles import PrimesOracle
 
 EXIT_CODES = {0, 1, 2, 3}
+# an exponent inside the bound, but 3501 fraction digits: 10**-4501 in all
+LONG_FRACTION = "0." + "0" * 3500 + "1e-1000"
 DEPTH = 4
 TOWER = tower_to_json(construct(PrimesOracle(), Fraction(1, 2), DEPTH))
 SET_TEXT = "modulus 6\nresidues 1,2,3,5\n"
@@ -32,7 +34,7 @@ SPECS = st.one_of(
                      "file:{dir}/missing.txt", "pred-enum:{dir}/pred.py:x",
                      "pred-enum:{dir}/missing.py:10", "pred-enum:",
                      "pred-enum:{dir}/syntax.py:10", "pred-enum:{dir}/raises.py:10",
-                     "pred-enum:{dir}/pred.py:100000000000"]),
+                     "pred-enum:{dir}/pred.py:100000000000", "pred-enum:{dir}/pred.py:-5"]),
 )
 
 
@@ -47,7 +49,7 @@ def ints(lo, hi, *edges):
 ALPHAS = st.one_of(
     st.sampled_from(["1/2", "0", "1", "9/10", "1/3", "3/2", "-1/2", "0.25", "x",
                      "1/0", "", "nan", "inf", "1e5", " 2/3 ", "1e-3000000", "1e5000",
-                     "1e-4400"]),
+                     "1e-4400", LONG_FRACTION]),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 12), st.integers(-1, 12)),
 )
 
@@ -187,6 +189,7 @@ CONSTRUCT = ["construct", "--b", "primes", "--depth", "3", "--alpha"]
     pytest.param(CONSTRUCT + ["1e-3000000"], 1, id="alpha-1e-3000000"),
     pytest.param(CONSTRUCT + ["1e5000"], 1, id="alpha-1e5000"),
     pytest.param(CONSTRUCT + ["1e-4400"], 1, id="alpha-1e-4400"),
+    pytest.param(CONSTRUCT + [LONG_FRACTION], 1, id="alpha-3501-fraction-digits"),
     # a predicate file that does not import, or whose member raises
     pytest.param(["cover", "--b", "pred-enum:{dir}/syntax.py:10", "--mod", "6"], 1,
                  id="pred-syntax-error"),
@@ -195,6 +198,8 @@ CONSTRUCT = ["construct", "--b", "primes", "--depth", "3", "--alpha"]
     # an enumeration bound past density.DEFAULT_ENUM_BUDGET
     pytest.param(["cover", "--b", "pred-enum:{dir}/pred.py:100000000000", "--mod", "6"], 3,
                  id="pred-bound-1e11"),
+    pytest.param(["profile", "--b", "pred-enum:{dir}/pred.py:-5", "--n-max", "3"], 1,
+                 id="pred-bound-negative"),
     pytest.param(["axioms", "--samples", "0"], 1, id="samples-0"),
     pytest.param(["axioms", "--samples", "-1"], 1, id="samples-minus-1"),
 ])

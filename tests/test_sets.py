@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -187,12 +188,82 @@ class TestSumsetMod:
         a = (rng.random(k) < 0.1).astype(np.uint8)
         b = (rng.random(k) < 0.1).astype(np.uint8)
         assert _fft_cyclic_or(a, b).any()
-        irfft = np.fft.irfft
-        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+        convolution = sets._cyclic_convolution
+        monkeypatch.setattr(sets, "_cyclic_convolution", lambda a, b: convolution(a, b) + 0.3)
         with pytest.raises(ResourceLimitError, match="round-off"):
             _fft_cyclic_or(a, b)
         with pytest.raises(ResourceLimitError, match="round-off"):
             sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
+
+
+def shift_or_reference(a, b):
+    out = np.zeros_like(a)
+    for s in np.flatnonzero(b):
+        np.bitwise_or(out, np.roll(a, int(s)), out=out)
+    return out
+
+
+class TestFFTKernel:
+    # 4 | k splits into two half-length products (threaded from
+    # sets._THREAD_MIN_LENGTH on); any other k takes one real transform
+    @pytest.mark.parametrize("k", [
+        1 << 14, 8 * 5040, sets._THREAD_MIN_LENGTH, 362880,   # 4 | k
+        (1 << 14) + 2, 2 * 3 ** 9,                           # k = 2 (mod 4)
+        (1 << 14) + 1, 3 ** 9,                               # odd
+    ])
+    @pytest.mark.parametrize("density", [0.001, 0.05, 0.3, 1.0])
+    def test_matches_shift_or(self, k, density):
+        rng = np.random.default_rng(k % 1000 + int(density * 1000))
+        a = (rng.random(k) < density).astype(np.uint8)
+        b = np.zeros(k, dtype=np.uint8)
+        b[rng.choice(k, size=40, replace=False)] = 1
+        b[[0, k - 1]] = 1   # the wrap-around shifts
+        want = shift_or_reference(a, b)
+        assert np.array_equal(_fft_cyclic_or(a, b), want)
+        assert np.array_equal(_fft_cyclic_or(b, a), want)
+
+    def _threads_seen(self, monkeypatch, k):
+        """Per half: (live threads beyond the caller's, ran in the caller)."""
+        seen = {}
+        caller = threading.current_thread()
+        for name in ("_cyclic_half", "_negacyclic_half"):
+            half = getattr(sets, name)
+
+            def recording(*args, _name=name, _half=half):
+                seen[_name] = (threading.active_count() - base,
+                               threading.current_thread() is caller)
+                return _half(*args)
+
+            monkeypatch.setattr(sets, name, recording)
+        rng = np.random.default_rng(k)
+        a = (rng.random(k) < 0.2).astype(np.uint8)
+        b = (rng.random(k) < 0.2).astype(np.uint8)
+        base = threading.active_count()
+        _fft_cyclic_or(a, b)
+        assert threading.active_count() == base
+        return seen
+
+    def test_a_large_product_takes_one_worker_thread(self, monkeypatch):
+        seen = self._threads_seen(monkeypatch, math.factorial(10))
+        assert seen["_negacyclic_half"] == (1, False)
+        extra, in_caller = seen["_cyclic_half"]
+        assert extra <= 1 and in_caller
+
+    def test_a_small_product_takes_no_thread(self, monkeypatch):
+        seen = self._threads_seen(monkeypatch, sets._THREAD_MIN_LENGTH - 4)
+        assert seen == {"_cyclic_half": (0, True), "_negacyclic_half": (0, True)}
+
+    def test_an_exception_in_the_worker_reaches_the_caller(self, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("worker half")
+
+        monkeypatch.setattr(sets, "_negacyclic_half", out_of_memory)
+        k = sets._THREAD_MIN_LENGTH
+        a = np.ones(k, dtype=np.uint8)
+        with pytest.raises(MemoryError, match="worker half"):
+            _fft_cyclic_or(a, a)
+        with pytest.raises(MemoryError, match="worker half"):
+            sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(a))
 
 
 class TestRebase:
