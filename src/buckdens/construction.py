@@ -103,9 +103,10 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
     of the lower sumset H_m' + cover(m!) that ``prev`` carries, and each
     class ORs in one rotated cover.  Densities grow with k: k_{m+1} is the
     first class passing alpha, the state before it is the new lower sumset
-    and the state after it gives U.  ``check_claimA`` re-derives L by
-    convolution and U from it, catching an oracle that breaks the
-    projection identity.
+    and the state after it gives U.  ``check_claimA`` re-derives L from
+    ``H_n'`` and ``cover(n!)`` alone and U from L, folding the top cover's
+    own bitmap to smaller moduli and never asking the oracle for them, so
+    an oracle that breaks the projection identity is caught.
     """
     if prev.lower_sumset is None:
         raise ValueError(f"level {prev.n} carries no lower sumset to step from")
@@ -219,10 +220,16 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     """Recompute every level certificate from scratch and test the nesting
     inclusions between consecutive levels.
 
-    Per level, one convolution gives L = d((n!N + H') + B); as
-    H = H' ∪ {h}, the sumset of H adds the cover rotated by h, so U needs
-    one rotated OR.  Level n+1 nests when each of its n+1 rows mod n! lies
-    between H' and H.  The builder instead tiles a carried bitmap, so these
+    Per level, one ``sumset_mod`` of H' with the cover gives
+    L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H adds the cover
+    rotated by h, so U needs one rotated OR.  Level n+1 nests when each of
+    its n+1 rows mod n! lies between H' and H.
+
+    H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, so
+    ``sumset_mod`` peels it level by level: it reads each layer from the
+    bitmap of H' (not from ``k_chosen``, h or the lower levels), folds the
+    cover's bitmap down with it and shift-ORs the few leftover residues,
+    with no FFT.  The builder instead tiles a carried bitmap, so these
     certificates are an independent re-derivation.
     """
     checks: list[LevelCheck] = []

@@ -9,6 +9,11 @@ equal when they denote the same integers.  All densities are
 Residue sets are dense uint8 bitmaps.  A modulus above ``DENSE_LIMIT``
 (``2**28``, which every tower modulus ``n! <= 11!`` fits) is refused with
 :class:`ResourceLimitError`.
+
+``sumset_mod`` dispatches on its operands' bitmaps: shift-OR when one is
+small, else a periodic peel when one is periodic mod ``k/q`` (prime ``q``)
+up to a few residues, else FFT support convolution.  Tower operands always
+peel: level n is level n − 1 tiled plus at most n − 1 classes.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ __all__ = [
 DENSE_LIMIT = 1 << 28
 
 # sumset strategy: shift-OR when the smaller operand has at most this many
-# residues (or the modulus is tiny), FFT support convolution otherwise
+# residues (or the modulus is tiny); else a periodic peel when an operand
+# has at most this many residues off a period k/q; FFT support convolution
+# otherwise
 _SHIFT_MAX = 64
 _FFT_MIN_MODULUS = 1 << 14
 # _cyclic_convolution runs its two half-length products on two threads from
@@ -240,21 +247,78 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
 
     When ``c`` is the residue cover of a set ``Y`` modulo ``k``, this
     realizes the sumset ``P + Y`` as a finite union of APs.
+
+    Three exact paths, tried in order:
+
+    - *shift-OR*, when the smaller operand has at most ``_SHIFT_MAX``
+      residues or ``k`` is below ``_FFT_MIN_MODULUS``: one rotated OR of
+      the other operand per residue;
+    - *periodic peel*, when one operand X is periodic mod ``k/q`` for a
+      prime ``q | k`` up to at most ``_SHIFT_MAX`` residues: with ``f``
+      the residues mod ``k/q`` whose every lift lies in X and ``E`` the
+      rest of X, X + Y is the tiling of ``f + (Y mod k/q)``, a sumset at
+      ``k/q`` that goes back through this dispatch, united with the
+      shift-OR of ``E`` against Y;
+    - *FFT* support convolution otherwise.
+
+    A tower level is its predecessor tiled plus at most n − 1 classes, so
+    ``H ∖ {h}`` at ``n!`` peels level by level down to the shift-OR sizes
+    and never reaches the FFT.  Which path runs depends on the operands'
+    bitmaps alone; the result does not.
     """
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
-    np_, nc = len(p), len(c)
-    if np_ == 0 or nc == 0:
+    if p.is_empty() or c.is_empty():
         return ResidueSet(k)
-    small, large = (p, c) if np_ <= nc else (c, p)
-    if len(small) <= _SHIFT_MAX or k < _FFT_MIN_MODULUS:
-        out = np.zeros(k, dtype=np.uint8)
-        large_bits = large.bits()
-        for s in small.residues():
-            kernels.or_rotated(out, out, large_bits, s)
-        return ResidueSet.from_bits(out)
-    return ResidueSet.from_bits(_fft_cyclic_or(p.bits(), c.bits()))
+    return ResidueSet.from_bits(_sumset_bits(p.bits(), c.bits()))
+
+
+def _sumset_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dispatch of ``sumset_mod`` on two non-empty bitmaps of one length."""
+    k = a.shape[0]
+    na, nb = np.count_nonzero(a), np.count_nonzero(b)
+    small, large = (a, b) if na <= nb else (b, a)
+    if min(na, nb) <= _SHIFT_MAX or k < _FFT_MIN_MODULUS:
+        return _or_shifted(np.zeros(k, dtype=np.uint8), large, np.flatnonzero(small))
+    for x, y in ((small, large), (large, small)):
+        layer = _periodic_layer(x)
+        if layer is not None:
+            q, core, excess = layer
+            folded = np.bitwise_or.reduce(y.reshape(q, k // q), axis=0)
+            return _or_shifted(np.tile(_sumset_bits(core, folded), q), y, excess)
+    return _fft_cyclic_or(a, b)
+
+
+def _or_shifted(out: np.ndarray, bits: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``out`` ORed in place with ``bits`` rotated by each of ``shifts``."""
+    for s in shifts.tolist():
+        kernels.or_rotated(out, out, bits, s)
+    return out
+
+
+def _periodic_layer(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(q, f, E)`` peeling a period ``k/q`` off the bitmap ``x`` of length k.
+
+    For a prime ``q | k``, ``f`` is the AND-fold of x mod ``k/q`` (the
+    residues whose every lift lies in x) and ``E`` lists the members of x
+    outside the tiling of ``f``: ``|E| = |x| - q |f|``.  The prime with the
+    fewest such residues wins, the larger prime on a tie; None when even
+    that leaves more than ``_SHIFT_MAX``.  So ``f`` is empty only for an x
+    of at most ``_SHIFT_MAX`` members, which the dispatch shift-ORs first.
+    """
+    k = x.shape[0]
+    size = int(np.count_nonzero(x))
+    best = None
+    for q in factorize(k):
+        core = np.bitwise_and.reduce(x.reshape(q, k // q), axis=0)
+        excess = size - q * int(np.count_nonzero(core))
+        if excess <= _SHIFT_MAX and (best is None or excess <= best[0]):
+            best = excess, q, core
+    if best is None:
+        return None
+    _, q, core = best
+    return q, core, np.flatnonzero(x.reshape(q, k // q) > core)
 
 
 def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -236,6 +236,36 @@ class TestClaimA:
         assert not report.ok
         assert report.first_violation() in (2, 3)
 
+    def test_depth_ten_check_takes_no_transform(self, monkeypatch):
+        # every H' peels level by level down to shift-OR sizes
+        def refuse(a, b):
+            raise AssertionError("check_claimA reached the FFT")
+
+        for oracle in (PrimesOracle(), PerfectPowersOracle()):
+            t = construct(oracle, HALF, 10)
+            with monkeypatch.context() as patched:
+                patched.setattr(sets, "_cyclic_convolution", refuse)
+                report = check_claimA(t, oracle)
+            assert report.ok
+            assert [(c.lower, c.upper) for c in report.checks] == \
+                [(lv.sum_lower, lv.sum_upper) for lv in t.levels]
+
+    def test_an_oracle_breaking_the_projection_is_caught(self):
+        # cover(7!) gains 0, which is not in cover(8!) mod 7!: the builder's
+        # tiling assumes the projection, and the check neither assumes it
+        # nor asks the oracle for a cover at a modulus it folds down to
+        class Liar(PrimesOracle):
+            def cover(self, m):
+                honest = super().cover(m)
+                return ResidueSet(m, honest.residues() + [0]) if m == 5040 else honest
+
+        liar = Liar()
+        assert 0 not in ResidueSet.from_bits(
+            liar.cover(40320).bits().reshape(8, 5040).max(axis=0))
+        report = check_claimA(construct(liar, HALF, 8), liar)
+        assert not report.ok
+        assert report.first_violation() == 7
+
     def test_marked_element_beyond_modulus_is_caught(self):
         # h + n! has the same residue, so it is "in H", but it is not in [0, n!)
         oracle = FactorialsOracle()

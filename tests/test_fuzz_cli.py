@@ -22,6 +22,9 @@ from buckdens.oracles import PrimesOracle
 EXIT_CODES = {0, 1, 2, 3}
 # an exponent inside the bound, but 3501 fraction digits: 10**-4501 in all
 LONG_FRACTION = "0." + "0" * 3500 + "1e-1000"
+# integer strings past Python's 4300-digit conversion limit
+LONG_INTEGER = "1" * 5000
+LONG_DENOMINATOR = "1/" + "1" * 5000
 DEPTH = 4
 TOWER = tower_to_json(construct(PrimesOracle(), Fraction(1, 2), DEPTH))
 SET_TEXT = "modulus 6\nresidues 1,2,3,5\n"
@@ -49,7 +52,7 @@ def ints(lo, hi, *edges):
 ALPHAS = st.one_of(
     st.sampled_from(["1/2", "0", "1", "9/10", "1/3", "3/2", "-1/2", "0.25", "x",
                      "1/0", "", "nan", "inf", "1e5", " 2/3 ", "1e-3000000", "1e5000",
-                     "1e-4400", LONG_FRACTION]),
+                     "1e-4400", LONG_FRACTION, LONG_INTEGER, LONG_DENOMINATOR]),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 12), st.integers(-1, 12)),
 )
 
@@ -190,6 +193,10 @@ CONSTRUCT = ["construct", "--b", "primes", "--depth", "3", "--alpha"]
     pytest.param(CONSTRUCT + ["1e5000"], 1, id="alpha-1e5000"),
     pytest.param(CONSTRUCT + ["1e-4400"], 1, id="alpha-1e-4400"),
     pytest.param(CONSTRUCT + [LONG_FRACTION], 1, id="alpha-3501-fraction-digits"),
+    # digit runs past cli.MAX_LITERAL_DIGITS, refused before Fraction
+    pytest.param(CONSTRUCT + [LONG_INTEGER], 1, id="alpha-5000-digit-integer"),
+    pytest.param(CONSTRUCT + [LONG_DENOMINATOR], 1, id="alpha-5000-digit-denominator"),
+    pytest.param(CONSTRUCT + ["x" * 5000], 1, id="alpha-5000-letters"),
     # a predicate file that does not import, or whose member raises
     pytest.param(["cover", "--b", "pred-enum:{dir}/syntax.py:10", "--mod", "6"], 1,
                  id="pred-syntax-error"),
@@ -209,3 +216,4 @@ def test_refused_input_exits_with_one_line(workdir, argv, expected):
     assert len(err.splitlines()) == 1
     assert err.startswith("resource error:" if expected == 3 else "error:")
     assert "4300 digits" not in err
+    assert len(err) < 200   # a refused literal is echoed truncated

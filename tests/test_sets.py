@@ -31,7 +31,8 @@ from buckdens.sets import (
 
 
 def brute_members(p, bound):
-    return {x for x in range(bound) if x % p.modulus in set(p.residues())}
+    residues = set(p.residues())
+    return {x for x in range(bound) if x % p.modulus in residues}
 
 
 small_periodic = st.builds(
@@ -262,8 +263,78 @@ class TestFFTKernel:
         a = np.ones(k, dtype=np.uint8)
         with pytest.raises(MemoryError, match="worker half"):
             _fft_cyclic_or(a, a)
+        # all-ones bitmaps peel to period 1; a random pair has no layer to
+        # peel, so sumset_mod takes the threaded product
+        rng = np.random.default_rng(k)
+        x, y = ((rng.random(k) < 0.2).astype(np.uint8) for _ in range(2))
         with pytest.raises(MemoryError, match="worker half"):
-            sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(a))
+            sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(y))
+
+
+def periodic_operands(k, rng, density):
+    """Bitmaps of length k with a periodic layer, for each prime q | k:
+    tile(core) with a few members added, tile(core) with a few removed
+    (each removal leaves q − 1 lifts outside the AND-fold), and tile(core)
+    plus a few members where core itself is a tiled aperiodic bitmap plus
+    a few members (two layers to peel)."""
+    def flip(x, value, size):
+        x[rng.choice(np.flatnonzero(x != value), size=size, replace=False)] = value
+        return x
+
+    for q in sets.factorize(k):
+        core = (rng.random(k // q) < density).astype(np.uint8)
+        yield flip(np.tile(core, q), 1, 20)
+        yield flip(np.tile(core, q), 0, 3)
+        r = min(sets.factorize(k // q))
+        core = np.tile((rng.random(k // q // r) < density).astype(np.uint8), r)
+        yield flip(np.tile(flip(core, 1, 10), q), 1, 10)
+
+
+class TestPeriodicPeel:
+    @pytest.mark.parametrize("k", [math.factorial(8), 1 << 16, 3 ** 9, 4 * 5040])
+    def test_matches_shift_or(self, k):
+        # a dense layered operand with a sparse partner, and a sparse one
+        # (still beyond the shift-OR size) with a dense partner; each sum
+        # is taken in both orders
+        rng = np.random.default_rng(k)
+        sparse = np.zeros(k, dtype=np.uint8)
+        sparse[rng.choice(k, size=150, replace=False)] = 1
+        dense = (rng.random(k) < 0.3).astype(np.uint8)
+        for partner, density in ((sparse, 0.3), (dense, 0.02)):
+            for x in periodic_operands(k, rng, density):
+                assert np.count_nonzero(x) > sets._SHIFT_MAX
+                fewer, more = sorted((x, partner), key=np.count_nonzero)
+                want = shift_or_reference(more, fewer)
+                for a, b in ((x, partner), (partner, x)):
+                    got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
+                    assert np.array_equal(got.bits(), want)
+
+    def test_peelable_operands_take_no_transform(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("a peelable operand reached the FFT")
+
+        monkeypatch.setattr(sets, "_cyclic_convolution", refuse)
+        k = 4 * 5040
+        rng = np.random.default_rng(1)
+        partner = (rng.random(k) < 0.1).astype(np.uint8)
+        for x in periodic_operands(k, rng, 0.3):
+            sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(partner))
+
+    def test_aperiodic_operands_reach_the_fft(self, monkeypatch):
+        called = []
+        fft = sets._fft_cyclic_or
+
+        def recording(a, b):
+            called.append(a.shape[0])
+            return fft(a, b)
+
+        monkeypatch.setattr(sets, "_fft_cyclic_or", recording)
+        k = math.factorial(8)
+        rng = np.random.default_rng(2)
+        x, y = ((rng.random(k) < 0.1).astype(np.uint8) for _ in range(2))
+        got = sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(y))
+        assert called == [k]
+        assert np.array_equal(got.bits(), shift_or_reference(x, y))
 
 
 class TestRebase:

@@ -154,18 +154,25 @@ class TestTheoremReport:
 
     def test_no_transform_longer_than_the_top_modulus(self, monkeypatch):
         # the windows come from residue thresholds mod 8!, not from a linear
-        # convolution over [0, T]
-        lengths = []
-        rfft = np.fft.rfft
+        # convolution over [0, T]; the reach mod 8! may peel without any
+        # transform, so the sumset moduli are recorded too
+        lengths, moduli = [], []
+        rfft, sumset_mod = np.fft.rfft, verify.sumset_mod
 
         def recording_rfft(a, n=None, *args, **kwargs):
             lengths.append(len(a) if n is None else n)
             return rfft(a, n, *args, **kwargs)
 
+        def recording_sumset_mod(p, c):
+            moduli.append(p.modulus)
+            return sumset_mod(p, c)
+
         monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+        monkeypatch.setattr(verify, "sumset_mod", recording_sumset_mod)
         rep = theorem_report(PrimesOracle(), HALF, 8, 10**6)
         assert rep.passed
-        assert lengths and max(lengths) <= math.factorial(8)
+        assert moduli and max(moduli) <= math.factorial(8)
+        assert max(lengths, default=0) <= math.factorial(8)
 
     def test_tampered_tower_raises(self):
         from dataclasses import replace
