@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .density import DensityInterval
+from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
 from .sets import ResidueSet, ResourceLimitError, sumset_mod
 
@@ -120,7 +120,8 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
     before = np.tile(prev.lower_sumset, m + 1)
     after = np.empty_like(before)
     for k in range(m + 1):
-        kernels.or_rotated(after, before, cover_bits, prev.h + k * fact_m)
+        kernels.combine_rotated(np.bitwise_or, after, before, cover_bits,
+                                prev.h + k * fact_m)
         upper = Fraction(int(np.count_nonzero(after)), big)
         if upper > alpha:
             break
@@ -164,7 +165,8 @@ def construct(oracle: CoverOracle, alpha, depth: int, *,
     if depth > cap:
         raise ResourceLimitError(
             f"depth {depth} exceeds the cap {cap}"
-            + ("" if allow_deep else " (use allow_deep for 11)"))
+            + ("" if allow_deep else
+               " (--allow-deep, or allow_deep=True in construct, permits 11)"))
 
     if alpha == 1:
         return Tower(alpha=alpha, oracle_spec=oracle.name, exact=oracle.exact,
@@ -242,7 +244,8 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         high = low   # h outside H (a broken tower) leaves H' = H
         if lv.h in lv.H:
             high = np.empty_like(low)
-            kernels.or_rotated(high, low, cover.bits(), lv.h % lv.modulus)
+            kernels.combine_rotated(np.bitwise_or, high, low, cover.bits(),
+                                    lv.h % lv.modulus)
         lower = Fraction(int(np.count_nonzero(low)), lv.modulus)
         upper = Fraction(int(np.count_nonzero(high)), lv.modulus)
         bracket_ok = lower <= t.alpha < upper
@@ -388,14 +391,17 @@ def _rational(value, what: str) -> Fraction:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a rational string, got {value!r}")
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"{what}: bad rational {value!r}") from e
+        return parse_rational(value)
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from e
 
 
 def tower_from_json(text: str) -> tuple[Tower, dict | None]:
     """Parse and validate a tower document; any malformation is a ValueError."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as e:   # json's decoder recurses once per nesting level
+        raise ValueError("tower JSON nests too deeply") from e
     _require(doc, ("schema", "alpha", "oracle", "exact", "trivial", "levels"), "tower")
     if doc["schema"] != SCHEMA:
         raise ValueError(f"unsupported tower schema {doc['schema']!r}")

@@ -2,7 +2,8 @@
 finite sets, conjugate/lower values, and float-valued empirical estimators
 used only for verification.
 
-The exact path works entirely in :class:`fractions.Fraction`.  Empirical
+The exact path works entirely in :class:`fractions.Fraction`, and
+``parse_rational`` is the one way a written rational enters it.  Empirical
 estimators return binary64 floats and never feed back into anything exact.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -28,6 +30,7 @@ from .sets import (
 )
 
 __all__ = [
+    "parse_rational",
     "UpperDensityFn",
     "DensityInterval",
     "buck_upper_periodic",
@@ -44,6 +47,49 @@ __all__ = [
     "AxiomReport",
     "BUCK",
 ]
+
+
+# the largest power of ten ``parse_rational`` lets a decimal literal imply:
+# Fraction builds 10**|e| exactly, and past 4300 digits Python refuses to
+# print it
+MAX_DECIMAL_EXPONENT = 1000
+# the longest run of digits ``parse_rational`` passes on: an integer part,
+# a fraction part or a p/q term.  Python refuses to convert an integer
+# string of more than 4300 digits, and 10**1000 times a 2000-digit
+# mantissa stays below that.
+MAX_LITERAL_DIGITS = 1000
+_DECIMAL = re.compile(r"[-+]?[\d_]*(?:\.([\d_]*))?(?:e([-+]?\d[\d_]*))?", re.IGNORECASE)
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
+# how much of a refused literal an error message echoes
+_SHOWN_CHARS = 40
+
+
+def parse_rational(text: str) -> Fraction:
+    """'p/q' or a decimal literal, converted exactly as written: ``--alpha``
+    and every rational field of a tower document go through here.  A decimal
+    literal stands for digits times 10**(exponent - fraction digits); one
+    whose power of ten lies beyond ``MAX_DECIMAL_EXPONENT`` either way, or
+    any literal with a run of more than ``MAX_LITERAL_DIGITS`` digits, is
+    refused before Fraction sees it.  Error messages echo at most
+    ``_SHOWN_CHARS`` characters of the literal."""
+    shown = text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+    if any(len(run.replace("_", "")) > MAX_LITERAL_DIGITS
+           for run in _DIGIT_RUN.findall(text)):
+        raise ValueError(f"bad rational {shown!r}: more than "
+                         f"{MAX_LITERAL_DIGITS} digits in a row")
+    decimal = _DECIMAL.fullmatch(text.strip())
+    if decimal:
+        places = len((decimal.group(1) or "").replace("_", ""))
+        exponent = (decimal.group(2) or "0").replace("_", "")
+        if abs(int(exponent) - places) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"bad rational {shown!r}: decimal exponent beyond "
+                             f"±{MAX_DECIMAL_EXPONENT}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as e:
+        raise ValueError(f"bad rational {shown!r}: zero denominator") from e
+    except ValueError as e:   # its message repeats the whole literal
+        raise ValueError(f"bad rational {shown!r}: not p/q or a decimal") from e
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""Inner-loop kernels over uint8 0/1 arrays, written as numpy slice ORs."""
+"""Inner-loop kernels over numpy arrays, written as slice-wise ufunc calls."""
 
 import numpy as np
 
 __all__ = [
     "active_backend",
-    "or_rotated",
+    "combine_rotated",
     "tile_periodic",
 ]
 
@@ -14,12 +14,14 @@ def active_backend() -> str:
     return "numpy"
 
 
-def or_rotated(out: np.ndarray, src: np.ndarray, bits: np.ndarray, shift: int) -> None:
-    """``out = src | roll(bits, shift)`` for ``0 <= shift < len(bits)``;
-    ``src`` may be ``out`` itself."""
+def combine_rotated(op: np.ufunc, out: np.ndarray, src: np.ndarray, bits: np.ndarray,
+                    shift: int) -> None:
+    """``out = op(src, roll(bits, shift))`` for a binary ufunc ``op`` (OR on
+    bitmaps, min on tables) and ``0 <= shift < len(bits)``; ``src`` may be
+    ``out`` itself."""
     k = bits.shape[0]
-    np.bitwise_or(src[shift:], bits[: k - shift], out=out[shift:])
-    np.bitwise_or(src[:shift], bits[k - shift:], out=out[:shift])
+    op(src[shift:], bits[: k - shift], out=out[shift:])
+    op(src[:shift], bits[k - shift:], out=out[:shift])
 
 
 def tile_periodic(bits: np.ndarray, length: int) -> np.ndarray:

@@ -12,16 +12,19 @@ Residue sets are dense uint8 bitmaps.  A modulus above ``DENSE_LIMIT``
 
 ``sumset_mod`` dispatches on its operands' bitmaps: shift-OR when one is
 small, else a periodic peel when one is periodic mod ``k/q`` (prime ``q``)
-up to a few residues, else FFT support convolution.  Tower operands always
-peel: level n is level n − 1 tiled plus at most n − 1 classes.
+up to a few residues, else one FFT support convolution.  ``min_plus_mod``
+is its min-plus analogue for a bitmap and a table of integers, which the
+verifier uses for the least member of A + B in each class; it peels the
+same layers and has no FFT.  ``window_period`` peels layers off a period
+that is long against a window.  Tower operands always peel: level n is
+level n − 1 tiled plus at most n − 1 classes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +42,8 @@ __all__ = [
     "complement",
     "affine",
     "sumset_mod",
+    "min_plus_mod",
+    "window_period",
     "rebase",
     "canonicalize",
     "naturals",
@@ -48,15 +53,12 @@ __all__ = [
 
 DENSE_LIMIT = 1 << 28
 
-# sumset strategy: shift-OR when the smaller operand has at most this many
-# residues (or the modulus is tiny); else a periodic peel when an operand
-# has at most this many residues off a period k/q; FFT support convolution
-# otherwise
+# sumset strategy: shift (OR or min) when the smaller operand has at most
+# this many residues (or the modulus is below _PEEL_MIN_MODULUS); else a
+# periodic peel when an operand has at most this many residues off a period
+# k/q; FFT support convolution otherwise
 _SHIFT_MAX = 64
-_FFT_MIN_MODULUS = 1 << 14
-# _cyclic_convolution runs its two half-length products on two threads from
-# this length on; below it a thread costs more than the overlap saves
-_THREAD_MIN_LENGTH = 1 << 18
+_PEEL_MIN_MODULUS = 1 << 14
 
 
 class ResourceLimitError(Exception):
@@ -259,7 +261,7 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
       rest of X, X + Y is the tiling of ``f + (Y mod k/q)``, a sumset at
       ``k/q`` that goes back through this dispatch, united with the
       shift-OR of ``E`` against Y;
-    - *FFT* support convolution otherwise.
+    - *FFT* support convolution otherwise, one real transform product.
 
     A tower level is its predecessor tiled plus at most n − 1 classes, so
     ``H ∖ {h}`` at ``n!`` peels level by level down to the shift-OR sizes
@@ -279,21 +281,73 @@ def _sumset_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = a.shape[0]
     na, nb = np.count_nonzero(a), np.count_nonzero(b)
     small, large = (a, b) if na <= nb else (b, a)
-    if min(na, nb) <= _SHIFT_MAX or k < _FFT_MIN_MODULUS:
-        return _or_shifted(np.zeros(k, dtype=np.uint8), large, np.flatnonzero(small))
+    if min(na, nb) <= _SHIFT_MAX or k < _PEEL_MIN_MODULUS:
+        return _shifted(np.bitwise_or, np.zeros(k, dtype=np.uint8), large,
+                        np.flatnonzero(small))
     for x, y in ((small, large), (large, small)):
         layer = _periodic_layer(x)
         if layer is not None:
             q, core, excess = layer
             folded = np.bitwise_or.reduce(y.reshape(q, k // q), axis=0)
-            return _or_shifted(np.tile(_sumset_bits(core, folded), q), y, excess)
+            return _shifted(np.bitwise_or, np.tile(_sumset_bits(core, folded), q),
+                            y, excess)
     return _fft_cyclic_or(a, b)
 
 
-def _or_shifted(out: np.ndarray, bits: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """``out`` ORed in place with ``bits`` rotated by each of ``shifts``."""
+def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``t[r] = min{values[c] : p[(r − c) mod k]}`` for every residue r mod k,
+    for a 0/1 bitmap ``p`` and an integer table ``values``, both of length
+    k; where no class c qualifies, t[r] is the dtype's maximum.
+
+    ``sumset_mod`` with OR replaced by min.  When p has at most
+    ``_SHIFT_MAX`` members or k is below ``_PEEL_MIN_MODULUS``, t is the min
+    of ``values`` rotated by each member of p.  Otherwise p must peel: with
+    ``(q, f, E)`` its periodic layer, t is the tiling of the min-plus sum
+    of f with the min-fold of ``values`` mod ``k/q``, lowered to ``values``
+    rotated by each residue of E where that is less.  A large p with no
+    layer raises :class:`ResourceLimitError`; every tower period peels.
+    """
+    k = p.shape[0]
+    size = int(np.count_nonzero(p))
+    if size <= _SHIFT_MAX or k < _PEEL_MIN_MODULUS:
+        out = np.full(k, np.iinfo(values.dtype).max, dtype=values.dtype)
+        return _shifted(np.minimum, out, values, np.flatnonzero(p))
+    layer = _periodic_layer(p)
+    if layer is None:
+        raise ResourceLimitError(
+            f"a period of {size} residues mod {k} has no periodic layer to peel")
+    q, core, excess = layer
+    folded = values.reshape(q, k // q).min(axis=0)
+    return _shifted(np.minimum, np.tile(min_plus_mod(core, folded), q), values, excess)
+
+
+def window_period(p: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, E)`` for a 0/1 period ``p`` of length k: a period f whose
+    length divides k, and integers E in [0, horizon], with
+
+        {a <= horizon : p[a mod k]} = {a <= horizon : f[a mod len(f)]} ∪ E.
+
+    While the window [0, horizon] is at most half the period and the period
+    has a periodic layer, the period is replaced by the layer's core: only
+    the first lift of a residue lies in the window, so the layer's excess
+    residues up to ``horizon`` are all that the core's tiling misses there.
+    """
+    extra = [np.zeros(0, dtype=np.intp)]
+    while 2 * (horizon + 1) <= p.shape[0]:
+        layer = _periodic_layer(p)
+        if layer is None:
+            break
+        _, p, excess = layer
+        extra.append(excess[excess <= horizon])
+    return p, np.concatenate(extra)
+
+
+def _shifted(op: np.ufunc, out: np.ndarray, table: np.ndarray,
+             shifts: np.ndarray) -> np.ndarray:
+    """``out`` combined in place by ``op`` with ``table`` rotated by each of
+    ``shifts``."""
     for s in shifts.tolist():
-        kernels.or_rotated(out, out, bits, s)
+        kernels.combine_rotated(op, out, out, table, s)
     return out
 
 
@@ -305,7 +359,7 @@ def _periodic_layer(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     outside the tiling of ``f``: ``|E| = |x| - q |f|``.  The prime with the
     fewest such residues wins, the larger prime on a tie; None when even
     that leaves more than ``_SHIFT_MAX``.  So ``f`` is empty only for an x
-    of at most ``_SHIFT_MAX`` members, which the dispatch shift-ORs first.
+    of at most ``_SHIFT_MAX`` members, which the dispatch shifts first.
     """
     k = x.shape[0]
     size = int(np.count_nonzero(x))
@@ -347,100 +401,12 @@ def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float64 cyclic convolution of two equal-length 0/1 arrays.
-
-    For ``4 | k`` with ``k = 2m``, x^k - 1 = (x^m - 1)(x^m + 1): with a, a'
-    the two halves of a (b, b' of b), the convolution mod x^m - 1 is the
-    real cyclic product of a + a' and b + b', and mod x^m + 1 the negacyclic
-    product of a - a' and b - b'.  The halves of the result are
-    ((c+ + c-)/2, (c+ - c-)/2).  From ``_THREAD_MIN_LENGTH`` on, the
-    negacyclic product runs on a worker thread (numpy's FFTs release the
-    GIL) while this thread takes the cyclic one.  The work buffers are
-    allocated here, before the worker starts.  Any other k takes one real
-    transform.
-    """
+    """Float64 cyclic convolution of two equal-length 0/1 arrays, as one
+    real transform product."""
     k = a.shape[0]
-    if k % 4:
-        fa = np.fft.rfft(a.astype(np.float64))
-        fa *= np.fft.rfft(b.astype(np.float64))
-        return np.fft.irfft(fa, n=k)
-    m, q = k // 2, k // 4
-    conv = np.empty(k)
-    spectra = np.empty((2, q + 1), dtype=np.complex128)
-    za = np.empty(q, dtype=np.complex128)
-    zb = np.empty(q, dtype=np.complex128)
-    twist = np.empty(q, dtype=np.complex128)
-    low, high = conv[:m], conv[m:]
-    _run_pair(lambda: _cyclic_half(a, b, spectra, high),
-              lambda: _negacyclic_half(a, b, za, zb, twist),
-              threaded=k >= _THREAD_MIN_LENGTH)
-    for j, c_minus in ((slice(0, q), za.real), (slice(q, m), za.imag)):
-        np.add(high[j], c_minus, out=low[j])
-        np.subtract(high[j], c_minus, out=high[j])
-    conv *= 0.5
-    return conv
-
-
-def _cyclic_half(a: np.ndarray, b: np.ndarray, spectra: np.ndarray,
-                 out: np.ndarray) -> None:
-    """``out`` = (a + a') * (b + b') mod x^m - 1, with m = len(out) and a, a'
-    the halves of a; ``out`` also holds each float sum until its transform
-    exists."""
-    m = out.shape[0]
-    for x, spectrum in zip((a, b), spectra):
-        np.add(x[:m], x[m:], out=out, dtype=np.float64)
-        np.fft.rfft(out, out=spectrum)
-    spectra[0] *= spectra[1]
-    np.fft.irfft(spectra[0], n=m, out=out)
-
-
-def _negacyclic_half(a: np.ndarray, b: np.ndarray, za: np.ndarray,
-                     zb: np.ndarray, twist: np.ndarray) -> None:
-    """``za`` = (a - a') * (b - b') mod x^m + 1, with m = 2 len(za), as one
-    complex cyclic product of length m/2: u ↦ z_j = (u_j + i u_{j+m/2}) θ^j
-    with θ = e^{iπ/m} maps the negacyclic product to a cyclic one.
-    Afterwards the real part of ``za`` holds the low half of the result and
-    the imaginary part the high half; ``zb`` and ``twist`` are scratch."""
-    q = za.shape[0]
-    m = 2 * q
-    angle = twist.imag
-    np.multiply(np.arange(q), np.pi / m, out=angle)
-    np.cos(angle, out=twist.real)
-    np.sin(angle, out=angle)
-    for x, z in ((a, za), (b, zb)):
-        np.subtract(x[:q], x[m:m + q], out=z.real, dtype=np.float64)
-        np.subtract(x[q:m], x[m + q:], out=z.imag, dtype=np.float64)
-        z *= twist
-        np.fft.fft(z, out=z)
-    za *= zb
-    np.fft.ifft(za, out=za)
-    za *= np.conjugate(twist, out=twist)
-
-
-def _run_pair(first: Callable[[], None], second: Callable[[], None], *,
-              threaded: bool) -> None:
-    """Run ``first`` here and ``second`` on one worker thread, or both here
-    when not ``threaded``.  An exception from either reaches the caller."""
-    if not threaded:
-        first()
-        second()
-        return
-    failure: list[BaseException] = []
-
-    def work() -> None:
-        try:
-            second()
-        except BaseException as exc:   # re-raised in the calling thread
-            failure.append(exc)
-
-    worker = threading.Thread(target=work, name="buckdens-negacyclic")
-    worker.start()
-    try:
-        first()
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
+    fa = np.fft.rfft(a.astype(np.float64))
+    fa *= np.fft.rfft(b.astype(np.float64))
+    return np.fft.irfft(fa, n=k)
 
 
 def canonicalize(p: ResidueSet) -> ResidueSet:

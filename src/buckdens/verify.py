@@ -2,8 +2,11 @@
 A+B from a tower, compare empirical frequencies against the exact
 certificates, and cross-check with asymptotic/Banach/logarithmic proxies.
 
-Everything here is float-side; the certified rationals come from
-:mod:`buckdens.construction` and are never touched.
+The A + B windows come from A's period alone: the least member of A + B
+in each residue class is a min-plus sum of the period with B's first
+members, peeled layer by layer in :mod:`buckdens.sets`, with no
+convolution.  The proxies are float-side; the certified rationals come
+from :mod:`buckdens.construction` and are never touched.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .density import (
     empirical_logarithmic,
 )
 from .oracles import CoverOracle
-from .sets import ResidueSet, sumset_mod
+from .sets import min_plus_mod, window_period
 
 __all__ = [
     "a_window",
@@ -70,33 +73,32 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
     """Indicator on [0, horizon] of A + B, with A = {a >= 0 : P[a mod M]}
     for the length-M bitmap P = ``period_bits``.
 
-    x ≡ r (mod M) lies in A + B iff x >= t_r, the least first member f_c
-    of a class c of B with P[r − c].  Classes are scanned in ascending f_c
-    over the residues below n = min(M, horizon + 1) reachable mod M, or, if
-    2n <= M, reachable from P[:n] mod a power of two k >= 2n (no sum wraps).
+    x ≡ r (mod M) lies in A + B iff x >= t_r = min{F_c : P[r − c]}, with
+    F_c the least member of B ∩ [0, horizon] in class c (horizon + 1 if
+    none): t is the min-plus sum of P and F mod M, which
+    ``sets.min_plus_mod`` takes by peeling P's periodic layers.  When the
+    window is at most half of M, ``sets.window_period`` first trades P for
+    a shorter period plus the few members of A in the window that its
+    tiling misses; their shifts of B are ORed into the window at the end.
     """
+    period_bits, extra = window_period(period_bits, horizon)
     m = period_bits.shape[0]
     n = min(m, horizon + 1)
     out = np.zeros(horizon + 1, dtype=np.uint8)
     b_values = np.sort(b_values[b_values <= horizon])
     classes, first = np.unique(b_values % m, return_index=True)
-    k = m if 2 * n > m else 1 << (2 * n - 1).bit_length()
-    p_bits = period_bits if k == m else np.pad(period_bits[:n], (0, k - n))
-    reach = sumset_mod(ResidueSet.from_bits(p_bits), ResidueSet(k, classes))
-    unresolved = np.flatnonzero(reach.bits()[:n])
-    threshold = np.full(n, horizon + 1, dtype=np.int64)
-    for i in np.argsort(first):
-        hit = period_bits[(unresolved - classes[i]) % m].astype(bool)
-        threshold[unresolved[hit]] = b_values[first[i]]
-        unresolved = unresolved[~hit]
-        if unresolved.size == 0:
-            break
+    # int32 holds every horizon within the enumeration budget
+    least = np.full(m, horizon + 1, dtype=np.int32)
+    least[classes] = b_values[first]
+    threshold = min_plus_mod(period_bits, least)[:n]
     # x = q*n + r is covered iff q*n >= t_r - r (and q = 0 whenever n < M)
-    threshold -= np.arange(n)
+    threshold -= np.arange(n, dtype=np.int32)
     full, rest = divmod(horizon + 1, n)
     np.greater_equal(np.arange(full)[:, None] * n, threshold,
                      out=out[: full * n].reshape(full, n))
     np.greater_equal(full * n, threshold[:rest], out=out[full * n:])
+    for e in extra.tolist():
+        out[e + b_values[: np.searchsorted(b_values, horizon - e, side="right")]] = 1
     return out
 
 

@@ -111,6 +111,12 @@ class TestConstruct:
         assert code == 3
         assert "resource" in err
 
+    def test_depth_cap_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "construct", "--b", "finite:0",
+                             "--alpha", "1/2", "--depth", "11")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "--allow-deep" in err
+
     def test_alpha_one_trivial(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         code, _, err = run(capsys, "construct", "--b", "primes",
@@ -212,6 +218,10 @@ MALFORMED = {
     "rational-zero-denominator": _set(("levels", 1, "U"), "1/0"),
     "rational-garbage": _set(("levels", 1, "densityA"), "half"),
     "rational-not-a-string": _set(("alpha",), 0.5),
+    # refused by the guard that --alpha uses, before Fraction builds 10**e
+    "rational-exponent-1e-10000000": _set(("alpha",), "1e-10000000"),
+    "rational-exponent-1e-1000000": _set(("levels", 2, "L"), "1e-1000000"),
+    "nested-200000-deep": lambda doc: "[" * 200000 + "]" * 200000,
     "bad-hex": _set(("levels", 1, "H", "data"), "zz"),
     "short-bitmap": _set(("levels", 3, "H", "data"), "ff"),
     "unknown-encoding": _set(("levels", 1, "H", "encoding"), "rle"),

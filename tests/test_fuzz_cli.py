@@ -188,12 +188,12 @@ CONSTRUCT = ["construct", "--b", "primes", "--depth", "3", "--alpha"]
 
 
 @pytest.mark.parametrize("argv,expected", [
-    # decimal exponents past cli.MAX_DECIMAL_EXPONENT, refused before Fraction
+    # decimal exponents past density.MAX_DECIMAL_EXPONENT, refused before Fraction
     pytest.param(CONSTRUCT + ["1e-3000000"], 1, id="alpha-1e-3000000"),
     pytest.param(CONSTRUCT + ["1e5000"], 1, id="alpha-1e5000"),
     pytest.param(CONSTRUCT + ["1e-4400"], 1, id="alpha-1e-4400"),
     pytest.param(CONSTRUCT + [LONG_FRACTION], 1, id="alpha-3501-fraction-digits"),
-    # digit runs past cli.MAX_LITERAL_DIGITS, refused before Fraction
+    # digit runs past density.MAX_LITERAL_DIGITS, refused before Fraction
     pytest.param(CONSTRUCT + [LONG_INTEGER], 1, id="alpha-5000-digit-integer"),
     pytest.param(CONSTRUCT + [LONG_DENOMINATOR], 1, id="alpha-5000-digit-denominator"),
     pytest.param(CONSTRUCT + ["x" * 5000], 1, id="alpha-5000-letters"),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from buckdens import kernels
 from buckdens.kernels import tile_periodic
@@ -9,24 +10,28 @@ def random_bits(rng, n, p=0.3):
 
 
 class TestKernelsAgreeWithReferences:
-    def test_or_rotated_is_or_with_np_roll(self):
+    @pytest.mark.parametrize("op,draw", [
+        (np.bitwise_or, random_bits),
+        (np.minimum, lambda rng, n: rng.integers(0, 1000, n, dtype=np.int32)),
+    ])
+    def test_combine_rotated_is_op_with_np_roll(self, op, draw):
         rng = np.random.default_rng(0)
         for _ in range(50):
             k = int(rng.integers(1, 3000))
             shift = int(rng.integers(0, k))
-            bits = random_bits(rng, k)
-            got = random_bits(rng, k)
-            want = got | np.roll(bits, shift)
+            bits = draw(rng, k)
+            got = draw(rng, k)
+            want = op(got, np.roll(bits, shift))
             into = np.zeros_like(got)
-            kernels.or_rotated(into, got, bits, shift)
+            kernels.combine_rotated(op, into, got, bits, shift)
             assert np.array_equal(into, want)
-            kernels.or_rotated(got, got, bits, shift)
+            kernels.combine_rotated(op, got, got, bits, shift)
             assert np.array_equal(got, want)
 
     def test_edge_shifts(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
         out = np.zeros(4, dtype=np.uint8)
-        kernels.or_rotated(out, out, bits, 0)
+        kernels.combine_rotated(np.bitwise_or, out, out, bits, 0)
         assert out.tolist() == [1, 0, 1, 1]
 
     def test_active_backend_is_numpy(self):

@@ -1,5 +1,4 @@
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckdens import sets
+from buckdens import kernels, sets
 from buckdens.cli import main
 from buckdens.oracles import _carmichael
 from buckdens.sets import (
@@ -22,6 +21,8 @@ from buckdens.sets import (
     factorize,
     _fft_cyclic_or,
     intersect,
+    min_plus_mod,
+    window_period,
     loads_periodic,
     naturals,
     rebase,
@@ -205,12 +206,12 @@ def shift_or_reference(a, b):
 
 
 class TestFFTKernel:
-    # 4 | k splits into two half-length products (threaded from
-    # sets._THREAD_MIN_LENGTH on); any other k takes one real transform
+    # one real transform product, at lengths divisible by 4, = 2 (mod 4)
+    # and odd
     @pytest.mark.parametrize("k", [
-        1 << 14, 8 * 5040, sets._THREAD_MIN_LENGTH, 362880,   # 4 | k
-        (1 << 14) + 2, 2 * 3 ** 9,                           # k = 2 (mod 4)
-        (1 << 14) + 1, 3 ** 9,                               # odd
+        1 << 14, 8 * 5040, 362880,
+        (1 << 14) + 2, 2 * 3 ** 9,
+        (1 << 14) + 1, 3 ** 9,
     ])
     @pytest.mark.parametrize("density", [0.001, 0.05, 0.3, 1.0])
     def test_matches_shift_or(self, k, density):
@@ -222,53 +223,6 @@ class TestFFTKernel:
         want = shift_or_reference(a, b)
         assert np.array_equal(_fft_cyclic_or(a, b), want)
         assert np.array_equal(_fft_cyclic_or(b, a), want)
-
-    def _threads_seen(self, monkeypatch, k):
-        """Per half: (live threads beyond the caller's, ran in the caller)."""
-        seen = {}
-        caller = threading.current_thread()
-        for name in ("_cyclic_half", "_negacyclic_half"):
-            half = getattr(sets, name)
-
-            def recording(*args, _name=name, _half=half):
-                seen[_name] = (threading.active_count() - base,
-                               threading.current_thread() is caller)
-                return _half(*args)
-
-            monkeypatch.setattr(sets, name, recording)
-        rng = np.random.default_rng(k)
-        a = (rng.random(k) < 0.2).astype(np.uint8)
-        b = (rng.random(k) < 0.2).astype(np.uint8)
-        base = threading.active_count()
-        _fft_cyclic_or(a, b)
-        assert threading.active_count() == base
-        return seen
-
-    def test_a_large_product_takes_one_worker_thread(self, monkeypatch):
-        seen = self._threads_seen(monkeypatch, math.factorial(10))
-        assert seen["_negacyclic_half"] == (1, False)
-        extra, in_caller = seen["_cyclic_half"]
-        assert extra <= 1 and in_caller
-
-    def test_a_small_product_takes_no_thread(self, monkeypatch):
-        seen = self._threads_seen(monkeypatch, sets._THREAD_MIN_LENGTH - 4)
-        assert seen == {"_cyclic_half": (0, True), "_negacyclic_half": (0, True)}
-
-    def test_an_exception_in_the_worker_reaches_the_caller(self, monkeypatch):
-        def out_of_memory(*args):
-            raise MemoryError("worker half")
-
-        monkeypatch.setattr(sets, "_negacyclic_half", out_of_memory)
-        k = sets._THREAD_MIN_LENGTH
-        a = np.ones(k, dtype=np.uint8)
-        with pytest.raises(MemoryError, match="worker half"):
-            _fft_cyclic_or(a, a)
-        # all-ones bitmaps peel to period 1; a random pair has no layer to
-        # peel, so sumset_mod takes the threaded product
-        rng = np.random.default_rng(k)
-        x, y = ((rng.random(k) < 0.2).astype(np.uint8) for _ in range(2))
-        with pytest.raises(MemoryError, match="worker half"):
-            sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(y))
 
 
 def periodic_operands(k, rng, density):
@@ -335,6 +289,93 @@ class TestPeriodicPeel:
         got = sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(y))
         assert called == [k]
         assert np.array_equal(got.bits(), shift_or_reference(x, y))
+
+
+def nested_operand(k, rng, density):
+    """A bitmap of length k that peels layer by layer, by the smallest prime
+    each time, down to an aperiodic core below the peel size."""
+    if k < sets._PEEL_MIN_MODULUS:
+        return (rng.random(k) < density).astype(np.uint8)
+    q = min(sets.factorize(k))
+    x = np.tile(nested_operand(k // q, rng, density), q)
+    x[rng.choice(k, size=10, replace=False)] ^= 1
+    return x
+
+
+def min_plus_reference(p, values, none):
+    """min{values[c] : p[r - c]} per residue r, class by class over the
+    classes whose value is not ``none``: with all of ``values`` at least
+    ``none``, every r is ``none`` once p has a member."""
+    fill = none if p.any() else np.iinfo(values.dtype).max
+    out = np.full(p.shape[0], fill, dtype=values.dtype)
+    for c in np.flatnonzero(values != none):
+        np.minimum(out, np.where(np.roll(p, int(c)), values[c], out), out=out)
+    return out
+
+
+class TestMinPlusMod:
+    @given(st.integers(1, 120), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_double_loop(self, k, data):
+        p = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)),
+                     dtype=np.uint8)
+        values = np.array(data.draw(st.lists(st.integers(0, 500), min_size=k,
+                                             max_size=k)), dtype=np.int32)
+        got = min_plus_mod(p, values)
+        for r in range(k):
+            sums = [int(values[c]) for c in range(k) if p[(r - c) % k]]
+            assert got[r] == min(sums, default=np.iinfo(np.int32).max)
+
+    # cores below the peel size for every prime (periodic_operands leaves an
+    # aperiodic core at k/q, which min_plus_mod refuses from 2^14 on), and
+    # operands nested up to four layers deep
+    @pytest.mark.parametrize("k", [4 * 5040, 3 ** 9, 30030, math.factorial(8), 1 << 17])
+    def test_peel_matches_brute_force(self, k):
+        # first-member tables over a few hundred classes, the rest "none"
+        # (horizon + 1), against dense and sparse layered periods
+        rng = np.random.default_rng(k)
+        none = 10 ** 6
+        for density in (0.3, 0.02):
+            operands = [nested_operand(k, rng, density)]
+            if k // min(sets.factorize(k)) < sets._PEEL_MIN_MODULUS:
+                operands += periodic_operands(k, rng, density)
+            for p in operands:
+                assert np.count_nonzero(p) > sets._SHIFT_MAX
+                values = np.full(k, none, dtype=np.int32)
+                classes = rng.choice(k, size=300, replace=False)
+                values[classes] = rng.integers(0, none, size=300)
+                assert np.array_equal(min_plus_mod(p, values),
+                                      min_plus_reference(p, values, none))
+
+    def test_a_large_period_without_a_layer_is_refused(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an unpeelable period reached the shift loop")
+
+        monkeypatch.setattr(kernels, "combine_rotated", refuse)
+        rng = np.random.default_rng(3)
+        p = (rng.random(1 << 16) < 0.3).astype(np.uint8)
+        with pytest.raises(ResourceLimitError, match="no periodic layer"):
+            min_plus_mod(p, np.zeros(1 << 16, dtype=np.int32))
+
+
+class TestWindowPeriod:
+    def test_window_members_are_kept(self):
+        rng = np.random.default_rng(4)
+        k = math.factorial(8)
+        for p in periodic_operands(k, rng, 0.3):
+            for horizon in (0, 99, k // 4, k // 2 - 1):
+                f, extra = window_period(p, horizon)
+                assert len(f) < k and k % len(f) == 0
+                want = np.flatnonzero(p[: horizon + 1])
+                got = np.flatnonzero(np.tile(f, k // len(f))[: horizon + 1])
+                assert np.array_equal(np.union1d(got, extra), want)
+                assert np.all(extra <= horizon)
+
+    def test_a_window_beyond_half_the_period_keeps_it(self):
+        p = np.ones(100, dtype=np.uint8)
+        f, extra = window_period(p, 50)
+        assert f is p and extra.size == 0
+        assert window_period(p, 49)[0].shape[0] < 100
 
 
 class TestRebase:

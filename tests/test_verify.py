@@ -1,13 +1,18 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from buckdens import verify
+from buckdens import construction, kernels, sets, verify
 from buckdens.construction import CertificateError, Tower, construct, tower_from_json, tower_to_json
-from buckdens.oracles import FactorialsOracle, FiniteOracle, PrimesOracle, parse_oracle
-from buckdens.sets import ResourceLimitError
+from buckdens.oracles import (
+    FactorialsOracle,
+    FiniteOracle,
+    PerfectPowersOracle,
+    PrimesOracle,
+    parse_oracle,
+)
+from buckdens.sets import ResourceLimitError, window_period
 from buckdens.verify import (
     a_window,
     cross_density_check,
@@ -45,19 +50,20 @@ class TestAWindow:
 
 
 def window_by_double_loop(period_bits, b_values, horizon):
+    # every a in A ∩ [0, horizon] against every b in B (the inner loop
+    # vectorized)
     m = len(period_bits)
+    b_values = np.asarray(b_values, dtype=np.int64)
     want = np.zeros(horizon + 1, dtype=np.uint8)
     for a in range(horizon + 1):
         if period_bits[a % m]:
-            for b in b_values:
-                if a + b <= horizon:
-                    want[a + b] = 1
+            want[a + b_values[b_values <= horizon - a]] = 1
     return want
 
 
 class TestSumsetWindow:
     # horizon 120 against periods M <= T, T < M <= 2T and M > 2T; from
-    # M = 242 = 2(T+1) on, the reach is summed mod 256, also beyond M = 250
+    # M = 242 = 2(T+1) on, a period with a layer is first peeled down
     @pytest.mark.parametrize("modulus", [1, 37, 120, 121, 150, 240, 241, 242, 250, 400])
     def test_matches_double_loop(self, modulus):
         rng = np.random.default_rng(modulus)
@@ -71,22 +77,30 @@ class TestSumsetWindow:
                     assert np.array_equal(sumset_window(period, b, horizon),
                                           window_by_double_loop(period, b, horizon))
 
-    def test_long_period_transforms_only_the_window(self, monkeypatch):
-        # M = 2^20 > 2(T+1): the reach is summed mod 2^14, not mod M
-        moduli = []
-        sumset_mod = verify.sumset_mod
+    def test_unpeelable_long_period_is_refused(self, monkeypatch):
+        # a random period of M = 2^20 has no layer to peel: it is refused
+        # before any shift loop over its ~3·10^5 members
+        def refuse(*args):
+            raise AssertionError("an unpeelable period reached the shift loop")
 
-        def recording_sumset_mod(p, c):
-            moduli.append(p.modulus)
-            return sumset_mod(p, c)
-
-        monkeypatch.setattr(verify, "sumset_mod", recording_sumset_mod)
+        monkeypatch.setattr(kernels, "combine_rotated", refuse)
         rng = np.random.default_rng(0)
         period = (rng.random(1 << 20) < 0.3).astype(np.uint8)
         b = rng.choice(6000, size=100, replace=False)
-        got = sumset_window(period, b, 5000)
-        assert moduli == [1 << 14]
-        assert np.array_equal(got, window_by_double_loop(period, b, 5000))
+        with pytest.raises(ResourceLimitError, match="no periodic layer"):
+            sumset_window(period, b, 5000)
+
+    @pytest.mark.parametrize("depth,horizon", [(8, 50), (8, 5000), (10, 3000)])
+    def test_tower_period_with_a_short_window(self, depth, horizon):
+        # M = depth! is far beyond 2(T+1): the period is peeled down first
+        # and the excess members in the window are shifted over B
+        for oracle in (PrimesOracle(), PerfectPowersOracle()):
+            t = construct(oracle, HALF, depth)
+            b = oracle.enumerate(horizon)
+            for period in verify._periods(t):
+                assert len(window_period(period, horizon)[0]) < len(period)
+                assert np.array_equal(sumset_window(period, b, horizon),
+                                      window_by_double_loop(period, b, horizon))
 
     def test_empty_operands(self):
         ones, zeros = np.ones(30, np.uint8), np.zeros(30, np.uint8)
@@ -152,27 +166,32 @@ class TestTheoremReport:
         budgets = [r.budget for r in rep.rows]
         assert budgets == sorted(budgets, reverse=True)
 
-    def test_no_transform_longer_than_the_top_modulus(self, monkeypatch):
-        # the windows come from residue thresholds mod 8!, not from a linear
-        # convolution over [0, T]; the reach mod 8! may peel without any
-        # transform, so the sumset moduli are recorded too
-        lengths, moduli = [], []
-        rfft, sumset_mod = np.fft.rfft, verify.sumset_mod
+    @pytest.mark.parametrize("oracle", [PrimesOracle(), PerfectPowersOracle()],
+                             ids=["primes", "powers"])
+    @pytest.mark.parametrize("alpha", ["1/2", "3/4", "11/12"])
+    def test_windows_take_no_transform_and_no_sumset(self, monkeypatch, oracle, alpha):
+        # the windows come from min-plus peels of the tower period: no FFT
+        # anywhere, and sumset_mod only in check_claimA, once per level
+        t = construct(oracle, Fraction(alpha), 8)
+        moduli = []
+        real = sets.sumset_mod
 
-        def recording_rfft(a, n=None, *args, **kwargs):
-            lengths.append(len(a) if n is None else n)
-            return rfft(a, n, *args, **kwargs)
-
-        def recording_sumset_mod(p, c):
+        def recording(p, c):
             moduli.append(p.modulus)
-            return sumset_mod(p, c)
+            return real(p, c)
 
-        monkeypatch.setattr(np.fft, "rfft", recording_rfft)
-        monkeypatch.setattr(verify, "sumset_mod", recording_sumset_mod)
-        rep = theorem_report(PrimesOracle(), HALF, 8, 10**6)
-        assert rep.passed
-        assert moduli and max(moduli) <= math.factorial(8)
-        assert max(lengths, default=0) <= math.factorial(8)
+        def refuse(a, b):
+            raise AssertionError("a verify window reached the FFT")
+
+        monkeypatch.setattr(sets, "_cyclic_convolution", refuse)
+        for module in (sets, construction, verify):
+            if getattr(module, "sumset_mod", None) is real:
+                monkeypatch.setattr(module, "sumset_mod", recording)
+        enumerate_sumset(t, oracle, 10**4)
+        assert moduli == []
+        rep = theorem_report(oracle, t.alpha, 8, 10**6, tower=t)
+        assert rep.rows
+        assert moduli == [lv.modulus for lv in t.levels]
 
     def test_tampered_tower_raises(self):
         from dataclasses import replace
