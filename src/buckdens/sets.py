@@ -253,7 +253,7 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     Three exact paths, tried in order:
 
     - *shift-OR*, when the smaller operand has at most ``_SHIFT_MAX``
-      residues or ``k`` is below ``_FFT_MIN_MODULUS``: one rotated OR of
+      residues or ``k`` is below ``_PEEL_MIN_MODULUS``: one rotated OR of
       the other operand per residue;
     - *periodic peel*, when one operand X is periodic mod ``k/q`` for a
       prime ``q | k`` up to at most ``_SHIFT_MAX`` residues: with ``f``

@@ -190,6 +190,7 @@ class TestTheoremReport:
         enumerate_sumset(t, oracle, 10**4)
         assert moduli == []
         rep = theorem_report(oracle, t.alpha, 8, 10**6, tower=t)
+        assert rep.passed
         assert rep.rows
         assert moduli == [lv.modulus for lv in t.levels]
 
