@@ -332,11 +332,6 @@ def count_A(t: Tower, horizon: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # serialization (deterministic; round-trips byte-exactly)
 
-def _encode_residue_set(rs: ResidueSet) -> dict:
-    packed = np.packbits(rs.bits(), bitorder="little")
-    return {"encoding": "hex-bitmap-le", "data": packed.tobytes().hex()}
-
-
 def _decode_residue_set(modulus: int, doc) -> ResidueSet:
     _require(doc, ("encoding", "data"), "H")
     if doc["encoding"] != "hex-bitmap-le":
@@ -346,9 +341,20 @@ def _decode_residue_set(modulus: int, doc) -> ResidueSet:
     packed = np.frombuffer(bytes.fromhex(doc["data"]), dtype=np.uint8)
     if packed.shape[0] != -(-modulus // 8):
         raise ValueError(f"bitmap of {packed.shape[0]} bytes does not fit modulus {modulus}")
-    # an owned copy rather than a view: with the view, glibc kept ~17 MB
-    # more resident over primes+powers depth-10 round trips (peak RSS)
-    return ResidueSet.from_bits(np.unpackbits(packed, bitorder="little")[:modulus].copy())
+    if modulus % 8 and packed[-1] >> (modulus % 8):
+        raise ValueError(f"bitmap sets padding bits past modulus {modulus}")
+    # unpackbits with a count returns an owned array of exactly the modulus
+    return ResidueSet.from_bits(np.unpackbits(packed, count=modulus, bitorder="little"))
+
+
+# tower_to_json dumps each level's H data as "" and splices the hex in after,
+# so json's escaper never scans megabytes of hex that need no escaping.  A
+# config may hold the pair "data": "" too, so the slots are looked up after
+# the top-level "levels" line only: "levels" is the last key, and json
+# escapes every newline in a string and indents nested keys deeper, so no
+# caller value (oracle, config) can produce that line
+_DATA_SLOT = '"data": ""'
+_LEVELS_LINE = '\n  "levels": ['
 
 
 def tower_to_json(t: Tower, config: dict | None = None) -> str:
@@ -364,7 +370,7 @@ def tower_to_json(t: Tower, config: dict | None = None) -> str:
                 "n": lv.n,
                 "k_chosen": lv.k_chosen,
                 "h": lv.h,
-                "H": _encode_residue_set(lv.H),
+                "H": {"encoding": "hex-bitmap-le", "data": ""},
                 "densityA": str(lv.density_a),
                 "L": str(lv.sum_lower),
                 "U": str(lv.sum_upper),
@@ -372,7 +378,14 @@ def tower_to_json(t: Tower, config: dict | None = None) -> str:
             for lv in t.levels
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
+    cut = text.index(_LEVELS_LINE)
+    pieces = text[cut:].split(_DATA_SLOT)
+    out = [text[:cut], pieces[0]]
+    for lv, piece in zip(t.levels, pieces[1:], strict=True):
+        packed = np.packbits(lv.H.bits(), bitorder="little")
+        out += ['"data": "', packed.tobytes().hex(), '"', piece]
+    return "".join(out)
 
 
 def _require(doc, keys: tuple[str, ...], what: str) -> None:

@@ -195,6 +195,16 @@ def _delete(*path):
     return lambda doc: _parent(doc, path).__delitem__(path[-1])
 
 
+def _set_bit(level, bit):
+    """Mutator setting one bit of the last byte of a level's H bitmap."""
+    def mutate(doc):
+        H = doc["levels"][level]["H"]
+        data = bytearray.fromhex(H["data"])
+        data[-1] |= 1 << bit
+        H["data"] = data.hex()
+    return mutate
+
+
 # each entry edits a valid depth-4 tower document in place, or returns
 # replacement text
 MALFORMED = {
@@ -224,6 +234,11 @@ MALFORMED = {
     "nested-200000-deep": lambda doc: "[" * 200000 + "]" * 200000,
     "bad-hex": _set(("levels", 1, "H", "data"), "zz"),
     "short-bitmap": _set(("levels", 3, "H", "data"), "ff"),
+    # padding bits past n! in the last byte, for the moduli 1, 2 and 6
+    "padding-bit-level-1": _set_bit(0, 1),
+    "padding-bit-level-2": _set_bit(1, 7),
+    "padding-bit-6-level-3": _set_bit(2, 6),
+    "padding-bit-7-level-3": _set_bit(2, 7),
     "unknown-encoding": _set(("levels", 1, "H", "encoding"), "rle"),
     "exact-not-bool": _set(("exact",), "false"),
     "trivial-with-levels": _set(("trivial",), True),

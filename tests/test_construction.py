@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -250,6 +251,30 @@ class TestClaimA:
             assert [(c.lower, c.upper) for c in report.checks] == \
                 [(lv.sum_lower, lv.sum_upper) for lv in t.levels]
 
+    def test_sparse_checks_scan_no_full_level(self, monkeypatch):
+        # the covers of factorials and a finite set hold at most n residues
+        # of n!: the shifts list them block by block, never in one
+        # flatnonzero over the level's whole bitmap
+        scanned = []
+
+        def recording(x):
+            scanned.append(np.size(x))
+            return np.flatnonzero(x)
+
+        class NumpyView:   # numpy as buckdens.sets sees it
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            flatnonzero = staticmethod(recording)
+
+        for oracle in (FactorialsOracle(), FiniteOracle([0, 24, 7])):
+            t = construct(oracle, Fraction(2, 3), 9)
+            with monkeypatch.context() as patched:
+                patched.setattr(sets, "np", NumpyView())
+                scanned.clear()
+                assert check_claimA(t, oracle).ok
+            assert scanned and max(scanned) <= sets._BLOCK < t.top.modulus
+
     def test_an_oracle_breaking_the_projection_is_caught(self):
         # cover(7!) gains 0, which is not in cover(8!) mod 7!: the builder's
         # tiling assumes the projection, and the check neither assumes it
@@ -397,6 +422,45 @@ class TestSerialization:
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             tower_from_json('{"schema": "nope", "levels": []}')
+
+    # caller strings holding the spliced slot, the levels line, quotes, NUL
+    # and non-ASCII text, as keys and as values; the config also holds the
+    # slot itself as a key-value pair
+    AWKWARD = ['"data": ""', '\n  "levels": [', '"H": {"data": ""}', '\x00"\\',
+               "α ≤ 1/2 — naïve 😀"]
+
+    @staticmethod
+    def reference_json(t, config):
+        """The document with its hex in place, dumped in one json.dumps."""
+        doc = {"schema": construction.SCHEMA, "alpha": str(t.alpha),
+               "oracle": t.oracle_spec, "exact": t.exact, "trivial": t.trivial,
+               "config": config,
+               "levels": [{"n": lv.n, "k_chosen": lv.k_chosen, "h": lv.h,
+                           "H": {"encoding": "hex-bitmap-le",
+                                 "data": np.packbits(lv.H.bits(), bitorder="little")
+                                 .tobytes().hex()},
+                           "densityA": str(lv.density_a), "L": str(lv.sum_lower),
+                           "U": str(lv.sum_upper)} for lv in t.levels]}
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("spec,alpha,depth", [
+        *[("primes", HALF, d) for d in range(1, 9)],
+        ("finite:0", Fraction(1), 4),
+        ("factorials", Fraction(2, 3), 11),
+    ])
+    def test_spliced_hex_matches_one_dump(self, spec, alpha, depth):
+        oracle = parse_oracle(spec)
+        t = construct(oracle, alpha, depth, allow_deep=depth == 11)
+        for oracle_spec, config in ((spec, None),
+                                    (" ".join(self.AWKWARD),
+                                     {"data": "", "levels": [{"data": ""}],
+                                      **{s: [s, {s: s}] for s in self.AWKWARD}})):
+            t = replace(t, oracle_spec=oracle_spec)
+            text = tower_to_json(t, config)
+            assert text == self.reference_json(t, config)
+            loaded, cfg = tower_from_json(text)
+            assert cfg == config and loaded.oracle_spec == oracle_spec
+            assert tower_to_json(loaded, cfg) == text
 
 
 class TestNesting:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buckdens import kernels, sets
@@ -223,6 +223,59 @@ class TestFFTKernel:
         want = shift_or_reference(a, b)
         assert np.array_equal(_fft_cyclic_or(a, b), want)
         assert np.array_equal(_fft_cyclic_or(b, a), want)
+
+
+BLOCK = sets._BLOCK
+FACT11 = math.factorial(11)
+
+
+def block_edges(k):
+    """Indices on either side of every block boundary below k, and k − 1."""
+    edges = {0, k - 1}
+    for b in range(BLOCK, k, BLOCK):
+        edges.update((b - 1, b))
+    return sorted(edges)
+
+
+@st.composite
+def sparse_bitmaps(draw, lengths):
+    """A uint8 bitmap of a drawn length with up to 64 members, each either
+    anywhere or on a block edge."""
+    k = draw(lengths)
+    anywhere = st.integers(0, k - 1)
+    members = draw(st.lists(st.one_of(anywhere, st.sampled_from(block_edges(k))),
+                            max_size=64))
+    x = np.zeros(k, dtype=np.uint8)
+    x[members] = 1
+    return x
+
+
+class TestSparseMembers:
+    # lengths below, at and between block multiples
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(sparse_bitmaps(st.one_of(st.integers(1, 4 * BLOCK + 3),
+                                    st.sampled_from([BLOCK, 3 * BLOCK, BLOCK + 1]))))
+    @example(np.zeros(1, dtype=np.uint8))
+    @example(np.zeros(2 * BLOCK, dtype=np.uint8))
+    @example(np.zeros(2 * BLOCK + 7, dtype=np.uint8))
+    @example(np.ones(BLOCK + 1, dtype=np.uint8))
+    def test_matches_flatnonzero(self, x):
+        for bitmap in (x, x.view(bool)):
+            got = sets._sparse_members(bitmap)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.flatnonzero(bitmap))
+
+    @settings(max_examples=15, derandomize=True, database=None, deadline=None)
+    @given(sparse_bitmaps(st.just(FACT11)))
+    @example(np.zeros(FACT11, dtype=np.uint8))
+    def test_matches_flatnonzero_at_eleven_factorial(self, x):
+        assert np.array_equal(sets._sparse_members(x), np.flatnonzero(x))
+
+    def test_every_block_edge(self):
+        for k in (BLOCK - 1, BLOCK, 3 * BLOCK, 3 * BLOCK + 5):
+            x = np.zeros(k, dtype=np.uint8)
+            x[block_edges(k)] = 1
+            assert np.array_equal(sets._sparse_members(x), np.flatnonzero(x))
 
 
 def periodic_operands(k, rng, density):
