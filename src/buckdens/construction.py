@@ -336,11 +336,23 @@ def _decode_residue_set(modulus: int, doc) -> ResidueSet:
     _require(doc, ("encoding", "data"), "H")
     if doc["encoding"] != "hex-bitmap-le":
         raise ValueError(f"unknown residue-set encoding {doc['encoding']!r}")
-    if not isinstance(doc["data"], str):
+    data = doc["data"]
+    if not isinstance(data, str):
         raise ValueError("H data must be a hex string")
-    packed = np.frombuffer(bytes.fromhex(doc["data"]), dtype=np.uint8)
-    if packed.shape[0] != -(-modulus // 8):
-        raise ValueError(f"bitmap of {packed.shape[0]} bytes does not fit modulus {modulus}")
+    # bytes.fromhex also takes upper-case digits and whitespace between
+    # bytes, which tower_to_json would not write back: with the length
+    # pinned, whitespace leaves fromhex short, and the upper-case hex
+    # digits are looked for by substring scans
+    digits = 2 * -(-modulus // 8)
+    wrong = ValueError(f"H data for modulus {modulus} must be {digits} lower-case hex digits")
+    if len(data) != digits or any(c in data for c in "ABCDEF"):
+        raise wrong
+    try:
+        packed = np.frombuffer(bytes.fromhex(data), dtype=np.uint8)
+    except ValueError:
+        raise wrong from None
+    if 2 * packed.shape[0] != digits:
+        raise wrong
     if modulus % 8 and packed[-1] >> (modulus % 8):
         raise ValueError(f"bitmap sets padding bits past modulus {modulus}")
     # unpackbits with a count returns an owned array of exactly the modulus

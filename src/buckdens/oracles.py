@@ -95,6 +95,8 @@ def sieve_primes(bound: int) -> np.ndarray:
 def primes_cover(m: int) -> ResidueSet:
     """Exact cover of the primes mod m: every class coprime to m contains a
     prime (Dirichlet), plus the classes of the finitely many primes dividing m.
+
+    The units mod m are the CRT product of the units mod each q || m.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -102,12 +104,41 @@ def primes_cover(m: int) -> ResidueSet:
         return ResidueSet(1, [0])
     check_budget(m)
     primes = factorize(m)
-    bits = np.ones(m, dtype=np.uint8)
-    for p in primes:
-        bits[::p] = 0
+    bits = _crt_product([_indicator(q, p, zero=False) for q, p in _prime_powers(primes)])
     for p in primes:
         bits[p % m] = 1
     return ResidueSet.from_bits(bits)
+
+
+def _prime_powers(factors: dict[int, int]) -> list[tuple[int, int]]:
+    """``(p^e, p)`` for each prime power p^e || m, ascending in p^e."""
+    return sorted((p ** e, p) for p, e in factors.items())
+
+
+def _indicator(q: int, p: int, *, zero: bool) -> np.ndarray:
+    """Indicator of the units mod q = p^e, with 0 added when ``zero``."""
+    ind = np.ones(q, dtype=np.uint8)
+    ind[::p] = 0
+    ind[0] = zero
+    return ind
+
+
+def _crt_product(indicators: list[np.ndarray]) -> np.ndarray:
+    """The 0/1 bitmap mod m of ``{r : ind_q[r mod q] for every q}``, from one
+    indicator of length q per prime power q || m, in ascending order of q.
+
+    Under the CRT a product of component sets has
+    ``bits[r] = AND_q ind_q[r mod q]``.  Each step tiles the bitmap so far
+    (length L) q times into an (L, q) array, whose row i, column j is the
+    residue x = i*q + j with x mod q = j, and ANDs the indicator into every
+    row; the largest q goes last, so the widest rows come in one step.
+    """
+    bits = indicators[0]
+    for ind in indicators[1:]:
+        t = np.tile(bits, ind.shape[0]).reshape(bits.shape[0], ind.shape[0])
+        t &= ind
+        bits = t.ravel()
+    return bits
 
 
 class PrimesOracle(CoverOracle):
@@ -188,44 +219,36 @@ class FactorialsOracle(CoverOracle):
 # ---------------------------------------------------------------------------
 # perfect powers  B = {a^k : a >= 0, k >= 2}
 
-def _pow_mod_vec(base: np.ndarray, exp: int, m: int) -> np.ndarray:
-    # square-and-multiply mod a prime power of a modulus in budget;
-    # m <= 2^28 keeps int64 products exact
-    result = np.ones_like(base)
-    b = base % m
-    e = exp
-    while e:
-        if e & 1:
-            result = result * b % m
-        b = b * b % m
-        e >>= 1
-    return result
-
-
-def _carmichael(factors: dict[int, int]) -> int:
-    """lambda(m) from the factorization of m: the lcm over p^e || m of
-    phi(p^e), halved for 2^e with e >= 3."""
-    lam = 1
-    for p, e in factors.items():
-        lam_q = 2 ** (e - 2) if p == 2 and e >= 3 else p ** (e - 1) * (p - 1)
-        lam = math.lcm(lam, lam_q)
-    return lam
+def _power_image(q: int, k: int) -> np.ndarray:
+    """Indicator of the k-th powers mod q, by square-and-multiply on every
+    residue (q is a prime power of a modulus in budget, so int64 products
+    stay exact)."""
+    result = np.ones(q, dtype=np.int64)
+    b = np.arange(q, dtype=np.int64)
+    while k:
+        if k & 1:
+            result = result * b % q
+        b = b * b % q
+        k >>= 1
+    ind = np.zeros(q, dtype=np.uint8)
+    ind[result] = 1
+    return ind
 
 
 def perfect_powers_cover(m: int) -> ResidueSet:
     """Exact cover of the perfect powers mod m.
 
-    The k-th power image mod m depends on k only through min(k, v) and
-    gcd(k, lambda(m)), where v is the largest prime-power exponent in m and
-    lambda is the Carmichael function.  For k >= v every image is contained
-    in the image of any exponent coprime to lambda(m) (units map onto units,
-    non-units collapse onto 0 componentwise), so it suffices to take the
-    exact images for k = 2, ..., v-1 plus one exponent k0 >= max(2, v)
-    with gcd(k0, lambda(m)) = 1.
+    x -> x^k acts componentwise under the CRT, so the k-th power image mod
+    m is the product of its images mod the prime powers q = p^e || m
+    (``_crt_product``), and the cover is the OR of these products over
+    k >= 2.  With v the largest e:
 
-    x -> x^k acts componentwise under the CRT, so each image is built from
-    the images mod the prime powers q || m: their sums weighted by the CRT
-    idempotents e_q = (m/q) * ((m/q)^-1 mod q).
+    - for k >= v the image mod q lies in the units plus 0 (units map to
+      units, and a multiple of p to 0 since k >= e), and every exponent
+      k >= v with k ≡ 1 mod lambda(m) (the Carmichael function) attains
+      it, so that product stands for every k >= v with no powering;
+    - of k < v only the primes are needed: a^(pj) = (a^j)^p puts the
+      image of a composite exponent inside that of its prime factor p.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -233,25 +256,11 @@ def perfect_powers_cover(m: int) -> ResidueSet:
         return ResidueSet(1, [0])
     check_budget(m)
     factors = factorize(m)
-    v_max = max(factors.values())
-    lam = _carmichael(factors)
-    exponents = list(range(2, v_max))
-    k0 = max(2, v_max)
-    while math.gcd(k0, lam) != 1:
-        k0 += 1
-    exponents.append(k0)
-    components = []
-    for p, e in factors.items():
-        q = p ** e
-        idempotent = m // q * pow(m // q, -1, q) % m
-        components.append((q, idempotent))
-    bits = np.zeros(m, dtype=np.uint8)
-    for k in exponents:
-        image = np.zeros(1, dtype=np.int64)
-        for q, idempotent in components:
-            part = np.unique(_pow_mod_vec(np.arange(q, dtype=np.int64), k, q))
-            image = (image[:, None] + part * idempotent % m).ravel() % m
-        bits[image] = 1
+    moduli = _prime_powers(factors)
+    bits = _crt_product([_indicator(q, p, zero=True) for q, p in moduli])
+    for k in range(2, max(factors.values())):
+        if factorize(k) == {k: 1}:
+            bits |= _crt_product([_power_image(q, k) for q, _ in moduli])
     return ResidueSet.from_bits(bits)
 
 

@@ -11,15 +11,17 @@ Residue sets are dense uint8 bitmaps.  A modulus above ``DENSE_LIMIT``
 :class:`ResourceLimitError`.
 
 ``sumset_mod`` dispatches on its operands' bitmaps: shift-OR when one is
-small, else a periodic peel when one is periodic mod ``k/q`` (prime ``q``)
-up to a few residues, else one FFT support convolution.  ``min_plus_mod``
-is its min-plus analogue for a bitmap and a table of integers, which the
-verifier uses for the least member of A + B in each class; it peels the
-same layers and has no FFT.  ``window_period`` peels layers off a period
-that is long against a window.  Tower operands always peel: level n is
-level n − 1 tiled plus at most n − 1 classes.  Sparse operands (the shifts
-and a layer's excess) are listed block by block, skipping the blocks that
-hold no member, so an 11-residue cover of ``11!`` is not scanned in full.
+small, else a periodic peel, at any modulus, when one is periodic mod
+``k/q`` (prime ``q``) up to a few residues.  An operand with no layer is
+shifted below ``2**14`` and convolved by one FFT from there on.
+``min_plus_mod`` is its min-plus analogue for a bitmap and a table of
+integers, which the verifier uses for the least member of A + B in each
+class; it peels the same layers and has no FFT.  ``window_period`` peels
+layers off a period that is long against a window.  Tower operands always
+peel: level n is level n − 1 tiled plus at most n − 1 classes.  Sparse
+operands (the shifts and a layer's excess) are listed block by block,
+skipping the blocks that hold no member, so an 11-residue cover of ``11!``
+is not scanned in full.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ __all__ = [
 DENSE_LIMIT = 1 << 28
 
 # sumset strategy: shift (OR or min) when the smaller operand has at most
-# this many residues (or the modulus is below _PEEL_MIN_MODULUS); else a
-# periodic peel when an operand has at most this many residues off a period
-# k/q; FFT support convolution otherwise
+# this many residues; else a periodic peel when an operand has at most this
+# many residues off a period k/q; else, for operands with no such layer, a
+# shift below _PEEL_MIN_MODULUS and an FFT support convolution from there on
 _SHIFT_MAX = 64
 _PEEL_MIN_MODULUS = 1 << 14
 # _sparse_members scans a sparse bitmap in blocks of this many bytes
@@ -257,20 +259,22 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     Three exact paths, tried in order:
 
     - *shift-OR*, when the smaller operand has at most ``_SHIFT_MAX``
-      residues or ``k`` is below ``_PEEL_MIN_MODULUS``: one rotated OR of
-      the other operand per residue;
-    - *periodic peel*, when one operand X is periodic mod ``k/q`` for a
-      prime ``q | k`` up to at most ``_SHIFT_MAX`` residues: with ``f``
-      the residues mod ``k/q`` whose every lift lies in X and ``E`` the
-      rest of X, X + Y is the tiling of ``f + (Y mod k/q)``, a sumset at
-      ``k/q`` that goes back through this dispatch, united with the
-      shift-OR of ``E`` against Y;
-    - *FFT* support convolution otherwise, one real transform product.
+      residues: one rotated OR of the other operand per residue;
+    - *periodic peel*, at any modulus, when one operand X is periodic mod
+      ``k/q`` for a prime ``q | k`` up to at most ``_SHIFT_MAX`` residues:
+      with ``f`` the residues mod ``k/q`` whose every lift lies in X and
+      ``E`` the rest of X, X + Y is the tiling of ``f + (Y mod k/q)``, a
+      sumset at ``k/q`` that goes back through this dispatch, united with
+      the shift-OR of ``E`` against Y;
+    - for operands with no layer, shift-OR over the smaller one when ``k``
+      is below ``_PEEL_MIN_MODULUS``, and otherwise an *FFT* support
+      convolution, one real transform product.
 
     A tower level is its predecessor tiled plus at most n − 1 classes, so
-    ``H ∖ {h}`` at ``n!`` peels level by level down to the shift-OR sizes
-    and never reaches the FFT.  Which path runs depends on the operands'
-    bitmaps alone; the result does not.
+    ``H ∖ {h}`` at ``n!`` peels level by level down to the shift-OR sizes,
+    shifting only a few residues per layer, and never reaches the FFT.
+    Which path runs depends on the operands' bitmaps alone; the result
+    does not.
     """
     k = p.modulus
     if c.modulus != k:
@@ -285,17 +289,18 @@ def _sumset_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = a.shape[0]
     na, nb = np.count_nonzero(a), np.count_nonzero(b)
     small, large = (a, b) if na <= nb else (b, a)
-    if min(na, nb) <= _SHIFT_MAX or k < _PEEL_MIN_MODULUS:
-        return _shifted(np.bitwise_or, np.zeros(k, dtype=np.uint8), large,
-                        _sparse_members(small))
-    for x, y in ((small, large), (large, small)):
-        layer = _periodic_layer(x)
-        if layer is not None:
-            q, core, excess = layer
-            folded = np.bitwise_or.reduce(y.reshape(q, k // q), axis=0)
-            return _shifted(np.bitwise_or, np.tile(_sumset_bits(core, folded), q),
-                            y, excess)
-    return _fft_cyclic_or(a, b)
+    if min(na, nb) > _SHIFT_MAX:
+        for x, y in ((small, large), (large, small)):
+            layer = _periodic_layer(x)
+            if layer is not None:
+                q, core, excess = layer
+                folded = np.bitwise_or.reduce(y.reshape(q, k // q), axis=0)
+                return _shifted(np.bitwise_or, np.tile(_sumset_bits(core, folded), q),
+                                y, excess)
+        if k >= _PEEL_MIN_MODULUS:
+            return _fft_cyclic_or(a, b)
+    return _shifted(np.bitwise_or, np.zeros(k, dtype=np.uint8), large,
+                    _sparse_members(small))
 
 
 def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -304,25 +309,28 @@ def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
     k; where no class c qualifies, t[r] is the dtype's maximum.
 
     ``sumset_mod`` with OR replaced by min.  When p has at most
-    ``_SHIFT_MAX`` members or k is below ``_PEEL_MIN_MODULUS``, t is the min
-    of ``values`` rotated by each member of p.  Otherwise p must peel: with
-    ``(q, f, E)`` its periodic layer, t is the tiling of the min-plus sum
-    of f with the min-fold of ``values`` mod ``k/q``, lowered to ``values``
-    rotated by each residue of E where that is less.  A large p with no
-    layer raises :class:`ResourceLimitError`; every tower period peels.
+    ``_SHIFT_MAX`` members, t is the min of ``values`` rotated by each
+    member of p.  Otherwise, at any modulus, p peels: with ``(q, f, E)``
+    its periodic layer, t is the tiling of the min-plus sum of f with the
+    min-fold of ``values`` mod ``k/q``, lowered to ``values`` rotated by
+    each residue of E where that is less.  A larger p with no layer is
+    shifted below ``_PEEL_MIN_MODULUS`` and raises
+    :class:`ResourceLimitError` from there on; every tower period peels.
     """
     k = p.shape[0]
     size = int(np.count_nonzero(p))
-    if size <= _SHIFT_MAX or k < _PEEL_MIN_MODULUS:
-        out = np.full(k, np.iinfo(values.dtype).max, dtype=values.dtype)
-        return _shifted(np.minimum, out, values, _sparse_members(p))
-    layer = _periodic_layer(p)
-    if layer is None:
-        raise ResourceLimitError(
-            f"a period of {size} residues mod {k} has no periodic layer to peel")
-    q, core, excess = layer
-    folded = values.reshape(q, k // q).min(axis=0)
-    return _shifted(np.minimum, np.tile(min_plus_mod(core, folded), q), values, excess)
+    if size > _SHIFT_MAX:
+        layer = _periodic_layer(p)
+        if layer is not None:
+            q, core, excess = layer
+            folded = values.reshape(q, k // q).min(axis=0)
+            return _shifted(np.minimum, np.tile(min_plus_mod(core, folded), q),
+                            values, excess)
+        if k >= _PEEL_MIN_MODULUS:
+            raise ResourceLimitError(
+                f"a period of {size} residues mod {k} has no periodic layer to peel")
+    out = np.full(k, np.iinfo(values.dtype).max, dtype=values.dtype)
+    return _shifted(np.minimum, out, values, _sparse_members(p))
 
 
 def window_period(p: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,17 +370,21 @@ def _periodic_layer(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     residues whose every lift lies in x) and ``E`` lists the members of x
     outside the tiling of ``f``: ``|E| = |x| - q |f|``.  The prime with the
     fewest such residues wins, the larger prime on a tie; None when even
-    that leaves more than ``_SHIFT_MAX``.  So ``f`` is empty only for an x
-    of at most ``_SHIFT_MAX`` members, which the dispatch shifts first.
+    that leaves more than ``_SHIFT_MAX``.  The primes are tried from the
+    largest down, so the first with no excess wins outright and the search
+    stops there.  ``f`` is empty only for an x of at most ``_SHIFT_MAX``
+    members, which the dispatch shifts first.
     """
     k = x.shape[0]
     size = int(np.count_nonzero(x))
     best = None
-    for q in factorize(k):
+    for q in sorted(factorize(k), reverse=True):
         core = np.bitwise_and.reduce(x.reshape(q, k // q), axis=0)
         excess = size - q * int(np.count_nonzero(core))
-        if excess <= _SHIFT_MAX and (best is None or excess <= best[0]):
+        if excess <= _SHIFT_MAX and (best is None or excess < best[0]):
             best = excess, q, core
+            if excess == 0:
+                break
     if best is None:
         return None
     _, q, core = best

@@ -233,6 +233,9 @@ MALFORMED = {
     "rational-exponent-1e-1000000": _set(("levels", 2, "L"), "1e-1000000"),
     "nested-200000-deep": lambda doc: "[" * 200000 + "]" * 200000,
     "bad-hex": _set(("levels", 1, "H", "data"), "zz"),
+    # bytes.fromhex reads these, but they would not round-trip
+    "hex-with-space": _set(("levels", 3, "H", "data"), "57 5555"),
+    "hex-upper-case": _set(("levels", 3, "H", "data"), "5755D5"),
     "short-bitmap": _set(("levels", 3, "H", "data"), "ff"),
     # padding bits past n! in the last byte, for the moduli 1, 2 and 6
     "padding-bit-level-1": _set_bit(0, 1),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from buckdens import construction, sets
+from buckdens import construction, kernels, sets
 from buckdens.construction import (
     CertificateError,
     Tower,
@@ -251,6 +251,23 @@ class TestClaimA:
             assert [(c.lower, c.upper) for c in report.checks] == \
                 [(lv.sum_lower, lv.sum_upper) for lv in t.levels]
 
+    def test_depth_ten_check_peels_at_every_modulus(self, monkeypatch):
+        # H' peels at every modulus, not only from _PEEL_MIN_MODULUS up, so
+        # the check shifts over a few residues per layer instead of over
+        # every member of H' at the small moduli (10611 rotations if it did)
+        calls = []
+        combine = kernels.combine_rotated
+
+        def counting(*args):
+            calls.append(args[-1])
+            combine(*args)
+
+        oracle = PrimesOracle()
+        t = construct(oracle, Fraction(3, 4), 10)
+        monkeypatch.setattr(kernels, "combine_rotated", counting)
+        assert check_claimA(t, oracle).ok
+        assert 0 < len(calls) <= 1000
+
     def test_sparse_checks_scan_no_full_level(self, monkeypatch):
         # the covers of factorials and a finite set hold at most n residues
         # of n!: the shifts list them block by block, never in one
@@ -418,6 +435,20 @@ class TestSerialization:
         assert rb.ok
         assert [(c.n, c.lower, c.upper) for c in ra.checks] == \
             [(c.n, c.lower, c.upper) for c in rb.checks]
+
+    def test_only_lower_case_hex_without_spaces_is_read(self):
+        # bytes.fromhex takes these too, but tower_to_json would write the
+        # parsed tower back as different bytes
+        text = tower_to_json(construct(FiniteOracle([0]), Fraction(9, 10), 6))
+        assert tower_to_json(tower_from_json(text)[0]) == text
+        data = json.loads(text)["levels"][5]["H"]["data"]
+        assert set("abcdef") & set(data)
+        for bad in (data.upper(), data[:2] + " " + data[2:], data[:-2] + "\n" + data[-2:],
+                    " " + data[:-1], data + " "):
+            doc = json.loads(text)
+            doc["levels"][5]["H"]["data"] = bad
+            with pytest.raises(ValueError, match="180 lower-case hex digits"):
+                tower_from_json(json.dumps(doc))
 
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):

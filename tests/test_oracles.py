@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -145,6 +146,19 @@ class TestPerfectPowersCover:
                 power = power * base % m
             assert perfect_powers_cover(m).residues() == np.nonzero(want)[0].tolist(), m
 
+    def test_composite_exponents_below_v_max(self):
+        # 2^10 3^4 5^2: v = 10, so the exponents 4, 6, 8 and 9 are composite
+        # below v and skipped by the cover; k0 = 11 is the least k >= 10
+        # coprime to lambda = lcm(256, 54, 20) = 8640
+        m = 2 ** 10 * 3 ** 4 * 5 ** 2
+        base = np.arange(m, dtype=np.int64)
+        power = base.copy()
+        want = np.zeros(m, dtype=bool)
+        for k in range(2, 12):
+            power = power * base % m
+            want[power] = True
+        assert np.array_equal(perfect_powers_cover(m).bits(), want)
+
     def test_nine_factorial_matches_powers_of_every_base(self):
         # 9! = 2^7 3^4 5 7: exponents 2..6, then k0 = 7, the least k >= 7
         # coprime to lambda(9!) = lcm(32, 54, 4, 6) = 864
@@ -156,6 +170,46 @@ class TestPerfectPowersCover:
             power = power * base % m
             want[power] = True
         assert perfect_powers_cover(m).residues() == np.nonzero(want)[0].tolist()
+
+
+class TestCoverDigests:
+    # sha256 of the cover(n!) bitmaps for n = 1..11, as built by the int64
+    # CRT sums (powers) and strided clearing (primes) that the CRT products
+    # replaced
+    POWERS = [
+    "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",
+    "dfea2964b5deedea7b1ef077de529c3959e6788bdbb3441e70c77a1ae875bb48",
+    "22f68f5c5ab3bf9563511d59ae7a137f09297d48c3af918c7d050929a606c902",
+    "0ed62d8fd0e3ba6218c6fec310a449bef5a3a26ff958ce67644c756cf71a0a6a",
+    "973e4d1d25d237cbee6fd7cb288fd6b666bdf5abd8b3b5489dec499d48b72222",
+    "340b7884530a246d81054115714a221339e60d7ad3a92543900412d34c2ec434",
+    "37cac6d55ae4f22e89a826a5c973238faac1c1fd08541a7ff3be004e626e3fc2",
+    "7ba540eaabff3adfb966b33dd7b15f4584e71207a813bfc5783c8d0d97d00644",
+    "ec287ae4cc577c621283b4da957994d165e153bbe273b52ae421984bef18f36d",
+    "5467ba3fd32bc876def4bc5cda19e6b9f9fd7ba2a1986571b490b45e73cbe333",
+    ]
+    PRIMES = [
+    "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",
+    "6d1bccaa2d62ae6f83d99207620a37e3518e35594179767dc1a5e12b72e7c5a6",
+    "7a1b0382061a56b8401a069f6746cba89c1c1146f881818a760941e42aee547e",
+    "ea4355f72303b6d7c1aa657c1df90c923eee9702cede509ca790c913d09e8192",
+    "d260fbfcea2496e1361bd8f6e59a740e70c72703e372f6a1eae79cfea8a14223",
+    "dd2da3064e7cb8aa06e4b719e292e3a352f22123233d4fb452d81990227d1cc4",
+    "4322187d85f01c7026af7b369da4ea6785c8cb215c0569829ed109ea8472b331",
+    "82bc21ff061ce1d53602beab1076679474f195e7de81b20bdb243884b5b4de80",
+    "0b5f24d10b17e7303d7b480fcc2681ba8060024ecbe2954fa67c06e86cc53672",
+    "dff7e1f29267b1a1d2755155a6c4b28045859868f9a570b31e53f709cb39db92",
+    ]
+
+    @pytest.mark.parametrize("cover,digests", [(perfect_powers_cover, POWERS),
+                                               (primes_cover, PRIMES)],
+                             ids=["powers", "primes"])
+    def test_tower_moduli(self, cover, digests):
+        got = [hashlib.sha256(cover(math.factorial(n)).bits().tobytes()).hexdigest()
+               for n in range(1, 12)]
+        assert got == digests
 
 
 class TestFiniteCover:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from buckdens import kernels, sets
 from buckdens.cli import main
-from buckdens.oracles import _carmichael
 from buckdens.sets import (
     DENSE_LIMIT,
     ResidueSet,
@@ -298,7 +297,11 @@ def periodic_operands(k, rng, density):
 
 
 class TestPeriodicPeel:
-    @pytest.mark.parametrize("k", [math.factorial(8), 1 << 16, 3 ** 9, 4 * 5040])
+    # the peel runs at every modulus: 5040 and 9240 lie below
+    # _PEEL_MIN_MODULUS, which only decides what an operand with no layer
+    # takes
+    @pytest.mark.parametrize("k", [math.factorial(8), 1 << 16, 3 ** 9, 4 * 5040,
+                                   5040, 9240])
     def test_matches_shift_or(self, k):
         # a dense layered operand with a sparse partner, and a sparse one
         # (still beyond the shift-OR size) with a dense partner; each sum
@@ -346,13 +349,63 @@ class TestPeriodicPeel:
 
 def nested_operand(k, rng, density):
     """A bitmap of length k that peels layer by layer, by the smallest prime
-    each time, down to an aperiodic core below the peel size."""
+    each time, down to an aperiodic core below ``_PEEL_MIN_MODULUS``, where
+    an operand with no layer is shifted."""
     if k < sets._PEEL_MIN_MODULUS:
         return (rng.random(k) < density).astype(np.uint8)
     q = min(sets.factorize(k))
     x = np.tile(nested_operand(k // q, rng, density), q)
     x[rng.choice(k, size=10, replace=False)] ^= 1
     return x
+
+
+def periodic_layer_reference(x):
+    """``(q, f, E)`` of ``sets._periodic_layer`` by exhaustion: for every
+    prime q | k, the AND-fold f mod k/q and the members E of x off its
+    tiling, listed directly; the fewest excess wins, then the larger
+    prime, and None when every prime leaves more than ``_SHIFT_MAX``."""
+    k = x.shape[0]
+    layers = []
+    for q in sets.factorize(k):
+        core = x.reshape(q, k // q).min(axis=0)
+        excess = np.flatnonzero(x > np.tile(core, q))
+        if excess.size <= sets._SHIFT_MAX:
+            layers.append((excess.size, -q, core, excess))
+    if not layers:
+        return None
+    _, q, core, excess = min(layers, key=lambda layer: layer[:2])
+    return -q, core, excess
+
+
+@st.composite
+def layered_bitmaps(draw):
+    """A bitmap of length k = 2^a 3^b 5^c 7^d: a random core mod k/d for a
+    drawn divisor d, tiled, with up to 80 members flipped, so that several
+    primes may fold it, with excesses on both sides of ``_SHIFT_MAX``."""
+    k = (2 ** draw(st.integers(0, 6)) * 3 ** draw(st.integers(0, 3))
+         * 5 ** draw(st.integers(0, 2)) * 7 ** draw(st.integers(0, 1)))
+    d = draw(st.sampled_from(divisors(k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.02, 0.3, 0.9, 1.0]))
+    x = np.tile((rng.random(k // d) < density).astype(np.uint8), d)
+    flips = draw(st.integers(0, min(k, 80)))
+    x[rng.choice(k, size=flips, replace=False)] ^= 1
+    return x
+
+
+class TestPeriodicLayer:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(layered_bitmaps())
+    @example(np.ones(2 * 3 * 5 * 7, dtype=np.uint8))
+    @example(np.zeros(2 * 3 * 5 * 7, dtype=np.uint8))
+    @example(np.ones(1, dtype=np.uint8))
+    def test_matches_exhaustive_minimum(self, x):
+        got, want = sets._periodic_layer(x), periodic_layer_reference(x)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
 
 
 def min_plus_reference(p, values, none):
@@ -379,10 +432,12 @@ class TestMinPlusMod:
             sums = [int(values[c]) for c in range(k) if p[(r - c) % k]]
             assert got[r] == min(sums, default=np.iinfo(np.int32).max)
 
-    # cores below the peel size for every prime (periodic_operands leaves an
-    # aperiodic core at k/q, which min_plus_mod refuses from 2^14 on), and
-    # operands nested up to four layers deep
-    @pytest.mark.parametrize("k", [4 * 5040, 3 ** 9, 30030, math.factorial(8), 1 << 17])
+    # periodic_operands leaves an aperiodic core at k/q, which min_plus_mod
+    # shifts below _PEEL_MIN_MODULUS and refuses from there on, so those are
+    # taken only where every k/q lies below it; nested_operand peels up to
+    # four layers deep; 5040 peels below _PEEL_MIN_MODULUS
+    @pytest.mark.parametrize("k", [4 * 5040, 3 ** 9, 30030, math.factorial(8), 1 << 17,
+                                   5040])
     def test_peel_matches_brute_force(self, k):
         # first-member tables over a few hundred classes, the rest "none"
         # (horizon + 1), against dense and sparse layered periods
@@ -500,19 +555,6 @@ class TestNumberTheory:
     def test_divisors_ascending(self):
         for n in list(range(1, 3001)) + [math.factorial(10)]:
             assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
-
-    def test_carmichael_is_the_largest_unit_order(self):
-        for m in range(1, 501):
-            units = np.array([a for a in range(m) if math.gcd(a, m) == 1],
-                             dtype=np.int64)
-            order = np.zeros(units.size, dtype=np.int64)
-            power = units % m
-            t = 1
-            while not order.all():
-                order[(power == 1 % m) & (order == 0)] = t
-                power = power * units % m
-                t += 1
-            assert _carmichael(factorize(m)) == int(order.max()), m
 
 
 class TestDensityAxiomsOnPeriodicSets:
