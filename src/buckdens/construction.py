@@ -230,9 +230,14 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, so
     ``sumset_mod`` peels it level by level: it reads each layer from the
     bitmap of H' (not from ``k_chosen``, h or the lower levels), folds the
-    cover's bitmap down with it and shift-ORs the few leftover residues,
-    with no FFT.  The builder instead tiles a carried bitmap, so these
-    certificates are an independent re-derivation.
+    cover's bitmap down with it and shift-ORs the few leftover residues.
+    The builder instead tiles a carried bitmap, so these certificates are
+    an independent re-derivation.
+
+    A level that does not nest in its predecessor may hold an H' that
+    peels nowhere, which ``sumset_mod`` refuses from ``2**14`` up; the
+    check then ends at the failed predecessor.  Such a refusal after a
+    level that nests is re-raised.
     """
     checks: list[LevelCheck] = []
     if t.trivial:
@@ -240,7 +245,14 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     for i, lv in enumerate(t.levels):
         cover = oracle.cover_cached(lv.modulus)
         h_prime = lv.H.discard(lv.h)
-        low = sumset_mod(h_prime, cover).bits()
+        try:
+            low = sumset_mod(h_prime, cover).bits()
+        except ResourceLimitError:
+            # only a level that failed to nest in its predecessor can hold
+            # an H' with no layer to peel, and the report fails there
+            if not checks or checks[-1].nesting_ok is not False:
+                raise
+            break
         high = low   # h outside H (a broken tower) leaves H' = H
         if lv.h in lv.H:
             high = np.empty_like(low)

@@ -10,18 +10,18 @@ Residue sets are dense uint8 bitmaps.  A modulus above ``DENSE_LIMIT``
 (``2**28``, which every tower modulus ``n! <= 11!`` fits) is refused with
 :class:`ResourceLimitError`.
 
-``sumset_mod`` dispatches on its operands' bitmaps: shift-OR when one is
-small, else a periodic peel, at any modulus, when one is periodic mod
-``k/q`` (prime ``q``) up to a few residues.  An operand with no layer is
-shifted below ``2**14`` and convolved by one FFT from there on.
-``min_plus_mod`` is its min-plus analogue for a bitmap and a table of
-integers, which the verifier uses for the least member of A + B in each
-class; it peels the same layers and has no FFT.  ``window_period`` peels
-layers off a period that is long against a window.  Tower operands always
-peel: level n is level n − 1 tiled plus at most n − 1 classes.  Sparse
-operands (the shifts and a layer's excess) are listed block by block,
-skipping the blocks that hold no member, so an 11-residue cover of ``11!``
-is not scanned in full.
+``sumset_mod`` and ``min_plus_mod`` are one integer algorithm in two
+semirings, OR on bitmaps and min on tables (``_peel_shift``): shift when one
+operand is small, else peel, at any modulus, a period ``k/q`` (prime ``q``)
+off an operand that has one up to a few residues, folding the other operand
+down to ``k/q``.  An operand with no layer is shifted below ``2**14`` and
+refused with :class:`ResourceLimitError` from there on.  The verifier takes
+the min case for the least member of A + B in each class.
+``window_period`` peels layers off a period that is long against a window.
+Tower operands always peel: level n is level n − 1 tiled plus at most n − 1
+classes.  Sparse operands (the shifts and a layer's excess) are listed block
+by block, skipping the blocks that hold no member, so an 11-residue cover of
+``11!`` is not scanned in full.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ __all__ = [
 
 DENSE_LIMIT = 1 << 28
 
-# sumset strategy: shift (OR or min) when the smaller operand has at most
-# this many residues; else a periodic peel when an operand has at most this
-# many residues off a period k/q; else, for operands with no such layer, a
-# shift below _PEEL_MIN_MODULUS and an FFT support convolution from there on
+# _peel_shift: shift (OR or min) when an operand has at most this many
+# residues; else a periodic peel when it has at most this many residues off
+# a period k/q; else, for an operand with no such layer, a shift below
+# _PEEL_MIN_MODULUS and a refusal from there on
 _SHIFT_MAX = 64
 _PEEL_MIN_MODULUS = 1 << 14
 # _sparse_members scans a sparse bitmap in blocks of this many bytes
@@ -256,51 +256,30 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     When ``c`` is the residue cover of a set ``Y`` modulo ``k``, this
     realizes the sumset ``P + Y`` as a finite union of APs.
 
-    Three exact paths, tried in order:
-
-    - *shift-OR*, when the smaller operand has at most ``_SHIFT_MAX``
-      residues: one rotated OR of the other operand per residue;
-    - *periodic peel*, at any modulus, when one operand X is periodic mod
-      ``k/q`` for a prime ``q | k`` up to at most ``_SHIFT_MAX`` residues:
-      with ``f`` the residues mod ``k/q`` whose every lift lies in X and
-      ``E`` the rest of X, X + Y is the tiling of ``f + (Y mod k/q)``, a
-      sumset at ``k/q`` that goes back through this dispatch, united with
-      the shift-OR of ``E`` against Y;
-    - for operands with no layer, shift-OR over the smaller one when ``k``
-      is below ``_PEEL_MIN_MODULUS``, and otherwise an *FFT* support
-      convolution, one real transform product.
+    The OR case of ``_peel_shift``: one operand X is shifted over or
+    peeled, and the other is rotated and OR-folded.  The smaller operand is
+    tried as X first, and the larger when ``_peel_shift`` refuses the
+    smaller; when it refuses both, :class:`ResourceLimitError` is raised.
 
     A tower level is its predecessor tiled plus at most n − 1 classes, so
-    ``H ∖ {h}`` at ``n!`` peels level by level down to the shift-OR sizes,
-    shifting only a few residues per layer, and never reaches the FFT.
-    Which path runs depends on the operands' bitmaps alone; the result
-    does not.
+    ``H ∖ {h}`` at ``n!`` peels level by level down to the shift sizes,
+    shifting only a few residues per layer.  Which path runs depends on the
+    operands' bitmaps alone; the result does not.
     """
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
     if p.is_empty() or c.is_empty():
         return ResidueSet(k)
-    return ResidueSet.from_bits(_sumset_bits(p.bits(), c.bits()))
-
-
-def _sumset_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dispatch of ``sumset_mod`` on two non-empty bitmaps of one length."""
-    k = a.shape[0]
-    na, nb = np.count_nonzero(a), np.count_nonzero(b)
-    small, large = (a, b) if na <= nb else (b, a)
-    if min(na, nb) > _SHIFT_MAX:
-        for x, y in ((small, large), (large, small)):
-            layer = _periodic_layer(x)
-            if layer is not None:
-                q, core, excess = layer
-                folded = np.bitwise_or.reduce(y.reshape(q, k // q), axis=0)
-                return _shifted(np.bitwise_or, np.tile(_sumset_bits(core, folded), q),
-                                y, excess)
-        if k >= _PEEL_MIN_MODULUS:
-            return _fft_cyclic_or(a, b)
-    return _shifted(np.bitwise_or, np.zeros(k, dtype=np.uint8), large,
-                    _sparse_members(small))
+    a, b = p.bits(), c.bits()
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    for x, y in ((a, b), (b, a)):
+        out = _peel_shift(np.bitwise_or, x, y, 0)
+        if out is not None:
+            return ResidueSet.from_bits(out)
+    raise ResourceLimitError(
+        f"neither operand of a sumset mod {k} has a periodic layer to peel")
 
 
 def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -308,29 +287,52 @@ def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
     for a 0/1 bitmap ``p`` and an integer table ``values``, both of length
     k; where no class c qualifies, t[r] is the dtype's maximum.
 
-    ``sumset_mod`` with OR replaced by min.  When p has at most
-    ``_SHIFT_MAX`` members, t is the min of ``values`` rotated by each
-    member of p.  Otherwise, at any modulus, p peels: with ``(q, f, E)``
-    its periodic layer, t is the tiling of the min-plus sum of f with the
-    min-fold of ``values`` mod ``k/q``, lowered to ``values`` rotated by
-    each residue of E where that is less.  A larger p with no layer is
-    shifted below ``_PEEL_MIN_MODULUS`` and raises
-    :class:`ResourceLimitError` from there on; every tower period peels.
+    The min case of ``_peel_shift``: ``sumset_mod`` with OR replaced by
+    min.  A p of more than ``_SHIFT_MAX`` members with no periodic layer
+    at a modulus from ``_PEEL_MIN_MODULUS`` up raises
+    :class:`ResourceLimitError`; every tower period peels.
+    """
+    out = _peel_shift(np.minimum, p, values, np.iinfo(values.dtype).max)
+    if out is None:
+        raise ResourceLimitError(
+            f"a period of {np.count_nonzero(p)} residues mod {p.shape[0]} "
+            "has no periodic layer to peel")
+    return out
+
+
+def _peel_shift(op: np.ufunc, p: np.ndarray, table: np.ndarray,
+                fill: int) -> np.ndarray | None:
+    """``out[r] = op{table[(r − c) mod k] : p[c]}`` for a 0/1 bitmap ``p``
+    and a table of one length k, for a semiring sum ``op`` (OR on bitmaps,
+    min on integer tables); ``fill`` where p is empty.
+
+    - *shift*: when p has at most ``_SHIFT_MAX`` members, op over the
+      rotations of ``table`` by each of them;
+    - *peel*: otherwise, at any modulus, when p has a periodic layer
+      ``(q, f, E)``: the tiling of the same sum at ``k/q`` of f with
+      ``table`` folded by ``op.reduce`` mod ``k/q``, combined with the
+      rotations of ``table`` by each residue of E;
+    - a p with no layer is shifted over when k is below
+      ``_PEEL_MIN_MODULUS``, and from there on the result is None.
+
+    Each p, and each core peeled from it, has its layer searched once.
     """
     k = p.shape[0]
-    size = int(np.count_nonzero(p))
-    if size > _SHIFT_MAX:
+    if np.count_nonzero(p) > _SHIFT_MAX:
         layer = _periodic_layer(p)
         if layer is not None:
             q, core, excess = layer
-            folded = values.reshape(q, k // q).min(axis=0)
-            return _shifted(np.minimum, np.tile(min_plus_mod(core, folded), q),
-                            values, excess)
+            folded = op.reduce(table.reshape(q, k // q), axis=0)
+            inner = _peel_shift(op, core, folded, fill)
+            if inner is None:
+                return None
+            return _shifted(op, np.tile(inner, q), table, excess)
         if k >= _PEEL_MIN_MODULUS:
-            raise ResourceLimitError(
-                f"a period of {size} residues mod {k} has no periodic layer to peel")
-    out = np.full(k, np.iinfo(values.dtype).max, dtype=values.dtype)
-    return _shifted(np.minimum, out, values, _sparse_members(p))
+            return None
+    shifts = _sparse_members(p)
+    if shifts.size == 0:
+        return np.full(k, fill, dtype=table.dtype)
+    return _shifted(op, np.roll(table, shifts[0]), table, shifts[1:])
 
 
 def window_period(p: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -406,40 +408,6 @@ def _sparse_members(x: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _fft_cyclic_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Support of the cyclic convolution of two equal-length 0/1 arrays.
-
-    The convolution counts are integers; the float result must lie within
-    1/4 of them everywhere, otherwise the support is not trusted and
-    :class:`ResourceLimitError` is raised.  The check runs on one half of
-    the counts at a time, so its temporaries are half-length.
-    """
-    k = a.shape[0]
-    conv = _cyclic_convolution(a, b)
-    out = np.empty(k, dtype=np.uint8)
-    half = -(-k // 2)
-    err = 0.0
-    for lo in range(0, k, half):
-        part = conv[lo:lo + half]
-        # within the margin, a count is positive iff its float exceeds 1/2
-        np.greater(part, 0.5, out=out[lo:lo + half])
-        part -= np.rint(part)
-        err = max(err, float(np.abs(part, out=part).max()))
-    if not err < 0.25:
-        raise ResourceLimitError(
-            f"FFT round-off {err:.3g} at length {k} leaves the support undecided")
-    return out
-
-
-def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float64 cyclic convolution of two equal-length 0/1 arrays, as one
-    real transform product."""
-    k = a.shape[0]
-    fa = np.fft.rfft(a.astype(np.float64))
-    fa *= np.fft.rfft(b.astype(np.float64))
-    return np.fft.irfft(fa, n=k)
-
-
 def canonicalize(p: ResidueSet) -> ResidueSet:
     """Smallest-period representation of the same set."""
     k = p.modulus
@@ -460,6 +428,8 @@ def canonicalize(p: ResidueSet) -> ResidueSet:
 # text file format:
 #   line 1: "modulus <k>"
 #   line 2: "residues <comma-list>"  or  "bitmap <hex, little-endian bits>"
+# loads_periodic takes residues in [0, k) only, and a bitmap of exactly
+# ceil(k/8) bytes with no padding bit set past k
 
 _RESIDUE_LIST_MAX = 1024
 
@@ -485,11 +455,17 @@ def loads_periodic(text: str) -> ResidueSet:
     payload = payload.strip()
     if tag == "residues":
         rs = [int(t) for t in payload.split(",") if t.strip()] if payload else []
+        outside = [r for r in rs if not 0 <= r < k]
+        if outside:
+            raise ValueError(f"residue {outside[0]} lies outside [0, {k})")
         return ResidueSet(k, rs)
     if tag == "bitmap":
         packed = np.frombuffer(bytes.fromhex(payload), dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little")[:k].astype(np.uint8)
-        if bits.shape[0] < k:
-            raise ValueError("bitmap shorter than modulus")
-        return ResidueSet.from_bits(bits)
+        if packed.shape[0] != -(-k // 8):
+            raise ValueError(f"bitmap of {packed.shape[0]} bytes does not match "
+                             f"modulus {k} ({-(-k // 8)} bytes)")
+        bits = np.unpackbits(packed, bitorder="little")
+        if bits[k:].any():
+            raise ValueError(f"bitmap sets padding bits past modulus {k}")
+        return ResidueSet.from_bits(bits[:k])
     raise ValueError(f"unknown payload tag {tag!r}")

@@ -394,6 +394,21 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("text", [
+        "modulus 5\nresidues -1,2\n",     # -1 would wrap to 4
+        "modulus 5\nresidues 2,5\n",
+        "modulus 5\nbitmap ffff\n",       # a spare byte, padding bits set
+        "modulus 5\nbitmap e4\n",         # padding bits 5..7 set
+        "modulus 12\nbitmap ff\n",        # one byte short
+    ], ids=["negative", "residue-k", "spare-byte", "padding", "short"])
+    def test_malformed_set_file_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "set.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "estimate", "--set", str(path),
+                             "--horizon", "100")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_bad_file(self, tmp_path, capsys):
         path = tmp_path / "set.txt"
         path.write_text("garbage\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from buckdens import construction, kernels, sets
+from buckdens.cli import main
 from buckdens.construction import (
     CertificateError,
     Tower,
@@ -237,15 +238,51 @@ class TestClaimA:
         assert not report.ok
         assert report.first_violation() in (2, 3)
 
+    def test_unpeelable_level_after_a_nesting_failure_fails_the_check(
+            self, tmp_path, capsys):
+        # a random level 8 fails to nest in level 7, and neither its H' nor
+        # the powers cover of 8! has a layer to peel: the check ends at the
+        # failed level 7 instead of raising, and verify exits 2, not 3
+        oracle = PerfectPowersOracle()
+        t = construct(oracle, HALF, 8)
+        top = t.top
+        bits = (np.random.default_rng(8).random(top.modulus) < 0.3).astype(np.uint8)
+        bits[top.h] = 1
+        assert sets._periodic_layer(bits) is None
+        bad = Tower(alpha=t.alpha, oracle_spec=t.oracle_spec, exact=t.exact,
+                    levels=t.levels[:-1] + [replace(top, H=ResidueSet.from_bits(bits))])
+        with pytest.raises(ResourceLimitError):
+            sumset_mod(bad.top.H.discard(top.h), oracle.cover_cached(top.modulus))
+        report = check_claimA(bad, oracle)
+        assert report.first_violation() == 7
+        assert [c.n for c in report.checks] == list(range(1, 8))
+        path = tmp_path / "bad.json"
+        path.write_text(tower_to_json(bad))
+        code = main(["verify", "--tower", str(path), "--b", "powers",
+                     "--horizon", "1000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "FAILED at level 7" in err
+
+    def test_refusal_after_a_nesting_level_is_raised(self, monkeypatch):
+        def refuse(p, c):
+            raise ResourceLimitError("refused")
+
+        oracle = PrimesOracle()
+        t = construct(oracle, HALF, 4)
+        monkeypatch.setattr(construction, "sumset_mod", refuse)
+        with pytest.raises(ResourceLimitError, match="refused"):
+            check_claimA(t, oracle)
+
     def test_depth_ten_check_takes_no_transform(self, monkeypatch):
         # every H' peels level by level down to shift-OR sizes
-        def refuse(a, b):
-            raise AssertionError("check_claimA reached the FFT")
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_claimA reached a transform")
 
         for oracle in (PrimesOracle(), PerfectPowersOracle()):
             t = construct(oracle, HALF, 10)
             with monkeypatch.context() as patched:
-                patched.setattr(sets, "_cyclic_convolution", refuse)
+                patched.setattr(np.fft, "rfft", refuse)
                 report = check_claimA(t, oracle)
             assert report.ok
             assert [(c.lower, c.upper) for c in report.checks] == \

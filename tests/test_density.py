@@ -81,12 +81,12 @@ class TestConjugate:
             conjugate(Fraction(3, 2))
 
     @given(st.fractions(min_value=0, max_value=1))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_involution(self, x):
         assert conjugate(conjugate(x)) == x
 
     @given(st.integers(1, 60), st.data())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_lower_density_monotone_under_inclusion(self, k, data):
         # 1 - d(complement) respects inclusion on periodic sets
         hs = data.draw(st.lists(st.integers(0, k - 1), max_size=10))

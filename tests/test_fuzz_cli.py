@@ -166,7 +166,7 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(COMMANDS)
 @example(({"tower.json": TOWER},
           ["verify", "--tower", "{dir}/tower.json", "--b", "primes", "--horizon", "0"]))

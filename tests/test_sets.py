@@ -18,7 +18,6 @@ from buckdens.sets import (
     divisors,
     dumps_periodic,
     factorize,
-    _fft_cyclic_or,
     intersect,
     min_plus_mod,
     window_period,
@@ -95,7 +94,7 @@ class TestBoolean:
             union(p, q)
 
     @given(small_periodic, small_periodic)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_boolean_ops_match_brute_force(self, p, q):
         bound = 10 * math.lcm(p.modulus, q.modulus)
         mp, mq = brute_members(p, bound), brute_members(q, bound)
@@ -121,12 +120,12 @@ class TestAffine:
         assert brute_members(p, 100) == {4 * t + 1 for t in range(25)}
 
     @given(small_periodic, st.integers(1, 100), st.integers(0, 100))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_density_scales_exactly(self, p, k, h):
         assert affine(p, k, h).density() == p.density() / k
 
     @given(small_periodic, st.integers(1, 20), st.integers(0, 40))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_membership_matches_image_from_offset_on(self, p, k, h):
         img = affine(p, k, h)
         true_img = {k * x + h for x in brute_members(p, 30 * p.modulus)}
@@ -159,7 +158,7 @@ class TestSumsetMod:
         assert sumset_mod(ResidueSet(4, [1]), ResidueSet(4, [])).is_empty()
 
     @given(st.integers(2, 200), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_double_loop(self, k, data):
         hs = data.draw(st.lists(st.integers(0, k - 1), max_size=15))
         cs = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=15))
@@ -167,61 +166,12 @@ class TestSumsetMod:
         want = {(a + c) % k for a in hs for c in cs}
         assert set(got.residues()) == want
 
-    def test_fft_path_matches_shift_path(self):
-        # modulus above the FFT threshold with both operands large
-        rng = np.random.default_rng(7)
-        k = 5040 * 4
-        hs = rng.choice(k, size=400, replace=False)
-        cs = rng.choice(k, size=300, replace=False)
-        p = ResidueSet(k, hs)
-        c = ResidueSet(k, cs)
-        fft = sumset_mod(p, c)
-        out = np.zeros(k, dtype=np.uint8)
-        bits = p.bits()
-        for s in cs:
-            rolled = np.roll(bits, int(s))
-            np.bitwise_or(out, rolled, out=out)
-        assert np.array_equal(fft.bits(), out)
-
-    def test_fft_round_off_beyond_the_margin_is_refused(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        k = 5040 * 4
-        a = (rng.random(k) < 0.1).astype(np.uint8)
-        b = (rng.random(k) < 0.1).astype(np.uint8)
-        assert _fft_cyclic_or(a, b).any()
-        convolution = sets._cyclic_convolution
-        monkeypatch.setattr(sets, "_cyclic_convolution", lambda a, b: convolution(a, b) + 0.3)
-        with pytest.raises(ResourceLimitError, match="round-off"):
-            _fft_cyclic_or(a, b)
-        with pytest.raises(ResourceLimitError, match="round-off"):
-            sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
-
 
 def shift_or_reference(a, b):
     out = np.zeros_like(a)
     for s in np.flatnonzero(b):
         np.bitwise_or(out, np.roll(a, int(s)), out=out)
     return out
-
-
-class TestFFTKernel:
-    # one real transform product, at lengths divisible by 4, = 2 (mod 4)
-    # and odd
-    @pytest.mark.parametrize("k", [
-        1 << 14, 8 * 5040, 362880,
-        (1 << 14) + 2, 2 * 3 ** 9,
-        (1 << 14) + 1, 3 ** 9,
-    ])
-    @pytest.mark.parametrize("density", [0.001, 0.05, 0.3, 1.0])
-    def test_matches_shift_or(self, k, density):
-        rng = np.random.default_rng(k % 1000 + int(density * 1000))
-        a = (rng.random(k) < density).astype(np.uint8)
-        b = np.zeros(k, dtype=np.uint8)
-        b[rng.choice(k, size=40, replace=False)] = 1
-        b[[0, k - 1]] = 1   # the wrap-around shifts
-        want = shift_or_reference(a, b)
-        assert np.array_equal(_fft_cyclic_or(a, b), want)
-        assert np.array_equal(_fft_cyclic_or(b, a), want)
 
 
 BLOCK = sets._BLOCK
@@ -251,7 +201,7 @@ def sparse_bitmaps(draw, lengths):
 
 class TestSparseMembers:
     # lengths below, at and between block multiples
-    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=80)
     @given(sparse_bitmaps(st.one_of(st.integers(1, 4 * BLOCK + 3),
                                     st.sampled_from([BLOCK, 3 * BLOCK, BLOCK + 1]))))
     @example(np.zeros(1, dtype=np.uint8))
@@ -264,7 +214,7 @@ class TestSparseMembers:
             assert got.dtype == np.intp
             assert np.array_equal(got, np.flatnonzero(bitmap))
 
-    @settings(max_examples=15, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=15)
     @given(sparse_bitmaps(st.just(FACT11)))
     @example(np.zeros(FACT11, dtype=np.uint8))
     def test_matches_flatnonzero_at_eleven_factorial(self, x):
@@ -299,7 +249,8 @@ def periodic_operands(k, rng, density):
 class TestPeriodicPeel:
     # the peel runs at every modulus: 5040 and 9240 lie below
     # _PEEL_MIN_MODULUS, which only decides what an operand with no layer
-    # takes
+    # takes; periodic_operands leaves an aperiodic core at k/q, refused from
+    # _PEEL_MIN_MODULUS up, so 8! and 2^16 take nested_operand instead
     @pytest.mark.parametrize("k", [math.factorial(8), 1 << 16, 3 ** 9, 4 * 5040,
                                    5040, 9240])
     def test_matches_shift_or(self, k):
@@ -311,7 +262,11 @@ class TestPeriodicPeel:
         sparse[rng.choice(k, size=150, replace=False)] = 1
         dense = (rng.random(k) < 0.3).astype(np.uint8)
         for partner, density in ((sparse, 0.3), (dense, 0.02)):
-            for x in periodic_operands(k, rng, density):
+            if k // min(sets.factorize(k)) < sets._PEEL_MIN_MODULUS:
+                operands = periodic_operands(k, rng, density)
+            else:
+                operands = [nested_operand(k, rng, density)]
+            for x in operands:
                 assert np.count_nonzero(x) > sets._SHIFT_MAX
                 fewer, more = sorted((x, partner), key=np.count_nonzero)
                 want = shift_or_reference(more, fewer)
@@ -320,31 +275,44 @@ class TestPeriodicPeel:
                     assert np.array_equal(got.bits(), want)
 
     def test_peelable_operands_take_no_transform(self, monkeypatch):
-        def refuse(a, b):
-            raise AssertionError("a peelable operand reached the FFT")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a peelable operand reached a transform")
 
-        monkeypatch.setattr(sets, "_cyclic_convolution", refuse)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
         k = 4 * 5040
         rng = np.random.default_rng(1)
         partner = (rng.random(k) < 0.1).astype(np.uint8)
         for x in periodic_operands(k, rng, 0.3):
             sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(partner))
 
-    def test_aperiodic_operands_reach_the_fft(self, monkeypatch):
-        called = []
-        fft = sets._fft_cyclic_or
-
-        def recording(a, b):
-            called.append(a.shape[0])
-            return fft(a, b)
-
-        monkeypatch.setattr(sets, "_fft_cyclic_or", recording)
+    def test_aperiodic_operands_are_refused(self):
+        # neither operand has a layer, at a modulus from _PEEL_MIN_MODULUS up
         k = math.factorial(8)
         rng = np.random.default_rng(2)
-        x, y = ((rng.random(k) < 0.1).astype(np.uint8) for _ in range(2))
-        got = sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(y))
-        assert called == [k]
-        assert np.array_equal(got.bits(), shift_or_reference(x, y))
+        x, y = (ResidueSet.from_bits((rng.random(k) < 0.1).astype(np.uint8))
+                for _ in range(2))
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ResourceLimitError, match="has a periodic layer"):
+                sumset_mod(a, b)
+
+    @pytest.mark.parametrize("k", [5040, math.factorial(8)])
+    def test_or_and_min_semirings_agree(self, k):
+        # P + C is where the min-plus sum of P with the 0/1 table that is 0
+        # on C reaches 0.  P is layered and smaller than C, so both sums
+        # peel P, below and above _PEEL_MIN_MODULUS, and both operands are
+        # sparse enough that P + C misses residues
+        rng = np.random.default_rng(k + 5)
+        if k < sets._PEEL_MIN_MODULUS:
+            x = np.tile(nested_operand(k // 7, rng, 0.015), 7)
+            x[rng.choice(k, size=10, replace=False)] ^= 1
+        else:
+            x = nested_operand(k, rng, 0.005)
+        size = np.count_nonzero(x)
+        assert size > sets._SHIFT_MAX and sets._periodic_layer(x) is not None
+        c = ResidueSet(k, rng.choice(k, size=size + 10, replace=False))
+        want = sumset_mod(ResidueSet.from_bits(x), c).bits()
+        assert 0 < np.count_nonzero(want) < k
+        assert np.array_equal(want, min_plus_mod(x, np.where(c.bits(), 0, 1)) == 0)
 
 
 def nested_operand(k, rng, density):
@@ -394,7 +362,7 @@ def layered_bitmaps(draw):
 
 
 class TestPeriodicLayer:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(layered_bitmaps())
     @example(np.ones(2 * 3 * 5 * 7, dtype=np.uint8))
     @example(np.zeros(2 * 3 * 5 * 7, dtype=np.uint8))
@@ -421,7 +389,7 @@ def min_plus_reference(p, values, none):
 
 class TestMinPlusMod:
     @given(st.integers(1, 120), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_double_loop(self, k, data):
         p = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)),
                      dtype=np.uint8)
@@ -526,7 +494,7 @@ class TestCanonicalize:
         assert c.modulus == 1 and c.is_empty()
 
     @given(small_periodic)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_idempotent_and_member_preserving(self, p):
         c = canonicalize(p)
         assert canonicalize(c).modulus == c.modulus
@@ -559,12 +527,12 @@ class TestNumberTheory:
 
 class TestDensityAxiomsOnPeriodicSets:
     @given(small_periodic)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_bounded_by_full_line(self, p):
         assert 0 <= p.density() <= naturals().density() == 1
 
     @given(small_periodic, small_periodic)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_monotone_and_subadditive(self, p, q):
         u = union(p, q)
         assert p.density() <= u.density()
@@ -573,12 +541,12 @@ class TestDensityAxiomsOnPeriodicSets:
             assert u.density() == p.density() + q.density()
 
     @given(small_periodic)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_complement_sums_to_one(self, p):
         assert p.density() + complement(p).density() == 1
 
     @given(small_periodic, small_periodic)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_inclusion(self, p, q):
         u = union(p, q)
         # X ⊆ Y exactly when X ∪ Y = Y
@@ -620,7 +588,7 @@ class TestEquality:
         assert ResidueSet(6, [0, 2, 4]) != ResidueSet(6, [0, 3])
 
     @given(small_periodic, small_periodic)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_equality_is_equality_of_members(self, p, q):
         bound = math.lcm(p.modulus, q.modulus)
         same = brute_members(p, bound) == brute_members(q, bound)
@@ -643,6 +611,14 @@ class TestFileFormat:
         p = ResidueSet(20000, rng.choice(20000, size=5000, replace=False))
         text = dumps_periodic(p)
         assert text.splitlines()[1].startswith("bitmap ")
+        assert loads_periodic(text) == p
+
+    def test_bitmap_round_trip_with_padding(self):
+        # k = 20005 leaves three padding bits in the last byte
+        rng = np.random.default_rng(4)
+        p = ResidueSet(20005, np.append(rng.choice(20005, size=5000), 20004))
+        text = dumps_periodic(p)
+        assert len(text.splitlines()[1]) == len("bitmap ") + 2 * 2501
         assert loads_periodic(text) == p
 
     def test_empty_set(self):
