@@ -174,6 +174,30 @@ def shift_or_reference(a, b):
     return out
 
 
+class TestShiftKernel:
+    # the shift branch of both semirings, at lengths divisible by 4,
+    # = 2 (mod 4) and odd, from _PEEL_MIN_MODULUS up, with the wrap-around
+    # shifts 0 and k - 1 in the small operand
+    @pytest.mark.parametrize("k", [
+        1 << 14, 8 * 5040, 362880,
+        (1 << 14) + 2, 2 * 3 ** 9,
+        (1 << 14) + 1, 3 ** 9,
+    ])
+    @pytest.mark.parametrize("density", [0.001, 0.05, 0.3, 1.0])
+    def test_matches_shift_or(self, k, density):
+        rng = np.random.default_rng(k % 1000 + int(density * 1000))
+        a = (rng.random(k) < density).astype(np.uint8)
+        b = np.zeros(k, dtype=np.uint8)
+        b[rng.choice(k, size=40, replace=False)] = 1
+        b[[0, k - 1]] = 1
+        assert np.count_nonzero(b) <= sets._SHIFT_MAX
+        want = shift_or_reference(a, b)
+        x, y = ResidueSet.from_bits(a), ResidueSet.from_bits(b)
+        assert np.array_equal(sumset_mod(x, y).bits(), want)
+        assert np.array_equal(sumset_mod(y, x).bits(), want)
+        assert np.array_equal(min_plus_mod(b, np.where(a, 0, 1)) == 0, want)
+
+
 BLOCK = sets._BLOCK
 FACT11 = math.factorial(11)
 
