@@ -91,11 +91,12 @@ def _cmd_profile(args) -> int:
     oracle = parse_oracle(args.b)
     profile = smallness_profile(oracle, args.n_max)
     if args.json:
-        _write(args.out, json.dumps(profile.to_json_dict(), indent=2) + "\n")
+        text = json.dumps(profile.to_json_dict(), indent=2) + "\n"
     else:
-        for n, size, eps in profile.rows:
-            print(f"n={n}  |cover(n!)|={size}  eps={eps}  (~{float(eps):.6g})")
-        print(f"verdict: {profile.verdict}")
+        text = "".join(f"n={n}  |cover(n!)|={size}  eps={eps}  (~{float(eps):.6g})\n"
+                       for n, size, eps in profile.rows)
+        text += f"verdict: {profile.verdict}\n"
+    _write(args.out, text)
     return EXIT_OK
 
 

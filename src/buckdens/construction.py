@@ -222,7 +222,9 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     """Recompute every level certificate from scratch and test the nesting
     inclusions between consecutive levels.
 
-    Per level, one ``sumset_mod`` of H' with the cover gives
+    Per level, the stored L, U, h, density and (from level 2 on) k_n with
+    h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values.  One
+    ``sumset_mod`` of H' with the cover gives
     L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H adds the cover
     rotated by h, so U needs one rotated OR.  Level n+1 nests when each of
     its n+1 rows mod n! lies between H' and H.
@@ -264,6 +266,10 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         stored_ok = (lower == lv.sum_lower and upper == lv.sum_upper
                      and 0 <= lv.h < lv.modulus and lv.h in lv.H
                      and lv.density_a == Fraction(len(lv.H), lv.modulus))
+        if i:
+            prev, k = t.levels[i - 1], lv.k_chosen
+            stored_ok = (stored_ok and k is not None and 0 <= k < lv.n
+                         and lv.h == prev.h + k * prev.modulus)
         nesting_ok: bool | None = None
         if i + 1 < len(t.levels):
             rows = t.levels[i + 1].H.bits().reshape(-1, lv.modulus)

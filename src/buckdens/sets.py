@@ -17,7 +17,6 @@ off an operand that has one up to a few residues, folding the other operand
 down to ``k/q``.  An operand with no layer is shifted below ``2**14`` and
 refused with :class:`ResourceLimitError` from there on.  The verifier takes
 the min case for the least member of A + B in each class.
-``window_period`` peels layers off a period that is long against a window.
 Tower operands always peel: level n is level n − 1 tiled plus at most n − 1
 classes.  Sparse operands (the shifts and a layer's excess) are listed block
 by block, skipping the blocks that hold no member, so an 11-residue cover of
@@ -47,7 +46,6 @@ __all__ = [
     "affine",
     "sumset_mod",
     "min_plus_mod",
-    "window_period",
     "rebase",
     "canonicalize",
     "naturals",
@@ -333,27 +331,6 @@ def _peel_shift(op: np.ufunc, p: np.ndarray, table: np.ndarray,
     if shifts.size == 0:
         return np.full(k, fill, dtype=table.dtype)
     return _shifted(op, np.roll(table, shifts[0]), table, shifts[1:])
-
-
-def window_period(p: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(f, E)`` for a 0/1 period ``p`` of length k: a period f whose
-    length divides k, and integers E in [0, horizon], with
-
-        {a <= horizon : p[a mod k]} = {a <= horizon : f[a mod len(f)]} ∪ E.
-
-    While the window [0, horizon] is at most half the period and the period
-    has a periodic layer, the period is replaced by the layer's core: only
-    the first lift of a residue lies in the window, so the layer's excess
-    residues up to ``horizon`` are all that the core's tiling misses there.
-    """
-    extra = [np.zeros(0, dtype=np.intp)]
-    while 2 * (horizon + 1) <= p.shape[0]:
-        layer = _periodic_layer(p)
-        if layer is None:
-            break
-        _, p, excess = layer
-        extra.append(excess[excess <= horizon])
-    return p, np.concatenate(extra)
 
 
 def _shifted(op: np.ufunc, out: np.ndarray, table: np.ndarray,

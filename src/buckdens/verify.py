@@ -2,11 +2,12 @@
 A+B from a tower, compare empirical frequencies against the exact
 certificates, and cross-check with asymptotic/Banach/logarithmic proxies.
 
-The A + B windows come from A's period alone: the least member of A + B
-in each residue class is a min-plus sum of the period with B's first
-members, peeled layer by layer in :mod:`buckdens.sets`, with no
-convolution.  The proxies are float-side; the certified rationals come
-from :mod:`buckdens.construction` and are never touched.
+The A + B windows come from a prefix of A's period just longer than the
+window: the least member of A + B in each residue class is a min-plus sum
+of that prefix with B's first members, peeled layer by layer in
+:mod:`buckdens.sets`, with no convolution.  The proxies are float-side;
+the certified rationals come from :mod:`buckdens.construction` and are
+never touched.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from . import kernels
 from .construction import (
     CertificateError,
+    SumBounds,
     Tower,
     a_bounds,
     check_claimA,
@@ -35,7 +37,7 @@ from .density import (
     empirical_logarithmic,
 )
 from .oracles import CoverOracle
-from .sets import min_plus_mod, window_period
+from .sets import min_plus_mod
 
 __all__ = [
     "a_window",
@@ -64,7 +66,7 @@ def a_window(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     only ever removes elements congruent to h_N mod N!.  ``exceptional``
     marks that single undecided class.
     """
-    lower, upper = _periods(t)
+    lower, upper = _periods(t, horizon)
     return (kernels.tile_periodic(lower, horizon + 1),
             kernels.tile_periodic(upper - lower, horizon + 1))
 
@@ -76,12 +78,10 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
     x ≡ r (mod M) lies in A + B iff x >= t_r = min{F_c : P[r − c]}, with
     F_c the least member of B ∩ [0, horizon] in class c (horizon + 1 if
     none): t is the min-plus sum of P and F mod M, which
-    ``sets.min_plus_mod`` takes by peeling P's periodic layers.  When the
-    window is at most half of M, ``sets.window_period`` first trades P for
-    a shorter period plus the few members of A in the window that its
-    tiling misses; their shifts of B are ORed into the window at the end.
+    ``sets.min_plus_mod`` takes by peeling P's periodic layers.  The cost
+    follows M, so a caller with a long period and a short window passes a
+    prefix of the period longer than the window, as ``_periods`` does.
     """
-    period_bits, extra = window_period(period_bits, horizon)
     m = period_bits.shape[0]
     n = min(m, horizon + 1)
     out = np.zeros(horizon + 1, dtype=np.uint8)
@@ -97,18 +97,32 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
     np.greater_equal(np.arange(full)[:, None] * n, threshold,
                      out=out[: full * n].reshape(full, n))
     np.greater_equal(full * n, threshold[:rest], out=out[full * n:])
-    for e in extra.tolist():
-        out[e + b_values[: np.searchsorted(b_values, horizon - e, side="right")]] = 1
     return out
 
 
-def _periods(t: Tower) -> tuple[np.ndarray, np.ndarray]:
-    """One period of the definite part of A and of A_N: H∖{h} and H at the
-    top level, or ``[1]`` for both when A = N."""
+def _periods(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Periods of the definite part of A and of A_N, H∖{h} and H at the top
+    level N, cut to a length d that gives the same window [0, horizon];
+    ``[1]`` for both when A = N.
+
+    Any d > horizon gives the same window, as only the first lift of each
+    residue lies in it.  With f = n! the largest level modulus up to the
+    horizon, d = min(N!, (⌊horizon/f⌋ + 1)·f), at most 2·horizon.  For
+    n < N: level m + 1 removes lifts of h_m from m! on, so below
+    (n + 1)! >= d, H is H_{n+1}, whose rows mod f are H_n or H_n∖{h_n},
+    and the prefix peels like a level.  The upper period is a view of H's
+    bitmap, the lower one a copy with h cleared when h < d.
+    """
     if t.trivial:
         return np.ones(1, dtype=np.uint8), np.ones(1, dtype=np.uint8)
     top = t.top
-    return top.H.discard(top.h).bits(), top.H.bits()
+    f = max((lv.modulus for lv in t.levels if lv.modulus <= horizon), default=1)
+    d = min(top.modulus, (horizon // f + 1) * f)
+    upper = top.H.bits()[:d]
+    lower = upper.copy()
+    if top.h < d:
+        lower[top.h] = 0
+    return lower, upper
 
 
 def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, int]:
@@ -126,7 +140,7 @@ def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, 
 def _coverages(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     check_horizon(horizon)
     b_values = oracle.enumerate(horizon)
-    lower, upper = _periods(t)
+    lower, upper = _periods(t, horizon)
     lo_cov = sumset_window(lower, b_values, horizon)
     # the two periods differ only at h, whose class first enters the window at h
     if t.trivial or t.top.h > horizon:
@@ -226,8 +240,7 @@ class DensityReport:
                             f"{r.budget:.9f}", "PASS" if r.passed else "FAIL"])
 
 
-def _level_rows(t: Tower, oracle: CoverOracle) -> list[dict]:
-    sb = sum_bounds(t, oracle)
+def _level_rows(t: Tower, sb: SumBounds) -> list[dict]:
     rows = []
     for lv, (_, lower, upper, eps) in zip(t.levels, sb.per_level):
         rows.append({
@@ -268,7 +281,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
 
     report = DensityReport(
         alpha=tower.alpha, oracle=oracle.name, exact=oracle.exact,
-        depth=depth, level_rows=_level_rows(tower, oracle),
+        depth=depth, level_rows=_level_rows(tower, sb),
         interval_a=(ab.lower, ab.upper),
         interval_sum=(sb.final.lower, sb.final.upper),
         eps_final=eps_final,
@@ -337,6 +350,6 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int) -> CrossDen
     """
     sb = sum_bounds(t, oracle)
     check_horizon(horizon)
-    lo_cov = sumset_window(_periods(t)[0], oracle.enumerate(horizon), horizon)
+    lo_cov = sumset_window(_periods(t, horizon)[0], oracle.enumerate(horizon), horizon)
     return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), _CROSS_SLACK,
                               *_proxies(lo_cov, horizon, max(1, horizon // 10)))

@@ -173,6 +173,16 @@ class TestProfile:
         assert doc["oracle"] == "primes"
         assert len(doc["rows"]) == 6
 
+    def test_text_to_out_file(self, tmp_path, capsys):
+        # --out takes the text form too, byte for byte what stdout shows
+        code, shown, _ = run(capsys, "profile", "--b", "powers", "--n-max", "3")
+        assert code == 0
+        path = tmp_path / "prof.txt"
+        code, out, _ = run(capsys, "profile", "--b", "powers", "--n-max", "3",
+                           "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == shown
+
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_n_max_below_one_is_usage_error(self, capsys, n_max):
         code, out, err = run(capsys, "profile", "--b", "primes", "--n-max", n_max)

@@ -264,6 +264,23 @@ class TestClaimA:
         assert code == 2
         assert err.count("\n") == 1 and "FAILED at level 7" in err
 
+    def test_k_chosen_off_the_marked_class_is_caught(self, tmp_path, capsys):
+        # level 5 of this tower stores k = 0 with h_5 = h_4; k = 3 would put
+        # h_5 at h_4 + 3·4!, so the stored k no longer matches h
+        oracle = PrimesOracle()
+        doc = json.loads(tower_to_json(construct(oracle, HALF, 6)))
+        assert doc["levels"][4]["k_chosen"] == 0
+        doc["levels"][4]["k_chosen"] = 3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        bad, _ = tower_from_json(path.read_text())
+        assert check_claimA(bad, oracle).first_violation() == 5
+        code = main(["verify", "--tower", str(path), "--b", "primes",
+                     "--horizon", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "FAILED at level 5" in captured.err
+
     def test_refusal_after_a_nesting_level_is_raised(self, monkeypatch):
         def refuse(p, c):
             raise ResourceLimitError("refused")

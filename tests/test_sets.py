@@ -20,7 +20,6 @@ from buckdens.sets import (
     factorize,
     intersect,
     min_plus_mod,
-    window_period,
     loads_periodic,
     naturals,
     rebase,
@@ -456,26 +455,6 @@ class TestMinPlusMod:
         p = (rng.random(1 << 16) < 0.3).astype(np.uint8)
         with pytest.raises(ResourceLimitError, match="no periodic layer"):
             min_plus_mod(p, np.zeros(1 << 16, dtype=np.int32))
-
-
-class TestWindowPeriod:
-    def test_window_members_are_kept(self):
-        rng = np.random.default_rng(4)
-        k = math.factorial(8)
-        for p in periodic_operands(k, rng, 0.3):
-            for horizon in (0, 99, k // 4, k // 2 - 1):
-                f, extra = window_period(p, horizon)
-                assert len(f) < k and k % len(f) == 0
-                want = np.flatnonzero(p[: horizon + 1])
-                got = np.flatnonzero(np.tile(f, k // len(f))[: horizon + 1])
-                assert np.array_equal(np.union1d(got, extra), want)
-                assert np.all(extra <= horizon)
-
-    def test_a_window_beyond_half_the_period_keeps_it(self):
-        p = np.ones(100, dtype=np.uint8)
-        f, extra = window_period(p, 50)
-        assert f is p and extra.size == 0
-        assert window_period(p, 49)[0].shape[0] < 100
 
 
 class TestRebase:

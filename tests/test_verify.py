@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from buckdens.oracles import (
     PrimesOracle,
     parse_oracle,
 )
-from buckdens.sets import ResourceLimitError, window_period
+from buckdens.sets import ResourceLimitError
 from buckdens.verify import (
     a_window,
     cross_density_check,
@@ -62,8 +64,8 @@ def window_by_double_loop(period_bits, b_values, horizon):
 
 
 class TestSumsetWindow:
-    # horizon 120 against periods M <= T, T < M <= 2T and M > 2T; from
-    # M = 242 = 2(T+1) on, a period with a layer is first peeled down
+    # horizon 120 against periods M <= T, T < M <= 2T and M > 2T; the
+    # thresholds are taken over the whole period at every M
     @pytest.mark.parametrize("modulus", [1, 37, 120, 121, 150, 240, 241, 242, 250, 400])
     def test_matches_double_loop(self, modulus):
         rng = np.random.default_rng(modulus)
@@ -90,17 +92,43 @@ class TestSumsetWindow:
         with pytest.raises(ResourceLimitError, match="no periodic layer"):
             sumset_window(period, b, 5000)
 
-    @pytest.mark.parametrize("depth,horizon", [(8, 50), (8, 5000), (10, 3000)])
-    def test_tower_period_with_a_short_window(self, depth, horizon):
-        # M = depth! is far beyond 2(T+1): the period is peeled down first
-        # and the excess members in the window are shifted over B
-        for oracle in (PrimesOracle(), PerfectPowersOracle()):
-            t = construct(oracle, HALF, depth)
+    @pytest.mark.parametrize("depth", [6, 7])
+    @pytest.mark.parametrize("oracle", [PrimesOracle(), PerfectPowersOracle(),
+                                        FactorialsOracle(), FiniteOracle([0, 24, 7])],
+                             ids=["primes", "powers", "factorials", "finite"])
+    def test_tower_period_with_a_short_window(self, oracle, depth):
+        # around each level modulus m, and just below and at N!, the cut
+        # periods give the windows of the whole periods H∖{h} and H mod N!
+        t = construct(oracle, HALF, depth)
+        top = t.top
+        whole = (top.H.discard(top.h).bits(), top.H.bits())
+        horizons = {top.modulus - 1, top.modulus}
+        for lv in t.levels:
+            m = lv.modulus
+            horizons |= {m - 1, m, 2 * m - 1, 2 * m}
+        for horizon in sorted(horizons - {0}):
             b = oracle.enumerate(horizon)
-            for period in verify._periods(t):
-                assert len(window_period(period, horizon)[0]) < len(period)
+            for period, full in zip(verify._periods(t, horizon), whole):
+                if horizon < top.modulus:
+                    assert horizon < len(period) <= 2 * horizon
+                else:
+                    assert len(period) == top.modulus
                 assert np.array_equal(sumset_window(period, b, horizon),
-                                      window_by_double_loop(period, b, horizon))
+                                      window_by_double_loop(full, b, horizon))
+
+    def test_short_window_of_a_deep_tower_stays_small(self):
+        # at T = 10^4 the depth-10 periods are cut to 10080 bytes; the
+        # whole period would allocate 10! bytes per copy
+        oracle = PrimesOracle()
+        t = construct(oracle, HALF, 10)
+        tracemalloc.start()
+        try:
+            verify._coverages(t, oracle, 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(verify._periods(t, 10**4)[0]) == 2 * math.factorial(7)
 
     def test_empty_operands(self):
         ones, zeros = np.ones(30, np.uint8), np.zeros(30, np.uint8)
