@@ -137,7 +137,7 @@ def _cmd_estimate(args) -> int:
     ind = periodic_indicator(pset, args.horizon)
     lo, hi = empirical_asymptotic(ind, args.horizon)
     window = args.window if args.window is not None else max(1, args.horizon // 10)
-    ban = empirical_banach(ind, window, args.horizon)
+    ban = empirical_banach(ind, window, args.horizon, pset.modulus)
     log = empirical_logarithmic(ind, args.horizon)
     print(f"exact density   : {pset.density()} (~{float(pset.density()):.9f})")
     print(f"asymptotic proxy: min={lo:.9f} max={hi:.9f}")

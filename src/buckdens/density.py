@@ -176,43 +176,66 @@ def _check_indicator(ind: np.ndarray, horizon: int) -> None:
 def empirical_asymptotic(ind: np.ndarray, horizon: int, grid: int = 60) -> tuple[float, float]:
     """(min, max) of |X ∩ [1, n]| / n over a log grid of n in [horizon/100, horizon].
 
-    Finite-horizon proxies for liminf/limsup of the counting ratio.
+    Finite-horizon proxies for liminf/limsup of the counting ratio.  ``ind``
+    is a 0/1 indicator of X on [0, horizon] or longer (uint8 or bool); the
+    count up to each of the at most ``grid`` grid points is summed from one
+    ``count_nonzero`` per segment between them.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_indicator(ind, horizon)
-    counts = np.cumsum(ind[: horizon + 1].astype(np.int64))
-    counts -= ind[0]  # counts[n] = |X ∩ [1, n]|
     lo_n = max(1, horizon // 100)
     ns = np.unique(np.geomspace(lo_n, horizon, num=grid).astype(np.int64))
-    ratios = counts[ns] / ns
+    starts = np.concatenate(([1], ns[:-1] + 1))
+    counts = np.cumsum([np.count_nonzero(ind[a: b + 1]) for a, b in zip(starts, ns)],
+                       dtype=np.int64)   # counts[j] = |X ∩ [1, ns[j]]|
+    ratios = counts / ns
     return float(ratios.min()), float(ratios.max())
 
 
-def empirical_banach(ind: np.ndarray, window: int, horizon: int) -> float:
-    """Max over length-``window`` windows inside [1, horizon] of count/window."""
+def empirical_banach(ind: np.ndarray, window: int, horizon: int,
+                     period: int | None = None) -> float:
+    """Max over length-``window`` windows inside [1, horizon] of count/window.
+
+    ``ind`` is a 0/1 indicator of X on [0, horizon] or longer (uint8 or
+    bool).  ``period`` is a p with ind[x] <= ind[x + p] wherever both lie in
+    [0, horizon]: a set of period p, or an A + B window
+    [x >= t_{x mod p}].  Then the count W(i) of [i + 1, i + window] is at
+    most W(i + p), so the maximum lies among the last p offsets
+    i in [horizon - window - p + 1, horizon - window], and only those are
+    counted.  The default p = horizon + 1 holds for every indicator and
+    counts every offset.
+    """
     if not 1 <= window <= horizon:
         raise ValueError("need 1 <= window <= horizon")
+    if period is None:
+        period = horizon + 1
+    if period < 1:
+        raise ValueError(f"period must be at least 1, not {period}")
     _check_indicator(ind, horizon)
-    counts = np.cumsum(ind[: horizon + 1].astype(np.int64))
-    counts -= ind[0]
-    # window [i+1, i+window] for i in [0, horizon-window]
-    best = int(np.max(counts[window:] - counts[: horizon + 1 - window]))
+    first = max(0, horizon - window - period + 1)
+    # counts[j] = |X ∩ [first + 1, first + j]|
+    counts = np.zeros(horizon - first + 1, dtype=np.int64)
+    np.cumsum(ind[first + 1: horizon + 1], dtype=np.int64, out=counts[1:])
+    # window [i+1, i+window] for i in [first, horizon-window]
+    best = int(np.max(counts[window:] - counts[: counts.shape[0] - window]))
     return best / window
 
 
 def empirical_logarithmic(ind: np.ndarray, horizon: int) -> float:
     """Weighted frequency with weights 1/i, normalized by the harmonic sum.
 
-    Evaluated on (sqrt(horizon), horizon]: dropping a prefix leaves the
-    logarithmic density unchanged in the limit but kills the small-i
+    ``ind`` is a 0/1 indicator of X on [0, horizon] or longer (uint8 or
+    bool).  Evaluated on (sqrt(horizon), horizon]: dropping a prefix leaves
+    the logarithmic density unchanged in the limit but kills the small-i
     transient, which otherwise decays only like 1/log(horizon).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_indicator(ind, horizon)
     start = math.isqrt(horizon) + 1 if horizon > 4 else 1
-    weights = 1.0 / np.arange(start, horizon + 1)
+    weights = np.arange(start, horizon + 1, dtype=np.float64)
+    np.divide(1.0, weights, out=weights)
     return float(np.dot(ind[start: horizon + 1].astype(np.float64), weights) / weights.sum())
 
 

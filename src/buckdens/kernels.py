@@ -25,6 +25,16 @@ def combine_rotated(op: np.ufunc, out: np.ndarray, src: np.ndarray, bits: np.nda
 
 
 def tile_periodic(bits: np.ndarray, length: int) -> np.ndarray:
-    """Indicator of a period-``len(bits)`` set on ``[0, length)``."""
-    reps = -(-length // bits.shape[0])
-    return np.tile(bits, reps)[:length].copy()
+    """Indicator of a period-``len(bits)`` set on ``[0, length)``, for
+    ``len(bits) >= 1``, in one new array: the filled prefix is copied onto
+    the rest, doubling each time.  (``np.resize`` concatenates a tuple of
+    ``⌈length/len(bits)⌉`` references to ``bits``, a million of them for
+    one bit tiled to 10**6.)"""
+    out = np.empty(length, dtype=bits.dtype)
+    n = min(bits.shape[0], length)
+    out[:n] = bits[:n]
+    while n < length:
+        step = min(n, length - n)
+        out[n: n + step] = out[:step]
+        n += step
+    return out

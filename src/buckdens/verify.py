@@ -81,15 +81,16 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
     ``sets.min_plus_mod`` takes by peeling P's periodic layers.  The cost
     follows M, so a caller with a long period and a short window passes a
     prefix of the period longer than the window, as ``_periods`` does.
+    ``b_values`` may come in any order.
     """
     m = period_bits.shape[0]
     n = min(m, horizon + 1)
     out = np.zeros(horizon + 1, dtype=np.uint8)
-    b_values = np.sort(b_values[b_values <= horizon])
-    classes, first = np.unique(b_values % m, return_index=True)
-    # int32 holds every horizon within the enumeration budget
+    # int32 holds every horizon within the enumeration budget; minimum.at
+    # takes its fast path only when the values match the table's dtype
+    b_values = b_values[b_values <= horizon].astype(np.int32)
     least = np.full(m, horizon + 1, dtype=np.int32)
-    least[classes] = b_values[first]
+    np.minimum.at(least, b_values % m, b_values)
     threshold = min_plus_mod(period_bits, least)[:n]
     # x = q*n + r is covered iff q*n >= t_r - r (and q = 0 whenever n < M)
     threshold -= np.arange(n, dtype=np.int32)
@@ -116,13 +117,20 @@ def _periods(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     if t.trivial:
         return np.ones(1, dtype=np.uint8), np.ones(1, dtype=np.uint8)
     top = t.top
-    f = max((lv.modulus for lv in t.levels if lv.modulus <= horizon), default=1)
-    d = min(top.modulus, (horizon // f + 1) * f)
+    d = _cut_length(t, horizon)
     upper = top.H.bits()[:d]
     lower = upper.copy()
     if top.h < d:
         lower[top.h] = 0
     return lower, upper
+
+
+def _cut_length(t: Tower, horizon: int) -> int:
+    """The length d of the periods ``_periods`` returns."""
+    if t.trivial:
+        return 1
+    f = max((lv.modulus for lv in t.levels if lv.modulus <= horizon), default=1)
+    return min(t.top.modulus, (horizon // f + 1) * f)
 
 
 def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, int]:
@@ -148,10 +156,14 @@ def _coverages(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[np.ndarray,
     return lo_cov, sumset_window(upper, b_values, horizon)
 
 
-def _proxies(cov: np.ndarray, horizon: int, window: int) -> tuple[tuple[float, float], float, float]:
-    """Asymptotic (min, max), Banach and logarithmic proxies of a window."""
+def _proxies(cov: np.ndarray, horizon: int, window: int,
+             period: int) -> tuple[tuple[float, float], float, float]:
+    """Asymptotic (min, max), Banach and logarithmic proxies of an A + B
+    window ``cov``, which ``sumset_window`` built from a period of length
+    ``period``: cov[x] = [x >= t_{x mod period}], so the Banach scan may
+    stop at the last ``period`` offsets."""
     return (empirical_asymptotic(cov, horizon),
-            empirical_banach(cov, window, horizon),
+            empirical_banach(cov, window, horizon, period),
             empirical_logarithmic(cov, horizon))
 
 
@@ -290,6 +302,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
     hi_cert = float(sb.final.upper)
     # coverage of [0, t] is a prefix of coverage of [0, horizon]
     lo_all, hi_all = _coverages(tower, oracle, horizon)
+    period = _cut_length(tower, horizon)
     for t_val in sorted({max(1, horizon // 100), max(1, horizon // 10), horizon}):
         lo_cov, hi_cov = lo_all[: t_val + 1], hi_all[: t_val + 1]
         c_lo = int(np.count_nonzero(lo_cov[1:]))
@@ -297,7 +310,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
         freq = (c_lo / t_val, c_hi / t_val)
         budget = float(eps_final) + tail + sampling_slack(t_val)
         passed = freq[0] <= hi_cert + budget and freq[1] >= lo_cert - budget
-        asym, ban, log = _proxies(lo_cov, t_val, max(1, t_val // 10))
+        asym, ban, log = _proxies(lo_cov, t_val, max(1, t_val // 10), period)
         report.rows.append(EmpiricalRow(
             horizon=t_val,
             count_a=count_A(tower, t_val),
@@ -350,6 +363,8 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int) -> CrossDen
     """
     sb = sum_bounds(t, oracle)
     check_horizon(horizon)
-    lo_cov = sumset_window(_periods(t, horizon)[0], oracle.enumerate(horizon), horizon)
+    lower = _periods(t, horizon)[0]
+    lo_cov = sumset_window(lower, oracle.enumerate(horizon), horizon)
     return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), _CROSS_SLACK,
-                              *_proxies(lo_cov, horizon, max(1, horizon // 10)))
+                              *_proxies(lo_cov, horizon, max(1, horizon // 10),
+                                        lower.shape[0]))

@@ -410,7 +410,8 @@ class TestEstimate:
         "modulus 5\nbitmap ffff\n",       # a spare byte, padding bits set
         "modulus 5\nbitmap e4\n",         # padding bits 5..7 set
         "modulus 12\nbitmap ff\n",        # one byte short
-    ], ids=["negative", "residue-k", "spare-byte", "padding", "short"])
+        "modulus 0\nresidues \n",         # no period for the Banach scan
+    ], ids=["negative", "residue-k", "spare-byte", "padding", "short", "zero-modulus"])
     def test_malformed_set_file_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "set.txt"
         path.write_text(text)

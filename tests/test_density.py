@@ -30,6 +30,8 @@ from buckdens.sets import (
     union,
 )
 
+import reference_proxies
+
 
 class TestBuckOnPeriodic:
     def test_evens(self):
@@ -179,6 +181,51 @@ class TestEmpiricalBanachAndLog:
     def test_indicator_horizon_is_bounded(self):
         with pytest.raises(ResourceLimitError):
             periodic_indicator(ResidueSet(2, [0]), DEFAULT_ENUM_BUDGET + 1)
+
+
+def _assert_proxies_match_references(ind, horizon, period=None):
+    # the same float bits as the full scans, for every window length
+    assert empirical_asymptotic(ind, horizon) == reference_proxies.asymptotic(ind, horizon)
+    assert empirical_logarithmic(ind, horizon) == reference_proxies.logarithmic(ind, horizon)
+    for window in range(1, horizon + 1):
+        assert (empirical_banach(ind, window, horizon, period)
+                == reference_proxies.banach(ind, window, horizon)), window
+
+
+class TestProxiesMatchReferences:
+    @given(st.integers(1, 5000), st.floats(0, 1), st.booleans(),
+           st.sampled_from([np.uint8, np.bool_]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25)
+    def test_random_indicators(self, horizon, density, first, dtype, seed):
+        rng = np.random.default_rng(seed)
+        ind = (rng.random(horizon + 1) < density).astype(dtype)
+        ind[0] = first
+        _assert_proxies_match_references(ind, horizon)
+
+    @given(st.integers(1, 5000), st.integers(1, 300), st.floats(0, 1),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=25)
+    def test_periodic_indicators(self, horizon, modulus, density, seed):
+        rng = np.random.default_rng(seed)
+        bits = (rng.random(modulus) < density).astype(np.uint8)
+        ind = bits[np.arange(horizon + 1) % modulus]
+        _assert_proxies_match_references(ind, horizon, modulus)
+
+    @given(st.integers(1, 5000), st.integers(1, 6000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25)
+    def test_threshold_windows(self, horizon, p, seed):
+        # [x >= t_{x mod p}], the shape of every A + B window
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, 2 * horizon + 2, size=p)
+        x = np.arange(horizon + 1)
+        ind = (x >= t[x % p]).astype(np.uint8)
+        _assert_proxies_match_references(ind, horizon, p)
+
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_banach_refuses_a_period_below_one(self, period):
+        ind = periodic_indicator(ResidueSet(2, [0]), 100)
+        with pytest.raises(ValueError, match="period must be at least 1"):
+            empirical_banach(ind, 10, 100, period)
 
 
 class TestAxiomSuite:

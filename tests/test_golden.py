@@ -1,5 +1,6 @@
 """Byte-exact CLI outputs: sha256 of ``construct`` stdout for each built-in
-oracle and of one ``verify`` report.  A change to these digests is a change
+oracle, of one ``verify`` report and of ``estimate`` on one set file of each
+format.  A change to these digests is a change
 to the tower or report format and must be deliberate."""
 
 import hashlib
@@ -20,6 +21,24 @@ CONSTRUCT = {
 }
 
 VERIFY = "7274d5b35a4f3a5abf24d4ba50c34b204a07c0676ab850d730754a0121a37917"
+
+# at horizon 10**4 the logarithmic proxy's dot product has at most 10**4
+# terms, which numpy sums on one thread, so its bits do not follow the BLAS
+# thread count
+ESTIMATE_SETS = {
+    "residues": "modulus 30\nresidues 1,7,11,13,17,19,23,29\n",
+    "bitmap": "modulus 20\nbitmap a5c30f\n",
+}
+ESTIMATE = {
+    ("residues", None):
+        "17b798b7f85514506b5032beb055710ad46b52a91b8b41f482de604a2bf8b7cf",
+    ("residues", "137"):
+        "bd94c80b199a5f002c43337e025aff04c160c77b1ba125f47b9db0962ac19af8",
+    ("bitmap", None):
+        "c3cae8b81b3a69ac4d08c90e16c339cd2f1a043c6d58ab5668a6b9d7281567d2",
+    ("bitmap", "137"):
+        "57e05f9ed96660e4c6dbd347373cc9c32b43a7b2f140223c252c1b7dce3f18e7",
+}
 
 
 def stdout_digest(capsys, *argv):
@@ -43,3 +62,13 @@ def test_verify_report(tmp_path, monkeypatch, capsys):
     digest = stdout_digest(capsys, "verify", "--tower", "tower.json", "--b",
                            "primes", "--horizon", "10000")
     assert digest == VERIFY
+
+
+@pytest.mark.parametrize("kind, window", list(ESTIMATE))
+def test_estimate_stdout(tmp_path, capsys, kind, window):
+    path = tmp_path / "set.txt"
+    path.write_text(ESTIMATE_SETS[kind])
+    extra = ["--window", window] if window else []
+    digest = stdout_digest(capsys, "estimate", "--set", str(path),
+                           "--horizon", "10000", *extra)
+    assert digest == ESTIMATE[kind, window]

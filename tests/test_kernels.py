@@ -52,3 +52,12 @@ class TestTilePeriodic:
         tiled = tile_periodic(bits, 3)
         tiled[0] = 0
         assert bits[0] == 1
+
+    @pytest.mark.parametrize("period", [1, 2, 7, 64])
+    def test_matches_np_tile_below_at_and_above_multiples(self, period):
+        bits = random_bits(np.random.default_rng(period), period)
+        for length in range(0, 4 * period + 2):
+            reps = -(-length // period)
+            assert np.array_equal(tile_periodic(bits, length),
+                                  np.tile(bits, reps)[:length])
+            assert tile_periodic(bits, length).dtype == bits.dtype

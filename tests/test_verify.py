@@ -24,6 +24,8 @@ from buckdens.verify import (
     theorem_report,
 )
 
+import reference_proxies
+
 HALF = Fraction(1, 2)
 
 
@@ -115,6 +117,26 @@ class TestSumsetWindow:
                     assert len(period) == top.modulus
                 assert np.array_equal(sumset_window(period, b, horizon),
                                       window_by_double_loop(full, b, horizon))
+
+    @pytest.mark.parametrize("modulus", [1, 7, 120, 121, 400])
+    def test_first_member_table_matches_sort_and_unique(self, monkeypatch, modulus):
+        # B unsorted, with members past the horizon
+        tables = []
+        real = verify.min_plus_mod
+
+        def recording(period, least):
+            tables.append(least.copy())
+            return real(period, least)
+
+        monkeypatch.setattr(verify, "min_plus_mod", recording)
+        rng = np.random.default_rng(modulus)
+        horizon = 120
+        period = (rng.random(modulus) < 0.3).astype(np.uint8)
+        for size in (0, 1, 6, 40, 200):
+            b = rng.choice(2 * horizon, size=size, replace=False).astype(np.int64)
+            sumset_window(period, b, horizon)
+            assert np.array_equal(tables.pop(), reference_proxies.first_member_table(
+                b, modulus, horizon))
 
     def test_short_window_of_a_deep_tower_stays_small(self):
         # at T = 10^4 the depth-10 periods are cut to 10080 bytes; the
@@ -221,6 +243,44 @@ class TestTheoremReport:
         assert rep.passed
         assert rep.rows
         assert moduli == [lv.modulus for lv in t.levels]
+
+    @pytest.mark.parametrize("oracle", [PrimesOracle(), PerfectPowersOracle()],
+                             ids=["primes", "powers"])
+    def test_proxies_scan_no_more_than_a_period_and_a_window(self, monkeypatch, oracle):
+        # the Banach count runs over the last d offsets and one window, with
+        # d = 8! the cut period; the first-member table takes no sort
+        horizon = 10**6
+        t = construct(oracle, HALF, 8)
+        d = t.top.modulus
+        assert d <= horizon   # so the period is not cut below N!
+        lengths = []
+        real_cumsum, real_unique = np.cumsum, np.unique
+        in_window = []
+
+        def cumsum(a, *args, **kwargs):
+            lengths.append(len(a))
+            return real_cumsum(a, *args, **kwargs)
+
+        def unique(*args, **kwargs):
+            assert not in_window, "sumset_window reached np.unique"
+            return real_unique(*args, **kwargs)
+
+        real_window = verify.sumset_window
+
+        def window(*args):
+            in_window.append(True)
+            try:
+                return real_window(*args)
+            finally:
+                in_window.pop()
+
+        monkeypatch.setattr(np, "cumsum", cumsum)
+        monkeypatch.setattr(np, "unique", unique)
+        monkeypatch.setattr(verify, "sumset_window", window)
+        theorem_report(oracle, t.alpha, 8, horizon, tower=t)
+        cross_density_check(t, oracle, horizon)
+        assert lengths
+        assert max(lengths) <= d + horizon // 10 + 1
 
     def test_tampered_tower_raises(self):
         from dataclasses import replace
