@@ -20,10 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
-from .sets import ResidueSet, ResourceLimitError, sumset_mod
+from .sets import ResidueSet, ResourceLimitError, combine_rotated, sumset_mod
 
 __all__ = [
     "CertificateError",
@@ -56,8 +55,10 @@ class CertificateError(Exception):
 
 @dataclass(frozen=True)
 class Level:
+    """Level n of a tower as its JSON holds it, plus the builder's carried
+    lower sumset; the modulus n! is derived from n."""
+
     n: int
-    modulus: int            # n!
     H: ResidueSet           # subset of [0, n!)
     h: int                  # marked element, h in H
     k_chosen: int | None    # absent at level 1
@@ -67,18 +68,28 @@ class Level:
     # (H\{h}) + cover(n!) mod n!, carried between steps; never serialized
     lower_sumset: np.ndarray | None = field(default=None, compare=False, repr=False)
 
+    @property
+    def modulus(self) -> int:
+        return math.factorial(self.n)
+
 
 @dataclass
 class Tower:
+    """Levels n = 1, ..., N for the target alpha; ``trivial`` (no levels:
+    A = N, which certifies alpha = 1 only) and ``depth`` are derived."""
+
     alpha: Fraction
     oracle_spec: str
     exact: bool
     levels: list[Level] = field(default_factory=list)
-    trivial: bool = False   # alpha == 1, A = N
+
+    @property
+    def trivial(self) -> bool:
+        return not self.levels
 
     @property
     def depth(self) -> int:
-        return 0 if self.trivial else len(self.levels)
+        return len(self.levels)
 
     @property
     def top(self) -> Level:
@@ -90,7 +101,7 @@ def _base_level(cover_one: ResidueSet) -> Level:
     # class gives density 1 (cover mod 1 is {0} for any non-empty B)
     if len(cover_one) == 0:
         raise CertificateError("cover of B mod 1 is empty; B must be non-empty")
-    return Level(n=1, modulus=1, H=ResidueSet(1, [0]), h=0, k_chosen=None,
+    return Level(n=1, H=ResidueSet(1, [0]), h=0, k_chosen=None,
                  density_a=Fraction(1), sum_lower=Fraction(0), sum_upper=Fraction(1),
                  lower_sumset=np.zeros(1, dtype=np.uint8))
 
@@ -120,8 +131,7 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
     before = np.tile(prev.lower_sumset, m + 1)
     after = np.empty_like(before)
     for k in range(m + 1):
-        kernels.combine_rotated(np.bitwise_or, after, before, cover_bits,
-                                prev.h + k * fact_m)
+        combine_rotated(np.bitwise_or, after, before, cover_bits, prev.h + k * fact_m)
         upper = Fraction(int(np.count_nonzero(after)), big)
         if upper > alpha:
             break
@@ -137,7 +147,6 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
 
     return Level(
         n=m + 1,
-        modulus=big,
         H=ResidueSet.from_bits(h_bits),
         h=h_next,
         k_chosen=k,
@@ -169,8 +178,7 @@ def construct(oracle: CoverOracle, alpha, depth: int, *,
                " (--allow-deep, or allow_deep=True in construct, permits 11)"))
 
     if alpha == 1:
-        return Tower(alpha=alpha, oracle_spec=oracle.name, exact=oracle.exact,
-                     levels=[], trivial=True)
+        return Tower(alpha=alpha, oracle_spec=oracle.name, exact=oracle.exact)
     if not oracle.exact:
         warnings.warn(
             f"oracle {oracle.name!r} is under-approximate; the smallness "
@@ -208,8 +216,8 @@ class ClaimAReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.bracket_ok and c.stored_ok and c.nesting_ok is not False
-                   for c in self.checks)
+        # a tower with no levels (A = N) certifies alpha = 1 only
+        return self.first_violation() is None and (bool(self.checks) or self.alpha == 1)
 
     def first_violation(self) -> int | None:
         for c in self.checks:
@@ -220,7 +228,8 @@ class ClaimAReport:
 
 def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     """Recompute every level certificate from scratch and test the nesting
-    inclusions between consecutive levels.
+    inclusions between consecutive levels, up to the first level whose
+    successor fails to nest in it.
 
     Per level, the stored L, U, h, density and (from level 2 on) k_n with
     h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values.  One
@@ -237,29 +246,20 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     an independent re-derivation.
 
     A level that does not nest in its predecessor may hold an H' that
-    peels nowhere, which ``sumset_mod`` refuses from ``2**14`` up; the
-    check then ends at the failed predecessor.  Such a refusal after a
-    level that nests is re-raised.
+    peels nowhere, which ``sumset_mod`` refuses from ``2**14`` up; as the
+    report already fails at the predecessor, the check stops there, and a
+    refusal at any level it does reach is raised.  A tower with no levels
+    gets no checks, and its report is ok for alpha = 1 only.
     """
     checks: list[LevelCheck] = []
-    if t.trivial:
-        return ClaimAReport(t.alpha, checks, heuristic=not oracle.exact)
     for i, lv in enumerate(t.levels):
         cover = oracle.cover_cached(lv.modulus)
         h_prime = lv.H.discard(lv.h)
-        try:
-            low = sumset_mod(h_prime, cover).bits()
-        except ResourceLimitError:
-            # only a level that failed to nest in its predecessor can hold
-            # an H' with no layer to peel, and the report fails there
-            if not checks or checks[-1].nesting_ok is not False:
-                raise
-            break
+        low = sumset_mod(h_prime, cover).bits()
         high = low   # h outside H (a broken tower) leaves H' = H
         if lv.h in lv.H:
             high = np.empty_like(low)
-            kernels.combine_rotated(np.bitwise_or, high, low, cover.bits(),
-                                    lv.h % lv.modulus)
+            combine_rotated(np.bitwise_or, high, low, cover.bits(), lv.h % lv.modulus)
         lower = Fraction(int(np.count_nonzero(low)), lv.modulus)
         upper = Fraction(int(np.count_nonzero(high)), lv.modulus)
         bracket_ok = lower <= t.alpha < upper
@@ -277,6 +277,8 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
             nesting_ok = all(not np.any(row < inner) and not np.any(row > outer)
                              for row in rows)
         checks.append(LevelCheck(lv.n, lower, upper, bracket_ok, stored_ok, nesting_ok))
+        if nesting_ok is False:
+            break
     return ClaimAReport(t.alpha, checks, heuristic=not oracle.exact)
 
 
@@ -470,7 +472,6 @@ def tower_from_json(text: str) -> tuple[Tower, dict | None]:
                              "a non-negative integer after it)")
         levels.append(Level(
             n=n,
-            modulus=modulus,
             H=_decode_residue_set(modulus, lvdoc["H"]),
             h=h,
             k_chosen=k,
@@ -479,5 +480,5 @@ def tower_from_json(text: str) -> tuple[Tower, dict | None]:
             sum_upper=_rational(lvdoc["U"], f"{what} U"),
         ))
     tower = Tower(alpha=_rational(doc["alpha"], "alpha"), oracle_spec=doc["oracle"],
-                  exact=doc["exact"], levels=levels, trivial=doc["trivial"])
+                  exact=doc["exact"], levels=levels)
     return tower, doc.get("config")

@@ -26,6 +26,7 @@ from .sets import (
     divisors,
     dumps_periodic,
     intersect,
+    tile_periodic,
     union,
 )
 
@@ -163,7 +164,6 @@ def check_horizon(horizon: int) -> None:
 
 def periodic_indicator(p: ResidueSet, horizon: int) -> np.ndarray:
     """0/1 uint8 array over [0, horizon]; index i says whether i is a member."""
-    from .kernels import tile_periodic
     check_horizon(horizon)
     return tile_periodic(p.bits(), horizon + 1)
 

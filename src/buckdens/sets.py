@@ -31,8 +31,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "ResourceLimitError",
     "DENSE_LIMIT",
@@ -47,6 +45,8 @@ __all__ = [
     "sumset_mod",
     "min_plus_mod",
     "rebase",
+    "tile_periodic",
+    "combine_rotated",
     "canonicalize",
     "naturals",
     "dumps_periodic",
@@ -206,7 +206,23 @@ def rebase(p: ResidueSet, m: int) -> ResidueSet:
     if m == k:
         return p
     check_budget(m)
-    return ResidueSet.from_bits(kernels.tile_periodic(p.bits(), m))
+    return ResidueSet.from_bits(tile_periodic(p.bits(), m))
+
+
+def tile_periodic(bits: np.ndarray, length: int) -> np.ndarray:
+    """Indicator of a period-``len(bits)`` set on ``[0, length)``, for
+    ``len(bits) >= 1``, in one new array: the filled prefix is copied onto
+    the rest, doubling each time.  (``np.resize`` concatenates a tuple of
+    ``⌈length/len(bits)⌉`` references to ``bits``, a million of them for
+    one bit tiled to 10**6.)"""
+    out = np.empty(length, dtype=bits.dtype)
+    n = min(bits.shape[0], length)
+    out[:n] = bits[:n]
+    while n < length:
+        step = min(n, length - n)
+        out[n: n + step] = out[:step]
+        n += step
+    return out
 
 
 def _common_bits(p: ResidueSet, q: ResidueSet) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +354,18 @@ def _shifted(op: np.ufunc, out: np.ndarray, table: np.ndarray,
     """``out`` combined in place by ``op`` with ``table`` rotated by each of
     ``shifts``."""
     for s in shifts.tolist():
-        kernels.combine_rotated(op, out, out, table, s)
+        combine_rotated(op, out, out, table, s)
     return out
+
+
+def combine_rotated(op: np.ufunc, out: np.ndarray, src: np.ndarray, bits: np.ndarray,
+                    shift: int) -> None:
+    """``out = op(src, roll(bits, shift))`` for a binary ufunc ``op`` (OR on
+    bitmaps, min on tables) and ``0 <= shift < len(bits)``; ``src`` may be
+    ``out`` itself."""
+    k = bits.shape[0]
+    op(src[shift:], bits[: k - shift], out=out[shift:])
+    op(src[:shift], bits[k - shift:], out=out[:shift])
 
 
 def _periodic_layer(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:

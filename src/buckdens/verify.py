@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .construction import (
     CertificateError,
     SumBounds,
@@ -37,7 +36,7 @@ from .density import (
     empirical_logarithmic,
 )
 from .oracles import CoverOracle
-from .sets import min_plus_mod
+from .sets import min_plus_mod, tile_periodic
 
 __all__ = [
     "a_window",
@@ -67,8 +66,8 @@ def a_window(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     marks that single undecided class.
     """
     lower, upper = _periods(t, horizon)
-    return (kernels.tile_periodic(lower, horizon + 1),
-            kernels.tile_periodic(upper - lower, horizon + 1))
+    return (tile_periodic(lower, horizon + 1),
+            tile_periodic(upper - lower, horizon + 1))
 
 
 def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -> np.ndarray:
@@ -106,6 +105,10 @@ def _periods(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     level N, cut to a length d that gives the same window [0, horizon];
     ``[1]`` for both when A = N.
 
+    Every window starts here, so here a horizon is refused, before B is
+    enumerated: below 1 with ``ValueError``, past ``DEFAULT_ENUM_BUDGET``
+    with ``ResourceLimitError``.
+
     Any d > horizon gives the same window, as only the first lift of each
     residue lies in it.  With f = n! the largest level modulus up to the
     horizon, d = min(N!, (⌊horizon/f⌋ + 1)·f), at most 2·horizon.  For
@@ -114,23 +117,19 @@ def _periods(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     and the prefix peels like a level.  The upper period is a view of H's
     bitmap, the lower one a copy with h cleared when h < d.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    check_horizon(horizon)
     if t.trivial:
         return np.ones(1, dtype=np.uint8), np.ones(1, dtype=np.uint8)
     top = t.top
-    d = _cut_length(t, horizon)
+    f = max((lv.modulus for lv in t.levels if lv.modulus <= horizon), default=1)
+    d = min(top.modulus, (horizon // f + 1) * f)
     upper = top.H.bits()[:d]
     lower = upper.copy()
     if top.h < d:
         lower[top.h] = 0
     return lower, upper
-
-
-def _cut_length(t: Tower, horizon: int) -> int:
-    """The length d of the periods ``_periods`` returns."""
-    if t.trivial:
-        return 1
-    f = max((lv.modulus for lv in t.levels if lv.modulus <= horizon), default=1)
-    return min(t.top.modulus, (horizon // f + 1) * f)
 
 
 def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, int]:
@@ -139,21 +138,21 @@ def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, 
     Exceptional memberships of A (undecided beyond the tower depth) feed the
     upper count only.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    lo_cov, hi_cov = _coverages(t, oracle, horizon)
+    lo_cov, hi_cov, _ = _coverages(t, oracle, horizon)
     return int(np.count_nonzero(lo_cov[1:])), int(np.count_nonzero(hi_cov[1:]))
 
 
-def _coverages(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    check_horizon(horizon)
-    b_values = oracle.enumerate(horizon)
+def _coverages(t: Tower, oracle: CoverOracle,
+               horizon: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The A + B windows of the two periods ``_periods`` cuts, and their
+    length d."""
     lower, upper = _periods(t, horizon)
+    b_values = oracle.enumerate(horizon)
     lo_cov = sumset_window(lower, b_values, horizon)
     # the two periods differ only at h, whose class first enters the window at h
-    if t.trivial or t.top.h > horizon:
-        return lo_cov, lo_cov
-    return lo_cov, sumset_window(upper, b_values, horizon)
+    hi_cov = (lo_cov if t.trivial or t.top.h > horizon
+              else sumset_window(upper, b_values, horizon))
+    return lo_cov, hi_cov, lower.shape[0]
 
 
 def _proxies(cov: np.ndarray, horizon: int, window: int,
@@ -280,7 +279,11 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
         tower = construct(oracle, alpha, depth)
     claim = check_claimA(tower, oracle)
     if not claim.ok:
-        raise CertificateError(f"certificate FAILED at level {claim.first_violation()}")
+        where = claim.first_violation()
+        raise CertificateError(
+            f"certificate FAILED at level {where}" if where is not None else
+            f"certificate FAILED: a tower with no levels certifies alpha = 1, "
+            f"not alpha = {tower.alpha}")
 
     ab = a_bounds(tower)
     sb = sum_bounds(tower, oracle)
@@ -301,8 +304,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
     lo_cert = float(sb.final.lower)
     hi_cert = float(sb.final.upper)
     # coverage of [0, t] is a prefix of coverage of [0, horizon]
-    lo_all, hi_all = _coverages(tower, oracle, horizon)
-    period = _cut_length(tower, horizon)
+    lo_all, hi_all, period = _coverages(tower, oracle, horizon)
     for t_val in sorted({max(1, horizon // 100), max(1, horizon // 10), horizon}):
         lo_cov, hi_cov = lo_all[: t_val + 1], hi_all[: t_val + 1]
         c_lo = int(np.count_nonzero(lo_cov[1:]))
@@ -361,9 +363,8 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int) -> CrossDen
     Periodic-set structure makes all the proxies agree in the limit; this is
     the finite-scale reflection of uniformity across quasi-densities.
     """
-    sb = sum_bounds(t, oracle)
-    check_horizon(horizon)
     lower = _periods(t, horizon)[0]
+    sb = sum_bounds(t, oracle)
     lo_cov = sumset_window(lower, oracle.enumerate(horizon), horizon)
     return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), _CROSS_SLACK,
                               *_proxies(lo_cov, horizon, max(1, horizon // 10),

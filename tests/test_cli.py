@@ -126,6 +126,18 @@ class TestConstruct:
         tower, _ = tower_from_json(out.read_text())
         assert tower.trivial
 
+    def test_tower_with_no_levels_certifies_alpha_one_only(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        assert run(capsys, "construct", "--b", "primes", "--alpha", "1",
+                   "--depth", "3", "--out", str(path))[0] == 0
+        doc = json.loads(path.read_text())
+        doc["alpha"] = "1/2"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--tower", str(path), "--b", "primes",
+                             "--horizon", "1000")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "alpha = 1/2" in err and "None" not in err
+
 
 class TestCover:
     def test_factorials_720(self, capsys):

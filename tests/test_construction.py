@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from buckdens import construction, kernels, sets
+from buckdens import construction, sets
 from buckdens.cli import main
 from buckdens.construction import (
     CertificateError,
@@ -224,7 +224,9 @@ class TestClaimA:
         top = report.checks[-1]
         assert top.upper - top.lower <= Fraction(1, 120)
 
-    def test_tampered_tower_is_caught(self):
+    def test_tampered_tower_is_caught(self, tmp_path, capsys):
+        # level 3 with 2 dropped fails to nest in level 2 but still peels:
+        # the check stops at level 2, where the report fails
         oracle = FiniteOracle([0])
         t = construct(oracle, HALF, 4)
         lv = t.levels[2]
@@ -234,9 +236,26 @@ class TestClaimA:
                                 density_a=Fraction(len(dropped), lv.modulus))
         bad = Tower(alpha=t.alpha, oracle_spec=t.oracle_spec, exact=t.exact,
                     levels=bad_levels)
+        sumset_mod(dropped.discard(lv.h), oracle.cover_cached(lv.modulus))
         report = check_claimA(bad, oracle)
         assert not report.ok
-        assert report.first_violation() in (2, 3)
+        assert report.first_violation() == 2
+        assert [c.n for c in report.checks] == [1, 2]
+        assert report.checks[-1].nesting_ok is False
+        path = tmp_path / "bad.json"
+        path.write_text(tower_to_json(bad))
+        code = main(["verify", "--tower", str(path), "--b", "finite:0",
+                     "--horizon", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "certificate error: certificate FAILED at level 2\n"
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(1)])
+    def test_a_tower_with_no_levels_certifies_alpha_one_only(self, alpha):
+        t = Tower(alpha=alpha, oracle_spec="primes", exact=True)
+        report = check_claimA(t, PrimesOracle())
+        assert report.checks == []
+        assert report.ok == (alpha == 1)
 
     def test_unpeelable_level_after_a_nesting_failure_fails_the_check(
             self, tmp_path, capsys):
@@ -310,7 +329,7 @@ class TestClaimA:
         # the check shifts over a few residues per layer instead of over
         # every member of H' at the small moduli (10611 rotations if it did)
         calls = []
-        combine = kernels.combine_rotated
+        combine = sets.combine_rotated
 
         def counting(*args):
             calls.append(args[-1])
@@ -318,7 +337,10 @@ class TestClaimA:
 
         oracle = PrimesOracle()
         t = construct(oracle, Fraction(3, 4), 10)
-        monkeypatch.setattr(kernels, "combine_rotated", counting)
+        # the peels rotate through sets' name, the U of each level
+        # through construction's
+        monkeypatch.setattr(sets, "combine_rotated", counting)
+        monkeypatch.setattr(construction, "combine_rotated", counting)
         assert check_claimA(t, oracle).ok
         assert 0 < len(calls) <= 1000
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from buckdens import kernels
-from buckdens.kernels import tile_periodic
+from buckdens.sets import combine_rotated, tile_periodic
 
 
 def random_bits(rng, n, p=0.3):
@@ -23,15 +23,15 @@ class TestKernelsAgreeWithReferences:
             got = draw(rng, k)
             want = op(got, np.roll(bits, shift))
             into = np.zeros_like(got)
-            kernels.combine_rotated(op, into, got, bits, shift)
+            combine_rotated(op, into, got, bits, shift)
             assert np.array_equal(into, want)
-            kernels.combine_rotated(op, got, got, bits, shift)
+            combine_rotated(op, got, got, bits, shift)
             assert np.array_equal(got, want)
 
     def test_edge_shifts(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
         out = np.zeros(4, dtype=np.uint8)
-        kernels.combine_rotated(np.bitwise_or, out, out, bits, 0)
+        combine_rotated(np.bitwise_or, out, out, bits, 0)
         assert out.tolist() == [1, 0, 1, 1]
 
     def test_active_backend_is_numpy(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buckdens import kernels, sets
+from buckdens import sets
 from buckdens.cli import main
 from buckdens.sets import (
     DENSE_LIMIT,
@@ -450,7 +450,7 @@ class TestMinPlusMod:
         def refuse(*args):
             raise AssertionError("an unpeelable period reached the shift loop")
 
-        monkeypatch.setattr(kernels, "combine_rotated", refuse)
+        monkeypatch.setattr(sets, "combine_rotated", refuse)
         rng = np.random.default_rng(3)
         p = (rng.random(1 << 16) < 0.3).astype(np.uint8)
         with pytest.raises(ResourceLimitError, match="no periodic layer"):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from buckdens import construction, kernels, sets, verify
+from buckdens import construction, sets, verify
 from buckdens.construction import CertificateError, Tower, construct, tower_from_json, tower_to_json
 from buckdens.oracles import (
     FactorialsOracle,
@@ -14,6 +14,7 @@ from buckdens.oracles import (
     PrimesOracle,
     parse_oracle,
 )
+from buckdens.density import DEFAULT_ENUM_BUDGET
 from buckdens.sets import ResourceLimitError
 from buckdens.verify import (
     a_window,
@@ -87,7 +88,7 @@ class TestSumsetWindow:
         def refuse(*args):
             raise AssertionError("an unpeelable period reached the shift loop")
 
-        monkeypatch.setattr(kernels, "combine_rotated", refuse)
+        monkeypatch.setattr(sets, "combine_rotated", refuse)
         rng = np.random.default_rng(0)
         period = (rng.random(1 << 20) < 0.3).astype(np.uint8)
         b = rng.choice(6000, size=100, replace=False)
@@ -163,6 +164,28 @@ class TestSumsetWindow:
         got = sumset_window(np.ones(1, np.uint8), np.array([7, 3, 5]), 9)
         assert got.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 1, 1]
         assert sumset_window(np.ones(1, np.uint8), np.array([0]), 0).tolist() == [1]
+
+
+HORIZON_GUARDED = {
+    "a_window": lambda t, o, h: a_window(t, h),
+    "enumerate_sumset": enumerate_sumset,
+    "cross_density_check": cross_density_check,
+    "theorem_report": lambda t, o, h: theorem_report(o, t.alpha, t.depth, h, tower=t),
+}
+
+
+@pytest.mark.parametrize("horizon,error", [
+    (0, ValueError), (-1, ValueError), (DEFAULT_ENUM_BUDGET + 1, ResourceLimitError)])
+@pytest.mark.parametrize("name", HORIZON_GUARDED)
+def test_horizon_is_refused_before_any_window(name, horizon, error, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("B was enumerated for a refused horizon")
+
+    oracle = FiniteOracle([0])
+    t = construct(oracle, HALF, 4)
+    monkeypatch.setattr(oracle, "enumerate", refuse)
+    with pytest.raises(error):
+        HORIZON_GUARDED[name](t, oracle, horizon)
 
 
 class TestEnumerateSumset:
