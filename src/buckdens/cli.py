@@ -16,11 +16,9 @@ from .construction import CertificateError, construct, tower_from_json, tower_to
 from .density import (
     BUCK,
     axiom_suite,
-    empirical_asymptotic,
-    empirical_banach,
-    empirical_logarithmic,
     parse_rational,
     periodic_indicator,
+    proxies,
 )
 from .oracles import parse_oracle, smallness_profile
 from .sets import ResourceLimitError, loads_periodic
@@ -83,7 +81,15 @@ def _cmd_cover(args) -> int:
     cover = oracle.cover(args.mod)
     print(len(cover))
     if args.dump:
-        print(",".join(map(str, cover.residues())))
+        # block by block, so no list or string of every residue is built,
+        # and one format per block makes no str per residue
+        bits, sep = cover.bits(), ""
+        for start in range(0, bits.shape[0], 1 << 16):
+            block = bits[start: start + (1 << 16)].nonzero()[0] + start
+            if block.size:
+                print(sep + ",".join(["%d"] * block.size) % tuple(block.tolist()), end="")
+                sep = ","
+        print()
     return EXIT_OK
 
 
@@ -104,8 +110,8 @@ def _cmd_verify(args) -> int:
     oracle = parse_oracle(args.b)
     with open(args.tower) as fh:
         tower, _config = tower_from_json(fh.read())
-    report = theorem_report(oracle, tower.alpha, max(tower.depth, 1),
-                            args.horizon, tower=tower)
+    report = theorem_report(oracle, tower.alpha, tower.depth, args.horizon,
+                            tower=tower)
     doc = report.to_json_dict()
     doc["cross_density"] = report.cross_density().to_json_dict()
     doc["config"] = {
@@ -135,10 +141,8 @@ def _cmd_estimate(args) -> int:
     with open(args.set) as fh:
         pset = loads_periodic(fh.read())
     ind = periodic_indicator(pset, args.horizon)
-    lo, hi = empirical_asymptotic(ind, args.horizon)
     window = args.window if args.window is not None else max(1, args.horizon // 10)
-    ban = empirical_banach(ind, window, args.horizon, pset.modulus)
-    log = empirical_logarithmic(ind, args.horizon)
+    (lo, hi), ban, log = proxies(ind, args.horizon, pset.modulus, window)
     print(f"exact density   : {pset.density()} (~{float(pset.density()):.9f})")
     print(f"asymptotic proxy: min={lo:.9f} max={hi:.9f}")
     print(f"banach proxy    : {ban:.9f} (window {window})")

@@ -22,7 +22,8 @@ import numpy as np
 
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
-from .sets import ResidueSet, ResourceLimitError, combine_rotated, sumset_mod
+from .sets import (ResidueSet, ResourceLimitError, bitmap_from_hex, bitmap_hex,
+                   combine_rotated, sumset_mod)
 
 __all__ = [
     "CertificateError",
@@ -353,30 +354,16 @@ def count_A(t: Tower, horizon: int) -> tuple[int, int]:
 # serialization (deterministic; round-trips byte-exactly)
 
 def _decode_residue_set(modulus: int, doc) -> ResidueSet:
+    """A level's H from its JSON object: a ``hex-bitmap-le`` string that
+    ``sets.bitmap_from_hex`` takes, so that ``tower_to_json`` writes it
+    back byte for byte."""
     _require(doc, ("encoding", "data"), "H")
     if doc["encoding"] != "hex-bitmap-le":
         raise ValueError(f"unknown residue-set encoding {doc['encoding']!r}")
     data = doc["data"]
     if not isinstance(data, str):
         raise ValueError("H data must be a hex string")
-    # bytes.fromhex also takes upper-case digits and whitespace between
-    # bytes, which tower_to_json would not write back: with the length
-    # pinned, whitespace leaves fromhex short, and the upper-case hex
-    # digits are looked for by substring scans
-    digits = 2 * -(-modulus // 8)
-    wrong = ValueError(f"H data for modulus {modulus} must be {digits} lower-case hex digits")
-    if len(data) != digits or any(c in data for c in "ABCDEF"):
-        raise wrong
-    try:
-        packed = np.frombuffer(bytes.fromhex(data), dtype=np.uint8)
-    except ValueError:
-        raise wrong from None
-    if 2 * packed.shape[0] != digits:
-        raise wrong
-    if modulus % 8 and packed[-1] >> (modulus % 8):
-        raise ValueError(f"bitmap sets padding bits past modulus {modulus}")
-    # unpackbits with a count returns an owned array of exactly the modulus
-    return ResidueSet.from_bits(np.unpackbits(packed, count=modulus, bitorder="little"))
+    return ResidueSet.from_bits(bitmap_from_hex(modulus, data))
 
 
 # tower_to_json dumps each level's H data as "" and splices the hex in after,
@@ -415,8 +402,7 @@ def tower_to_json(t: Tower, config: dict | None = None) -> str:
     pieces = text[cut:].split(_DATA_SLOT)
     out = [text[:cut], pieces[0]]
     for lv, piece in zip(t.levels, pieces[1:], strict=True):
-        packed = np.packbits(lv.H.bits(), bitorder="little")
-        out += ['"data": "', packed.tobytes().hex(), '"', piece]
+        out += ['"data": "', bitmap_hex(lv.H.bits()), '"', piece]
     return "".join(out)
 
 

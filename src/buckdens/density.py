@@ -44,6 +44,7 @@ __all__ = [
     "empirical_asymptotic",
     "empirical_banach",
     "empirical_logarithmic",
+    "proxies",
     "axiom_suite",
     "AxiomReport",
     "BUCK",
@@ -156,10 +157,11 @@ DEFAULT_ENUM_BUDGET = 10_000_000
 
 
 def check_horizon(horizon: int) -> None:
-    """Refuse a horizon whose windows would exceed ``DEFAULT_ENUM_BUDGET``."""
+    """Refuse to enumerate ``[0, horizon]`` past ``DEFAULT_ENUM_BUDGET``: a
+    verification window, or the bound of an enumerated oracle."""
     if horizon > DEFAULT_ENUM_BUDGET:
         raise ResourceLimitError(
-            f"horizon {horizon} exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
+            f"[0, {horizon}] exceeds the enumeration budget [0, {DEFAULT_ENUM_BUDGET}]")
 
 
 def periodic_indicator(p: ResidueSet, horizon: int) -> np.ndarray:
@@ -169,6 +171,8 @@ def periodic_indicator(p: ResidueSet, horizon: int) -> np.ndarray:
 
 
 def _check_indicator(ind: np.ndarray, horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if ind.shape[0] < horizon + 1:
         raise ValueError("indicator shorter than horizon")
 
@@ -181,8 +185,6 @@ def empirical_asymptotic(ind: np.ndarray, horizon: int, grid: int = 60) -> tuple
     count up to each of the at most ``grid`` grid points is summed from one
     ``count_nonzero`` per segment between them.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     _check_indicator(ind, horizon)
     lo_n = max(1, horizon // 100)
     ns = np.unique(np.geomspace(lo_n, horizon, num=grid).astype(np.int64))
@@ -230,13 +232,23 @@ def empirical_logarithmic(ind: np.ndarray, horizon: int) -> float:
     the logarithmic density unchanged in the limit but kills the small-i
     transient, which otherwise decays only like 1/log(horizon).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     _check_indicator(ind, horizon)
     start = math.isqrt(horizon) + 1 if horizon > 4 else 1
     weights = np.arange(start, horizon + 1, dtype=np.float64)
     np.divide(1.0, weights, out=weights)
     return float(np.dot(ind[start: horizon + 1].astype(np.float64), weights) / weights.sum())
+
+
+def proxies(ind: np.ndarray, horizon: int, period: int,
+            window: int | None = None) -> tuple[tuple[float, float], float, float]:
+    """The asymptotic (min, max), Banach and logarithmic proxies of X on
+    [0, horizon], for a ``period`` that ``empirical_banach`` may scan over;
+    the Banach window defaults to ``max(1, horizon // 10)``."""
+    if window is None:
+        window = max(1, horizon // 10)
+    return (empirical_asymptotic(ind, horizon),
+            empirical_banach(ind, window, horizon, period),
+            empirical_logarithmic(ind, horizon))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import DEFAULT_ENUM_BUDGET
+from .density import check_horizon
 from .sets import ResidueSet, ResourceLimitError, check_budget, factorize
 
 __all__ = [
@@ -98,10 +98,6 @@ def primes_cover(m: int) -> ResidueSet:
 
     The units mod m are the CRT product of the units mod each q || m.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m == 1:
-        return ResidueSet(1, [0])
     check_budget(m)
     primes = factorize(m)
     bits = _crt_product([_indicator(q, p, zero=False) for q, p in _prime_powers(primes)])
@@ -132,9 +128,10 @@ def _crt_product(indicators: list[np.ndarray]) -> np.ndarray:
     (length L) q times into an (L, q) array, whose row i, column j is the
     residue x = i*q + j with x mod q = j, and ANDs the indicator into every
     row; the largest q goes last, so the widest rows come in one step.
+    With no prime power (m = 1) the product is the one-residue bitmap.
     """
-    bits = indicators[0]
-    for ind in indicators[1:]:
+    bits, *rest = indicators or [np.ones(1, dtype=np.uint8)]
+    for ind in rest:
         t = np.tile(bits, ind.shape[0]).reshape(bits.shape[0], ind.shape[0])
         t &= ind
         bits = t.ravel()
@@ -179,10 +176,6 @@ def factorials_cover(m: int) -> ResidueSet:
     """Residues of j! mod m; the iteration stops at the Kempner number of m,
     the first j with j! ≡ 0 (mod m), since every later factorial is a
     multiple of m.  Tower moduli n! stop by j = n."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m == 1:
-        return ResidueSet(1, [0])
     check_budget(m)
     steps = _kempner(m)
     if steps > _FACTORIAL_STEP_MAX:
@@ -190,7 +183,7 @@ def factorials_cover(m: int) -> ResidueSet:
             f"the factorials reach 0 mod {m} only at {steps}!, past the step "
             f"budget {_FACTORIAL_STEP_MAX}")
     bits = np.zeros(m, dtype=np.uint8)
-    f, j = 1, 1
+    f, j = 1 % m, 1
     while True:
         bits[f] = 1
         if f == 0:
@@ -220,18 +213,21 @@ class FactorialsOracle(CoverOracle):
 # perfect powers  B = {a^k : a >= 0, k >= 2}
 
 def _power_image(q: int, k: int) -> np.ndarray:
-    """Indicator of the k-th powers mod q, by square-and-multiply on every
-    residue (q is a prime power of a modulus in budget, so int64 products
-    stay exact)."""
-    result = np.ones(q, dtype=np.int64)
-    b = np.arange(q, dtype=np.int64)
-    while k:
-        if k & 1:
-            result = result * b % q
-        b = b * b % q
-        k >>= 1
+    """Indicator of the k-th powers mod q, by square-and-multiply on the
+    residues in blocks of ``2**16`` (q is a prime power of a modulus in
+    budget, so int64 products stay exact), so the int64 work arrays stay
+    the size of a block at any q."""
     ind = np.zeros(q, dtype=np.uint8)
-    ind[result] = 1
+    for start in range(0, q, 1 << 16):
+        b = np.arange(start, min(start + (1 << 16), q), dtype=np.int64)
+        result = np.ones_like(b)
+        e = k
+        while e:
+            if e & 1:
+                result = result * b % q
+            b = b * b % q
+            e >>= 1
+        ind[result] = 1
     return ind
 
 
@@ -250,15 +246,11 @@ def perfect_powers_cover(m: int) -> ResidueSet:
     - of k < v only the primes are needed: a^(pj) = (a^j)^p puts the
       image of a composite exponent inside that of its prime factor p.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m == 1:
-        return ResidueSet(1, [0])
     check_budget(m)
     factors = factorize(m)
     moduli = _prime_powers(factors)
     bits = _crt_product([_indicator(q, p, zero=True) for q, p in moduli])
-    for k in range(2, max(factors.values())):
+    for k in range(2, max(factors.values(), default=0)):
         if factorize(k) == {k: 1}:
             bits |= _crt_product([_power_image(q, k) for q, _ in moduli])
     return ResidueSet.from_bits(bits)
@@ -287,8 +279,6 @@ class PerfectPowersOracle(CoverOracle):
 # finite sets and enumerated predicates
 
 def finite_cover(s: Sequence[int], m: int) -> ResidueSet:
-    if m < 1:
-        raise ValueError("modulus must be positive")
     values = list(s)
     if not values:
         raise ValueError("B must be non-empty")
@@ -325,9 +315,7 @@ class EnumeratedOracle(CoverOracle):
         super().__init__()
         if bound < 0:
             raise ValueError(f"enumeration bound {bound} is negative")
-        if bound > DEFAULT_ENUM_BUDGET:
-            raise ResourceLimitError(
-                f"enumeration bound {bound} exceeds the budget {DEFAULT_ENUM_BUDGET}")
+        check_horizon(bound)
         self.pred = pred
         self.bound = bound
         self.name = name
@@ -352,7 +340,7 @@ class EnumeratedOracle(CoverOracle):
             warnings.warn("predicate matched nothing up to the bound; "
                           "B is required to be non-empty")
             return ResidueSet(m, [])
-        return ResidueSet(m, members % m)
+        return ResidueSet(m, members)
 
     def enumerate(self, bound: int) -> np.ndarray:
         members = self._materialize()

@@ -49,6 +49,8 @@ __all__ = [
     "combine_rotated",
     "canonicalize",
     "naturals",
+    "bitmap_hex",
+    "bitmap_from_hex",
     "dumps_periodic",
     "loads_periodic",
 ]
@@ -70,7 +72,10 @@ class ResourceLimitError(Exception):
 
 
 def check_budget(modulus: int) -> None:
-    """Refuse a modulus whose bitmap would exceed ``DENSE_LIMIT`` bytes."""
+    """Refuse a modulus no bitmap holds: below 1 with ``ValueError``, past
+    ``DENSE_LIMIT`` bytes with :class:`ResourceLimitError`."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
     if modulus > DENSE_LIMIT:
         raise ResourceLimitError(
             f"modulus {modulus} exceeds the dense budget {DENSE_LIMIT}")
@@ -113,8 +118,6 @@ class ResidueSet:
 
     def __init__(self, modulus: int, residues: Iterable[int] = (), *,
                  _bits: np.ndarray | None = None):
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
         check_budget(modulus)
         self.modulus = int(modulus)
         if _bits is not None:
@@ -211,18 +214,11 @@ def rebase(p: ResidueSet, m: int) -> ResidueSet:
 
 def tile_periodic(bits: np.ndarray, length: int) -> np.ndarray:
     """Indicator of a period-``len(bits)`` set on ``[0, length)``, for
-    ``len(bits) >= 1``, in one new array: the filled prefix is copied onto
-    the rest, doubling each time.  (``np.resize`` concatenates a tuple of
+    ``len(bits) >= 1``: ``np.tile`` of the period's first ``length``
+    entries, cut to ``length``.  (``np.resize`` concatenates a tuple of
     ``⌈length/len(bits)⌉`` references to ``bits``, a million of them for
     one bit tiled to 10**6.)"""
-    out = np.empty(length, dtype=bits.dtype)
-    n = min(bits.shape[0], length)
-    out[:n] = bits[:n]
-    while n < length:
-        step = min(n, length - n)
-        out[n: n + step] = out[:step]
-        n += step
-    return out
+    return np.tile(bits[:length], -(-length // bits.shape[0]))[:length]
 
 
 def _common_bits(p: ResidueSet, q: ResidueSet) -> tuple[np.ndarray, np.ndarray]:
@@ -428,11 +424,43 @@ def canonicalize(p: ResidueSet) -> ResidueSet:
 
 
 # ---------------------------------------------------------------------------
+# packed-hex bitmaps, shared by set files and tower JSON
+
+def bitmap_hex(bits: np.ndarray) -> str:
+    """A 0/1 bitmap packed 8 residues a byte, residue i at bit ``i % 8``
+    (little-endian bits) of byte ``i // 8``, as lower-case hex."""
+    return np.packbits(bits, bitorder="little").tobytes().hex()
+
+
+def bitmap_from_hex(k: int, text: str) -> np.ndarray:
+    """The length-``k`` 0/1 bitmap that ``bitmap_hex`` writes as ``text``:
+    exactly ``2·⌈k/8⌉`` lower-case hex digits, no whitespace, and no
+    padding bit set past k; anything else, or ``k < 1``, is a ValueError.
+    ``bytes.fromhex`` also takes upper-case digits and whitespace between
+    bytes: with the length pinned, whitespace leaves it short, and the
+    upper-case digits are looked for by substring scans."""
+    if k < 1:
+        raise ValueError(f"modulus must be positive, got {k}")
+    digits = 2 * -(-k // 8)
+    wrong = ValueError(f"bitmap for modulus {k} must be {digits} lower-case hex digits")
+    if len(text) != digits or any(c in text for c in "ABCDEF"):
+        raise wrong
+    try:
+        packed = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    except ValueError:
+        raise wrong from None
+    if 2 * packed.shape[0] != digits:
+        raise wrong
+    if k % 8 and packed[-1] >> (k % 8):
+        raise ValueError(f"bitmap sets padding bits past modulus {k}")
+    # unpackbits with a count returns an owned array of exactly k entries
+    return np.unpackbits(packed, count=k, bitorder="little")
+
+
+# ---------------------------------------------------------------------------
 # text file format:
 #   line 1: "modulus <k>"
-#   line 2: "residues <comma-list>"  or  "bitmap <hex, little-endian bits>"
-# loads_periodic takes residues in [0, k) only, and a bitmap of exactly
-# ceil(k/8) bytes with no padding bit set past k
+#   line 2: "residues <comma-list>"  or  "bitmap <bitmap_hex>"
 
 _RESIDUE_LIST_MAX = 1024
 
@@ -442,12 +470,14 @@ def dumps_periodic(p: ResidueSet) -> str:
     if len(p) <= _RESIDUE_LIST_MAX:
         lines.append("residues " + ",".join(map(str, p.residues())))
     else:
-        packed = np.packbits(p.bits(), bitorder="little")
-        lines.append("bitmap " + packed.tobytes().hex())
+        lines.append("bitmap " + bitmap_hex(p.bits()))
     return "\n".join(lines) + "\n"
 
 
 def loads_periodic(text: str) -> ResidueSet:
+    """The set a ``dumps_periodic`` text stands for.  Residues must lie in
+    ``[0, k)``, and a bitmap must be one ``bitmap_from_hex`` takes; any
+    other text is a ``ValueError``."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("modulus "):
         raise ValueError("periodic-set file must start with 'modulus <k>'")
@@ -463,12 +493,5 @@ def loads_periodic(text: str) -> ResidueSet:
             raise ValueError(f"residue {outside[0]} lies outside [0, {k})")
         return ResidueSet(k, rs)
     if tag == "bitmap":
-        packed = np.frombuffer(bytes.fromhex(payload), dtype=np.uint8)
-        if packed.shape[0] != -(-k // 8):
-            raise ValueError(f"bitmap of {packed.shape[0]} bytes does not match "
-                             f"modulus {k} ({-(-k // 8)} bytes)")
-        bits = np.unpackbits(packed, bitorder="little")
-        if bits[k:].any():
-            raise ValueError(f"bitmap sets padding bits past modulus {k}")
-        return ResidueSet.from_bits(bits[:k])
+        return ResidueSet.from_bits(bitmap_from_hex(k, payload))
     raise ValueError(f"unknown payload tag {tag!r}")

@@ -29,12 +29,7 @@ from .construction import (
     construct,
     sum_bounds,
 )
-from .density import (
-    check_horizon,
-    empirical_asymptotic,
-    empirical_banach,
-    empirical_logarithmic,
-)
+from .density import check_horizon, proxies
 from .oracles import CoverOracle
 from .sets import min_plus_mod, tile_periodic
 
@@ -155,17 +150,6 @@ def _coverages(t: Tower, oracle: CoverOracle,
     return lo_cov, hi_cov, lower.shape[0]
 
 
-def _proxies(cov: np.ndarray, horizon: int, window: int,
-             period: int) -> tuple[tuple[float, float], float, float]:
-    """Asymptotic (min, max), Banach and logarithmic proxies of an A + B
-    window ``cov``, which ``sumset_window`` built from a period of length
-    ``period``: cov[x] = [x >= t_{x mod period}], so the Banach scan may
-    stop at the last ``period`` offsets."""
-    return (empirical_asymptotic(cov, horizon),
-            empirical_banach(cov, window, horizon, period),
-            empirical_logarithmic(cov, horizon))
-
-
 # ---------------------------------------------------------------------------
 # consolidated report
 
@@ -271,8 +255,9 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
                    tower: Tower | None = None) -> DensityReport:
     """Build (or reuse) a tower, re-check every certificate, and compare
     empirical A+B frequencies against the certified interval at the
-    horizons T/100, T/10 and T.  Raises CertificateError if any exact
-    certificate fails."""
+    horizons T/100, T/10 and T.  The report's depth is that of the tower
+    it certifies, 0 for one with no levels.  Raises CertificateError if
+    any exact certificate fails."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if tower is None:
@@ -296,7 +281,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
 
     report = DensityReport(
         alpha=tower.alpha, oracle=oracle.name, exact=oracle.exact,
-        depth=depth, level_rows=_level_rows(tower, sb),
+        depth=tower.depth, level_rows=_level_rows(tower, sb),
         interval_a=(ab.lower, ab.upper),
         interval_sum=(sb.final.lower, sb.final.upper),
         eps_final=eps_final,
@@ -312,7 +297,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
         freq = (c_lo / t_val, c_hi / t_val)
         budget = float(eps_final) + tail + sampling_slack(t_val)
         passed = freq[0] <= hi_cert + budget and freq[1] >= lo_cert - budget
-        asym, ban, log = _proxies(lo_cov, t_val, max(1, t_val // 10), period)
+        asym, ban, log = proxies(lo_cov, t_val, period)
         report.rows.append(EmpiricalRow(
             horizon=t_val,
             count_a=count_A(tower, t_val),
@@ -367,5 +352,4 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int) -> CrossDen
     sb = sum_bounds(t, oracle)
     lo_cov = sumset_window(lower, oracle.enumerate(horizon), horizon)
     return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), _CROSS_SLACK,
-                              *_proxies(lo_cov, horizon, max(1, horizon // 10),
-                                        lower.shape[0]))
+                              *proxies(lo_cov, horizon, lower.shape[0]))

@@ -1,7 +1,9 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import buckdens
 from buckdens.cli import main, parse_rational
 from buckdens.construction import Tower, construct, tower_from_json, tower_to_json
-from buckdens.oracles import FiniteOracle
+from buckdens.oracles import FiniteOracle, primes_cover
 from buckdens.sets import ResidueSet, dumps_periodic
 
 SRC = str(Path(buckdens.__file__).resolve().parents[1])
@@ -138,6 +140,16 @@ class TestConstruct:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "alpha = 1/2" in err and "None" not in err
 
+    def test_report_of_a_tower_with_no_levels_has_depth_zero(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        assert run(capsys, "construct", "--b", "primes", "--alpha", "1",
+                   "--depth", "3", "--out", str(path))[0] == 0
+        code, out, _ = run(capsys, "verify", "--tower", str(path), "--b", "primes",
+                           "--horizon", "1000")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["depth"] == 0 and doc["levels"] == []
+
 
 class TestCover:
     def test_factorials_720(self, capsys):
@@ -150,6 +162,28 @@ class TestCover:
                            "--dump")
         assert code == 0
         assert out.splitlines() == ["1", "0"]
+
+    def test_dump_spanning_blocks(self, capsys):
+        # 2**17 residues make two blocks of the streamed dump
+        code, out, _ = run(capsys, "cover", "--b", "primes", "--mod", str(2**17), "--dump")
+        assert code == 0
+        residues = primes_cover(2**17).residues()
+        assert out == f"{len(residues)}\n" + ",".join(map(str, residues)) + "\n"
+
+    def test_dump_is_streamed(self, tmp_path):
+        # a list and a string of all 2**21 residues would peak near 211 MiB
+        m = 2**22
+        with open(tmp_path / "out.txt", "w") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert main(["cover", "--b", "primes", "--mod", str(m), "--dump"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * m
+        residues = primes_cover(m).residues()
+        assert (tmp_path / "out.txt").read_text() == \
+            f"{len(residues)}\n" + ",".join(map(str, residues)) + "\n"
 
     def test_primes_720(self, capsys):
         code, out, _ = run(capsys, "cover", "--b", "primes", "--mod", "720")
@@ -423,7 +457,11 @@ class TestEstimate:
         "modulus 5\nbitmap e4\n",         # padding bits 5..7 set
         "modulus 12\nbitmap ff\n",        # one byte short
         "modulus 0\nresidues \n",         # no period for the Banach scan
-    ], ids=["negative", "residue-k", "spare-byte", "padding", "short", "zero-modulus"])
+        "modulus -6\nresidues \n",
+        "modulus 12\nbitmap FF 0F\n",     # bytes.fromhex takes these two,
+        "modulus 12\nbitmap ff 0f\n",     # dumps_periodic writes neither
+    ], ids=["negative", "residue-k", "spare-byte", "padding", "short", "zero-modulus",
+            "negative-modulus", "upper-case-spaced", "spaced"])
     def test_malformed_set_file_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "set.txt"
         path.write_text(text)

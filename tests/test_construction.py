@@ -526,6 +526,12 @@ class TestSerialization:
             with pytest.raises(ValueError, match="180 lower-case hex digits"):
                 tower_from_json(json.dumps(doc))
 
+    def test_level_hex_is_the_set_file_bitmap(self):
+        tower = construct(FiniteOracle([0]), Fraction(9, 10), 7)
+        assert len(tower.top.H) > 1024   # so dumps_periodic writes a bitmap
+        data = json.loads(tower_to_json(tower))["levels"][-1]["H"]["data"]
+        assert sets.dumps_periodic(tower.top.H).splitlines()[1] == "bitmap " + data
+
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             tower_from_json('{"schema": "nope", "levels": []}')

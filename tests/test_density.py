@@ -20,8 +20,11 @@ from buckdens.density import (
     empirical_logarithmic,
     in_domain,
     periodic_indicator,
+    proxies,
     _randrange_block,
 )
+from buckdens.construction import construct
+from buckdens.oracles import PrimesOracle
 from buckdens.sets import (
     ResidueSet,
     ResourceLimitError,
@@ -29,6 +32,8 @@ from buckdens.sets import (
     naturals,
     union,
 )
+
+from buckdens.verify import _periods, sumset_window
 
 import reference_proxies
 
@@ -221,11 +226,49 @@ class TestProxiesMatchReferences:
         ind = (x >= t[x % p]).astype(np.uint8)
         _assert_proxies_match_references(ind, horizon, p)
 
+    @pytest.mark.parametrize("estimator", [
+        empirical_asymptotic, empirical_logarithmic,
+        lambda ind, horizon: proxies(ind, horizon, 2)])
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_a_horizon_below_one_is_refused(self, estimator, horizon):
+        ind = periodic_indicator(ResidueSet(2, [0]), 100)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            estimator(ind, horizon)
+
     @pytest.mark.parametrize("period", [0, -3])
     def test_banach_refuses_a_period_below_one(self, period):
         ind = periodic_indicator(ResidueSet(2, [0]), 100)
         with pytest.raises(ValueError, match="period must be at least 1"):
             empirical_banach(ind, 10, 100, period)
+
+
+class TestProxies:
+    """``proxies`` is the three estimators' calls, with the Banach window
+    ``max(1, horizon // 10)`` unless one is given."""
+
+    def _separate(self, ind, horizon, period, window):
+        return (empirical_asymptotic(ind, horizon),
+                empirical_banach(ind, window, horizon, period),
+                empirical_logarithmic(ind, horizon))
+
+    @pytest.mark.parametrize("horizon, window, expected_window", [
+        (1, None, 1), (9, None, 1), (10, None, 1), (10**4, None, 1000),
+        (10**4, 137, 137), (100, 1, 1)])
+    def test_an_estimate_set(self, horizon, window, expected_window):
+        pset = ResidueSet(30, [1, 7, 11, 13, 17, 19, 23, 29])
+        ind = periodic_indicator(pset, horizon)
+        assert proxies(ind, horizon, 30, window) == \
+            self._separate(ind, horizon, 30, expected_window)
+
+    def test_a_verify_window(self):
+        oracle = PrimesOracle()
+        tower = construct(oracle, Fraction(1, 2), 6)
+        lower = _periods(tower, 10**4)[0]
+        cov = sumset_window(lower, oracle.enumerate(10**4), 10**4)
+        for horizon in (100, 1000, 10**4):
+            window = cov[: horizon + 1]
+            assert proxies(window, horizon, lower.shape[0]) == \
+                self._separate(window, horizon, lower.shape[0], horizon // 10)
 
 
 class TestAxiomSuite:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from buckdens.oracles import (
     parse_oracle,
     perfect_powers_cover,
     _kempner,
+    _power_image,
     primes_cover,
     sieve_primes,
     smallness_profile,
@@ -119,6 +121,25 @@ class TestPerfectPowersCover:
 
     def test_mod_three(self):
         assert perfect_powers_cover(3).residues() == [0, 1, 2]
+
+    def test_prime_power_modulus_is_powered_in_blocks(self):
+        # powering all 2**22 residues at once would take 33 bytes a residue
+        m = 2**22
+        tracemalloc.start()
+        try:
+            cover = perfect_powers_cover(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m
+        assert len(cover) == 2648040
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_power_image_across_blocks(self, k):
+        # 3**11 residues: two whole blocks of 2**16 and a partial one
+        q = 3**11
+        image = {pow(a, k, q) for a in range(q)}
+        assert np.flatnonzero(_power_image(q, k)).tolist() == sorted(image)
 
     def test_enumeration_never_escapes_cover(self):
         oracle = PerfectPowersOracle()
@@ -229,7 +250,27 @@ class TestFiniteCover:
             finite_cover([], 4)
 
 
+@pytest.mark.parametrize("cover", [primes_cover, factorials_cover, perfect_powers_cover,
+                                   lambda m: finite_cover([0, 5], m)],
+                         ids=["primes", "factorials", "powers", "finite"])
+@pytest.mark.parametrize("m", [0, -1])
+def test_exact_covers_refuse_a_modulus_below_one(cover, m):
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        cover(m)
+
+
 class TestEnumeratedCover:
+    def test_mod_one(self):
+        assert EnumeratedOracle(lambda n: n % 3 == 2, 100).cover(1).residues() == [0]
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_modulus_below_one_is_refused_before_any_remainder(self, m):
+        # a remainder by 0 would warn before the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="modulus must be positive"):
+                EnumeratedOracle(lambda n: n % 3 == 2, 100).cover(m)
+
     def test_matches_exact_primes(self):
         primes = set(sieve_primes(10**6).tolist())
         cov = EnumeratedOracle(lambda n: n in primes, 10**6).cover(6)

@@ -1,0 +1,55 @@
+"""Decisions that one module owns, read from the package's syntax trees.
+
+- The packed-hex bitmap format: only ``sets`` packs, unpacks or parses hex.
+- The enumeration budget: only ``density.check_horizon`` compares a value
+  with ``DEFAULT_ENUM_BUDGET``.
+- A valid modulus: ``sets.check_budget`` refuses one below 1, and the
+  covers' general paths handle m = 1, so ``oracles`` has no ``m == 1``
+  branch.
+"""
+
+import ast
+from pathlib import Path
+
+import buckdens
+
+PACKAGE = Path(buckdens.__file__).resolve().parent
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _enclosing_functions(tree):
+    """(node, name of the innermost function holding it) for every node."""
+    def walk(node, owner):
+        yield node, owner
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, name)
+    return walk(tree, None)
+
+
+def test_only_sets_packs_unpacks_or_parses_hex():
+    calls = {(name, node.func.attr)
+             for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("packbits", "unpackbits", "fromhex")}
+    assert calls == {("sets.py", "packbits"), ("sets.py", "unpackbits"),
+                     ("sets.py", "fromhex")}
+
+
+def test_only_check_horizon_compares_with_the_enumeration_budget():
+    owners = {(name, owner)
+              for name, tree in TREES.items()
+              for node, owner in _enclosing_functions(tree)
+              if isinstance(node, ast.Compare)
+              and any(isinstance(n, ast.Name) and n.id == "DEFAULT_ENUM_BUDGET"
+                      for n in ast.walk(node))}
+    assert owners == {("density.py", "check_horizon")}
+
+
+def test_oracles_have_no_modulus_one_branch():
+    branches = [ast.unparse(node) for node in ast.walk(TREES["oracles.py"])
+                if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                and node.left.id == "m" and isinstance(node.ops[0], ast.Eq)
+                and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value == 1]
+    assert branches == []

@@ -13,6 +13,8 @@ from buckdens.sets import (
     ResidueSet,
     ResourceLimitError,
     affine,
+    bitmap_from_hex,
+    bitmap_hex,
     canonicalize,
     complement,
     divisors,
@@ -631,3 +633,19 @@ class TestFileFormat:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             loads_periodic("oops\nresidues 1\n")
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 20005])
+    def test_bitmap_hex_round_trip(self, k):
+        bits = (np.random.default_rng(k).random(k) < 0.5).astype(np.uint8)
+        text = bitmap_hex(bits)
+        assert len(text) == 2 * -(-k // 8) and text == text.lower()
+        assert np.array_equal(bitmap_from_hex(k, text), bits)
+
+    @pytest.mark.parametrize("k, text", [
+        (12, "FF0F"), (12, "ff 0f"), (12, "ff0"), (12, "ff0f00"), (5, "e4"),
+        (0, ""), (-8, "00"),
+    ], ids=["upper-case", "space", "odd-digit", "spare-byte", "padding",
+            "zero-modulus", "negative-modulus"])
+    def test_bitmap_from_hex_takes_only_what_bitmap_hex_writes(self, k, text):
+        with pytest.raises(ValueError):
+            bitmap_from_hex(k, text)
