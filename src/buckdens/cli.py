@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 
+from . import density
 from .construction import CertificateError, construct, tower_from_json, tower_to_json
 from .density import (
     BUCK,
@@ -31,9 +32,8 @@ EXIT_RESOURCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the exit-code contract wants 1
+    # argparse exits 2 with a usage line; the contract wants exit 1 and one line
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -128,8 +128,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    if args.density != "buck":
-        raise ValueError(f"unknown density evaluator {args.density!r}")
     report = axiom_suite(BUCK, samples=args.samples, seed=args.seed)
     _write(args.out, report.to_json() + "\n")
     n_pass = sum(r.passed for r in report.results.values())
@@ -141,7 +139,7 @@ def _cmd_estimate(args) -> int:
     with open(args.set) as fh:
         pset = loads_periodic(fh.read())
     ind = periodic_indicator(pset, args.horizon)
-    window = args.window if args.window is not None else max(1, args.horizon // 10)
+    window = args.window if args.window is not None else density.default_window(args.horizon)
     (lo, hi), ban, log = proxies(ind, args.horizon, pset.modulus, window)
     print(f"exact density   : {pset.density()} (~{float(pset.density()):.9f})")
     print(f"asymptotic proxy: min={lo:.9f} max={hi:.9f}")
@@ -191,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("axioms", help="axiom conformance suite")
-    p.add_argument("--density", default="buck")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

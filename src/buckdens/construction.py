@@ -213,7 +213,6 @@ class LevelCheck:
 class ClaimAReport:
     alpha: Fraction
     checks: list[LevelCheck]
-    heuristic: bool
 
     @property
     def ok(self) -> bool:
@@ -280,7 +279,7 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         checks.append(LevelCheck(lv.n, lower, upper, bracket_ok, stored_ok, nesting_ok))
         if nesting_ok is False:
             break
-    return ClaimAReport(t.alpha, checks, heuristic=not oracle.exact)
+    return ClaimAReport(t.alpha, checks)
 
 
 def a_bounds(t: Tower) -> DensityInterval:
@@ -295,22 +294,19 @@ def a_bounds(t: Tower) -> DensityInterval:
 class SumBounds:
     per_level: list[tuple[int, Fraction, Fraction, Fraction]]  # (n, L, U, eps)
     final: DensityInterval
-    heuristic: bool
 
 
 def sum_bounds(t: Tower, oracle: CoverOracle) -> SumBounds:
     """Per-level certificate intervals (L_n, U_n] with eps_n = |cover(n!)|/n!,
     and the final interval certifying alpha - eps_N < b(A+B) <= alpha + eps_N."""
     if t.trivial:
-        return SumBounds([], DensityInterval(Fraction(1), Fraction(1)),
-                         heuristic=not oracle.exact)
+        return SumBounds([], DensityInterval(Fraction(1), Fraction(1)))
     rows = []
     for lv in t.levels:
         eps = Fraction(len(oracle.cover_cached(lv.modulus)), lv.modulus)
         rows.append((lv.n, lv.sum_lower, lv.sum_upper, eps))
     top = t.top
-    return SumBounds(rows, DensityInterval(top.sum_lower, top.sum_upper),
-                     heuristic=not oracle.exact)
+    return SumBounds(rows, DensityInterval(top.sum_lower, top.sum_upper))
 
 
 def membership(t: Tower, x: int) -> str:

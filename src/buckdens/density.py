@@ -44,6 +44,7 @@ __all__ = [
     "empirical_asymptotic",
     "empirical_banach",
     "empirical_logarithmic",
+    "default_window",
     "proxies",
     "axiom_suite",
     "AxiomReport",
@@ -96,10 +97,9 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class UpperDensityFn:
-    """An upper-density evaluator on periodic sets, with metadata."""
+    """A named upper-density evaluator on periodic sets."""
 
     name: str
-    exact: bool
     eval_periodic: Callable[[ResidueSet], Fraction]
 
 
@@ -177,17 +177,21 @@ def _check_indicator(ind: np.ndarray, horizon: int) -> None:
         raise ValueError("indicator shorter than horizon")
 
 
-def empirical_asymptotic(ind: np.ndarray, horizon: int, grid: int = 60) -> tuple[float, float]:
-    """(min, max) of |X ∩ [1, n]| / n over a log grid of n in [horizon/100, horizon].
+_ASYMPTOTIC_POINTS = 60   # log-spaced n, before rounding merges any
+
+
+def empirical_asymptotic(ind: np.ndarray, horizon: int) -> tuple[float, float]:
+    """(min, max) of |X ∩ [1, n]| / n over ``_ASYMPTOTIC_POINTS`` log-spaced
+    n in [horizon/100, horizon].
 
     Finite-horizon proxies for liminf/limsup of the counting ratio.  ``ind``
     is a 0/1 indicator of X on [0, horizon] or longer (uint8 or bool); the
-    count up to each of the at most ``grid`` grid points is summed from one
-    ``count_nonzero`` per segment between them.
+    count up to each n is summed from one ``count_nonzero`` per segment
+    between consecutive n.
     """
     _check_indicator(ind, horizon)
     lo_n = max(1, horizon // 100)
-    ns = np.unique(np.geomspace(lo_n, horizon, num=grid).astype(np.int64))
+    ns = np.unique(np.geomspace(lo_n, horizon, num=_ASYMPTOTIC_POINTS).astype(np.int64))
     starts = np.concatenate(([1], ns[:-1] + 1))
     counts = np.cumsum([np.count_nonzero(ind[a: b + 1]) for a, b in zip(starts, ns)],
                        dtype=np.int64)   # counts[j] = |X ∩ [1, ns[j]]|
@@ -195,8 +199,7 @@ def empirical_asymptotic(ind: np.ndarray, horizon: int, grid: int = 60) -> tuple
     return float(ratios.min()), float(ratios.max())
 
 
-def empirical_banach(ind: np.ndarray, window: int, horizon: int,
-                     period: int | None = None) -> float:
+def empirical_banach(ind: np.ndarray, window: int, horizon: int, period: int) -> float:
     """Max over length-``window`` windows inside [1, horizon] of count/window.
 
     ``ind`` is a 0/1 indicator of X on [0, horizon] or longer (uint8 or
@@ -205,13 +208,11 @@ def empirical_banach(ind: np.ndarray, window: int, horizon: int,
     [x >= t_{x mod p}].  Then the count W(i) of [i + 1, i + window] is at
     most W(i + p), so the maximum lies among the last p offsets
     i in [horizon - window - p + 1, horizon - window], and only those are
-    counted.  The default p = horizon + 1 holds for every indicator and
-    counts every offset.
+    counted.  p = horizon + 1 holds for every indicator and counts every
+    offset.
     """
     if not 1 <= window <= horizon:
         raise ValueError("need 1 <= window <= horizon")
-    if period is None:
-        period = horizon + 1
     if period < 1:
         raise ValueError(f"period must be at least 1, not {period}")
     _check_indicator(ind, horizon)
@@ -239,13 +240,19 @@ def empirical_logarithmic(ind: np.ndarray, horizon: int) -> float:
     return float(np.dot(ind[start: horizon + 1].astype(np.float64), weights) / weights.sum())
 
 
+def default_window(horizon: int) -> int:
+    """The Banach window of a proxy run that names none: a tenth of the
+    horizon, at least 1."""
+    return max(1, horizon // 10)
+
+
 def proxies(ind: np.ndarray, horizon: int, period: int,
             window: int | None = None) -> tuple[tuple[float, float], float, float]:
     """The asymptotic (min, max), Banach and logarithmic proxies of X on
     [0, horizon], for a ``period`` that ``empirical_banach`` may scan over;
-    the Banach window defaults to ``max(1, horizon // 10)``."""
+    the Banach window defaults to ``default_window(horizon)``."""
     if window is None:
-        window = max(1, horizon // 10)
+        window = default_window(horizon)
     return (empirical_asymptotic(ind, horizon),
             empirical_banach(ind, window, horizon, period),
             empirical_logarithmic(ind, horizon))
@@ -262,14 +269,17 @@ _SUITE_MAX_MODULUS = 10_000
 @dataclass
 class AxiomResult:
     axiom: str
-    samples: int = 0
-    passed: bool = True
     counterexample: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 @dataclass
 class AxiomReport:
     evaluator: str
+    samples: int
     seed: int
     results: dict[str, AxiomResult] = field(default_factory=dict)
 
@@ -285,7 +295,7 @@ class AxiomReport:
             "axioms": [
                 {
                     "axiom": r.axiom,
-                    "samples": r.samples,
+                    "samples": self.samples,
                     "verdict": "PASS" if r.passed else "FAIL",
                     "counterexample": r.counterexample,
                 }
@@ -322,14 +332,16 @@ def _random_residue_subset(rng: random.Random, k: int) -> np.ndarray:
     return _randrange_block(rng, k, target)
 
 
-def _random_periodic(rng: random.Random, max_modulus: int = _SUITE_MAX_MODULUS) -> ResidueSet:
-    k = rng.randrange(1, max_modulus + 1)
+def _random_periodic(rng: random.Random) -> ResidueSet:
+    k = rng.randrange(1, _SUITE_MAX_MODULUS + 1)
     return ResidueSet(k, _random_residue_subset(rng, k))
 
 
-def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomReport:
+def axiom_suite(d: UpperDensityFn, samples: int, seed: int) -> AxiomReport:
     """Check F1 (normalization), F2 (monotonicity), F3 (subadditivity) and
-    F4 (affine scaling) on pseudo-random periodic sets with moduli <= 10^4.
+    F4 (affine scaling) on ``samples`` pseudo-random periodic sets each,
+    drawn from ``seed``, with moduli <= 10^4.  An axiom fails at its first
+    counterexample, which the report keeps.
 
     F3 pairs are sampled on divisors of a shared modulus so the rebase
     stays within the 10^4 budget; F4 uses small scale factors so the exact
@@ -338,13 +350,12 @@ def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomR
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
-    report = AxiomReport(evaluator=d.name, seed=seed)
+    report = AxiomReport(evaluator=d.name, samples=samples, seed=seed)
     for ax in _AXIOMS:
         report.results[ax] = AxiomResult(axiom=ax)
 
     full = ResidueSet(1, [0])
     if d.eval_periodic(full) != 1:
-        report.results["F1"].passed = False
         report.results["F1"].counterexample = {"set": dumps_periodic(full),
                                                "value": str(d.eval_periodic(full))}
 
@@ -352,24 +363,19 @@ def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomR
         # F1: d(X) <= d(N) = 1
         p = _random_periodic(rng)
         r = report.results["F1"]
-        r.samples += 1
         v = d.eval_periodic(p)
         if r.passed and not (0 <= v <= 1):
-            r.passed = False
             r.counterexample = {"set": dumps_periodic(p), "value": str(v)}
 
         # F2: X ⊆ Y implies d(X) <= d(Y)
         r = report.results["F2"]
-        r.samples += 1
         sub = p
         sup = union(p, ResidueSet(p.modulus, _random_residue_subset(rng, p.modulus)))
         if r.passed and d.eval_periodic(sub) > d.eval_periodic(sup):
-            r.passed = False
             r.counterexample = {"subset": dumps_periodic(sub), "superset": dumps_periodic(sup)}
 
         # F3: d(X ∪ Y) <= d(X) + d(Y), equality when disjoint
         r = report.results["F3"]
-        r.samples += 1
         k = rng.randrange(2, _SUITE_MAX_MODULUS + 1)
         divs = divisors(k)
         ka = rng.choice(divs)
@@ -382,23 +388,20 @@ def axiom_suite(d: UpperDensityFn, samples: int = 1000, seed: int = 0) -> AxiomR
         if ok and intersect(pa, pb).is_empty():
             ok = vu == va + vb
         if r.passed and not ok:
-            r.passed = False
             r.counterexample = {"x": dumps_periodic(pa), "y": dumps_periodic(pb),
                                 "union": dumps_periodic(u)}
 
         # F4: d(k*X + h) = d(X)/k, exactly
         r = report.results["F4"]
-        r.samples += 1
         scale = rng.randrange(1, 101)
         offset = rng.randrange(0, 101)
         base = ResidueSet(rng.randrange(1, 101), _random_residue_subset(rng, 100))
         img = affine(base, scale, offset)
         if r.passed and d.eval_periodic(img) != d.eval_periodic(base) / scale:
-            r.passed = False
             r.counterexample = {"set": dumps_periodic(base), "k": scale, "h": offset,
                                 "image": dumps_periodic(img)}
 
     return report
 
 
-BUCK = UpperDensityFn("buck", True, buck_upper_periodic)
+BUCK = UpperDensityFn("buck", buck_upper_periodic)

@@ -4,7 +4,7 @@ For a fixed set B, ``cover(m)`` is the set of residues r with
 ``(m*N + r) ∩ B != ∅``.  The built-in oracles (primes, factorials, perfect
 powers, finite sets) are exact at every modulus in budget; covers obtained
 by enumerating a predicate up to a bound are under-approximate and carry
-``exact=False``, which downstream certificates surface as heuristic.
+``exact=False`` into towers, reports and the smallness verdict.
 """
 
 from __future__ import annotations

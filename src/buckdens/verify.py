@@ -26,7 +26,6 @@ from .construction import (
     a_bounds,
     check_claimA,
     count_A,
-    construct,
     sum_bounds,
 )
 from .density import check_horizon, proxies
@@ -252,16 +251,17 @@ def _level_rows(t: Tower, sb: SumBounds) -> list[dict]:
 
 
 def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
-                   tower: Tower | None = None) -> DensityReport:
-    """Build (or reuse) a tower, re-check every certificate, and compare
-    empirical A+B frequencies against the certified interval at the
-    horizons T/100, T/10 and T.  The report's depth is that of the tower
-    it certifies, 0 for one with no levels.  Raises CertificateError if
-    any exact certificate fails."""
+                   tower: Tower) -> DensityReport:
+    """Re-check every certificate of ``tower`` and compare empirical A+B
+    frequencies against the certified interval at the horizons T/100, T/10
+    and T.  ``alpha`` and ``depth`` must be the tower's own, its depth being
+    0 when it has no levels; a call with any other raises ValueError.
+    Raises CertificateError if any exact certificate fails."""
+    if alpha != tower.alpha or depth != tower.depth:
+        raise ValueError(f"alpha {alpha} and depth {depth} are not the tower's "
+                         f"alpha {tower.alpha} and depth {tower.depth}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if tower is None:
-        tower = construct(oracle, alpha, depth)
     claim = check_claimA(tower, oracle)
     if not claim.ok:
         where = claim.first_violation()

@@ -160,7 +160,8 @@ class TestCriterion7TheoremDeskScale:
         start = time.perf_counter()
         oracle = parse_oracle("primes")
         horizon = 10**7
-        rep = theorem_report(oracle, Fraction(1, 2), 8, horizon)
+        t = construct(oracle, Fraction(1, 2), 8)
+        rep = theorem_report(oracle, t.alpha, t.depth, horizon, tower=t)
         row = rep.rows[-1]
         band = 0.2287 + 2 / math.factorial(9) + sampling_slack(horizon)
         ok = (0.5 - band <= row.freq[0] and row.freq[1] <= 0.5 + band)
@@ -175,7 +176,8 @@ class TestCriterion8TightQuantitative:
         start = time.perf_counter()
         oracle = parse_oracle("factorials")
         horizon = 10**6
-        rep = theorem_report(oracle, Fraction(1, 3), 6, horizon)
+        t = construct(oracle, Fraction(1, 3), 6)
+        rep = theorem_report(oracle, t.alpha, t.depth, horizon, tower=t)
         row = rep.rows[-1]
         third = 1 / 3
         ok = (third - 0.012 <= row.freq[0] and row.freq[1] <= third + 0.012)

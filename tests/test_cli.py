@@ -409,9 +409,12 @@ class TestAxioms:
                 "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unknown_density(self, capsys):
-        code, _, _ = run(capsys, "axioms", "--density", "schnirelmann")
-        assert code == 1
+    def test_unknown_density(self):
+        # Buck's density is the only evaluator, so no flag names one
+        for density in ("schnirelmann", "buck"):
+            proc = run_process("axioms", "--density", density, "--samples", "5")
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr == f"error: unrecognized arguments: --density {density}\n"
 
 
 class TestEstimate:
@@ -432,6 +435,27 @@ class TestEstimate:
                     continue
                 if 0 < val <= 1:
                     assert abs(val - 2 / 3) < 0.01
+
+    @pytest.mark.parametrize("horizon", ["5", "99", "100000"])
+    def test_prints_the_window_the_proxies_default_to(self, tmp_path, capsys,
+                                                      monkeypatch, horizon):
+        from buckdens import density
+
+        used = []
+        real_banach = density.empirical_banach
+
+        def banach(ind, window, *args):
+            used.append(window)
+            return real_banach(ind, window, *args)
+
+        monkeypatch.setattr(density, "default_window", lambda h: max(1, h // 7))
+        monkeypatch.setattr(density, "empirical_banach", banach)
+        path = tmp_path / "set.txt"
+        path.write_text(dumps_periodic(ResidueSet(6, [1, 2, 3, 5])))
+        code, out, _ = run(capsys, "estimate", "--set", str(path), "--horizon", horizon)
+        assert code == 0
+        assert used == [max(1, int(horizon) // 7)]
+        assert f"(window {used[0]})" in out
 
     def test_horizon_beyond_budget_exits_3_at_once(self, tmp_path):
         path = tmp_path / "set.txt"

@@ -575,6 +575,33 @@ class TestSerialization:
             assert cfg == config and loaded.oracle_spec == oracle_spec
             assert tower_to_json(loaded, cfg) == text
 
+    def test_any_layout_reads_back_to_the_canonical_file(self):
+        # tower_from_json reads values, not bytes: another layout of the same
+        # document parses to the same Tower, which tower_to_json writes in
+        # the one canonical layout
+        t = construct(PrimesOracle(), HALF, 4)
+        config = {"b": "primes", "alpha": "1/2", "depth": 4}
+        text = tower_to_json(t, config)
+        minified = json.dumps(json.loads(text), separators=(",", ":"))
+        assert minified != text
+        loaded, cfg = tower_from_json(minified)
+        assert loaded == t and cfg == config
+        assert tower_to_json(loaded, cfg) == text
+
+    def test_a_canonical_layout_can_still_write_back_other_bytes(self):
+        # an unread key is dropped, and a non-string oracle is kept as the
+        # value json reads it as
+        t = construct(PrimesOracle(), HALF, 4)
+        text = tower_to_json(t)
+        extra = json.loads(text)
+        extra["levels"][1]["note"] = "unread"
+        extra_text = json.dumps(extra, indent=2) + "\n"
+        loaded, cfg = tower_from_json(extra_text)
+        assert loaded == t and tower_to_json(loaded, cfg) == text != extra_text
+        number_text = text.replace('"oracle": "primes"', '"oracle": 1e2')
+        loaded, cfg = tower_from_json(number_text)
+        assert loaded.oracle_spec == 100.0
+        assert tower_to_json(loaded, cfg) == text.replace('"primes"', "100.0", 1)
 
 class TestNesting:
     @pytest.mark.parametrize("spec", ["finite:0", "primes", "powers"])

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -158,16 +159,16 @@ class TestEmpiricalAsymptotic:
 class TestEmpiricalBanachAndLog:
     def test_banach_evens(self):
         w = 10**4
-        val = empirical_banach(periodic_indicator(ResidueSet(2, [0]), 10**6), w, 10**6)
+        val = empirical_banach(periodic_indicator(ResidueSet(2, [0]), 10**6), w, 10**6, 2)
         assert abs(val - 0.5) <= 1 / w + 1e-12
 
     def test_banach_sixth(self):
-        val = empirical_banach(periodic_indicator(ResidueSet(6, [0]), 10**6), 6000, 10**6)
+        val = empirical_banach(periodic_indicator(ResidueSet(6, [0]), 10**6), 6000, 10**6, 6)
         assert val == pytest.approx(1 / 6, abs=1e-3)
 
     def test_banach_validates_window(self):
         with pytest.raises(ValueError):
-            empirical_banach(periodic_indicator(ResidueSet(2, [0]), 100), 0, 100)
+            empirical_banach(periodic_indicator(ResidueSet(2, [0]), 100), 0, 100, 2)
 
     def test_log_evens(self):
         val = empirical_logarithmic(periodic_indicator(ResidueSet(2, [0]), 10**6), 10**6)
@@ -188,7 +189,7 @@ class TestEmpiricalBanachAndLog:
             periodic_indicator(ResidueSet(2, [0]), DEFAULT_ENUM_BUDGET + 1)
 
 
-def _assert_proxies_match_references(ind, horizon, period=None):
+def _assert_proxies_match_references(ind, horizon, period):
     # the same float bits as the full scans, for every window length
     assert empirical_asymptotic(ind, horizon) == reference_proxies.asymptotic(ind, horizon)
     assert empirical_logarithmic(ind, horizon) == reference_proxies.logarithmic(ind, horizon)
@@ -205,7 +206,8 @@ class TestProxiesMatchReferences:
         rng = np.random.default_rng(seed)
         ind = (rng.random(horizon + 1) < density).astype(dtype)
         ind[0] = first
-        _assert_proxies_match_references(ind, horizon)
+        # period horizon + 1 holds for every indicator: the full scan
+        _assert_proxies_match_references(ind, horizon, horizon + 1)
 
     @given(st.integers(1, 5000), st.integers(1, 300), st.floats(0, 1),
            st.integers(0, 2**32 - 1))
@@ -276,10 +278,12 @@ class TestAxiomSuite:
         report = axiom_suite(BUCK, samples=300, seed=42)
         assert report.all_passed
         assert set(report.results) == {"F1", "F2", "F3", "F4"}
-        assert all(r.samples >= 300 for r in report.results.values())
+        assert report.samples == 300
+        doc = json.loads(report.to_json())
+        assert [a["samples"] for a in doc["axioms"]] == [300] * 4
 
     def test_doubled_evaluator_fails_f1_with_witness(self):
-        broken = UpperDensityFn("doubled", True, lambda p: p.density() * 2)
+        broken = UpperDensityFn("doubled", lambda p: p.density() * 2)
         report = axiom_suite(broken, samples=100, seed=0)
         assert not report.results["F1"].passed
         assert report.results["F1"].counterexample is not None
@@ -291,7 +295,6 @@ class TestAxiomSuite:
         assert BUCK.eval_periodic(img) == Fraction(1, 6)
 
     def test_report_is_json(self):
-        import json
         report = axiom_suite(BUCK, samples=20, seed=3)
         doc = json.loads(report.to_json())
         assert doc["verdict"] == "PASS"

@@ -6,12 +6,15 @@
 - A valid modulus: ``sets.check_budget`` refuses one below 1, and the
   covers' general paths handle m = 1, so ``oracles`` has no ``m == 1``
   branch.
+- Settings: a parameter has a default only where some caller passes
+  another value, and ``axioms`` has no flag that one value serves.
 """
 
 import ast
 from pathlib import Path
 
 import buckdens
+from buckdens.cli import build_parser
 
 PACKAGE = Path(buckdens.__file__).resolve().parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -53,3 +56,47 @@ def test_oracles_have_no_modulus_one_branch():
                 and isinstance(node.comparators[0], ast.Constant)
                 and node.comparators[0].value == 1]
     assert branches == []
+
+
+def _qualified_functions(tree):
+    """(Class.method or function name, node) for every function in a module."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child
+                yield from walk(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".")
+            else:
+                yield from walk(child, prefix)
+    return walk(tree, "")
+
+
+def test_only_these_parameters_have_defaults():
+    defaulted = set()
+    for module, tree in TREES.items():
+        for name, fn in _qualified_functions(tree):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted |= {(module, name, a.arg)
+                          for a in positional[len(positional) - len(args.defaults):]}
+            defaulted |= {(module, name, a.arg)
+                          for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    assert defaulted == {
+        ("cli.py", "main", "argv"),
+        ("construction.py", "construct", "allow_deep"),
+        ("construction.py", "tower_to_json", "config"),
+        ("density.py", "proxies", "window"),
+        ("oracles.py", "FiniteOracle.__init__", "name"),
+        ("oracles.py", "EnumeratedOracle.__init__", "name"),
+        ("sets.py", "ResidueSet.__init__", "residues"),
+        ("sets.py", "ResidueSet.__init__", "_bits"),
+    }
+
+
+def test_axioms_takes_only_samples_seed_and_out():
+    commands = next(action for action in build_parser()._actions
+                    if action.dest == "command")
+    options = {option for action in commands.choices["axioms"]._actions
+               for option in action.option_strings} - {"-h", "--help"}
+    assert options == {"--samples", "--seed", "--out"}

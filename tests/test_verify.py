@@ -225,7 +225,8 @@ class TestEnumerateSumset:
 class TestTheoremReport:
     def test_factorials_third(self):
         oracle = FactorialsOracle()
-        rep = theorem_report(oracle, Fraction(1, 3), 6, 10**5)
+        t = construct(oracle, Fraction(1, 3), 6)
+        rep = theorem_report(oracle, t.alpha, 6, 10**5, tower=t)
         assert rep.passed
         assert rep.interval_sum[0] <= Fraction(1, 3) < rep.interval_sum[1]
         assert rep.eps_final == Fraction(1, 120)
@@ -235,7 +236,8 @@ class TestTheoremReport:
 
     def test_freq_tightens_with_horizon(self):
         oracle = FactorialsOracle()
-        rep = theorem_report(oracle, Fraction(1, 3), 6, 10**5)
+        t = construct(oracle, Fraction(1, 3), 6)
+        rep = theorem_report(oracle, t.alpha, 6, 10**5, tower=t)
         budgets = [r.budget for r in rep.rows]
         assert budgets == sorted(budgets, reverse=True)
 
@@ -318,8 +320,23 @@ class TestTheoremReport:
         with pytest.raises(CertificateError):
             theorem_report(oracle, HALF, 4, 10**4, tower=bad)
 
+    @pytest.mark.parametrize("tower_alpha,alpha,depth", [
+        (HALF, Fraction(1, 3), 4), (HALF, HALF, 3), (HALF, HALF, 5), (HALF, HALF, 0),
+        (HALF, Fraction(1), 4), (Fraction(1), Fraction(1), 1)])
+    def test_alpha_and_depth_must_be_the_towers(self, tower_alpha, alpha, depth):
+        # a tower with no levels (alpha = 1) has depth 0
+        oracle = FiniteOracle([0])
+        t = construct(oracle, tower_alpha, 4)
+        with pytest.raises(ValueError, match="not the tower's"):
+            theorem_report(oracle, alpha, depth, 10**4, tower=t)
+
+    def test_a_tower_is_required(self):
+        with pytest.raises(TypeError, match="tower"):
+            theorem_report(FiniteOracle([0]), HALF, 4, 10**4)
+
     def test_json_dict_shape(self):
-        rep = theorem_report(FiniteOracle([0]), HALF, 4, 10**4)
+        oracle = FiniteOracle([0])
+        rep = theorem_report(oracle, HALF, 4, 10**4, tower=construct(oracle, HALF, 4))
         doc = rep.to_json_dict()
         assert doc["verdict"] == "PASS"
         assert doc["schema"] == "buckdens-report-v1"
@@ -327,7 +344,8 @@ class TestTheoremReport:
         assert all("freq_lo" in r and "budget" in r for r in doc["empirical"])
 
     def test_csv_output(self, tmp_path):
-        rep = theorem_report(FiniteOracle([0]), HALF, 4, 10**4)
+        oracle = FiniteOracle([0])
+        rep = theorem_report(oracle, HALF, 4, 10**4, tower=construct(oracle, HALF, 4))
         path = tmp_path / "report.csv"
         rep.write_csv(str(path))
         text = path.read_text()
