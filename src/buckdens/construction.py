@@ -23,7 +23,7 @@ import numpy as np
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
 from .sets import (ResidueSet, ResourceLimitError, bitmap_from_hex, bitmap_hex,
-                   combine_rotated, sumset_mod)
+                   combine_rotated, sparse_members, sumset_mod)
 
 __all__ = [
     "CertificateError",
@@ -115,10 +115,21 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
     of the lower sumset H_m' + cover(m!) that ``prev`` carries, and each
     class ORs in one rotated cover.  Densities grow with k: k_{m+1} is the
     first class passing alpha, the state before it is the new lower sumset
-    and the state after it gives U.  ``check_claimA`` re-derives L from
-    ``H_n'`` and ``cover(n!)`` alone and U from L, folding the top cover's
-    own bitmap to smaller moduli and never asking the oracle for them, so
-    an oracle that breaks the projection identity is caught.
+    and the state after it gives U.
+
+    The counts come without a pass over (m+1)!: the tiled lower sumset has
+    (m+1)·|prev's| members, read off ``prev.sum_lower``, and H_{m+1}, the
+    tiling of H_m less its m − k classes beyond the cutoff, has
+    (m+1)·|H_m| − (m − k).  A sparse cover (``sets.sparse_members``) is
+    listed once: each candidate's U gathers the rotated members that the
+    state lacks, and each accepted class is scattered into it in place.  A
+    dense cover is rotated and ORed into a second buffer per candidate,
+    which is counted.
+
+    ``check_claimA`` re-derives L from ``H_n'`` and ``cover(n!)`` alone
+    and U from L, folding the top cover's own bitmap to smaller moduli and
+    never asking the oracle for them, so an oracle that breaks the
+    projection identity is caught.
     """
     if prev.lower_sumset is None:
         raise ValueError(f"level {prev.n} carries no lower sumset to step from")
@@ -129,14 +140,27 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
         raise ValueError(f"cover has modulus {cover_next.modulus}, expected {big}")
 
     cover_bits = cover_next.bits()
+    members = sparse_members(cover_bits, len(cover_next))
     before = np.tile(prev.lower_sumset, m + 1)
-    after = np.empty_like(before)
+    size = int(prev.sum_lower * big)
+    after = np.empty_like(before) if members is None else None
     for k in range(m + 1):
-        combine_rotated(np.bitwise_or, after, before, cover_bits, prev.h + k * fact_m)
-        upper = Fraction(int(np.count_nonzero(after)), big)
+        shift = prev.h + k * fact_m
+        if members is None:
+            combine_rotated(np.bitwise_or, after, before, cover_bits, shift)
+            grown = int(np.count_nonzero(after))
+        else:
+            targets = members + shift
+            targets[targets >= big] -= big
+            grown = size + members.size - int(np.count_nonzero(before[targets]))
+        upper = Fraction(grown, big)
         if upper > alpha:
             break
-        before, after = after, before
+        if members is None:
+            before, after = after, before
+        else:
+            before[targets] = 1
+        size = grown
     else:
         raise CertificateError(
             f"no admissible cutoff at level {m + 1}: max candidate density "
@@ -151,8 +175,8 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
         H=ResidueSet.from_bits(h_bits),
         h=h_next,
         k_chosen=k,
-        density_a=Fraction(int(np.count_nonzero(h_bits)), big),
-        sum_lower=Fraction(int(np.count_nonzero(before)), big),
+        density_a=Fraction((m + 1) * int(prev.density_a * fact_m) - (m - k), big),
+        sum_lower=Fraction(size, big),
         sum_upper=upper,
         lower_sumset=before,
     )
@@ -232,18 +256,22 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     successor fails to nest in it.
 
     Per level, the stored L, U, h, density and (from level 2 on) k_n with
-    h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values.  One
-    ``sumset_mod`` of H' with the cover gives
+    h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values; |H| is
+    counted once.  One ``sumset_mod`` of H' with the cover gives
     L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H adds the cover
-    rotated by h, so U needs one rotated OR.  Level n+1 nests when each of
-    its n+1 rows mod n! lies between H' and H.
+    rotated by h.  U counts that union: for a sparse cover
+    (``sets.sparse_members``) L's members plus the rotated cover members
+    that L's bitmap lacks, gathered, and for a dense one a rotated OR into
+    a second bitmap.  Level n+1 nests when each of its n+1 rows mod n!
+    lies between H' and H: when the AND-fold of the rows contains H' and
+    their OR-fold lies inside H.
 
     H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, so
     ``sumset_mod`` peels it level by level: it reads each layer from the
     bitmap of H' (not from ``k_chosen``, h or the lower levels), folds the
-    cover's bitmap down with it and shift-ORs the few leftover residues.
-    The builder instead tiles a carried bitmap, so these certificates are
-    an independent re-derivation.
+    cover's bitmap down with it and combines the few leftover residues.
+    The builder instead tiles a carried bitmap and counts in closed form,
+    so these certificates are an independent re-derivation.
 
     A level that does not nest in its predecessor may hold an H' that
     peels nowhere, which ``sumset_mod`` refuses from ``2**14`` up; as the
@@ -256,12 +284,20 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         cover = oracle.cover_cached(lv.modulus)
         h_prime = lv.H.discard(lv.h)
         low = sumset_mod(h_prime, cover).bits()
-        high = low   # h outside H (a broken tower) leaves H' = H
-        if lv.h in lv.H:
-            high = np.empty_like(low)
-            combine_rotated(np.bitwise_or, high, low, cover.bits(), lv.h % lv.modulus)
-        lower = Fraction(int(np.count_nonzero(low)), lv.modulus)
-        upper = Fraction(int(np.count_nonzero(high)), lv.modulus)
+        lower_count = upper_count = int(np.count_nonzero(low))
+        if lv.h in lv.H:   # h outside H (a broken tower) leaves H' = H
+            shift = lv.h % lv.modulus
+            members = sparse_members(cover.bits(), len(cover))
+            if members is None:
+                high = np.empty_like(low)
+                combine_rotated(np.bitwise_or, high, low, cover.bits(), shift)
+                upper_count = int(np.count_nonzero(high))
+            else:
+                targets = members + shift
+                targets[targets >= lv.modulus] -= lv.modulus
+                upper_count += members.size - int(np.count_nonzero(low[targets]))
+        lower = Fraction(lower_count, lv.modulus)
+        upper = Fraction(upper_count, lv.modulus)
         bracket_ok = lower <= t.alpha < upper
         stored_ok = (lower == lv.sum_lower and upper == lv.sum_upper
                      and 0 <= lv.h < lv.modulus and lv.h in lv.H
@@ -273,9 +309,9 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         nesting_ok: bool | None = None
         if i + 1 < len(t.levels):
             rows = t.levels[i + 1].H.bits().reshape(-1, lv.modulus)
-            inner, outer = h_prime.bits(), lv.H.bits()
-            nesting_ok = all(not np.any(row < inner) and not np.any(row > outer)
-                             for row in rows)
+            nesting_ok = (
+                not np.any(h_prime.bits() > np.bitwise_and.reduce(rows, axis=0))
+                and not np.any(np.bitwise_or.reduce(rows, axis=0) > lv.H.bits()))
         checks.append(LevelCheck(lv.n, lower, upper, bracket_ok, stored_ok, nesting_ok))
         if nesting_ok is False:
             break
@@ -432,6 +468,8 @@ def tower_from_json(text: str) -> tuple[Tower, dict | None]:
     _require(doc, ("schema", "alpha", "oracle", "exact", "trivial", "levels"), "tower")
     if doc["schema"] != SCHEMA:
         raise ValueError(f"unsupported tower schema {doc['schema']!r}")
+    if not isinstance(doc["oracle"], str):
+        raise ValueError(f"'oracle' must be a string, got {doc['oracle']!r}")
     if not isinstance(doc["exact"], bool) or not isinstance(doc["trivial"], bool):
         raise ValueError("'exact' and 'trivial' must be booleans")
     lvdocs = doc["levels"]

@@ -21,6 +21,13 @@ Tower operands always peel: level n is level n − 1 tiled plus at most n − 1
 classes.  Sparse operands (the shifts and a layer's excess) are listed block
 by block, skipping the blocks that hold no member, so an 11-residue cover of
 ``11!`` is not scanned in full.
+
+One rule, ``_is_sparse``, tells a sparse operand from a dense one by its
+live-entry count against its modulus.  A sparse table is scattered, once
+per combine, at its listed entries shifted, so its rotations cost its
+entries, not the modulus; ``sumset_mod`` makes the operand with fewer
+members the table, and the tower builder and checker gather a sparse cover
+(``sparse_members``) where they would rotate a dense one.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ __all__ = [
     "affine",
     "sumset_mod",
     "min_plus_mod",
+    "sparse_members",
     "rebase",
     "tile_periodic",
     "combine_rotated",
@@ -65,6 +73,10 @@ _SHIFT_MAX = 64
 _PEEL_MIN_MODULUS = 1 << 14
 # _sparse_members scans a sparse bitmap in blocks of this many bytes
 _BLOCK = 1 << 16
+# _is_sparse: at most one live entry in this many is listed and scattered
+# (or gathered) instead of rotated; a scatter over at most _SHIFT_MAX shifts
+# then lists at most k/8 targets
+_SPARSE_RATIO = 512
 
 
 class ResourceLimitError(Exception):
@@ -267,9 +279,11 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     realizes the sumset ``P + Y`` as a finite union of APs.
 
     The OR case of ``_peel_shift``: one operand X is shifted over or
-    peeled, and the other is rotated and OR-folded.  The smaller operand is
-    tried as X first, and the larger when ``_peel_shift`` refuses the
-    smaller; when it refuses both, :class:`ResourceLimitError` is raised.
+    peeled, and the other is the table, rotated or, when ``_is_sparse``,
+    scattered.  Each operand is counted once.  The operand with more
+    members is tried as X first, so a sparse cover is the table, and the
+    other when ``_peel_shift`` refuses it; when it refuses both,
+    :class:`ResourceLimitError` is raised.
 
     A tower level is its predecessor tiled plus at most n − 1 classes, so
     ``H ∖ {h}`` at ``n!`` peels level by level down to the shift sizes,
@@ -279,13 +293,13 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
-    if p.is_empty() or c.is_empty():
+    a, b = (p.bits(), len(p)), (c.bits(), len(c))
+    if a[1] == 0 or b[1] == 0:
         return ResidueSet(k)
-    a, b = p.bits(), c.bits()
-    if np.count_nonzero(a) > np.count_nonzero(b):
+    if a[1] < b[1]:
         a, b = b, a
-    for x, y in ((a, b), (b, a)):
-        out = _peel_shift(np.bitwise_or, x, y, 0)
+    for (x, size), (y, live) in ((a, b), (b, a)):
+        out = _peel_shift(np.bitwise_or, x, size, y, live, 0)
         if out is not None:
             return ResidueSet.from_bits(out)
     raise ResourceLimitError(
@@ -298,22 +312,44 @@ def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
     k; where no class c qualifies, t[r] is the dtype's maximum.
 
     The min case of ``_peel_shift``: ``sumset_mod`` with OR replaced by
-    min.  A p of more than ``_SHIFT_MAX`` members with no periodic layer
-    at a modulus from ``_PEEL_MIN_MODULUS`` up raises
+    min, and the table's live entries those below the dtype's maximum.  A
+    p of more than ``_SHIFT_MAX`` members with no periodic layer at a
+    modulus from ``_PEEL_MIN_MODULUS`` up raises
     :class:`ResourceLimitError`; every tower period peels.
     """
-    out = _peel_shift(np.minimum, p, values, np.iinfo(values.dtype).max)
+    fill = np.iinfo(values.dtype).max
+    size = int(np.count_nonzero(p))
+    out = _peel_shift(np.minimum, p, size, values,
+                      int(np.count_nonzero(values != fill)), fill)
     if out is None:
         raise ResourceLimitError(
-            f"a period of {np.count_nonzero(p)} residues mod {p.shape[0]} "
+            f"a period of {size} residues mod {p.shape[0]} "
             "has no periodic layer to peel")
     return out
 
 
-def _peel_shift(op: np.ufunc, p: np.ndarray, table: np.ndarray,
-                fill: int) -> np.ndarray | None:
+def _is_sparse(count: int, modulus: int) -> bool:
+    """The one sparse/dense rule: an operand with ``count`` live entries mod
+    ``modulus`` is listed and scattered or gathered, instead of rotated in
+    full, when at most one entry in ``_SPARSE_RATIO`` is live.  Its cost
+    then follows its live entries, not the modulus."""
+    return count * _SPARSE_RATIO <= modulus
+
+
+def sparse_members(bits: np.ndarray, count: int) -> np.ndarray | None:
+    """The members of a 0/1 bitmap with ``count`` members, listed block by
+    block, when ``_is_sparse`` calls it sparse; None for a dense bitmap,
+    which callers rotate in full instead."""
+    if not _is_sparse(count, bits.shape[0]):
+        return None
+    return _sparse_members(np.bitwise_or, bits, 0)
+
+
+def _peel_shift(op: np.ufunc, p: np.ndarray, size: int, table: np.ndarray,
+                live: int, fill: int) -> np.ndarray | None:
     """``out[r] = op{table[(r − c) mod k] : p[c]}`` for a 0/1 bitmap ``p``
-    and a table of one length k, for a semiring sum ``op`` (OR on bitmaps,
+    of ``size`` members and a table of one length k with at most ``live``
+    entries other than ``fill``, for a semiring sum ``op`` (OR on bitmaps,
     min on integer tables); ``fill`` where p is empty.
 
     - *shift*: when p has at most ``_SHIFT_MAX`` members, op over the
@@ -325,32 +361,44 @@ def _peel_shift(op: np.ufunc, p: np.ndarray, table: np.ndarray,
     - a p with no layer is shifted over when k is below
       ``_PEEL_MIN_MODULUS``, and from there on the result is None.
 
-    Each p, and each core peeled from it, has its layer searched once.
+    Each rotation is a scatter when ``_is_sparse(live, k)`` (``_shifted``).
+    A fold has no more live entries than its table, so ``live`` bounds
+    every fold below it.  Each p, and each core peeled from it, has its
+    layer searched once.
     """
     k = p.shape[0]
-    if np.count_nonzero(p) > _SHIFT_MAX:
-        layer = _periodic_layer(p)
+    if size > _SHIFT_MAX:
+        layer = _periodic_layer(p, size)
         if layer is not None:
             q, core, excess = layer
             folded = op.reduce(table.reshape(q, k // q), axis=0)
-            inner = _peel_shift(op, core, folded, fill)
+            inner = _peel_shift(op, core, (size - excess.size) // q, folded,
+                                min(live, k // q), fill)
             if inner is None:
                 return None
-            return _shifted(op, np.tile(inner, q), table, excess)
+            return _shifted(op, np.tile(inner, q), table, live, excess, fill)
         if k >= _PEEL_MIN_MODULUS:
             return None
-    shifts = _sparse_members(p)
-    if shifts.size == 0:
-        return np.full(k, fill, dtype=table.dtype)
-    return _shifted(op, np.roll(table, shifts[0]), table, shifts[1:])
+    return _shifted(op, np.full(k, fill, dtype=table.dtype), table, live,
+                    _sparse_members(np.bitwise_or, p, 0), fill)
 
 
-def _shifted(op: np.ufunc, out: np.ndarray, table: np.ndarray,
-             shifts: np.ndarray) -> np.ndarray:
+def _shifted(op: np.ufunc, out: np.ndarray, table: np.ndarray, live: int,
+             shifts: np.ndarray, fill: int) -> np.ndarray:
     """``out`` combined in place by ``op`` with ``table`` rotated by each of
-    ``shifts``."""
-    for s in shifts.tolist():
-        combine_rotated(op, out, out, table, s)
+    ``shifts``, for a table with at most ``live`` entries other than
+    ``fill``.  A sparse table (``_is_sparse``) is listed and scattered by one
+    ``op.at`` over ``(entry + shift) mod k``; a dense one is rotated once
+    per shift.  Both give the same ``out``."""
+    k = table.shape[0]
+    if not _is_sparse(live, k):
+        for s in shifts.tolist():
+            combine_rotated(op, out, out, table, s)
+        return out
+    entries = _sparse_members(op, table, fill)
+    targets = (entries[None, :] + shifts[:, None]).ravel()
+    targets[targets >= k] -= k
+    op.at(out, targets, np.tile(table[entries], shifts.size))
     return out
 
 
@@ -364,20 +412,21 @@ def combine_rotated(op: np.ufunc, out: np.ndarray, src: np.ndarray, bits: np.nda
     op(src[:shift], bits[k - shift:], out=out[:shift])
 
 
-def _periodic_layer(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """``(q, f, E)`` peeling a period ``k/q`` off the bitmap ``x`` of length k.
+def _periodic_layer(x: np.ndarray, size: int) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(q, f, E)`` peeling a period ``k/q`` off the bitmap ``x`` of length k
+    with ``size`` members.
 
     For a prime ``q | k``, ``f`` is the AND-fold of x mod ``k/q`` (the
     residues whose every lift lies in x) and ``E`` lists the members of x
-    outside the tiling of ``f``: ``|E| = |x| - q |f|``.  The prime with the
-    fewest such residues wins, the larger prime on a tie; None when even
-    that leaves more than ``_SHIFT_MAX``.  The primes are tried from the
-    largest down, so the first with no excess wins outright and the search
-    stops there.  ``f`` is empty only for an x of at most ``_SHIFT_MAX``
-    members, which the dispatch shifts first.
+    outside the tiling of ``f``: ``|E| = size - q |f|``.  The prime with
+    the fewest such residues wins, the larger prime on a tie; None when
+    even that leaves more than ``_SHIFT_MAX``.  The primes are tried from
+    the largest down, so the first with no excess wins outright and the
+    search stops there.  E is listed row by row mod ``k/q``, and not at all
+    when it is empty.  ``f`` is empty only for an x of at most
+    ``_SHIFT_MAX`` members, which the dispatch shifts first.
     """
     k = x.shape[0]
-    size = int(np.count_nonzero(x))
     best = None
     for q in sorted(factorize(k), reverse=True):
         core = np.bitwise_and.reduce(x.reshape(q, k // q), axis=0)
@@ -385,25 +434,32 @@ def _periodic_layer(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
         if excess <= _SHIFT_MAX and (best is None or excess < best[0]):
             best = excess, q, core
             if excess == 0:
-                break
+                return q, core, np.empty(0, dtype=np.intp)
     if best is None:
         return None
     _, q, core = best
-    return q, core, _sparse_members((x.reshape(q, k // q) > core).ravel())
+    period = k // q
+    return q, core, np.concatenate([
+        _sparse_members(np.bitwise_or, row > core, 0) + i * period
+        for i, row in enumerate(x.reshape(q, period))])
 
 
-def _sparse_members(x: np.ndarray) -> np.ndarray:
-    """``np.flatnonzero(x)`` for a sparse bitmap ``x`` (0/1 or bool).
+def _sparse_members(op: np.ufunc, x: np.ndarray, fill: int) -> np.ndarray:
+    """``np.flatnonzero(x != fill)`` for a sparse array ``x``: a 0/1 or bool
+    bitmap with ``op`` OR and ``fill`` 0, or a min table with ``op`` min and
+    ``fill`` its dtype's maximum.
 
-    A block-wise max finds the ``_BLOCK``-byte blocks that hold a member;
-    only those and the tail are listed.  That costs a few ms at ``11!``
-    where ``flatnonzero`` spends about 100 ms, but on a dense bitmap it is
-    slower, so only the sparse operands of the shifts and peels use it.
+    An ``op.reduce`` per block finds the ``_BLOCK``-entry blocks that hold
+    an entry other than fill; only those and the tail are listed, with no
+    mask as long as x.  That costs a few ms at ``11!`` where
+    ``flatnonzero`` spends about 100 ms, but on a dense array it is slower,
+    so only the sparse operands of the shifts, peels and scatters use it.
     """
     whole = x.shape[0] - x.shape[0] % _BLOCK
-    occupied = np.flatnonzero(x[:whole].reshape(-1, _BLOCK).max(axis=1))
-    parts = [np.flatnonzero(x[b:b + _BLOCK]) + b for b in (occupied * _BLOCK).tolist()]
-    parts.append(np.flatnonzero(x[whole:]) + whole)
+    occupied = np.flatnonzero(op.reduce(x[:whole].reshape(-1, _BLOCK), axis=1) != fill)
+    parts = [np.flatnonzero(x[b:b + _BLOCK] != fill) + b
+             for b in (occupied * _BLOCK).tolist()]
+    parts.append(np.flatnonzero(x[whole:] != fill) + whole)
     return np.concatenate(parts)
 
 

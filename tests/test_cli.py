@@ -300,6 +300,8 @@ MALFORMED = {
     "padding-bit-7-level-3": _set_bit(2, 7),
     "unknown-encoding": _set(("levels", 1, "H", "encoding"), "rle"),
     "exact-not-bool": _set(("exact",), "false"),
+    "oracle-number": _set(("oracle",), 1e2),
+    "oracle-null": _set(("oracle",), None),
     "trivial-with-levels": _set(("trivial",), True),
 }
 

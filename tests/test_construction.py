@@ -267,7 +267,7 @@ class TestClaimA:
         top = t.top
         bits = (np.random.default_rng(8).random(top.modulus) < 0.3).astype(np.uint8)
         bits[top.h] = 1
-        assert sets._periodic_layer(bits) is None
+        assert sets._periodic_layer(bits, int(np.count_nonzero(bits))) is None
         bad = Tower(alpha=t.alpha, oracle_spec=t.oracle_spec, exact=t.exact,
                     levels=t.levels[:-1] + [replace(top, H=ResidueSet.from_bits(bits))])
         with pytest.raises(ResourceLimitError):
@@ -344,10 +344,29 @@ class TestClaimA:
         assert check_claimA(t, oracle).ok
         assert 0 < len(calls) <= 1000
 
+    @pytest.mark.parametrize("spec", ["factorials", "finite:0,24,7"])
+    @pytest.mark.parametrize("alpha", [HALF, Fraction(6, 11)])
+    def test_sparse_covers_rotate_nothing_at_the_top(self, monkeypatch, spec, alpha):
+        # a cover of at most 9 residues of 9! is scattered and gathered:
+        # neither step nor check_claimA rotates a whole level
+        lengths = []
+        combine = sets.combine_rotated
+
+        def recording(*args):
+            lengths.append(args[-2].shape[0])
+            combine(*args)
+
+        oracle = parse_oracle(spec)
+        monkeypatch.setattr(sets, "combine_rotated", recording)
+        monkeypatch.setattr(construction, "combine_rotated", recording)
+        t = construct(oracle, alpha, 9)
+        assert check_claimA(t, oracle).ok
+        assert max(lengths, default=0) < math.factorial(9)
+
     def test_sparse_checks_scan_no_full_level(self, monkeypatch):
         # the covers of factorials and a finite set hold at most n residues
-        # of n!: the shifts list them block by block, never in one
-        # flatnonzero over the level's whole bitmap
+        # of n!: the scatters and gathers list them block by block, never
+        # in one flatnonzero over the level's whole bitmap
         scanned = []
 
         def recording(x):
@@ -589,8 +608,8 @@ class TestSerialization:
         assert tower_to_json(loaded, cfg) == text
 
     def test_a_canonical_layout_can_still_write_back_other_bytes(self):
-        # an unread key is dropped, and a non-string oracle is kept as the
-        # value json reads it as
+        # an unread key is dropped; an oracle that is not a string (a
+        # number, a list, an object or null) is refused
         t = construct(PrimesOracle(), HALF, 4)
         text = tower_to_json(t)
         extra = json.loads(text)
@@ -598,10 +617,10 @@ class TestSerialization:
         extra_text = json.dumps(extra, indent=2) + "\n"
         loaded, cfg = tower_from_json(extra_text)
         assert loaded == t and tower_to_json(loaded, cfg) == text != extra_text
-        number_text = text.replace('"oracle": "primes"', '"oracle": 1e2')
-        loaded, cfg = tower_from_json(number_text)
-        assert loaded.oracle_spec == 100.0
-        assert tower_to_json(loaded, cfg) == text.replace('"primes"', "100.0", 1)
+        for value in ("1e2", "[1, 2]", '{"a": null}', "null"):
+            bad_text = text.replace('"oracle": "primes"', f'"oracle": {value}')
+            with pytest.raises(ValueError, match="'oracle' must be a string"):
+                tower_from_json(bad_text)
 
 class TestNesting:
     @pytest.mark.parametrize("spec", ["finite:0", "primes", "powers"])

@@ -235,7 +235,7 @@ class TestSparseMembers:
     @example(np.ones(BLOCK + 1, dtype=np.uint8))
     def test_matches_flatnonzero(self, x):
         for bitmap in (x, x.view(bool)):
-            got = sets._sparse_members(bitmap)
+            got = sets._sparse_members(np.bitwise_or, bitmap, 0)
             assert got.dtype == np.intp
             assert np.array_equal(got, np.flatnonzero(bitmap))
 
@@ -243,13 +243,13 @@ class TestSparseMembers:
     @given(sparse_bitmaps(st.just(FACT11)))
     @example(np.zeros(FACT11, dtype=np.uint8))
     def test_matches_flatnonzero_at_eleven_factorial(self, x):
-        assert np.array_equal(sets._sparse_members(x), np.flatnonzero(x))
+        assert np.array_equal(sets._sparse_members(np.bitwise_or, x, 0), np.flatnonzero(x))
 
     def test_every_block_edge(self):
         for k in (BLOCK - 1, BLOCK, 3 * BLOCK, 3 * BLOCK + 5):
             x = np.zeros(k, dtype=np.uint8)
             x[block_edges(k)] = 1
-            assert np.array_equal(sets._sparse_members(x), np.flatnonzero(x))
+            assert np.array_equal(sets._sparse_members(np.bitwise_or, x, 0), np.flatnonzero(x))
 
 
 def periodic_operands(k, rng, density):
@@ -323,9 +323,11 @@ class TestPeriodicPeel:
     @pytest.mark.parametrize("k", [5040, math.factorial(8)])
     def test_or_and_min_semirings_agree(self, k):
         # P + C is where the min-plus sum of P with the 0/1 table that is 0
-        # on C reaches 0.  P is layered and smaller than C, so both sums
-        # peel P, below and above _PEEL_MIN_MODULUS, and both operands are
-        # sparse enough that P + C misses residues
+        # on C reaches 0.  P is layered and C is not: min_plus_mod peels P,
+        # and sumset_mod tries the larger C first, which it shifts over
+        # below _PEEL_MIN_MODULUS and refuses from there on, so that it
+        # peels P at 8!; both operands are sparse enough that P + C misses
+        # residues
         rng = np.random.default_rng(k + 5)
         if k < sets._PEEL_MIN_MODULUS:
             x = np.tile(nested_operand(k // 7, rng, 0.015), 7)
@@ -333,7 +335,7 @@ class TestPeriodicPeel:
         else:
             x = nested_operand(k, rng, 0.005)
         size = np.count_nonzero(x)
-        assert size > sets._SHIFT_MAX and sets._periodic_layer(x) is not None
+        assert size > sets._SHIFT_MAX and sets._periodic_layer(x, size) is not None
         c = ResidueSet(k, rng.choice(k, size=size + 10, replace=False))
         want = sumset_mod(ResidueSet.from_bits(x), c).bits()
         assert 0 < np.count_nonzero(want) < k
@@ -370,13 +372,20 @@ def periodic_layer_reference(x):
     return -q, core, excess
 
 
+def smooth_moduli(two, three, five):
+    """k = 2^a 3^b 5^c 7^d with a <= two, b <= three, c <= five, d <= 1."""
+    return st.builds(lambda a, b, c, d: 2 ** a * 3 ** b * 5 ** c * 7 ** d,
+                     st.integers(0, two), st.integers(0, three), st.integers(0, five),
+                     st.integers(0, 1))
+
+
 @st.composite
-def layered_bitmaps(draw):
-    """A bitmap of length k = 2^a 3^b 5^c 7^d: a random core mod k/d for a
-    drawn divisor d, tiled, with up to 80 members flipped, so that several
-    primes may fold it, with excesses on both sides of ``_SHIFT_MAX``."""
-    k = (2 ** draw(st.integers(0, 6)) * 3 ** draw(st.integers(0, 3))
-         * 5 ** draw(st.integers(0, 2)) * 7 ** draw(st.integers(0, 1)))
+def layered_bitmaps(draw, moduli):
+    """A bitmap of a length k drawn from ``moduli``: a random core mod k/d
+    for a drawn divisor d, tiled, with up to 80 members flipped, so that
+    several primes may fold it, with excesses on both sides of
+    ``_SHIFT_MAX``."""
+    k = draw(moduli)
     d = draw(st.sampled_from(divisors(k)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     density = draw(st.sampled_from([0.02, 0.3, 0.9, 1.0]))
@@ -388,12 +397,13 @@ def layered_bitmaps(draw):
 
 class TestPeriodicLayer:
     @settings(max_examples=300)
-    @given(layered_bitmaps())
+    @given(layered_bitmaps(smooth_moduli(6, 3, 2)))
     @example(np.ones(2 * 3 * 5 * 7, dtype=np.uint8))
     @example(np.zeros(2 * 3 * 5 * 7, dtype=np.uint8))
     @example(np.ones(1, dtype=np.uint8))
     def test_matches_exhaustive_minimum(self, x):
-        got, want = sets._periodic_layer(x), periodic_layer_reference(x)
+        got = sets._periodic_layer(x, int(np.count_nonzero(x)))
+        want = periodic_layer_reference(x)
         assert (got is None) == (want is None)
         if want is not None:
             assert got[0] == want[0]
@@ -457,6 +467,86 @@ class TestMinPlusMod:
         p = (rng.random(1 << 16) < 0.3).astype(np.uint8)
         with pytest.raises(ResourceLimitError, match="no periodic layer"):
             min_plus_mod(p, np.zeros(1 << 16, dtype=np.int32))
+
+
+SPARSE_RATIO = sets._SPARSE_RATIO
+
+
+@st.composite
+def semiring_tables(draw, k, sparse):
+    """(op, table, fill) of length k whose live entries (not ``fill``) lie
+    on the drawn side of the sparse/dense rule: an OR bitmap with fill 0,
+    or a min table with fill its dtype's maximum and live values drawn
+    from a small range, so that they repeat.  The entries 0 and k − 1 are
+    taken first when drawn so."""
+    bound = k // SPARSE_RATIO
+    count = draw(st.integers(0, bound) if sparse else
+                 st.integers(bound + 1, min(k, bound + 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(k)
+    if draw(st.booleans()):
+        edges = np.unique([0, k - 1])
+        order = np.concatenate([edges, order[~np.isin(order, edges)]])
+    entries = order[:count]
+    if draw(st.booleans()):
+        table = np.zeros(k, dtype=np.uint8)
+        table[entries] = 1
+        return np.bitwise_or, table, 0
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    fill = np.iinfo(dtype).max
+    table = np.full(k, fill, dtype=dtype)
+    table[entries] = rng.integers(0, draw(st.sampled_from([3, 1000])), size=count)
+    return np.minimum, table, fill
+
+
+def semiring_moduli(two):
+    """Moduli with several prime factors, at least 2 * SPARSE_RATIO so that
+    the sparse side holds live entries."""
+    return smooth_moduli(two, 2, 1).filter(lambda k: k >= 2 * SPARSE_RATIO)
+
+
+class TestScatterRotation:
+    # _shifted's two paths, the scatter of a listed table and one rotation
+    # per shift, on either side of the sparse/dense rule and in both
+    # semirings, at moduli below and above the listing's block size; the
+    # live count only picks the path, so 0 forces the scatter and k the
+    # rotation
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_paths_agree_with_rolls(self, data):
+        k = data.draw(st.one_of(semiring_moduli(6), st.sampled_from([2 ** 17, 100800])))
+        sparse = data.draw(st.booleans())
+        op, table, fill = data.draw(semiring_tables(k, sparse))
+        shifts = np.array(data.draw(st.lists(st.one_of(st.integers(0, k - 1), st.just(k - 1)),
+                                             unique=True, max_size=64)), dtype=np.intp)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        start = np.where(rng.random(k) < 0.5, table[rng.permutation(k)], fill).astype(table.dtype)
+        want = start.copy()
+        for s in shifts.tolist():
+            want = op(want, np.roll(table, s))
+        live = int(np.count_nonzero(table != fill))
+        assert sets._is_sparse(live, k) == sparse
+        for hint in (live, 0, k):
+            got = sets._shifted(op, start.copy(), table, hint, shifts, fill)
+            assert np.array_equal(got, want)
+
+    # below _PEEL_MIN_MODULUS, so that every operand peels or shifts
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_sums_match_references(self, data):
+        k = data.draw(semiring_moduli(5))
+        assert k < sets._PEEL_MIN_MODULUS
+        sparse = data.draw(st.booleans())
+        op, table, fill = data.draw(semiring_tables(k, sparse))
+        p = data.draw(layered_bitmaps(st.just(k)))
+        if op is np.minimum:
+            assert np.array_equal(min_plus_mod(p, table), min_plus_reference(p, table, fill))
+            return
+        fewer, more = sorted((p, table), key=np.count_nonzero)
+        want = shift_or_reference(more, fewer)
+        for a, b in ((p, table), (table, p)):
+            got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
+            assert np.array_equal(got.bits(), want)
 
 
 class TestRebase:
