@@ -100,7 +100,7 @@ class Tower:
 def _base_level(cover_one: ResidueSet) -> Level:
     # H_1 = {0}, h_1 = 0; the empty H' gives sumset density 0, the full
     # class gives density 1 (cover mod 1 is {0} for any non-empty B)
-    if len(cover_one) == 0:
+    if cover_one.is_empty():
         raise CertificateError("cover of B mod 1 is empty; B must be non-empty")
     return Level(n=1, H=ResidueSet(1, [0]), h=0, k_chosen=None,
                  density_a=Fraction(1), sum_lower=Fraction(0), sum_upper=Fraction(1),
@@ -120,11 +120,11 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
     The counts come without a pass over (m+1)!: the tiled lower sumset has
     (m+1)·|prev's| members, read off ``prev.sum_lower``, and H_{m+1}, the
     tiling of H_m less its m − k classes beyond the cutoff, has
-    (m+1)·|H_m| − (m − k).  A sparse cover (``sets.sparse_members``) is
-    listed once: each candidate's U gathers the rotated members that the
-    state lacks, and each accepted class is scattered into it in place.  A
-    dense cover is rotated and ORed into a second buffer per candidate,
-    which is counted.
+    (m+1)·|H_m| − (m − k).  The cover is never counted: a cover that
+    ``sets.sparse_members`` lists is listed once, each candidate's U
+    gathers the rotated members that the state lacks, and each accepted
+    class is scattered into it in place.  A cover it refuses is rotated
+    and ORed into a second buffer per candidate, which is counted.
 
     ``check_claimA`` re-derives L from ``H_n'`` and ``cover(n!)`` alone
     and U from L, folding the top cover's own bitmap to smaller moduli and
@@ -140,7 +140,7 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
         raise ValueError(f"cover has modulus {cover_next.modulus}, expected {big}")
 
     cover_bits = cover_next.bits()
-    members = sparse_members(cover_bits, len(cover_next))
+    members = sparse_members(cover_bits)
     before = np.tile(prev.lower_sumset, m + 1)
     size = int(prev.sum_lower * big)
     after = np.empty_like(before) if members is None else None
@@ -257,19 +257,20 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
 
     Per level, the stored L, U, h, density and (from level 2 on) k_n with
     h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values; |H| is
-    counted once.  One ``sumset_mod`` of H' with the cover gives
-    L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H adds the cover
-    rotated by h.  U counts that union: for a sparse cover
-    (``sets.sparse_members``) L's members plus the rotated cover members
-    that L's bitmap lacks, gathered, and for a dense one a rotated OR into
-    a second bitmap.  Level n+1 nests when each of its n+1 rows mod n!
-    lies between H' and H: when the AND-fold of the rows contains H' and
-    their OR-fold lies inside H.
+    counted once.  One ``sumset_mod`` of H' with the cover, H' handed
+    first, gives L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H
+    adds the cover rotated by h.  U counts that union: for a cover that
+    ``sets.sparse_members`` lists, L's members plus the rotated cover
+    members that L's bitmap lacks, gathered, and for a cover it refuses a
+    rotated OR into a second bitmap.  The cover is never counted.  Level
+    n+1 nests when each of its n+1 rows mod n! lies between H' and H: when
+    the AND-fold of the rows contains H' and their OR-fold lies inside H.
 
     H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, so
-    ``sumset_mod`` peels it level by level: it reads each layer from the
-    bitmap of H' (not from ``k_chosen``, h or the lower levels), folds the
-    cover's bitmap down with it and combines the few leftover residues.
+    ``sumset_mod`` peels it level by level, whichever of H' and the cover
+    has more members: it reads each layer from the bitmap of H' (not from
+    ``k_chosen``, h or the lower levels), folds the cover's bitmap down
+    with it and combines the few leftover residues.
     The builder instead tiles a carried bitmap and counts in closed form,
     so these certificates are an independent re-derivation.
 
@@ -287,7 +288,7 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         lower_count = upper_count = int(np.count_nonzero(low))
         if lv.h in lv.H:   # h outside H (a broken tower) leaves H' = H
             shift = lv.h % lv.modulus
-            members = sparse_members(cover.bits(), len(cover))
+            members = sparse_members(cover.bits())
             if members is None:
                 high = np.empty_like(low)
                 combine_rotated(np.bitwise_or, high, low, cover.bits(), shift)
@@ -339,7 +340,7 @@ def sum_bounds(t: Tower, oracle: CoverOracle) -> SumBounds:
         return SumBounds([], DensityInterval(Fraction(1), Fraction(1)))
     rows = []
     for lv in t.levels:
-        eps = Fraction(len(oracle.cover_cached(lv.modulus)), lv.modulus)
+        eps = oracle.cover_cached(lv.modulus).density()
         rows.append((lv.n, lv.sum_lower, lv.sum_upper, eps))
     top = t.top
     return SumBounds(rows, DensityInterval(top.sum_lower, top.sum_upper))

@@ -18,16 +18,18 @@ down to ``k/q``.  An operand with no layer is shifted below ``2**14`` and
 refused with :class:`ResourceLimitError` from there on.  The verifier takes
 the min case for the least member of A + B in each class.
 Tower operands always peel: level n is level n − 1 tiled plus at most n − 1
-classes.  Sparse operands (the shifts and a layer's excess) are listed block
-by block, skipping the blocks that hold no member, so an 11-residue cover of
-``11!`` is not scanned in full.
+classes.  The kernel takes its operands in the order it is handed them and
+counts nothing it is not handed: each sparse/dense choice is read off a
+listing (``_sparse_members``) that lists live entries block by block,
+skipping the blocks that hold none, and gives up once it passes its limit,
+so an 11-residue cover of ``11!`` is not scanned in full and a dense one
+is refused after one block.
 
-One rule, ``_is_sparse``, tells a sparse operand from a dense one by its
-live-entry count against its modulus.  A sparse table is scattered, once
+A table with at most one live entry in ``_SPARSE_RATIO`` is scattered, once
 per combine, at its listed entries shifted, so its rotations cost its
-entries, not the modulus; ``sumset_mod`` makes the operand with fewer
-members the table, and the tower builder and checker gather a sparse cover
-(``sparse_members``) where they would rotate a dense one.
+entries, not the modulus; a denser one is rotated.  The tower builder and
+checker gather a cover that ``sparse_members`` lists where they would
+rotate a dense one.
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ DENSE_LIMIT = 1 << 28
 # _PEEL_MIN_MODULUS and a refusal from there on
 _SHIFT_MAX = 64
 _PEEL_MIN_MODULUS = 1 << 14
-# _sparse_members scans a sparse bitmap in blocks of this many bytes
+# _sparse_members lists a bitmap or table in blocks of this many entries
 _BLOCK = 1 << 16
-# _is_sparse: at most one live entry in this many is listed and scattered
-# (or gathered) instead of rotated; a scatter over at most _SHIFT_MAX shifts
-# then lists at most k/8 targets
+# sparse_members and _shifted: a bitmap or table that lists at most one live
+# entry in this many is scattered (or gathered) instead of rotated; a scatter
+# over at most _SHIFT_MAX shifts then lists at most k/8 targets
 _SPARSE_RATIO = 512
 
 
@@ -279,27 +281,23 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     realizes the sumset ``P + Y`` as a finite union of APs.
 
     The OR case of ``_peel_shift``: one operand X is shifted over or
-    peeled, and the other is the table, rotated or, when ``_is_sparse``,
-    scattered.  Each operand is counted once.  The operand with more
-    members is tried as X first, so a sparse cover is the table, and the
-    other when ``_peel_shift`` refuses it; when it refuses both,
-    :class:`ResourceLimitError` is raised.
+    peeled, and the other is the table, rotated or, when it lists as
+    sparse, scattered.  ``p`` is tried as X first and ``c`` only when
+    ``_peel_shift`` refuses ``p``; each operand is counted when it is
+    tried, and when both are refused :class:`ResourceLimitError` is
+    raised.
 
     A tower level is its predecessor tiled plus at most n − 1 classes, so
-    ``H ∖ {h}`` at ``n!`` peels level by level down to the shift sizes,
-    shifting only a few residues per layer.  Which path runs depends on the
-    operands' bitmaps alone; the result does not.
+    ``H ∖ {h}`` at ``n!``, passed first, peels level by level down to the
+    shift sizes, shifting only a few residues per layer, and its cover is
+    never counted.  Which path runs depends on the operands' bitmaps and
+    their order alone; the result does not.
     """
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
-    a, b = (p.bits(), len(p)), (c.bits(), len(c))
-    if a[1] == 0 or b[1] == 0:
-        return ResidueSet(k)
-    if a[1] < b[1]:
-        a, b = b, a
-    for (x, size), (y, live) in ((a, b), (b, a)):
-        out = _peel_shift(np.bitwise_or, x, size, y, live, 0)
+    for x, y in ((p, c), (c, p)):
+        out = _peel_shift(np.bitwise_or, x.bits(), len(x), y.bits(), 0)
         if out is not None:
             return ResidueSet.from_bits(out)
     raise ResourceLimitError(
@@ -317,10 +315,8 @@ def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
     modulus from ``_PEEL_MIN_MODULUS`` up raises
     :class:`ResourceLimitError`; every tower period peels.
     """
-    fill = np.iinfo(values.dtype).max
     size = int(np.count_nonzero(p))
-    out = _peel_shift(np.minimum, p, size, values,
-                      int(np.count_nonzero(values != fill)), fill)
+    out = _peel_shift(np.minimum, p, size, values, np.iinfo(values.dtype).max)
     if out is None:
         raise ResourceLimitError(
             f"a period of {size} residues mod {p.shape[0]} "
@@ -328,29 +324,20 @@ def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_sparse(count: int, modulus: int) -> bool:
-    """The one sparse/dense rule: an operand with ``count`` live entries mod
-    ``modulus`` is listed and scattered or gathered, instead of rotated in
-    full, when at most one entry in ``_SPARSE_RATIO`` is live.  Its cost
-    then follows its live entries, not the modulus."""
-    return count * _SPARSE_RATIO <= modulus
-
-
-def sparse_members(bits: np.ndarray, count: int) -> np.ndarray | None:
-    """The members of a 0/1 bitmap with ``count`` members, listed block by
-    block, when ``_is_sparse`` calls it sparse; None for a dense bitmap,
-    which callers rotate in full instead."""
-    if not _is_sparse(count, bits.shape[0]):
-        return None
-    return _sparse_members(np.bitwise_or, bits, 0)
+def sparse_members(bits: np.ndarray) -> np.ndarray | None:
+    """The members of a 0/1 bitmap when at most one entry in
+    ``_SPARSE_RATIO`` is one, listed block by block; None for a denser
+    bitmap, which callers rotate in full instead.  The listing stops once
+    it passes that many, so a dense bitmap is never counted in full."""
+    return _sparse_members(np.bitwise_or, bits, 0, bits.shape[0] // _SPARSE_RATIO)
 
 
 def _peel_shift(op: np.ufunc, p: np.ndarray, size: int, table: np.ndarray,
-                live: int, fill: int) -> np.ndarray | None:
+                fill: int) -> np.ndarray | None:
     """``out[r] = op{table[(r − c) mod k] : p[c]}`` for a 0/1 bitmap ``p``
-    of ``size`` members and a table of one length k with at most ``live``
-    entries other than ``fill``, for a semiring sum ``op`` (OR on bitmaps,
-    min on integer tables); ``fill`` where p is empty.
+    of ``size`` members and a table of one length k whose entries other
+    than ``fill`` are live, for a semiring sum ``op`` (OR on bitmaps, min
+    on integer tables); ``fill`` where p is empty.
 
     - *shift*: when p has at most ``_SHIFT_MAX`` members, op over the
       rotations of ``table`` by each of them;
@@ -361,10 +348,9 @@ def _peel_shift(op: np.ufunc, p: np.ndarray, size: int, table: np.ndarray,
     - a p with no layer is shifted over when k is below
       ``_PEEL_MIN_MODULUS``, and from there on the result is None.
 
-    Each rotation is a scatter when ``_is_sparse(live, k)`` (``_shifted``).
-    A fold has no more live entries than its table, so ``live`` bounds
-    every fold below it.  Each p, and each core peeled from it, has its
-    layer searched once.
+    Each combine of rotations lists its own table (``_shifted``), so no
+    count of the table is carried down the peel.  Each p, and each core
+    peeled from it, has its layer searched once.
     """
     k = p.shape[0]
     if size > _SHIFT_MAX:
@@ -372,30 +358,29 @@ def _peel_shift(op: np.ufunc, p: np.ndarray, size: int, table: np.ndarray,
         if layer is not None:
             q, core, excess = layer
             folded = op.reduce(table.reshape(q, k // q), axis=0)
-            inner = _peel_shift(op, core, (size - excess.size) // q, folded,
-                                min(live, k // q), fill)
+            inner = _peel_shift(op, core, (size - excess.size) // q, folded, fill)
             if inner is None:
                 return None
-            return _shifted(op, np.tile(inner, q), table, live, excess, fill)
+            return _shifted(op, np.tile(inner, q), table, excess, fill)
         if k >= _PEEL_MIN_MODULUS:
             return None
-    return _shifted(op, np.full(k, fill, dtype=table.dtype), table, live,
-                    _sparse_members(np.bitwise_or, p, 0), fill)
+    return _shifted(op, np.full(k, fill, dtype=table.dtype), table,
+                    _sparse_members(np.bitwise_or, p, 0, size), fill)
 
 
-def _shifted(op: np.ufunc, out: np.ndarray, table: np.ndarray, live: int,
+def _shifted(op: np.ufunc, out: np.ndarray, table: np.ndarray,
              shifts: np.ndarray, fill: int) -> np.ndarray:
     """``out`` combined in place by ``op`` with ``table`` rotated by each of
-    ``shifts``, for a table with at most ``live`` entries other than
-    ``fill``.  A sparse table (``_is_sparse``) is listed and scattered by one
-    ``op.at`` over ``(entry + shift) mod k``; a dense one is rotated once
-    per shift.  Both give the same ``out``."""
+    ``shifts``.  A table that lists at most one live entry (not ``fill``)
+    in ``_SPARSE_RATIO`` is scattered by one ``op.at`` over
+    ``(entry + shift) mod k``; a denser one, refused by the listing, is
+    rotated once per shift.  Both give the same ``out``."""
     k = table.shape[0]
-    if not _is_sparse(live, k):
+    entries = _sparse_members(op, table, fill, k // _SPARSE_RATIO)
+    if entries is None:
         for s in shifts.tolist():
             combine_rotated(op, out, out, table, s)
         return out
-    entries = _sparse_members(op, table, fill)
     targets = (entries[None, :] + shifts[:, None]).ravel()
     targets[targets >= k] -= k
     op.at(out, targets, np.tile(table[entries], shifts.size))
@@ -418,48 +403,58 @@ def _periodic_layer(x: np.ndarray, size: int) -> tuple[int, np.ndarray, np.ndarr
 
     For a prime ``q | k``, ``f`` is the AND-fold of x mod ``k/q`` (the
     residues whose every lift lies in x) and ``E`` lists the members of x
-    outside the tiling of ``f``: ``|E| = size - q |f|``.  The prime with
-    the fewest such residues wins, the larger prime on a tie; None when
-    even that leaves more than ``_SHIFT_MAX``.  The primes are tried from
-    the largest down, so the first with no excess wins outright and the
-    search stops there.  E is listed row by row mod ``k/q``, and not at all
-    when it is empty.  ``f`` is empty only for an x of at most
-    ``_SHIFT_MAX`` members, which the dispatch shifts first.
+    outside the tiling of ``f``: ``|E| = size - q |f|``.  The primes are
+    tried from the largest down, and the first whose E holds at most
+    ``_SHIFT_MAX`` residues is taken; None when none does.  E is listed row
+    by row mod ``k/q``, and not at all when it is empty.  ``f`` is empty
+    only for an x of at most ``_SHIFT_MAX`` members, which the dispatch
+    shifts first.
     """
     k = x.shape[0]
-    best = None
     for q in sorted(factorize(k), reverse=True):
         core = np.bitwise_and.reduce(x.reshape(q, k // q), axis=0)
         excess = size - q * int(np.count_nonzero(core))
-        if excess <= _SHIFT_MAX and (best is None or excess < best[0]):
-            best = excess, q, core
-            if excess == 0:
-                return q, core, np.empty(0, dtype=np.intp)
-    if best is None:
+        if excess <= _SHIFT_MAX:
+            break
+    else:
         return None
-    _, q, core = best
+    if excess == 0:
+        return q, core, np.empty(0, dtype=np.intp)
     period = k // q
     return q, core, np.concatenate([
-        _sparse_members(np.bitwise_or, row > core, 0) + i * period
+        _sparse_members(np.bitwise_or, row > core, 0, excess) + i * period
         for i, row in enumerate(x.reshape(q, period))])
 
 
-def _sparse_members(op: np.ufunc, x: np.ndarray, fill: int) -> np.ndarray:
-    """``np.flatnonzero(x != fill)`` for a sparse array ``x``: a 0/1 or bool
-    bitmap with ``op`` OR and ``fill`` 0, or a min table with ``op`` min and
-    ``fill`` its dtype's maximum.
+def _sparse_members(op: np.ufunc, x: np.ndarray, fill: int,
+                    limit: int) -> np.ndarray | None:
+    """``np.flatnonzero(x != fill)`` when it has at most ``limit`` entries,
+    else None, for ``x`` a 0/1 or bool bitmap with ``op`` OR and ``fill``
+    0, or a min table with ``op`` min and ``fill`` its dtype's maximum.
 
-    An ``op.reduce`` per block finds the ``_BLOCK``-entry blocks that hold
-    an entry other than fill; only those and the tail are listed, with no
-    mask as long as x.  That costs a few ms at ``11!`` where
-    ``flatnonzero`` spends about 100 ms, but on a dense array it is slower,
-    so only the sparse operands of the shifts, peels and scatters use it.
+    The first ``_BLOCK`` entries are counted first, so a dense x is
+    refused after one block, with no index listed.  Past them an
+    ``op.reduce`` per block finds the blocks that hold an entry other than
+    fill, and only those and the tail are listed, each added to the count
+    as it comes, with no mask as long as x.  That costs a few ms at
+    ``11!`` where ``flatnonzero`` spends about 100 ms.
     """
-    whole = x.shape[0] - x.shape[0] % _BLOCK
-    occupied = np.flatnonzero(op.reduce(x[:whole].reshape(-1, _BLOCK), axis=1) != fill)
-    parts = [np.flatnonzero(x[b:b + _BLOCK] != fill) + b
-             for b in (occupied * _BLOCK).tolist()]
-    parts.append(np.flatnonzero(x[whole:] != fill) + whole)
+    k = x.shape[0]
+    head = x[:_BLOCK] != fill
+    count = int(np.count_nonzero(head))
+    if count > limit:
+        return None
+    whole = max(_BLOCK, k - k % _BLOCK)
+    occupied = np.flatnonzero(
+        op.reduce(x[_BLOCK:whole].reshape(-1, _BLOCK), axis=1) != fill) + 1
+    if count + occupied.size > limit:
+        return None
+    parts = [np.flatnonzero(head)]
+    for b in (occupied * _BLOCK).tolist() + [whole]:
+        parts.append(np.flatnonzero(x[b:b + _BLOCK] != fill) + b)
+        count += parts[-1].size
+        if count > limit:
+            return None
     return np.concatenate(parts)
 
 

@@ -324,25 +324,46 @@ class TestClaimA:
             assert [(c.lower, c.upper) for c in report.checks] == \
                 [(lv.sum_lower, lv.sum_upper) for lv in t.levels]
 
-    def test_depth_ten_check_peels_at_every_modulus(self, monkeypatch):
+    @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4)], ids=["half", "three-quarters"])
+    def test_depth_ten_check_peels_at_every_modulus(self, monkeypatch, alpha):
         # H' peels at every modulus, not only from _PEEL_MIN_MODULUS up, so
         # the check shifts over a few residues per layer instead of over
-        # every member of H' at the small moduli (10611 rotations if it did)
-        calls = []
+        # every member of H' at the small moduli (10611 rotations if it did);
+        # H' is peeled whichever of H' and the cover has more members, so
+        # the dense cover is folded down and rotated by a few residues only
+        rotated = []
         combine = sets.combine_rotated
 
         def counting(*args):
-            calls.append(args[-1])
+            rotated.append(args[-2].nbytes)
             combine(*args)
 
         oracle = PrimesOracle()
-        t = construct(oracle, Fraction(3, 4), 10)
+        t = construct(oracle, alpha, 10)
         # the peels rotate through sets' name, the U of each level
         # through construction's
         monkeypatch.setattr(sets, "combine_rotated", counting)
         monkeypatch.setattr(construction, "combine_rotated", counting)
         assert check_claimA(t, oracle).ok
-        assert 0 < len(calls) <= 1000
+        assert 0 < len(rotated) <= 1000
+        assert sum(rotated) <= 5 * 10 ** 6
+
+    @pytest.mark.parametrize("spec, depth", [
+        ("factorials", 9), ("finite:0,24,7", 9), ("primes", 8), ("powers", 8)])
+    def test_construct_and_check_count_no_cover(self, spec, depth):
+        # the builder and the checker read each cover's sparse/dense rule
+        # off a listing that stops at its limit, and never count a cover
+        class Uncounted(ResidueSet):
+            __slots__ = ()
+
+            def __len__(self):
+                raise AssertionError("a cover was counted")
+
+        oracle = parse_oracle(spec)
+        honest = oracle.cover
+        oracle.cover = lambda m: Uncounted.from_bits(honest(m).bits())
+        t = construct(oracle, HALF, depth)
+        assert check_claimA(t, oracle).ok
 
     @pytest.mark.parametrize("spec", ["factorials", "finite:0,24,7"])
     @pytest.mark.parametrize("alpha", [HALF, Fraction(6, 11)])

@@ -8,6 +8,8 @@
   branch.
 - Settings: a parameter has a default only where some caller passes
   another value, and ``axioms`` has no flag that one value serves.
+- The sparse/dense rule: only ``sets.sparse_members`` and ``sets._shifted``
+  read ``_SPARSE_RATIO``, each handing its limit to the listing.
 """
 
 import ast
@@ -47,6 +49,15 @@ def test_only_check_horizon_compares_with_the_enumeration_budget():
               and any(isinstance(n, ast.Name) and n.id == "DEFAULT_ENUM_BUDGET"
                       for n in ast.walk(node))}
     assert owners == {("density.py", "check_horizon")}
+
+
+def test_only_the_two_listings_read_the_sparse_ratio():
+    owners = {(name, owner)
+              for name, tree in TREES.items()
+              for node, owner in _enclosing_functions(tree)
+              if isinstance(node, ast.Name) and node.id == "_SPARSE_RATIO"
+              and isinstance(node.ctx, ast.Load)}
+    assert owners == {("sets.py", "sparse_members"), ("sets.py", "_shifted")}
 
 
 def test_oracles_have_no_modulus_one_branch():

@@ -235,21 +235,53 @@ class TestSparseMembers:
     @example(np.ones(BLOCK + 1, dtype=np.uint8))
     def test_matches_flatnonzero(self, x):
         for bitmap in (x, x.view(bool)):
-            got = sets._sparse_members(np.bitwise_or, bitmap, 0)
+            want = np.flatnonzero(bitmap)
+            got = sets._sparse_members(np.bitwise_or, bitmap, 0, want.size)
             assert got.dtype == np.intp
-            assert np.array_equal(got, np.flatnonzero(bitmap))
+            assert np.array_equal(got, want)
+            if want.size:
+                assert sets._sparse_members(np.bitwise_or, bitmap, 0, want.size - 1) is None
 
     @settings(max_examples=15)
     @given(sparse_bitmaps(st.just(FACT11)))
     @example(np.zeros(FACT11, dtype=np.uint8))
     def test_matches_flatnonzero_at_eleven_factorial(self, x):
-        assert np.array_equal(sets._sparse_members(np.bitwise_or, x, 0), np.flatnonzero(x))
+        want = np.flatnonzero(x)
+        assert np.array_equal(sets._sparse_members(np.bitwise_or, x, 0, want.size), want)
 
     def test_every_block_edge(self):
         for k in (BLOCK - 1, BLOCK, 3 * BLOCK, 3 * BLOCK + 5):
             x = np.zeros(k, dtype=np.uint8)
             x[block_edges(k)] = 1
-            assert np.array_equal(sets._sparse_members(np.bitwise_or, x, 0), np.flatnonzero(x))
+            want = np.flatnonzero(x)
+            assert np.array_equal(sets._sparse_members(np.bitwise_or, x, 0, want.size), want)
+
+    # two entries in the head block, two in block 2 and two in the tail:
+    # limits 0 and 1 are passed in the head, 2 by the occupied blocks, 3 in
+    # block 2, and 4 and 5 in the tail
+    @pytest.mark.parametrize("limit", range(8))
+    def test_refuses_once_the_count_passes_the_limit(self, limit):
+        k = 3 * BLOCK + 5
+        entries = [3, 10, 2 * BLOCK + 1, 2 * BLOCK + 7, 3 * BLOCK + 2, 3 * BLOCK + 4]
+        bitmap = np.zeros(k, dtype=np.uint8)
+        bitmap[entries] = 1
+        fill = np.iinfo(np.int64).max
+        table = np.full(k, fill, dtype=np.int64)
+        table[entries] = 7
+        for op, x, none in ((np.bitwise_or, bitmap, 0), (np.minimum, table, fill)):
+            got = sets._sparse_members(op, x, none, limit)
+            if limit < len(entries):
+                assert got is None
+            else:
+                assert np.array_equal(got, entries)
+
+    def test_a_dense_head_is_refused_before_the_rest_is_reduced(self):
+        class NoReduce:
+            def reduce(self, *args, **kwargs):
+                raise AssertionError("reduced past a head that passed the limit")
+
+        x = np.ones(3 * BLOCK, dtype=np.uint8)
+        assert sets._sparse_members(NoReduce(), x, 0, BLOCK - 1) is None
 
 
 def periodic_operands(k, rng, density):
@@ -324,10 +356,8 @@ class TestPeriodicPeel:
     def test_or_and_min_semirings_agree(self, k):
         # P + C is where the min-plus sum of P with the 0/1 table that is 0
         # on C reaches 0.  P is layered and C is not: min_plus_mod peels P,
-        # and sumset_mod tries the larger C first, which it shifts over
-        # below _PEEL_MIN_MODULUS and refuses from there on, so that it
-        # peels P at 8!; both operands are sparse enough that P + C misses
-        # residues
+        # and so does sumset_mod, handed P first; both operands are sparse
+        # enough that P + C misses residues
         rng = np.random.default_rng(k + 5)
         if k < sets._PEEL_MIN_MODULUS:
             x = np.tile(nested_operand(k // 7, rng, 0.015), 7)
@@ -355,21 +385,27 @@ def nested_operand(k, rng, density):
 
 
 def periodic_layer_reference(x):
-    """``(q, f, E)`` of ``sets._periodic_layer`` by exhaustion: for every
-    prime q | k, the AND-fold f mod k/q and the members E of x off its
-    tiling, listed directly; the fewest excess wins, then the larger
-    prime, and None when every prime leaves more than ``_SHIFT_MAX``."""
+    """``(q, f, E)`` of ``sets._periodic_layer`` from the definition: for
+    each prime q | k from the largest down, the AND-fold f mod k/q and the
+    members E of x off its tiling, listed directly; the first q whose E
+    holds at most ``_SHIFT_MAX`` residues, and None when there is none."""
     k = x.shape[0]
-    layers = []
-    for q in sets.factorize(k):
+    for q in sorted(sets.factorize(k), reverse=True):
         core = x.reshape(q, k // q).min(axis=0)
         excess = np.flatnonzero(x > np.tile(core, q))
         if excess.size <= sets._SHIFT_MAX:
-            layers.append((excess.size, -q, core, excess))
-    if not layers:
-        return None
-    _, q, core, excess = min(layers, key=lambda layer: layer[:2])
-    return -q, core, excess
+            return q, core, excess
+    return None
+
+
+def largest_prime_leaves_an_excess():
+    """A bitmap of length 210, periodic mod 105 (q = 2 leaves no excess),
+    whose fold by the largest prime, 7, leaves an excess of 2: the tiling
+    of a period-15 core plus one residue and its lift by 105."""
+    core = np.array([1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
+    y = np.tile(core, 7)
+    y[1] = 1
+    return np.tile(y, 2)
 
 
 def smooth_moduli(two, three, five):
@@ -401,7 +437,8 @@ class TestPeriodicLayer:
     @example(np.ones(2 * 3 * 5 * 7, dtype=np.uint8))
     @example(np.zeros(2 * 3 * 5 * 7, dtype=np.uint8))
     @example(np.ones(1, dtype=np.uint8))
-    def test_matches_exhaustive_minimum(self, x):
+    @example(largest_prime_leaves_an_excess())
+    def test_matches_first_fit_reference(self, x):
         got = sets._periodic_layer(x, int(np.count_nonzero(x)))
         want = periodic_layer_reference(x)
         assert (got is None) == (want is None)
@@ -509,8 +546,8 @@ class TestScatterRotation:
     # _shifted's two paths, the scatter of a listed table and one rotation
     # per shift, on either side of the sparse/dense rule and in both
     # semirings, at moduli below and above the listing's block size; the
-    # live count only picks the path, so 0 forces the scatter and k the
-    # rotation
+    # ratio only picks the path, so 1 forces the scatter and k + 1 the
+    # rotation of any table with a live entry
     @settings(max_examples=150)
     @given(st.data())
     def test_paths_agree_with_rolls(self, data):
@@ -524,16 +561,35 @@ class TestScatterRotation:
         want = start.copy()
         for s in shifts.tolist():
             want = op(want, np.roll(table, s))
-        live = int(np.count_nonzero(table != fill))
-        assert sets._is_sparse(live, k) == sparse
-        for hint in (live, 0, k):
-            got = sets._shifted(op, start.copy(), table, hint, shifts, fill)
+        listed = sets._sparse_members(op, table, fill, k // SPARSE_RATIO)
+        assert (listed is not None) == sparse
+        for ratio in (SPARSE_RATIO, 1, k + 1):
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(sets, "_SPARSE_RATIO", ratio)
+                got = sets._shifted(op, start.copy(), table, shifts, fill)
             assert np.array_equal(got, want)
 
-    # below _PEEL_MIN_MODULUS, so that every operand peels or shifts
     @settings(max_examples=60)
     @given(st.data())
     def test_sums_match_references(self, data):
+        if data.draw(st.booleans()):
+            # from _PEEL_MIN_MODULUS up, a first operand of more than
+            # _SHIFT_MAX members with no layer falls back to a second that
+            # peels; random members pair up across a fold too rarely for
+            # 150 of them to leave at most _SHIFT_MAX
+            k = data.draw(st.sampled_from([1 << 15, 2 * 3 ** 9, math.factorial(8)]))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            p = np.zeros(k, dtype=np.uint8)
+            size = data.draw(st.integers(150, 300))
+            p[rng.choice(k, size=size, replace=False)] = 1
+            assert sets._periodic_layer(p, size) is None
+            c = nested_operand(k, rng, data.draw(st.sampled_from([0.02, 0.3])))
+            want = shift_or_reference(c, p)
+            for a, b in ((p, c), (c, p)):
+                got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
+                assert np.array_equal(got.bits(), want)
+            return
+        # below _PEEL_MIN_MODULUS, so that every operand peels or shifts
         k = data.draw(semiring_moduli(5))
         assert k < sets._PEEL_MIN_MODULUS
         sparse = data.draw(st.booleans())
