@@ -6,7 +6,6 @@ from .sets import (
     ResourceLimitError,
     affine,
     canonicalize,
-    complement,
     intersect,
     naturals,
     rebase,
@@ -40,7 +39,6 @@ from .construction import (
     check_claimA,
     construct,
     count_A,
-    membership,
     step,
     sum_bounds,
     tower_from_json,

@@ -15,15 +15,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
-from .sets import (ResidueSet, ResourceLimitError, bitmap_from_hex, bitmap_hex,
-                   combine_rotated, sparse_members, sumset_mod)
+from .sets import (ResidueSet, ResourceLimitError, Rotations, bitmap_from_hex,
+                   bitmap_hex, sumset_mod)
 
 __all__ = [
     "CertificateError",
@@ -36,7 +36,6 @@ __all__ = [
     "a_bounds",
     "sum_bounds",
     "SumBounds",
-    "membership",
     "count_A",
     "tower_to_json",
     "tower_from_json",
@@ -56,8 +55,8 @@ class CertificateError(Exception):
 
 @dataclass(frozen=True)
 class Level:
-    """Level n of a tower as its JSON holds it, plus the builder's carried
-    lower sumset; the modulus n! is derived from n."""
+    """Level n of a tower as its JSON holds it; the modulus n! is derived
+    from n."""
 
     n: int
     H: ResidueSet           # subset of [0, n!)
@@ -66,8 +65,6 @@ class Level:
     density_a: Fraction     # |H| / n!
     sum_lower: Fraction     # density of (n!N + H\{h}) + B
     sum_upper: Fraction     # density of (n!N + H) + B
-    # (H\{h}) + cover(n!) mod n!, carried between steps; never serialized
-    lower_sumset: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def modulus(self) -> int:
@@ -103,63 +100,48 @@ def _base_level(cover_one: ResidueSet) -> Level:
     if cover_one.is_empty():
         raise CertificateError("cover of B mod 1 is empty; B must be non-empty")
     return Level(n=1, H=ResidueSet(1, [0]), h=0, k_chosen=None,
-                 density_a=Fraction(1), sum_lower=Fraction(0), sum_upper=Fraction(1),
-                 lower_sumset=np.zeros(1, dtype=np.uint8))
+                 density_a=Fraction(1), sum_lower=Fraction(0), sum_upper=Fraction(1))
 
 
-def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
+def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
+         alpha: Fraction) -> Level:
     """One inductive step from level m to level m+1, modulo (m+1)!.
 
-    Candidate k is H_m' tiled plus the classes h_m + j*m!, j <= k.  As
-    cover((m+1)!) mod m! = cover(m!), tiled H_m' has as sumset the tiling
-    of the lower sumset H_m' + cover(m!) that ``prev`` carries, and each
-    class ORs in one rotated cover.  Densities grow with k: k_{m+1} is the
-    first class passing alpha, the state before it is the new lower sumset
-    and the state after it gives U.
+    ``lower`` is the lower sumset of ``prev``, H_m' + cover(m!) mod m!,
+    tiled to (m+1)!; as cover((m+1)!) mod m! = cover(m!), it is the sumset
+    of H_m' tiled.  Candidate k adds the classes h_m + j*m!, j <= k, and
+    each class ORs in one rotated cover.  Densities grow with k: k_{m+1}
+    is the first class passing alpha, every class before it is ORed into
+    ``lower`` in place, which then holds the new level's lower sumset, and
+    the state after it gives U.
 
     The counts come without a pass over (m+1)!: the tiled lower sumset has
     (m+1)·|prev's| members, read off ``prev.sum_lower``, and H_{m+1}, the
     tiling of H_m less its m − k classes beyond the cutoff, has
-    (m+1)·|H_m| − (m − k).  The cover is never counted: a cover that
-    ``sets.sparse_members`` lists is listed once, each candidate's U
-    gathers the rotated members that the state lacks, and each accepted
-    class is scattered into it in place.  A cover it refuses is rotated
-    and ORed into a second buffer per candidate, which is counted.
+    (m+1)·|H_m| − (m − k).  The cover is never counted: each candidate's U
+    adds the cover's ``Rotations.gain`` over the state.
 
     ``check_claimA`` re-derives L from ``H_n'`` and ``cover(n!)`` alone
     and U from L, folding the top cover's own bitmap to smaller moduli and
     never asking the oracle for them, so an oracle that breaks the
     projection identity is caught.
     """
-    if prev.lower_sumset is None:
-        raise ValueError(f"level {prev.n} carries no lower sumset to step from")
     m = prev.n
     fact_m = prev.modulus
     big = fact_m * (m + 1)
-    if cover_next.modulus != big:
-        raise ValueError(f"cover has modulus {cover_next.modulus}, expected {big}")
+    if cover_next.modulus != big or lower.shape != (big,):
+        raise ValueError(f"cover has modulus {cover_next.modulus} and the lower "
+                         f"sumset length {lower.shape[0]}, expected {big}")
 
-    cover_bits = cover_next.bits()
-    members = sparse_members(cover_bits)
-    before = np.tile(prev.lower_sumset, m + 1)
+    cover = Rotations(np.bitwise_or, cover_next.bits(), 0)
     size = int(prev.sum_lower * big)
-    after = np.empty_like(before) if members is None else None
     for k in range(m + 1):
         shift = prev.h + k * fact_m
-        if members is None:
-            combine_rotated(np.bitwise_or, after, before, cover_bits, shift)
-            grown = int(np.count_nonzero(after))
-        else:
-            targets = members + shift
-            targets[targets >= big] -= big
-            grown = size + members.size - int(np.count_nonzero(before[targets]))
+        grown = size + cover.gain(lower, shift)
         upper = Fraction(grown, big)
         if upper > alpha:
             break
-        if members is None:
-            before, after = after, before
-        else:
-            before[targets] = 1
+        cover.combine(lower, np.array([shift]))
         size = grown
     else:
         raise CertificateError(
@@ -178,7 +160,6 @@ def step(prev: Level, cover_next: ResidueSet, alpha: Fraction) -> Level:
         density_a=Fraction((m + 1) * int(prev.density_a * fact_m) - (m - k), big),
         sum_lower=Fraction(size, big),
         sum_upper=upper,
-        lower_sumset=before,
     )
 
 
@@ -210,12 +191,10 @@ def construct(oracle: CoverOracle, alpha, depth: int, *,
             "hypothesis on B is unverified and all certificates are heuristic")
 
     levels = [_base_level(oracle.cover_cached(1))]
-    fact = 1
+    lower = np.zeros(1, dtype=np.uint8)   # (H_1 minus h_1) + cover(1) is empty
     for n in range(2, depth + 1):
-        fact *= n
-        levels.append(step(levels[-1], oracle.cover_cached(fact), alpha))
-        levels[-2] = replace(levels[-2], lower_sumset=None)
-    levels[-1] = replace(levels[-1], lower_sumset=None)
+        lower = np.tile(lower, n)
+        levels.append(step(levels[-1], lower, oracle.cover_cached(lower.shape[0]), alpha))
     return Tower(alpha=alpha, oracle_spec=oracle.name, exact=oracle.exact,
                  levels=levels)
 
@@ -259,20 +238,20 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values; |H| is
     counted once.  One ``sumset_mod`` of H' with the cover, H' handed
     first, gives L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H
-    adds the cover rotated by h.  U counts that union: for a cover that
-    ``sets.sparse_members`` lists, L's members plus the rotated cover
-    members that L's bitmap lacks, gathered, and for a cover it refuses a
-    rotated OR into a second bitmap.  The cover is never counted.  Level
-    n+1 nests when each of its n+1 rows mod n! lies between H' and H: when
-    the AND-fold of the rows contains H' and their OR-fold lies inside H.
+    adds the cover rotated by h, so U counts L's members plus the cover's
+    ``Rotations.gain`` over L's bitmap at h.  The cover is never counted.
+    Level n+1 nests when each of its n+1 rows mod n! lies between H' and
+    H: when the AND-fold of the rows contains H' and their OR-fold lies
+    inside H.
 
-    H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, so
-    ``sumset_mod`` peels it level by level, whichever of H' and the cover
-    has more members: it reads each layer from the bitmap of H' (not from
-    ``k_chosen``, h or the lower levels), folds the cover's bitmap down
-    with it and combines the few leftover residues.
-    The builder instead tiles a carried bitmap and counts in closed form,
-    so these certificates are an independent re-derivation.
+    H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, and
+    ``sumset_mod`` tries it first, so it peels H' level by level: it
+    reads each layer from the bitmap of H' (not from ``k_chosen``, h or
+    the lower levels), folds the cover's bitmap down with it and combines
+    the few leftover residues.  The builder instead never convolves: it
+    tiles each level's lower sumset to the next modulus, adds the
+    candidate classes one rotated cover at a time and counts in closed
+    form, so these certificates are an independent re-derivation.
 
     A level that does not nest in its predecessor may hold an H' that
     peels nowhere, which ``sumset_mod`` refuses from ``2**14`` up; as the
@@ -287,16 +266,8 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         low = sumset_mod(h_prime, cover).bits()
         lower_count = upper_count = int(np.count_nonzero(low))
         if lv.h in lv.H:   # h outside H (a broken tower) leaves H' = H
-            shift = lv.h % lv.modulus
-            members = sparse_members(cover.bits())
-            if members is None:
-                high = np.empty_like(low)
-                combine_rotated(np.bitwise_or, high, low, cover.bits(), shift)
-                upper_count = int(np.count_nonzero(high))
-            else:
-                targets = members + shift
-                targets[targets >= lv.modulus] -= lv.modulus
-                upper_count += members.size - int(np.count_nonzero(low[targets]))
+            upper_count += Rotations(np.bitwise_or, cover.bits(), 0).gain(
+                low, lv.h % lv.modulus)
         lower = Fraction(lower_count, lv.modulus)
         upper = Fraction(upper_count, lv.modulus)
         bracket_ok = lower <= t.alpha < upper
@@ -344,21 +315,6 @@ def sum_bounds(t: Tower, oracle: CoverOracle) -> SumBounds:
         rows.append((lv.n, lv.sum_lower, lv.sum_upper, eps))
     top = t.top
     return SumBounds(rows, DensityInterval(top.sum_lower, top.sum_upper))
-
-
-def membership(t: Tower, x: int) -> str:
-    """'out' (definitive), 'in_at_depth' (definitely in A: the only residues
-    removed beyond depth N live in the class of h_N mod N!), or 'exceptional'
-    (in A_N, congruent to h_N; undecidable at this depth)."""
-    if x < 0:
-        raise ValueError("membership is defined on the non-negative integers")
-    if t.trivial:
-        return "in_at_depth"
-    for lv in t.levels:
-        if (x % lv.modulus) not in lv.H:
-            return "out"
-    top = t.top
-    return "exceptional" if x % top.modulus == top.h else "in_at_depth"
 
 
 def count_A(t: Tower, horizon: int) -> tuple[int, int]:

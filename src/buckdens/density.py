@@ -112,10 +112,6 @@ class DensityInterval:
         if not (0 <= self.lower <= self.upper <= 1):
             raise ValueError(f"bad density interval [{self.lower}, {self.upper}]")
 
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
 
 def buck_upper_periodic(p: ResidueSet) -> Fraction:
     """Upper Buck density of a finite union of APs: exactly |H|/k.

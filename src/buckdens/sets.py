@@ -25,11 +25,14 @@ skipping the blocks that hold none, and gives up once it passes its limit,
 so an 11-residue cover of ``11!`` is not scanned in full and a dense one
 is refused after one block.
 
-A table with at most one live entry in ``_SPARSE_RATIO`` is scattered, once
-per combine, at its listed entries shifted, so its rotations cost its
-entries, not the modulus; a denser one is rotated.  The tower builder and
-checker gather a cover that ``sparse_members`` lists where they would
-rotate a dense one.
+A rotated table is a :class:`Rotations`, which applies the one
+sparse/dense rule: a table with at most one live entry in ``_SPARSE_RATIO``
+is scattered, once per combine, at its listed entries shifted, so its
+rotations cost its entries, not the modulus; a denser one is rotated.  The
+peel combines its excess rotations through it, and the tower builder and
+checker count each candidate class's gain ``|roll(cover, h) ∖ state|``
+through it, gathered for a sparse cover and compared in one pass for a
+dense one.
 """
 
 from __future__ import annotations
@@ -49,11 +52,10 @@ __all__ = [
     "ResidueSet",
     "union",
     "intersect",
-    "complement",
     "affine",
     "sumset_mod",
     "min_plus_mod",
-    "sparse_members",
+    "Rotations",
     "rebase",
     "tile_periodic",
     "combine_rotated",
@@ -75,9 +77,9 @@ _SHIFT_MAX = 64
 _PEEL_MIN_MODULUS = 1 << 14
 # _sparse_members lists a bitmap or table in blocks of this many entries
 _BLOCK = 1 << 16
-# sparse_members and _shifted: a bitmap or table that lists at most one live
-# entry in this many is scattered (or gathered) instead of rotated; a scatter
-# over at most _SHIFT_MAX shifts then lists at most k/8 targets
+# Rotations: a bitmap or table that lists at most one live entry in this many
+# is scattered (or gathered) instead of rotated; a scatter over at most
+# _SHIFT_MAX shifts then lists at most k/8 targets
 _SPARSE_RATIO = 512
 
 
@@ -250,10 +252,6 @@ def intersect(p: ResidueSet, q: ResidueSet) -> ResidueSet:
     return ResidueSet.from_bits(a & b)
 
 
-def complement(p: ResidueSet) -> ResidueSet:
-    return ResidueSet.from_bits(np.uint8(1) - p.bits())
-
-
 def affine(p: ResidueSet, k: int, h: int) -> ResidueSet:
     """Periodic normal form of ``k*P + h``.
 
@@ -324,14 +322,6 @@ def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def sparse_members(bits: np.ndarray) -> np.ndarray | None:
-    """The members of a 0/1 bitmap when at most one entry in
-    ``_SPARSE_RATIO`` is one, listed block by block; None for a denser
-    bitmap, which callers rotate in full instead.  The listing stops once
-    it passes that many, so a dense bitmap is never counted in full."""
-    return _sparse_members(np.bitwise_or, bits, 0, bits.shape[0] // _SPARSE_RATIO)
-
-
 def _peel_shift(op: np.ufunc, p: np.ndarray, size: int, table: np.ndarray,
                 fill: int) -> np.ndarray | None:
     """``out[r] = op{table[(r − c) mod k] : p[c]}`` for a 0/1 bitmap ``p``
@@ -348,8 +338,8 @@ def _peel_shift(op: np.ufunc, p: np.ndarray, size: int, table: np.ndarray,
     - a p with no layer is shifted over when k is below
       ``_PEEL_MIN_MODULUS``, and from there on the result is None.
 
-    Each combine of rotations lists its own table (``_shifted``), so no
-    count of the table is carried down the peel.  Each p, and each core
+    Each combine of rotations lists its own table (:class:`Rotations`), so
+    no count of the table is carried down the peel.  Each p, and each core
     peeled from it, has its layer searched once.
     """
     k = p.shape[0]
@@ -361,30 +351,58 @@ def _peel_shift(op: np.ufunc, p: np.ndarray, size: int, table: np.ndarray,
             inner = _peel_shift(op, core, (size - excess.size) // q, folded, fill)
             if inner is None:
                 return None
-            return _shifted(op, np.tile(inner, q), table, excess, fill)
+            return Rotations(op, table, fill).combine(np.tile(inner, q), excess)
         if k >= _PEEL_MIN_MODULUS:
             return None
-    return _shifted(op, np.full(k, fill, dtype=table.dtype), table,
-                    _sparse_members(np.bitwise_or, p, 0, size), fill)
+    return Rotations(op, table, fill).combine(
+        np.full(k, fill, dtype=table.dtype), _sparse_members(np.bitwise_or, p, 0, size))
 
 
-def _shifted(op: np.ufunc, out: np.ndarray, table: np.ndarray,
-             shifts: np.ndarray, fill: int) -> np.ndarray:
-    """``out`` combined in place by ``op`` with ``table`` rotated by each of
-    ``shifts``.  A table that lists at most one live entry (not ``fill``)
-    in ``_SPARSE_RATIO`` is scattered by one ``op.at`` over
-    ``(entry + shift) mod k``; a denser one, refused by the listing, is
-    rotated once per shift.  Both give the same ``out``."""
-    k = table.shape[0]
-    entries = _sparse_members(op, table, fill, k // _SPARSE_RATIO)
-    if entries is None:
-        for s in shifts.tolist():
-            combine_rotated(op, out, out, table, s)
+class Rotations:
+    """A table of length k, to be combined by ``op`` (OR on bitmaps, min on
+    integer tables) at rotations; its entries other than ``fill`` are live.
+
+    The table is listed once, here: one that lists at most one live entry
+    in ``_SPARSE_RATIO`` keeps its ``entries`` and is scattered or
+    gathered at them shifted, and a denser one, refused by the listing
+    (``entries`` None), is rotated or compared in whole passes.  Both
+    paths give the same results.
+    """
+
+    __slots__ = ("op", "table", "entries")
+
+    def __init__(self, op: np.ufunc, table: np.ndarray, fill: int):
+        self.op, self.table = op, table
+        self.entries = _sparse_members(op, table, fill, table.shape[0] // _SPARSE_RATIO)
+
+    def _targets(self, shifts: np.ndarray) -> np.ndarray:
+        k = self.table.shape[0]
+        targets = (self.entries[None, :] + shifts[:, None]).ravel()
+        targets[targets >= k] -= k
+        return targets
+
+    def combine(self, out: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        """``out`` combined in place by ``op`` with the table rotated by each
+        of ``shifts``: one ``op.at`` over ``(entry + shift) mod k`` for a
+        listed table, one rotation per shift for a dense one."""
+        if self.entries is None:
+            for s in shifts.tolist():
+                combine_rotated(self.op, out, out, self.table, s)
+            return out
+        self.op.at(out, self._targets(shifts), np.tile(self.table[self.entries], shifts.size))
         return out
-    targets = (entries[None, :] + shifts[:, None]).ravel()
-    targets[targets >= k] -= k
-    op.at(out, targets, np.tile(table[entries], shifts.size))
-    return out
+
+    def gain(self, base: np.ndarray, shift: int) -> int:
+        """``|roll(table, shift) ∖ base|`` for a 0/1 table and bitmap
+        ``base`` of its length: the listed entries that ``base`` lacks at
+        their targets, gathered, or one compare of each of the two rotated
+        pieces of a dense table."""
+        if self.entries is None:
+            k = self.table.shape[0]
+            return (int(np.count_nonzero(self.table[:k - shift] > base[shift:]))
+                    + int(np.count_nonzero(self.table[k - shift:] > base[:shift])))
+        targets = self._targets(np.array([shift]))
+        return self.entries.size - int(np.count_nonzero(base[targets]))
 
 
 def combine_rotated(op: np.ufunc, out: np.ndarray, src: np.ndarray, bits: np.ndarray,

@@ -121,21 +121,22 @@ class TestCriterion5ClaimCWidth:
         alpha = Fraction(1, 3)
         t = construct(oracle, alpha, 6)
         sb = sum_bounds(t, oracle)
-        ok = (sb.final.width <= Fraction(1, 120)
-              and sb.final.lower <= alpha <= sb.final.upper)
+        width = sb.final.upper - sb.final.lower
+        ok = width <= Fraction(1, 120) and sb.final.lower <= alpha <= sb.final.upper
         elapsed = time.perf_counter() - start
         report("criterion 5a (factorials d6 width <= 1/120)", ok, elapsed,
-               f"width={sb.final.width}")
+               f"width={width}")
 
     def test_primes_depth_8(self):
         start = time.perf_counter()
         oracle = parse_oracle("primes")
         t = construct(oracle, Fraction(1, 2), 8)
         sb = sum_bounds(t, oracle)
-        ok = float(sb.final.width) <= 0.2290
+        width = float(sb.final.upper - sb.final.lower)
+        ok = width <= 0.2290
         elapsed = time.perf_counter() - start
         report("criterion 5b (primes d8 width <= 0.2290)", ok, elapsed,
-               f"width={float(sb.final.width):.6f}")
+               f"width={width:.6f}")
 
 
 class TestCriterion6KnownTrace:

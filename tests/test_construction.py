@@ -15,7 +15,6 @@ from buckdens.construction import (
     check_claimA,
     construct,
     count_A,
-    membership,
     step,
     sum_bounds,
     tower_from_json,
@@ -29,6 +28,7 @@ from buckdens.oracles import (
     parse_oracle,
 )
 from buckdens.sets import ResidueSet, ResourceLimitError, rebase, sumset_mod
+from buckdens.verify import a_window
 
 from naive_replay import materialize, naive_replay
 
@@ -48,15 +48,21 @@ class TestKnownTrace:
             assert lv.sum_upper == HALF + Fraction(1, lv.modulus)
 
     def test_matches_naive_replay_depth_eight(self):
-        oracle = FiniteOracle([0])
-        t = construct(oracle, HALF, 8)
-        replay = naive_replay([0], HALF, 8)
-        for lv, ref in zip(t.levels, replay):
-            assert set(lv.H.residues()) == ref["H"]
-            assert lv.h == ref["h"]
-            assert lv.k_chosen == ref["k"]
-            assert (lv.density_a, lv.sum_lower, lv.sum_upper) == \
-                (ref["densityA"], ref["L"], ref["U"])
+        # B = {0} lists its cover as sparse at every modulus up to 8!; the 12
+        # Fibonacci numbers below 145 outnumber 7!/512, so U at 7! comes
+        # from the dense path of Rotations.gain
+        fibonacci = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
+        for b_values, alpha, depth in (([0], HALF, 8), (fibonacci, HALF, 7),
+                                       (fibonacci, Fraction(3, 4), 7)):
+            t = construct(FiniteOracle(b_values), alpha, depth)
+            replay = naive_replay(b_values, alpha, depth)
+            assert len(replay) == t.depth
+            for lv, ref in zip(t.levels, replay):
+                assert set(lv.H.residues()) == ref["H"]
+                assert lv.h == ref["h"]
+                assert lv.k_chosen == ref["k"]
+                assert (lv.density_a, lv.sum_lower, lv.sum_upper) == \
+                    (ref["densityA"], ref["L"], ref["U"])
 
     def test_alpha_zero(self):
         t = construct(FiniteOracle([0]), Fraction(0), 6)
@@ -68,7 +74,8 @@ class TestKnownTrace:
     def test_alpha_one_trivial(self):
         t = construct(PrimesOracle(), Fraction(1), 3)
         assert t.trivial
-        assert membership(t, 123456) == "in_at_depth"
+        definite, exceptional = a_window(t, 10)
+        assert definite.all() and not exceptional.any()
         assert a_bounds(t).lower == a_bounds(t).upper == 1
 
     def test_unreduced_alpha_one_routes_to_shortcut(self):
@@ -156,25 +163,21 @@ class TestStep:
         assert check_claimA(t, oracle).ok
         assert convolved == [lv.modulus for lv in t.levels]
 
-    def test_stepping_needs_the_carried_lower_sumset(self):
-        oracle = FiniteOracle([0])
-        built = construct(oracle, HALF, 3)
-        assert all(lv.lower_sumset is None for lv in built.levels)
-        loaded, _ = tower_from_json(tower_to_json(built))
-        with pytest.raises(ValueError, match="no lower sumset"):
-            step(loaded.top, oracle.cover_cached(24), HALF)
-
     def test_step_carries_the_lower_sumset(self):
         def lower_sumset(lv):  # (H minus h) + cover(n!) mod n!, by convolution
             lower = sumset_mod(lv.H.discard(lv.h), oracle.cover_cached(lv.modulus))
             return lower.bits()
 
         oracle = PrimesOracle()
-        t = construct(oracle, Fraction(1, 3), 4)
-        lv = step(replace(t.top, lower_sumset=lower_sumset(t.top)),
-                  oracle.cover_cached(120), Fraction(1, 3))
-        assert np.array_equal(lv.lower_sumset, lower_sumset(lv))
-        assert lv.sum_lower == Fraction(int(np.count_nonzero(lv.lower_sumset)), lv.modulus)
+        t = construct(oracle, Fraction(1, 3), 5)
+        prev = t.levels[-2]
+        with pytest.raises(ValueError, match="lower sumset length 24, expected 120"):
+            step(prev, lower_sumset(prev), oracle.cover_cached(120), Fraction(1, 3))
+        lower = np.tile(lower_sumset(prev), 5)
+        lv = step(prev, lower, oracle.cover_cached(120), Fraction(1, 3))
+        assert lv == t.top
+        assert np.array_equal(lower, lower_sumset(lv))
+        assert lv.sum_lower == Fraction(int(np.count_nonzero(lower)), lv.modulus)
 
     def test_cardinality_recurrence(self):
         t = construct(PrimesOracle(), Fraction(1, 3), 7)
@@ -329,8 +332,8 @@ class TestClaimA:
         # H' peels at every modulus, not only from _PEEL_MIN_MODULUS up, so
         # the check shifts over a few residues per layer instead of over
         # every member of H' at the small moduli (10611 rotations if it did);
-        # H' is peeled whichever of H' and the cover has more members, so
-        # the dense cover is folded down and rotated by a few residues only
+        # H' is tried first and peels, so the dense cover is folded down
+        # and rotated by a few residues only
         rotated = []
         combine = sets.combine_rotated
 
@@ -340,10 +343,7 @@ class TestClaimA:
 
         oracle = PrimesOracle()
         t = construct(oracle, alpha, 10)
-        # the peels rotate through sets' name, the U of each level
-        # through construction's
         monkeypatch.setattr(sets, "combine_rotated", counting)
-        monkeypatch.setattr(construction, "combine_rotated", counting)
         assert check_claimA(t, oracle).ok
         assert 0 < len(rotated) <= 1000
         assert sum(rotated) <= 5 * 10 ** 6
@@ -379,7 +379,6 @@ class TestClaimA:
 
         oracle = parse_oracle(spec)
         monkeypatch.setattr(sets, "combine_rotated", recording)
-        monkeypatch.setattr(construction, "combine_rotated", recording)
         t = construct(oracle, alpha, 9)
         assert check_claimA(t, oracle).ok
         assert max(lengths, default=0) < math.factorial(9)
@@ -442,13 +441,14 @@ class TestBounds:
         iv = a_bounds(t)
         assert iv.upper == HALF + Fraction(1, 720)
         assert iv.lower == HALF
-        assert iv.width <= Fraction(1, 720)
+        assert iv.upper - iv.lower <= Fraction(1, 720)
 
     def test_a_bounds_width_always_small(self):
         for spec in ("primes", "factorials"):
             oracle = parse_oracle(spec)
             t = construct(oracle, Fraction(1, 3), 6)
-            assert a_bounds(t).width <= Fraction(1, 720)
+            iv = a_bounds(t)
+            assert iv.upper - iv.lower <= Fraction(1, 720)
 
     def test_sum_bounds_straddle_alpha_with_eps_width(self):
         oracle = FactorialsOracle()
@@ -456,7 +456,7 @@ class TestBounds:
         t = construct(oracle, alpha, 6)
         sb = sum_bounds(t, oracle)
         assert sb.final.lower <= alpha < sb.final.upper
-        assert sb.final.width <= Fraction(1, 120)
+        assert sb.final.upper - sb.final.lower <= Fraction(1, 120)
         for n, lower, upper, eps in sb.per_level:
             assert upper - lower <= eps
 
@@ -464,8 +464,9 @@ class TestBounds:
         oracle = PrimesOracle()
         t = construct(oracle, HALF, 8)
         sb = sum_bounds(t, oracle)
-        assert sb.final.width <= Fraction(9220, math.factorial(8))
-        assert float(sb.final.width) <= 0.2290
+        width = sb.final.upper - sb.final.lower
+        assert width <= Fraction(9220, math.factorial(8))
+        assert float(width) <= 0.2290
 
     def test_level_bounds_collapse_as_depth_grows(self):
         oracle = FiniteOracle([0])
@@ -476,25 +477,24 @@ class TestBounds:
 
 
 class TestMembership:
+    # membership of A as verify.a_window reads it off a tower: definite,
+    # exceptional (the marked class h_N mod N!, undecided at this depth)
+    # or out
     def test_b_zero_trace(self):
         t = construct(FiniteOracle([0]), HALF, 4)
+        definite, exceptional = a_window(t, t.top.modulus)
         # 3 mod 2 = 1 in H_2 but 3 mod 6 = 3 not in H_3
-        assert membership(t, 3) == "out"
-        assert membership(t, 0) == "in_at_depth"  # h_4 = 1, so 0 is settled
-        assert membership(t, t.top.h) == "exceptional"
+        assert not definite[3] and not exceptional[3]
+        assert definite[0] and not exceptional[0]  # h_4 = 1, so 0 is settled
+        assert exceptional[t.top.h] and not definite[t.top.h]
 
     def test_out_is_definitive_per_level(self):
         oracle = PrimesOracle()
         t = construct(oracle, Fraction(1, 3), 5)
+        definite, exceptional = a_window(t, 199)
         for x in range(200):
-            status = membership(t, x)
             in_all = all((x % lv.modulus) in lv.H for lv in t.levels)
-            assert (status == "out") == (not in_all)
-
-    def test_negative_rejected(self):
-        t = construct(FiniteOracle([0]), HALF, 3)
-        with pytest.raises(ValueError):
-            membership(t, -1)
+            assert bool(definite[x] | exceptional[x]) == in_all
 
 
 class TestCountA:
@@ -513,10 +513,12 @@ class TestCountA:
         t = construct(oracle, Fraction(1, 3), 6)
         horizon = 50_000
         lower, upper = count_A(t, horizon)
-        definite = sum(1 for x in range(1, horizon + 1)
-                       if membership(t, x) == "in_at_depth")
-        possible = sum(1 for x in range(1, horizon + 1)
-                       if membership(t, x) != "out")
+        in_all = np.ones(horizon + 1, dtype=bool)
+        for lv in t.levels:
+            in_all &= np.isin(np.arange(horizon + 1) % lv.modulus, lv.H.residues())
+        marked = np.arange(horizon + 1) % t.top.modulus == t.top.h
+        definite = int(np.count_nonzero(in_all[1:] & ~marked[1:]))
+        possible = int(np.count_nonzero(in_all[1:]))
         assert lower <= definite <= possible <= upper
 
     def test_width_bound(self):

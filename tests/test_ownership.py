@@ -8,15 +8,19 @@
   branch.
 - Settings: a parameter has a default only where some caller passes
   another value, and ``axioms`` has no flag that one value serves.
-- The sparse/dense rule: only ``sets.sparse_members`` and ``sets._shifted``
-  read ``_SPARSE_RATIO``, each handing its limit to the listing.
+- The sparse/dense rule: only ``sets.Rotations.__init__`` reads
+  ``_SPARSE_RATIO``, handing its limit to the listing, and ``construction``
+  rotates, scatters and gathers only through ``Rotations``.
+- ``construction.Level`` holds the fields its JSON holds, and no more.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import buckdens
 from buckdens.cli import build_parser
+from buckdens.construction import Level
 
 PACKAGE = Path(buckdens.__file__).resolve().parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -51,13 +55,28 @@ def test_only_check_horizon_compares_with_the_enumeration_budget():
     assert owners == {("density.py", "check_horizon")}
 
 
-def test_only_the_two_listings_read_the_sparse_ratio():
+def test_only_rotations_init_reads_the_sparse_ratio():
     owners = {(name, owner)
               for name, tree in TREES.items()
-              for node, owner in _enclosing_functions(tree)
+              for owner, fn in _qualified_functions(tree)
+              for node in ast.walk(fn)
               if isinstance(node, ast.Name) and node.id == "_SPARSE_RATIO"
               and isinstance(node.ctx, ast.Load)}
-    assert owners == {("sets.py", "sparse_members"), ("sets.py", "_shifted")}
+    assert owners == {("sets.py", "Rotations.__init__")}
+
+
+def test_construction_rotates_only_through_rotations():
+    names = {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(TREES["construction.py"])
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert names.isdisjoint({"combine_rotated", "sparse_members", "_sparse_members"})
+    assert "Rotations" in names
+
+
+def test_level_holds_only_its_json_fields():
+    assert [f.name for f in dataclasses.fields(Level)] == [
+        "n", "H", "h", "k_chosen", "density_a", "sum_lower", "sum_upper"]
 
 
 def test_oracles_have_no_modulus_one_branch():

@@ -16,7 +16,6 @@ from buckdens.sets import (
     bitmap_from_hex,
     bitmap_hex,
     canonicalize,
-    complement,
     divisors,
     dumps_periodic,
     factorize,
@@ -82,11 +81,6 @@ class TestBoolean:
     def test_union_partition(self):
         assert union(ResidueSet(2, [0]), ResidueSet(2, [1])) == naturals()
 
-    def test_complement_evens(self):
-        c = complement(ResidueSet(2, [0]))
-        assert c == ResidueSet(2, [1])
-        assert c.density() == Fraction(1, 2)
-
     def test_lcm_blowup_is_a_resource_error(self):
         # both operands fit the budget, their lcm 2**15 * 3**10 does not
         p, q = ResidueSet(2**15, [0]), ResidueSet(3**10, [0])
@@ -101,8 +95,6 @@ class TestBoolean:
         mp, mq = brute_members(p, bound), brute_members(q, bound)
         assert brute_members(union(p, q), bound) == mp | mq
         assert brute_members(intersect(p, q), bound) == mp & mq
-        assert brute_members(complement(p), 10 * p.modulus) == \
-            set(range(10 * p.modulus)) - brute_members(p, 10 * p.modulus)
 
 
 class TestAffine:
@@ -543,11 +535,11 @@ def semiring_moduli(two):
 
 
 class TestScatterRotation:
-    # _shifted's two paths, the scatter of a listed table and one rotation
-    # per shift, on either side of the sparse/dense rule and in both
-    # semirings, at moduli below and above the listing's block size; the
-    # ratio only picks the path, so 1 forces the scatter and k + 1 the
-    # rotation of any table with a live entry
+    # Rotations' two paths, the scatter (or gather) of a listed table and
+    # one rotation (or compare) per shift, on either side of the
+    # sparse/dense rule and in both semirings, at moduli below and above
+    # the listing's block size; the ratio only picks the path, so 1 forces
+    # the listing and k + 1 the whole passes of any table with a live entry
     @settings(max_examples=150)
     @given(st.data())
     def test_paths_agree_with_rolls(self, data):
@@ -561,13 +553,17 @@ class TestScatterRotation:
         want = start.copy()
         for s in shifts.tolist():
             want = op(want, np.roll(table, s))
-        listed = sets._sparse_members(op, table, fill, k // SPARSE_RATIO)
-        assert (listed is not None) == sparse
+        assert (sets.Rotations(op, table, fill).entries is not None) == sparse
         for ratio in (SPARSE_RATIO, 1, k + 1):
             with pytest.MonkeyPatch.context() as patched:
                 patched.setattr(sets, "_SPARSE_RATIO", ratio)
-                got = sets._shifted(op, start.copy(), table, shifts, fill)
+                rotations = sets.Rotations(op, table, fill)
+            got = rotations.combine(start.copy(), shifts)
             assert np.array_equal(got, want)
+            if op is np.bitwise_or:
+                for s in shifts.tolist():
+                    assert rotations.gain(start, s) == \
+                        np.count_nonzero(np.roll(table, s) > start)
 
     @settings(max_examples=60)
     @given(st.data())
@@ -690,11 +686,6 @@ class TestDensityAxiomsOnPeriodicSets:
         assert u.density() <= p.density() + q.density()
         if intersect(p, q).is_empty():
             assert u.density() == p.density() + q.density()
-
-    @given(small_periodic)
-    @settings(max_examples=40)
-    def test_complement_sums_to_one(self, p):
-        assert p.density() + complement(p).density() == 1
 
     @given(small_periodic, small_periodic)
     @settings(max_examples=40)
