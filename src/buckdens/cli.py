@@ -83,9 +83,9 @@ def _cmd_cover(args) -> int:
     if args.dump:
         # block by block, so no list or string of every residue is built,
         # and one format per block makes no str per residue
-        bits, sep = cover.bits(), ""
-        for start in range(0, bits.shape[0], 1 << 16):
-            block = bits[start: start + (1 << 16)].nonzero()[0] + start
+        sep = ""
+        for start in range(0, cover.modulus, 1 << 16):
+            block = cover.members(start, min(start + (1 << 16), cover.modulus))
             if block.size:
                 print(sep + ",".join(["%d"] * block.size) % tuple(block.tolist()), end="")
                 sep = ","

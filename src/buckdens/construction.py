@@ -23,7 +23,7 @@ import numpy as np
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
 from .sets import (ResidueSet, ResourceLimitError, Rotations, bitmap_from_hex,
-                   bitmap_hex, sumset_mod)
+                   bitmap_hex, fold, sumset_mod, tile_words, word_count)
 
 __all__ = [
     "CertificateError",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 10
-HARD_MAX_DEPTH = 11   # 11! < sets.DENSE_LIMIT: every level fits a bitmap
+HARD_MAX_DEPTH = 11   # 11! < sets.DENSE_LIMIT: every level fits in 11!/8 bytes of words
 
 SCHEMA = "buckdens-tower-v1"
 
@@ -107,33 +107,34 @@ def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
          alpha: Fraction) -> Level:
     """One inductive step from level m to level m+1, modulo (m+1)!.
 
-    ``lower`` is the lower sumset of ``prev``, H_m' + cover(m!) mod m!,
-    tiled to (m+1)!; as cover((m+1)!) mod m! = cover(m!), it is the sumset
-    of H_m' tiled.  Candidate k adds the classes h_m + j*m!, j <= k, and
-    each class ORs in one rotated cover.  Densities grow with k: k_{m+1}
-    is the first class passing alpha, every class before it is ORed into
-    ``lower`` in place, which then holds the new level's lower sumset, and
-    the state after it gives U.
+    ``lower`` is the words of the lower sumset of ``prev``,
+    H_m' + cover(m!) mod m!, tiled to (m+1)!; as cover((m+1)!) mod m! =
+    cover(m!), it is the sumset of H_m' tiled.  Candidate k adds the
+    classes h_m + j*m!, j <= k, and each class ORs in one rotated cover.
+    Densities grow with k: k_{m+1} is the first class passing alpha, every
+    class before it is ORed into ``lower`` in place, which then holds the
+    new level's lower sumset, and the state after it gives U.
 
     The counts come without a pass over (m+1)!: the tiled lower sumset has
     (m+1)·|prev's| members, read off ``prev.sum_lower``, and H_{m+1}, the
     tiling of H_m less its m − k classes beyond the cutoff, has
-    (m+1)·|H_m| − (m − k).  The cover is never counted: each candidate's U
-    adds the cover's ``Rotations.gain`` over the state.
+    (m+1)·|H_m| − (m − k), cleared bit by bit from the tiled words.  The
+    cover is never counted: each candidate's U adds the cover's
+    ``Rotations.gain`` over the state.
 
     ``check_claimA`` re-derives L from ``H_n'`` and ``cover(n!)`` alone
-    and U from L, folding the top cover's own bitmap to smaller moduli and
+    and U from L, folding the top cover's own words to smaller moduli and
     never asking the oracle for them, so an oracle that breaks the
     projection identity is caught.
     """
     m = prev.n
     fact_m = prev.modulus
     big = fact_m * (m + 1)
-    if cover_next.modulus != big or lower.shape != (big,):
+    if cover_next.modulus != big or lower.shape != (word_count(big),):
         raise ValueError(f"cover has modulus {cover_next.modulus} and the lower "
-                         f"sumset length {lower.shape[0]}, expected {big}")
+                         f"sumset {lower.shape[0]} words, expected {big} residues")
 
-    cover = Rotations(np.bitwise_or, cover_next.bits(), 0)
+    cover = Rotations(cover_next)
     size = int(prev.sum_lower * big)
     for k in range(m + 1):
         shift = prev.h + k * fact_m
@@ -149,12 +150,11 @@ def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
             f"{upper} fails to exceed alpha={alpha}")
 
     h_next = prev.h + k * fact_m
-    h_bits = np.tile(prev.H.bits(), m + 1)
-    h_bits[h_next + fact_m::fact_m] = 0   # the classes beyond the cutoff
+    tiled = ResidueSet.from_words(big, tile_words(prev.H.words(), fact_m, m + 1))
 
     return Level(
         n=m + 1,
-        H=ResidueSet.from_bits(h_bits),
+        H=tiled.discard(np.arange(h_next + fact_m, big, fact_m)),   # beyond the cutoff
         h=h_next,
         k_chosen=k,
         density_a=Fraction((m + 1) * int(prev.density_a * fact_m) - (m - k), big),
@@ -191,10 +191,11 @@ def construct(oracle: CoverOracle, alpha, depth: int, *,
             "hypothesis on B is unverified and all certificates are heuristic")
 
     levels = [_base_level(oracle.cover_cached(1))]
-    lower = np.zeros(1, dtype=np.uint8)   # (H_1 minus h_1) + cover(1) is empty
+    lower = ResidueSet(1).words()   # (H_1 minus h_1) + cover(1) is empty
     for n in range(2, depth + 1):
-        lower = np.tile(lower, n)
-        levels.append(step(levels[-1], lower, oracle.cover_cached(lower.shape[0]), alpha))
+        lower = tile_words(lower, levels[-1].modulus, n)
+        levels.append(step(levels[-1], lower, oracle.cover_cached(levels[-1].modulus * n),
+                           alpha))
     return Tower(alpha=alpha, oracle_spec=oracle.name, exact=oracle.exact,
                  levels=levels)
 
@@ -236,18 +237,19 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
 
     Per level, the stored L, U, h, density and (from level 2 on) k_n with
     h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values; |H| is
-    counted once.  One ``sumset_mod`` of H' with the cover, H' handed
-    first, gives L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H
-    adds the cover rotated by h, so U counts L's members plus the cover's
-    ``Rotations.gain`` over L's bitmap at h.  The cover is never counted.
+    counted once.  H' is a copy of H's words with the bit of h cleared.
+    One ``sumset_mod`` of H' with the cover, H' handed first, gives
+    L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H adds the
+    cover rotated by h, so U counts L's members plus the cover's
+    ``Rotations.gain`` over L's words at h.  The cover is never counted.
     Level n+1 nests when each of its n+1 rows mod n! lies between H' and
     H: when the AND-fold of the rows contains H' and their OR-fold lies
     inside H.
 
     H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, and
     ``sumset_mod`` tries it first, so it peels H' level by level: it
-    reads each layer from the bitmap of H' (not from ``k_chosen``, h or
-    the lower levels), folds the cover's bitmap down with it and combines
+    reads each layer from the words of H' (not from ``k_chosen``, h or
+    the lower levels), folds the cover's words down with it and combines
     the few leftover residues.  The builder instead never convolves: it
     tiles each level's lower sumset to the next modulus, adds the
     candidate classes one rotated cover at a time and counts in closed
@@ -263,11 +265,10 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     for i, lv in enumerate(t.levels):
         cover = oracle.cover_cached(lv.modulus)
         h_prime = lv.H.discard(lv.h)
-        low = sumset_mod(h_prime, cover).bits()
-        lower_count = upper_count = int(np.count_nonzero(low))
+        low = sumset_mod(h_prime, cover)
+        lower_count = upper_count = len(low)
         if lv.h in lv.H:   # h outside H (a broken tower) leaves H' = H
-            upper_count += Rotations(np.bitwise_or, cover.bits(), 0).gain(
-                low, lv.h % lv.modulus)
+            upper_count += Rotations(cover).gain(low.words(), lv.h % lv.modulus)
         lower = Fraction(lower_count, lv.modulus)
         upper = Fraction(upper_count, lv.modulus)
         bracket_ok = lower <= t.alpha < upper
@@ -280,10 +281,9 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
                          and lv.h == prev.h + k * prev.modulus)
         nesting_ok: bool | None = None
         if i + 1 < len(t.levels):
-            rows = t.levels[i + 1].H.bits().reshape(-1, lv.modulus)
-            nesting_ok = (
-                not np.any(h_prime.bits() > np.bitwise_and.reduce(rows, axis=0))
-                and not np.any(np.bitwise_or.reduce(rows, axis=0) > lv.H.bits()))
+            nxt = t.levels[i + 1].H
+            nesting_ok = (h_prime.issubset(fold(np.bitwise_and, nxt, lv.modulus))
+                          and fold(np.bitwise_or, nxt, lv.modulus).issubset(lv.H))
         checks.append(LevelCheck(lv.n, lower, upper, bracket_ok, stored_ok, nesting_ok))
         if nesting_ok is False:
             break
@@ -329,9 +329,9 @@ def count_A(t: Tower, horizon: int) -> tuple[int, int]:
     if t.trivial:
         return horizon, horizon
     top = t.top
-    bits = top.H.bits()
     full, rest = divmod(horizon + 1, top.modulus)
-    upper = full * len(top.H) + int(np.count_nonzero(bits[:rest])) - int(bits[0])
+    upper = (full * len(top.H) + (len(top.H.prefix(rest)) if rest else 0)
+             - (0 in top.H))
     first = top.h if top.h >= 1 else top.modulus
     marked = 0 if first > horizon else (horizon - first) // top.modulus + 1
     tail = math.ceil(Fraction(2 * horizon, math.factorial(top.n + 1)))
@@ -352,7 +352,7 @@ def _decode_residue_set(modulus: int, doc) -> ResidueSet:
     data = doc["data"]
     if not isinstance(data, str):
         raise ValueError("H data must be a hex string")
-    return ResidueSet.from_bits(bitmap_from_hex(modulus, data))
+    return bitmap_from_hex(modulus, data)
 
 
 # tower_to_json dumps each level's H data as "" and splices the hex in after,
@@ -391,7 +391,7 @@ def tower_to_json(t: Tower, config: dict | None = None) -> str:
     pieces = text[cut:].split(_DATA_SLOT)
     out = [text[:cut], pieces[0]]
     for lv, piece in zip(t.levels, pieces[1:], strict=True):
-        out += ['"data": "', bitmap_hex(lv.H.bits()), '"', piece]
+        out += ['"data": "', bitmap_hex(lv.H), '"', piece]
     return "".join(out)
 
 

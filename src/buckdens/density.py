@@ -26,7 +26,6 @@ from .sets import (
     divisors,
     dumps_periodic,
     intersect,
-    tile_periodic,
     union,
 )
 
@@ -163,7 +162,7 @@ def check_horizon(horizon: int) -> None:
 def periodic_indicator(p: ResidueSet, horizon: int) -> np.ndarray:
     """0/1 uint8 array over [0, horizon]; index i says whether i is a member."""
     check_horizon(horizon)
-    return tile_periodic(p.bits(), horizon + 1)
+    return p.window(horizon + 1)
 
 
 def _check_indicator(ind: np.ndarray, horizon: int) -> None:

@@ -175,22 +175,20 @@ def _kempner(m: int) -> int:
 def factorials_cover(m: int) -> ResidueSet:
     """Residues of j! mod m; the iteration stops at the Kempner number of m,
     the first j with j! ≡ 0 (mod m), since every later factorial is a
-    multiple of m.  Tower moduli n! stop by j = n."""
+    multiple of m.  Tower moduli n! stop by j = n.  The residues are set
+    in words, with no array of length m."""
     check_budget(m)
     steps = _kempner(m)
     if steps > _FACTORIAL_STEP_MAX:
         raise ResourceLimitError(
             f"the factorials reach 0 mod {m} only at {steps}!, past the step "
             f"budget {_FACTORIAL_STEP_MAX}")
-    bits = np.zeros(m, dtype=np.uint8)
-    f, j = 1 % m, 1
-    while True:
-        bits[f] = 1
-        if f == 0:
-            break
+    residues, f, j = [1 % m], 1 % m, 1
+    while f:
         j += 1
         f = f * j % m
-    return ResidueSet.from_bits(bits)
+        residues.append(f)
+    return ResidueSet(m, residues)
 
 
 class FactorialsOracle(CoverOracle):

@@ -6,17 +6,26 @@ subset ``k*N + H`` of the non-negative integers, and two residue sets are
 equal when they denote the same integers.  All densities are
 :class:`fractions.Fraction`; no floats appear anywhere in this module.
 
-Residue sets are dense uint8 bitmaps.  A modulus above ``DENSE_LIMIT``
-(``2**28``, which every tower modulus ``n! <= 11!`` fits) is refused with
+A residue set is one array of ``⌈k/64⌉`` little-endian 64-bit words
+(dtype ``'<u8'``): residue i is bit ``i % 64`` of word ``i // 64``, and the
+bits past k are clear, so the words' first ``⌈k/8⌉`` bytes are the packed
+bitmap that set files and tower JSON hold as hex.  Whole-set passes (tile,
+fold, count, rotate) run on words.  For a modulus that is not a multiple of
+64 the tile, fold and rotation instead read the same bits as one Python
+integer (``_to_int``), shift it and write the words back (``_from_int``).
+A 0/1 array
+enters through ``ResidueSet.from_bits`` and leaves through
+``ResidueSet.window`` only.  A modulus above ``DENSE_LIMIT`` (``2**28``,
+which every tower modulus ``n! <= 11!`` fits) is refused with
 :class:`ResourceLimitError`.
 
 ``sumset_mod`` and ``min_plus_mod`` are one integer algorithm in two
-semirings, OR on bitmaps and min on tables (``_peel_shift``): shift when one
-operand is small, else peel, at any modulus, a period ``k/q`` (prime ``q``)
-off an operand that has one up to a few residues, folding the other operand
-down to ``k/q``.  An operand with no layer is shifted below ``2**14`` and
-refused with :class:`ResourceLimitError` from there on.  The verifier takes
-the min case for the least member of A + B in each class.
+semirings, OR on words and min on integer tables (``_peel_shift``): shift
+when one operand is small, else peel, at any modulus, a period ``k/q``
+(prime ``q``) off an operand that has one up to a few residues, folding the
+other operand down to ``k/q``.  An operand with no layer is shifted below
+``2**14`` and refused with :class:`ResourceLimitError` from there on.  The
+verifier takes the min case for the least member of A + B in each class.
 Tower operands always peel: level n is level n − 1 tiled plus at most n − 1
 classes.  The kernel takes its operands in the order it is handed them and
 counts nothing it is not handed: each sparse/dense choice is read off a
@@ -31,13 +40,14 @@ is scattered, once per combine, at its listed entries shifted, so its
 rotations cost its entries, not the modulus; a denser one is rotated.  The
 peel combines its excess rotations through it, and the tower builder and
 checker count each candidate class's gain ``|roll(cover, h) ∖ state|``
-through it, gathered for a sparse cover and compared in one pass for a
+through it, gathered for a sparse cover and counted in one pass for a
 dense one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -50,6 +60,9 @@ __all__ = [
     "factorize",
     "divisors",
     "ResidueSet",
+    "word_count",
+    "tile_words",
+    "fold",
     "union",
     "intersect",
     "affine",
@@ -57,7 +70,6 @@ __all__ = [
     "min_plus_mod",
     "Rotations",
     "rebase",
-    "tile_periodic",
     "combine_rotated",
     "canonicalize",
     "naturals",
@@ -75,12 +87,15 @@ DENSE_LIMIT = 1 << 28
 # _PEEL_MIN_MODULUS and a refusal from there on
 _SHIFT_MAX = 64
 _PEEL_MIN_MODULUS = 1 << 14
-# _sparse_members lists a bitmap or table in blocks of this many entries
+# _sparse_members lists an array in blocks of this many entries
 _BLOCK = 1 << 16
-# Rotations: a bitmap or table that lists at most one live entry in this many
-# is scattered (or gathered) instead of rotated; a scatter over at most
+# Rotations: a table that lists at most one live entry in this many is
+# scattered (or gathered) instead of rotated; a scatter over at most
 # _SHIFT_MAX shifts then lists at most k/8 targets
 _SPARSE_RATIO = 512
+
+_WORD = np.dtype("<u8")
+_ONE = np.uint64(1)
 
 
 class ResourceLimitError(Exception):
@@ -88,8 +103,8 @@ class ResourceLimitError(Exception):
 
 
 def check_budget(modulus: int) -> None:
-    """Refuse a modulus no bitmap holds: below 1 with ``ValueError``, past
-    ``DENSE_LIMIT`` bytes with :class:`ResourceLimitError`."""
+    """Refuse a modulus no residue set holds: below 1 with ``ValueError``,
+    past ``DENSE_LIMIT`` residues with :class:`ResourceLimitError`."""
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
     if modulus > DENSE_LIMIT:
@@ -126,52 +141,146 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+# ---------------------------------------------------------------------------
+# words: bit i of a set is bit i % 64 of word i // 64
+
+def word_count(k: int) -> int:
+    """The number of words that hold k residues."""
+    return -(-k // 64)
+
+
+def _bit(positions: np.ndarray) -> np.ndarray:
+    return np.left_shift(_ONE, (positions & 63).astype(np.uint64))
+
+
+def _set_bits(words: np.ndarray, positions: np.ndarray) -> None:
+    np.bitwise_or.at(words, positions >> 6, _bit(positions))
+
+
+def _get_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    return (words[positions >> 6] >> (positions & 63).astype(np.uint64)) & _ONE
+
+
+def _count(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum())
+
+
+def _head(words: np.ndarray, n: int) -> np.ndarray:
+    """A copy of the first n bits of ``words``, the bits past n clear."""
+    out = words[:word_count(n)].copy()
+    if n % 64:
+        out[-1] &= (_ONE << np.uint64(n % 64)) - _ONE
+    return out
+
+
+def _to_int(words: np.ndarray) -> int:
+    """The bits of ``words`` as one integer, residue i at bit i."""
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _from_int(x: int, n: int) -> np.ndarray:
+    """The words of an integer below ``2**n``."""
+    return np.frombuffer(x.to_bytes(8 * word_count(n), "little"), dtype=_WORD).copy()
+
+
+def tile_words(words: np.ndarray, k: int, q: int) -> np.ndarray:
+    """The words of a k-residue period repeated q times: ``np.tile`` when k
+    is a multiple of 64, else the period's bits, read as one integer,
+    doubled until they cover the k·q residues."""
+    if k % 64 == 0:
+        return np.tile(words, q)
+    n = k * q
+    tiled, length = _to_int(words), k
+    while length < n:
+        tiled |= tiled << length
+        length *= 2
+    return _from_int(tiled & ((1 << n) - 1), n)
+
+
 class ResidueSet:
     """The set ``modulus * N + residues``, its residues in ``[0, modulus)``
-    stored as a uint8 bitmap (no residues = the empty set)."""
+    stored as words (no residues = the empty set).
 
-    __slots__ = ("modulus", "_bits")
+    ``_bits`` hands over words that are already packed (``from_words``);
+    the set shares them, and they are never written after."""
+
+    __slots__ = ("modulus", "_words")
 
     def __init__(self, modulus: int, residues: Iterable[int] = (), *,
                  _bits: np.ndarray | None = None):
         check_budget(modulus)
-        self.modulus = int(modulus)
+        self.modulus = k = int(modulus)
         if _bits is not None:
-            if _bits.shape != (modulus,):
-                raise ValueError(
-                    f"bitmap of shape {_bits.shape} does not match modulus {modulus}")
-            self._bits = np.ascontiguousarray(_bits, dtype=np.uint8)
+            if _bits.dtype != _WORD or _bits.shape != (word_count(k),):
+                raise ValueError(f"words of dtype {_bits.dtype} and shape {_bits.shape} "
+                                 f"do not hold modulus {k}")
+            if k % 64 and _bits[-1] >> np.uint64(k % 64):
+                raise ValueError(f"words set padding bits past modulus {k}")
+            self._words = np.ascontiguousarray(_bits)
             return
-        bits = np.zeros(modulus, dtype=np.uint8)
         if isinstance(residues, np.ndarray):
-            bits[residues.astype(np.int64) % modulus] = 1
+            positions = residues.astype(np.int64) % k
         else:
-            for r in residues:
-                bits[r % modulus] = 1
-        self._bits = bits
+            positions = np.fromiter((r % k for r in residues), dtype=np.int64)
+        self._words = np.zeros(word_count(k), dtype=_WORD)
+        _set_bits(self._words, positions)
+
+    @classmethod
+    def from_words(cls, modulus: int, words: np.ndarray) -> "ResidueSet":
+        """The set whose words are ``words`` (shared, not copied)."""
+        return cls(modulus, _bits=words)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "ResidueSet":
-        return cls(bits.shape[0], _bits=bits)
+        """The set of length-k 0/1 array (uint8 or bool) ``bits``, packed
+        into words: the one way a 0/1 array becomes a residue set."""
+        words = np.zeros(word_count(bits.shape[0]), dtype=_WORD)
+        packed = np.packbits(bits, bitorder="little")
+        words.view(np.uint8)[:packed.size] = packed
+        return cls(bits.shape[0], _bits=words)
 
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._bits))
+        return _count(self._words)
 
     def __contains__(self, r: int) -> bool:
-        return bool(self._bits[r % self.modulus])
+        r %= self.modulus
+        return bool((self._words[r >> 6] >> np.uint64(r & 63)) & _ONE)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.residues())
 
     def residues(self) -> list[int]:
         """Sorted list of members."""
-        return np.nonzero(self._bits)[0].tolist()
+        return self.members(0, self.modulus).tolist()
 
-    def bits(self) -> np.ndarray:
-        """The 0/1 bitmap (shared, not copied)."""
-        return self._bits
+    def members(self, start: int, stop: int) -> np.ndarray:
+        """Sorted array of the members in ``[start, stop)``, for a multiple
+        of 64 ``start <= stop <= modulus``."""
+        if start % 64:
+            raise ValueError(f"members from {start}, not a multiple of 64")
+        n = stop - start
+        return _word_members(_head(self._words[start // 64:], n), n) + start
+
+    def words(self) -> np.ndarray:
+        """The words (shared, not copied)."""
+        return self._words
+
+    def window(self, length: int) -> np.ndarray:
+        """The 0/1 uint8 indicator of the set on ``[0, length)``, any
+        length: the one way a residue set becomes a 0/1 array."""
+        k = self.modulus
+        bits = np.unpackbits(self._words.view(np.uint8), count=min(k, length),
+                             bitorder="little")
+        return np.tile(bits, -(-length // k))[:length] if length > k else bits
+
+    def prefix(self, length: int) -> "ResidueSet":
+        """The members below ``length`` as a set mod ``length``, for
+        ``1 <= length <= modulus``."""
+        if not 1 <= length <= self.modulus:
+            raise ValueError(f"prefix length {length} outside [1, {self.modulus}]")
+        return ResidueSet(length, _bits=_head(self._words, length))
 
     def density(self) -> Fraction:
         return Fraction(len(self), self.modulus)
@@ -182,7 +291,7 @@ class ResidueSet:
         return x % self.modulus in self
 
     def is_empty(self) -> bool:
-        return not self._bits.any()
+        return not self._words.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResidueSet):
@@ -190,11 +299,11 @@ class ResidueSet:
         a, b = self, other
         if a.modulus != b.modulus:
             a, b = canonicalize(a), canonicalize(b)
-        return a.modulus == b.modulus and bool(np.array_equal(a._bits, b._bits))
+        return a.modulus == b.modulus and bool(np.array_equal(a._words, b._words))
 
     def __hash__(self):
         c = canonicalize(self)
-        return hash((c.modulus, c._bits.tobytes()))
+        return hash((c.modulus, c._words.tobytes()))
 
     def __repr__(self):
         rs = self.residues()
@@ -204,12 +313,14 @@ class ResidueSet:
     def issubset(self, other: "ResidueSet") -> bool:
         if self.modulus != other.modulus:
             raise ValueError("issubset requires equal moduli")
-        return not np.any(self._bits > other._bits)
+        return not (self._words & ~other._words).any()
 
-    def discard(self, r: int) -> "ResidueSet":
-        out = self._bits.copy()
-        out[r % self.modulus] = 0
-        return ResidueSet.from_bits(out)
+    def discard(self, r) -> "ResidueSet":
+        """The set less the residue of r, an integer or an integer array."""
+        out = self._words.copy()
+        positions = np.atleast_1d(np.asarray(r % self.modulus, dtype=np.int64))
+        np.bitwise_and.at(out, positions >> 6, ~_bit(positions))
+        return ResidueSet(self.modulus, _bits=out)
 
 
 def naturals() -> ResidueSet:
@@ -225,31 +336,45 @@ def rebase(p: ResidueSet, m: int) -> ResidueSet:
     if m == k:
         return p
     check_budget(m)
-    return ResidueSet.from_bits(tile_periodic(p.bits(), m))
+    return ResidueSet(m, _bits=tile_words(p.words(), k, m // k))
 
 
-def tile_periodic(bits: np.ndarray, length: int) -> np.ndarray:
-    """Indicator of a period-``len(bits)`` set on ``[0, length)``, for
-    ``len(bits) >= 1``: ``np.tile`` of the period's first ``length``
-    entries, cut to ``length``.  (``np.resize`` concatenates a tuple of
-    ``⌈length/len(bits)⌉`` references to ``bits``, a million of them for
-    one bit tiled to 10**6.)"""
-    return np.tile(bits[:length], -(-length // bits.shape[0]))[:length]
+def fold(op: np.ufunc, p: ResidueSet, m: int) -> ResidueSet:
+    """The residues r mod m (``m | p.modulus``) whose lifts ``r + j·m`` in
+    p combine to 1 under ``op``: every lift for ``np.bitwise_and``, any
+    for ``np.bitwise_or``.
+
+    One ``op.reduce`` over the rows of words when m is a multiple of 64;
+    else the set's integer is halved, with an odd last row set aside."""
+    words, q = p.words(), p.modulus // m
+    if m % 64 == 0:
+        return ResidueSet(m, _bits=op.reduce(words.reshape(q, m // 64), axis=0))
+    combine = operator.and_ if op is np.bitwise_and else operator.or_
+    x, spare = _to_int(words), None
+    while q > 1:
+        if q % 2:
+            q -= 1
+            last = x >> (q * m)
+            x &= (1 << (q * m)) - 1
+            spare = last if spare is None else combine(spare, last)
+        q //= 2
+        x = combine(x & ((1 << (q * m)) - 1), x >> (q * m))
+    return ResidueSet(m, _bits=_from_int(x if spare is None else combine(x, spare), m))
 
 
-def _common_bits(p: ResidueSet, q: ResidueSet) -> tuple[np.ndarray, np.ndarray]:
+def _common_words(p: ResidueSet, q: ResidueSet) -> tuple[int, np.ndarray, np.ndarray]:
     m = math.lcm(p.modulus, q.modulus)
-    return rebase(p, m).bits(), rebase(q, m).bits()
+    return m, rebase(p, m).words(), rebase(q, m).words()
 
 
 def union(p: ResidueSet, q: ResidueSet) -> ResidueSet:
-    a, b = _common_bits(p, q)
-    return ResidueSet.from_bits(a | b)
+    m, a, b = _common_words(p, q)
+    return ResidueSet(m, _bits=a | b)
 
 
 def intersect(p: ResidueSet, q: ResidueSet) -> ResidueSet:
-    a, b = _common_bits(p, q)
-    return ResidueSet.from_bits(a & b)
+    m, a, b = _common_words(p, q)
+    return ResidueSet(m, _bits=a & b)
 
 
 def affine(p: ResidueSet, k: int, h: int) -> ResidueSet:
@@ -266,10 +391,7 @@ def affine(p: ResidueSet, k: int, h: int) -> ResidueSet:
         raise ValueError(f"offset must be non-negative, got {h}")
     m = k * p.modulus
     check_budget(m)
-    bits = np.zeros(m, dtype=np.uint8)
-    idx = np.nonzero(p.bits())[0].astype(np.int64) * k + (h % m)
-    bits[idx % m] = 1
-    return ResidueSet.from_bits(bits)
+    return ResidueSet(m, p.members(0, p.modulus).astype(np.int64) * k + h % m)
 
 
 def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
@@ -288,24 +410,24 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     A tower level is its predecessor tiled plus at most n − 1 classes, so
     ``H ∖ {h}`` at ``n!``, passed first, peels level by level down to the
     shift sizes, shifting only a few residues per layer, and its cover is
-    never counted.  Which path runs depends on the operands' bitmaps and
+    never counted.  Which path runs depends on the operands' members and
     their order alone; the result does not.
     """
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
     for x, y in ((p, c), (c, p)):
-        out = _peel_shift(np.bitwise_or, x.bits(), len(x), y.bits(), 0)
+        out = _peel_shift(x, len(x), y)
         if out is not None:
-            return ResidueSet.from_bits(out)
+            return ResidueSet(k, _bits=out)
     raise ResourceLimitError(
         f"neither operand of a sumset mod {k} has a periodic layer to peel")
 
 
-def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``t[r] = min{values[c] : p[(r − c) mod k]}`` for every residue r mod k,
-    for a 0/1 bitmap ``p`` and an integer table ``values``, both of length
-    k; where no class c qualifies, t[r] is the dtype's maximum.
+def min_plus_mod(p: ResidueSet, values: np.ndarray) -> np.ndarray:
+    """``t[r] = min{values[c] : (r − c) mod k in p}`` for every residue r
+    mod k, for an integer table ``values`` of length k; where no class c
+    qualifies, t[r] is the dtype's maximum.
 
     The min case of ``_peel_shift``: ``sumset_mod`` with OR replaced by
     min, and the table's live entries those below the dtype's maximum.  A
@@ -313,155 +435,208 @@ def min_plus_mod(p: np.ndarray, values: np.ndarray) -> np.ndarray:
     modulus from ``_PEEL_MIN_MODULUS`` up raises
     :class:`ResourceLimitError`; every tower period peels.
     """
-    size = int(np.count_nonzero(p))
-    out = _peel_shift(np.minimum, p, size, values, np.iinfo(values.dtype).max)
+    if values.shape != (p.modulus,):
+        raise ValueError(f"a table of shape {values.shape} for modulus {p.modulus}")
+    size = len(p)
+    out = _peel_shift(p, size, values)
     if out is None:
         raise ResourceLimitError(
-            f"a period of {size} residues mod {p.shape[0]} "
+            f"a period of {size} residues mod {p.modulus} "
             "has no periodic layer to peel")
     return out
 
 
-def _peel_shift(op: np.ufunc, p: np.ndarray, size: int, table: np.ndarray,
-                fill: int) -> np.ndarray | None:
-    """``out[r] = op{table[(r − c) mod k] : p[c]}`` for a 0/1 bitmap ``p``
-    of ``size`` members and a table of one length k whose entries other
-    than ``fill`` are live, for a semiring sum ``op`` (OR on bitmaps, min
-    on integer tables); ``fill`` where p is empty.
+def _peel_shift(p: ResidueSet, size: int,
+                table: ResidueSet | np.ndarray) -> np.ndarray | None:
+    """``out[r] = op{table[(r − c) mod k] : c in p}`` for a set ``p`` of
+    ``size`` members and a table of its modulus k: a residue set, whose
+    words come out ORed, or an integer table, whose entries below its
+    dtype's maximum are live and come out by min; all clear (or the
+    maximum) where p is empty.
 
     - *shift*: when p has at most ``_SHIFT_MAX`` members, op over the
       rotations of ``table`` by each of them;
     - *peel*: otherwise, at any modulus, when p has a periodic layer
       ``(q, f, E)``: the tiling of the same sum at ``k/q`` of f with
-      ``table`` folded by ``op.reduce`` mod ``k/q``, combined with the
-      rotations of ``table`` by each residue of E;
+      ``table`` folded by op mod ``k/q``, combined with the rotations of
+      ``table`` by each residue of E;
     - a p with no layer is shifted over when k is below
       ``_PEEL_MIN_MODULUS``, and from there on the result is None.
 
-    Each combine of rotations lists its own table (:class:`Rotations`), so
-    no count of the table is carried down the peel.  Each p, and each core
-    peeled from it, has its layer searched once.
+    Only the fold, the tiling and the empty result differ between the
+    two semirings.  Each combine of rotations lists its own table
+    (:class:`Rotations`), and an empty excess lists none.  Each p, and each
+    core peeled from it, has its layer searched once.
     """
-    k = p.shape[0]
+    k = p.modulus
+    words = isinstance(table, ResidueSet)
     if size > _SHIFT_MAX:
         layer = _periodic_layer(p, size)
         if layer is not None:
             q, core, excess = layer
-            folded = op.reduce(table.reshape(q, k // q), axis=0)
-            inner = _peel_shift(op, core, (size - excess.size) // q, folded, fill)
+            period = k // q
+            folded = (fold(np.bitwise_or, table, period) if words
+                      else np.minimum.reduce(table.reshape(q, period), axis=0))
+            inner = _peel_shift(core, (size - excess.size) // q, folded)
             if inner is None:
                 return None
-            return Rotations(op, table, fill).combine(np.tile(inner, q), excess)
+            out = tile_words(inner, period, q) if words else np.tile(inner, q)
+            return Rotations(table).combine(out, excess) if excess.size else out
         if k >= _PEEL_MIN_MODULUS:
             return None
-    return Rotations(op, table, fill).combine(
-        np.full(k, fill, dtype=table.dtype), _sparse_members(np.bitwise_or, p, 0, size))
+    out = (np.zeros(word_count(k), dtype=_WORD) if words
+           else np.full(k, np.iinfo(table.dtype).max, dtype=table.dtype))
+    return Rotations(table).combine(out, p.members(0, k))
 
 
 class Rotations:
-    """A table of length k, to be combined by ``op`` (OR on bitmaps, min on
-    integer tables) at rotations; its entries other than ``fill`` are live.
+    """A table of length k, combined at rotations: a residue set's words by
+    OR, or an integer table by min, whose entries below its dtype's
+    maximum are live.
 
     The table is listed once, here: one that lists at most one live entry
     in ``_SPARSE_RATIO`` keeps its ``entries`` and is scattered or
     gathered at them shifted, and a denser one, refused by the listing
-    (``entries`` None), is rotated or compared in whole passes.  Both
-    paths give the same results.
+    (``entries`` None), is rotated or counted in whole passes.  Dense
+    words whose modulus is not a multiple of 64 are rotated as one integer
+    (``_integer``).  All paths give the same results.
     """
 
-    __slots__ = ("op", "table", "entries")
+    __slots__ = ("op", "k", "table", "entries", "_integer")
 
-    def __init__(self, op: np.ufunc, table: np.ndarray, fill: int):
-        self.op, self.table = op, table
-        self.entries = _sparse_members(op, table, fill, table.shape[0] // _SPARSE_RATIO)
+    def __init__(self, table: ResidueSet | np.ndarray):
+        if isinstance(table, ResidueSet):
+            self.op, self.k, self.table = np.bitwise_or, table.modulus, table.words()
+            self.entries = _word_members(self.table, self.k // _SPARSE_RATIO)
+        else:
+            self.op, self.k, self.table = np.minimum, table.shape[0], table
+            self.entries = _sparse_members(np.minimum, table, np.iinfo(table.dtype).max,
+                                           self.k // _SPARSE_RATIO)
+        self._integer = (_to_int(self.table) if self.entries is None
+                         and self.op is np.bitwise_or and self.k % 64 else None)
 
     def _targets(self, shifts: np.ndarray) -> np.ndarray:
-        k = self.table.shape[0]
         targets = (self.entries[None, :] + shifts[:, None]).ravel()
-        targets[targets >= k] -= k
+        targets[targets >= self.k] -= self.k
         return targets
 
+    def _rotated(self, shift: int) -> int:
+        x, k = self._integer, self.k
+        return ((x << shift) | (x >> (k - shift))) & ((1 << k) - 1)
+
+    def _rolled(self, shift: int) -> tuple[np.ndarray, int]:
+        """(t, w) with ``np.roll(t, w)`` the table rotated by ``shift``, for
+        an integer table or words with k a multiple of 64: the words roll
+        by ``shift // 64`` once their bits are carried by ``shift % 64``
+        within the ring of words."""
+        t = self.table
+        if self.op is np.minimum:
+            return t, shift
+        w, b = divmod(shift, 64)
+        if not b:
+            return t, w
+        carried = t << b
+        carried[1:] |= t[:-1] >> (64 - b)
+        carried[0] |= t[-1] >> np.uint64(64 - b)
+        return carried, w
+
     def combine(self, out: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        """``out`` combined in place by ``op`` with the table rotated by each
-        of ``shifts``: one ``op.at`` over ``(entry + shift) mod k`` for a
-        listed table, one rotation per shift for a dense one."""
-        if self.entries is None:
+        """``out`` (words, or a table like this one) combined in place by
+        op with the table rotated by each of ``shifts``: one scatter over
+        ``(entry + shift) mod k`` for a listed table, one rotation per
+        shift for a dense one."""
+        if self.entries is not None:
+            targets = self._targets(shifts)
+            if self.op is np.minimum:
+                np.minimum.at(out, targets, np.tile(self.table[self.entries], shifts.size))
+            else:
+                _set_bits(out, targets)
+        elif self._integer is not None:
+            rotations = 0
             for s in shifts.tolist():
-                combine_rotated(self.op, out, out, self.table, s)
-            return out
-        self.op.at(out, self._targets(shifts), np.tile(self.table[self.entries], shifts.size))
+                rotations |= self._rotated(s)
+            out |= _from_int(rotations, self.k)
+        else:
+            for s in shifts.tolist():
+                combine_rotated(self.op, out, out, *self._rolled(s))
         return out
 
     def gain(self, base: np.ndarray, shift: int) -> int:
-        """``|roll(table, shift) ∖ base|`` for a 0/1 table and bitmap
-        ``base`` of its length: the listed entries that ``base`` lacks at
-        their targets, gathered, or one compare of each of the two rotated
+        """``|roll(table, shift) ∖ base|`` for a table of words and the words
+        ``base`` of the same modulus: the listed entries whose targets
+        ``base`` lacks, gathered, or one count of each of the two rolled
         pieces of a dense table."""
-        if self.entries is None:
-            k = self.table.shape[0]
-            return (int(np.count_nonzero(self.table[:k - shift] > base[shift:]))
-                    + int(np.count_nonzero(self.table[k - shift:] > base[:shift])))
-        targets = self._targets(np.array([shift]))
-        return self.entries.size - int(np.count_nonzero(base[targets]))
+        if self.entries is not None:
+            targets = self._targets(np.array([shift]))
+            return self.entries.size - int(np.count_nonzero(_get_bits(base, targets)))
+        if self._integer is not None:
+            return (self._rotated(shift) & ~_to_int(base)).bit_count()
+        t, w = self._rolled(shift)
+        n = t.shape[0]
+        return _count(t[:n - w] & ~base[w:]) + _count(t[n - w:] & ~base[:w])
 
 
-def combine_rotated(op: np.ufunc, out: np.ndarray, src: np.ndarray, bits: np.ndarray,
+def combine_rotated(op: np.ufunc, out: np.ndarray, src: np.ndarray, table: np.ndarray,
                     shift: int) -> None:
-    """``out = op(src, roll(bits, shift))`` for a binary ufunc ``op`` (OR on
-    bitmaps, min on tables) and ``0 <= shift < len(bits)``; ``src`` may be
-    ``out`` itself."""
-    k = bits.shape[0]
-    op(src[shift:], bits[: k - shift], out=out[shift:])
-    op(src[:shift], bits[k - shift:], out=out[:shift])
+    """``out = op(src, np.roll(table, shift))`` for a binary ufunc ``op`` (OR
+    on words, min on tables) and ``0 <= shift < len(table)``; ``src`` may
+    be ``out`` itself."""
+    k = table.shape[0]
+    op(src[shift:], table[: k - shift], out=out[shift:])
+    op(src[:shift], table[k - shift:], out=out[:shift])
 
 
-def _periodic_layer(x: np.ndarray, size: int) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """``(q, f, E)`` peeling a period ``k/q`` off the bitmap ``x`` of length k
-    with ``size`` members.
+def _periodic_layer(x: ResidueSet, size: int) -> tuple[int, ResidueSet, np.ndarray] | None:
+    """``(q, f, E)`` peeling a period ``k/q`` off the set ``x`` mod k with
+    ``size`` members.
 
     For a prime ``q | k``, ``f`` is the AND-fold of x mod ``k/q`` (the
     residues whose every lift lies in x) and ``E`` lists the members of x
-    outside the tiling of ``f``: ``|E| = size - q |f|``.  The primes are
-    tried from the largest down, and the first whose E holds at most
-    ``_SHIFT_MAX`` residues is taken; None when none does.  E is listed row
-    by row mod ``k/q``, and not at all when it is empty.  ``f`` is empty
-    only for an x of at most ``_SHIFT_MAX`` members, which the dispatch
-    shifts first.
+    outside the tiling of ``f``: ``|E| = size - q |f|``.  Every prime is
+    folded, from the largest down, and the one with the least ``|E|`` is
+    taken, the largest on a tie, when that ``|E|`` is at most
+    ``_SHIFT_MAX``; None when none is.  An empty E ends the search, and
+    is not listed.  ``f`` is empty only for an x of at most ``_SHIFT_MAX``
+    members, which the dispatch shifts first.
     """
-    k = x.shape[0]
+    k = x.modulus
+    best = None
     for q in sorted(factorize(k), reverse=True):
-        core = np.bitwise_and.reduce(x.reshape(q, k // q), axis=0)
-        excess = size - q * int(np.count_nonzero(core))
-        if excess <= _SHIFT_MAX:
-            break
-    else:
+        core = fold(np.bitwise_and, x, k // q)
+        excess = size - q * len(core)
+        if best is None or excess < best[0]:
+            best = excess, q, core
+            if not excess:
+                break
+    if best is None or best[0] > _SHIFT_MAX:
         return None
-    if excess == 0:
+    excess, q, core = best
+    if not excess:
         return q, core, np.empty(0, dtype=np.intp)
-    period = k // q
-    return q, core, np.concatenate([
-        _sparse_members(np.bitwise_or, row > core, 0, excess) + i * period
-        for i, row in enumerate(x.reshape(q, period))])
+    outside = x.words() & ~tile_words(core.words(), k // q, q)
+    return q, core, _word_members(outside, excess)
 
 
 def _sparse_members(op: np.ufunc, x: np.ndarray, fill: int,
                     limit: int) -> np.ndarray | None:
     """``np.flatnonzero(x != fill)`` when it has at most ``limit`` entries,
-    else None, for ``x`` a 0/1 or bool bitmap with ``op`` OR and ``fill``
+    else None, for ``x`` words or a 0/1 array with ``op`` OR and ``fill``
     0, or a min table with ``op`` min and ``fill`` its dtype's maximum.
 
     The first ``_BLOCK`` entries are counted first, so a dense x is
-    refused after one block, with no index listed.  Past them an
+    refused after one block, with no index listed, and an x of one block
+    is listed from that count.  Past them an
     ``op.reduce`` per block finds the blocks that hold an entry other than
     fill, and only those and the tail are listed, each added to the count
-    as it comes, with no mask as long as x.  That costs a few ms at
-    ``11!`` where ``flatnonzero`` spends about 100 ms.
+    as it comes, with no mask as long as x.
     """
     k = x.shape[0]
     head = x[:_BLOCK] != fill
     count = int(np.count_nonzero(head))
     if count > limit:
         return None
+    if k <= _BLOCK:
+        return np.flatnonzero(head)
     whole = max(_BLOCK, k - k % _BLOCK)
     occupied = np.flatnonzero(
         op.reduce(x[_BLOCK:whole].reshape(-1, _BLOCK), axis=1) != fill) + 1
@@ -476,35 +651,51 @@ def _sparse_members(op: np.ufunc, x: np.ndarray, fill: int,
     return np.concatenate(parts)
 
 
+def _word_members(words: np.ndarray, limit: int) -> np.ndarray | None:
+    """The sorted set bits of ``words`` when there are at most ``limit``,
+    else None: the non-zero words are listed (``_sparse_members``, which
+    refuses more than ``limit`` of them), and only those are unpacked."""
+    nonzero = _sparse_members(np.bitwise_or, words, 0, limit)
+    if nonzero is None:
+        return None
+    live = words[nonzero]
+    if _count(live) > limit:
+        return None
+    bits = np.flatnonzero(np.unpackbits(live.view(np.uint8), bitorder="little"))
+    return nonzero[bits >> 6] * 64 + (bits & 63)
+
+
 def canonicalize(p: ResidueSet) -> ResidueSet:
-    """Smallest-period representation of the same set."""
+    """Smallest-period representation of the same set: the first divisor d
+    of k whose shift by d leaves the set's integer unchanged."""
     k = p.modulus
     if p.is_empty():
         return ResidueSet(1)
     if k == 1:
         return p
-    bits = p.bits()
+    x = _to_int(p.words())
     for d in divisors(k):
         if d == k:
             break
-        if np.array_equal(bits.reshape(k // d, d), np.broadcast_to(bits[:d], (k // d, d))):
-            return ResidueSet.from_bits(bits[:d].copy())
+        if x >> d == x & ((1 << (k - d)) - 1):
+            return p.prefix(d)
     return p
 
 
 # ---------------------------------------------------------------------------
 # packed-hex bitmaps, shared by set files and tower JSON
 
-def bitmap_hex(bits: np.ndarray) -> str:
-    """A 0/1 bitmap packed 8 residues a byte, residue i at bit ``i % 8``
-    (little-endian bits) of byte ``i // 8``, as lower-case hex."""
-    return np.packbits(bits, bitorder="little").tobytes().hex()
+def bitmap_hex(p: ResidueSet) -> str:
+    """The set's residues packed 8 a byte, residue i at bit ``i % 8``
+    (little-endian bits) of byte ``i // 8``, as lower-case hex: the first
+    ``⌈k/8⌉`` bytes of its words."""
+    return p.words().view(np.uint8)[: -(-p.modulus // 8)].tobytes().hex()
 
 
-def bitmap_from_hex(k: int, text: str) -> np.ndarray:
-    """The length-``k`` 0/1 bitmap that ``bitmap_hex`` writes as ``text``:
-    exactly ``2·⌈k/8⌉`` lower-case hex digits, no whitespace, and no
-    padding bit set past k; anything else, or ``k < 1``, is a ValueError.
+def bitmap_from_hex(k: int, text: str) -> ResidueSet:
+    """The set mod k that ``bitmap_hex`` writes as ``text``: exactly
+    ``2·⌈k/8⌉`` lower-case hex digits, no whitespace, and no padding bit
+    set past k; anything else, or ``k < 1``, is a ValueError.
     ``bytes.fromhex`` also takes upper-case digits and whitespace between
     bytes: with the length pinned, whitespace leaves it short, and the
     upper-case digits are looked for by substring scans."""
@@ -515,15 +706,16 @@ def bitmap_from_hex(k: int, text: str) -> np.ndarray:
     if len(text) != digits or any(c in text for c in "ABCDEF"):
         raise wrong
     try:
-        packed = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+        packed = bytes.fromhex(text)
     except ValueError:
         raise wrong from None
-    if 2 * packed.shape[0] != digits:
+    if 2 * len(packed) != digits:
         raise wrong
     if k % 8 and packed[-1] >> (k % 8):
         raise ValueError(f"bitmap sets padding bits past modulus {k}")
-    # unpackbits with a count returns an owned array of exactly k entries
-    return np.unpackbits(packed, count=k, bitorder="little")
+    words = np.zeros(word_count(k), dtype=_WORD)
+    words.view(np.uint8)[:len(packed)] = np.frombuffer(packed, dtype=np.uint8)
+    return ResidueSet(k, _bits=words)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +731,7 @@ def dumps_periodic(p: ResidueSet) -> str:
     if len(p) <= _RESIDUE_LIST_MAX:
         lines.append("residues " + ",".join(map(str, p.residues())))
     else:
-        lines.append("bitmap " + bitmap_hex(p.bits()))
+        lines.append("bitmap " + bitmap_hex(p))
     return "\n".join(lines) + "\n"
 
 
@@ -562,5 +754,5 @@ def loads_periodic(text: str) -> ResidueSet:
             raise ValueError(f"residue {outside[0]} lies outside [0, {k})")
         return ResidueSet(k, rs)
     if tag == "bitmap":
-        return ResidueSet.from_bits(bitmap_from_hex(k, payload))
+        return bitmap_from_hex(k, payload)
     raise ValueError(f"unknown payload tag {tag!r}")

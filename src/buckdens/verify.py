@@ -30,7 +30,7 @@ from .construction import (
 )
 from .density import check_horizon, proxies
 from .oracles import CoverOracle
-from .sets import min_plus_mod, tile_periodic
+from .sets import ResidueSet, min_plus_mod, naturals
 
 __all__ = [
     "a_window",
@@ -60,15 +60,15 @@ def a_window(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     marks that single undecided class.
     """
     lower, upper = _periods(t, horizon)
-    return (tile_periodic(lower, horizon + 1),
-            tile_periodic(upper - lower, horizon + 1))
+    definite = lower.window(horizon + 1)
+    return definite, upper.window(horizon + 1) - definite
 
 
-def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -> np.ndarray:
-    """Indicator on [0, horizon] of A + B, with A = {a >= 0 : P[a mod M]}
-    for the length-M bitmap P = ``period_bits``.
+def sumset_window(period: ResidueSet, b_values: np.ndarray, horizon: int) -> np.ndarray:
+    """Indicator on [0, horizon] of A + B, with A = {a >= 0 : a mod M in P}
+    for the set P = ``period`` mod M.
 
-    x ≡ r (mod M) lies in A + B iff x >= t_r = min{F_c : P[r − c]}, with
+    x ≡ r (mod M) lies in A + B iff x >= t_r = min{F_c : r − c in P}, with
     F_c the least member of B ∩ [0, horizon] in class c (horizon + 1 if
     none): t is the min-plus sum of P and F mod M, which
     ``sets.min_plus_mod`` takes by peeling P's periodic layers.  The cost
@@ -76,7 +76,7 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
     prefix of the period longer than the window, as ``_periods`` does.
     ``b_values`` may come in any order.
     """
-    m = period_bits.shape[0]
+    m = period.modulus
     n = min(m, horizon + 1)
     out = np.zeros(horizon + 1, dtype=np.uint8)
     # int32 holds every horizon within the enumeration budget; minimum.at
@@ -84,7 +84,7 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
     b_values = b_values[b_values <= horizon].astype(np.int32)
     least = np.full(m, horizon + 1, dtype=np.int32)
     np.minimum.at(least, b_values % m, b_values)
-    threshold = min_plus_mod(period_bits, least)[:n]
+    threshold = min_plus_mod(period, least)[:n]
     # x = q*n + r is covered iff q*n >= t_r - r (and q = 0 whenever n < M)
     threshold -= np.arange(n, dtype=np.int32)
     full, rest = divmod(horizon + 1, n)
@@ -94,7 +94,7 @@ def sumset_window(period_bits: np.ndarray, b_values: np.ndarray, horizon: int) -
     return out
 
 
-def _periods(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+def _periods(t: Tower, horizon: int) -> tuple[ResidueSet, ResidueSet]:
     """Periods of the definite part of A and of A_N, H∖{h} and H at the top
     level N, cut to a length d that gives the same window [0, horizon];
     ``[1]`` for both when A = N.
@@ -108,22 +108,19 @@ def _periods(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     horizon, d = min(N!, (⌊horizon/f⌋ + 1)·f), at most 2·horizon.  For
     n < N: level m + 1 removes lifts of h_m from m! on, so below
     (n + 1)! >= d, H is H_{n+1}, whose rows mod f are H_n or H_n∖{h_n},
-    and the prefix peels like a level.  The upper period is a view of H's
-    bitmap, the lower one a copy with h cleared when h < d.
+    and the prefix peels like a level.  The upper period is H's prefix,
+    the lower one a copy with h cleared when h < d.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     check_horizon(horizon)
     if t.trivial:
-        return np.ones(1, dtype=np.uint8), np.ones(1, dtype=np.uint8)
+        return naturals(), naturals()
     top = t.top
     f = max((lv.modulus for lv in t.levels if lv.modulus <= horizon), default=1)
     d = min(top.modulus, (horizon // f + 1) * f)
-    upper = top.H.bits()[:d]
-    lower = upper.copy()
-    if top.h < d:
-        lower[top.h] = 0
-    return lower, upper
+    upper = top.H.prefix(d)
+    return (upper.discard(top.h) if top.h < d else upper), upper
 
 
 def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, int]:
@@ -146,7 +143,7 @@ def _coverages(t: Tower, oracle: CoverOracle,
     # the two periods differ only at h, whose class first enters the window at h
     hi_cov = (lo_cov if t.trivial or t.top.h > horizon
               else sumset_window(upper, b_values, horizon))
-    return lo_cov, hi_cov, lower.shape[0]
+    return lo_cov, hi_cov, lower.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -352,4 +349,4 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int) -> CrossDen
     sb = sum_bounds(t, oracle)
     lo_cov = sumset_window(lower, oracle.enumerate(horizon), horizon)
     return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), _CROSS_SLACK,
-                              *proxies(lo_cov, horizon, lower.shape[0]))
+                              *proxies(lo_cov, horizon, lower.modulus))

@@ -118,7 +118,7 @@ class TestStep:
         base = rebase(h_prime, big)
         densities = []
         for k in range(prev.n + 1):
-            bits = base.bits().copy()
+            bits = base.window(big)
             for j in range(k + 1):
                 bits[(prev.h + j * prev.modulus) % big] = 1
             cand = ResidueSet.from_bits(bits)
@@ -165,19 +165,18 @@ class TestStep:
 
     def test_step_carries_the_lower_sumset(self):
         def lower_sumset(lv):  # (H minus h) + cover(n!) mod n!, by convolution
-            lower = sumset_mod(lv.H.discard(lv.h), oracle.cover_cached(lv.modulus))
-            return lower.bits()
+            return sumset_mod(lv.H.discard(lv.h), oracle.cover_cached(lv.modulus))
 
         oracle = PrimesOracle()
         t = construct(oracle, Fraction(1, 3), 5)
         prev = t.levels[-2]
-        with pytest.raises(ValueError, match="lower sumset length 24, expected 120"):
-            step(prev, lower_sumset(prev), oracle.cover_cached(120), Fraction(1, 3))
-        lower = np.tile(lower_sumset(prev), 5)
+        with pytest.raises(ValueError, match="lower sumset 1 words, expected 120 residues"):
+            step(prev, lower_sumset(prev).words(), oracle.cover_cached(120), Fraction(1, 3))
+        lower = rebase(lower_sumset(prev), 120).words()
         lv = step(prev, lower, oracle.cover_cached(120), Fraction(1, 3))
         assert lv == t.top
-        assert np.array_equal(lower, lower_sumset(lv))
-        assert lv.sum_lower == Fraction(int(np.count_nonzero(lower)), lv.modulus)
+        assert ResidueSet.from_words(120, lower) == lower_sumset(lv)
+        assert lv.sum_lower == ResidueSet.from_words(120, lower).density()
 
     def test_cardinality_recurrence(self):
         t = construct(PrimesOracle(), Fraction(1, 3), 7)
@@ -270,7 +269,7 @@ class TestClaimA:
         top = t.top
         bits = (np.random.default_rng(8).random(top.modulus) < 0.3).astype(np.uint8)
         bits[top.h] = 1
-        assert sets._periodic_layer(bits, int(np.count_nonzero(bits))) is None
+        assert sets._periodic_layer(ResidueSet.from_bits(bits), int(np.count_nonzero(bits))) is None
         bad = Tower(alpha=t.alpha, oracle_spec=t.oracle_spec, exact=t.exact,
                     levels=t.levels[:-1] + [replace(top, H=ResidueSet.from_bits(bits))])
         with pytest.raises(ResourceLimitError):
@@ -327,6 +326,24 @@ class TestClaimA:
             assert [(c.lower, c.upper) for c in report.checks] == \
                 [(lv.sum_lower, lv.sum_upper) for lv in t.levels]
 
+    def test_each_layer_is_the_fold_with_the_least_excess(self, monkeypatch):
+        # at 2·9! the depth-10 powers H' folds by 3 with no excess, where
+        # the fold by 7, the largest prime whose excess fits, leaves 18
+        # residues to rotate: every prime is folded, and 3 is taken
+        layers = {}
+        real = sets._periodic_layer
+
+        def recording(x, size):
+            got = real(x, size)
+            layers.setdefault(x.modulus, got and (got[0], got[2].size))
+            return got
+
+        oracle = PerfectPowersOracle()
+        t = construct(oracle, Fraction(3, 4), 10)
+        monkeypatch.setattr(sets, "_periodic_layer", recording)
+        assert check_claimA(t, oracle).ok
+        assert layers[2 * math.factorial(9)] == (3, 0)
+
     @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4)], ids=["half", "three-quarters"])
     def test_depth_ten_check_peels_at_every_modulus(self, monkeypatch, alpha):
         # H' peels at every modulus, not only from _PEEL_MIN_MODULUS up, so
@@ -361,7 +378,7 @@ class TestClaimA:
 
         oracle = parse_oracle(spec)
         honest = oracle.cover
-        oracle.cover = lambda m: Uncounted.from_bits(honest(m).bits())
+        oracle.cover = lambda m: Uncounted.from_words(m, honest(m).words())
         t = construct(oracle, HALF, depth)
         assert check_claimA(t, oracle).ok
 
@@ -369,19 +386,20 @@ class TestClaimA:
     @pytest.mark.parametrize("alpha", [HALF, Fraction(6, 11)])
     def test_sparse_covers_rotate_nothing_at_the_top(self, monkeypatch, spec, alpha):
         # a cover of at most 9 residues of 9! is scattered and gathered:
-        # neither step nor check_claimA rotates a whole level
+        # neither step nor check_claimA rotates the 9!/8 bytes of a whole
+        # level's words
         lengths = []
         combine = sets.combine_rotated
 
         def recording(*args):
-            lengths.append(args[-2].shape[0])
+            lengths.append(args[-2].nbytes)
             combine(*args)
 
         oracle = parse_oracle(spec)
         monkeypatch.setattr(sets, "combine_rotated", recording)
         t = construct(oracle, alpha, 9)
         assert check_claimA(t, oracle).ok
-        assert max(lengths, default=0) < math.factorial(9)
+        assert max(lengths, default=0) < math.factorial(9) // 8
 
     def test_sparse_checks_scan_no_full_level(self, monkeypatch):
         # the covers of factorials and a finite set hold at most n residues
@@ -418,7 +436,7 @@ class TestClaimA:
 
         liar = Liar()
         assert 0 not in ResidueSet.from_bits(
-            liar.cover(40320).bits().reshape(8, 5040).max(axis=0))
+            liar.cover(40320).window(40320).reshape(8, 5040).max(axis=0))
         report = check_claimA(construct(liar, HALF, 8), liar)
         assert not report.ok
         assert report.first_violation() == 7
@@ -592,7 +610,7 @@ class TestSerialization:
                "config": config,
                "levels": [{"n": lv.n, "k_chosen": lv.k_chosen, "h": lv.h,
                            "H": {"encoding": "hex-bitmap-le",
-                                 "data": np.packbits(lv.H.bits(), bitorder="little")
+                                 "data": np.packbits(lv.H.window(lv.modulus), bitorder="little")
                                  .tobytes().hex()},
                            "densityA": str(lv.density_a), "L": str(lv.sum_lower),
                            "U": str(lv.sum_upper)} for lv in t.levels]}

@@ -101,8 +101,8 @@ class TestConjugate:
         extra = data.draw(st.lists(st.integers(0, k - 1), max_size=10))
         p = ResidueSet(k, hs)
         q = union(p, ResidueSet(k, extra))
-        lower_p = 1 - ResidueSet.from_bits(1 - p.bits()).density()
-        lower_q = 1 - ResidueSet.from_bits(1 - q.bits()).density()
+        lower_p = 1 - ResidueSet.from_bits(1 - p.window(k)).density()
+        lower_q = 1 - ResidueSet.from_bits(1 - q.window(k)).density()
         assert lower_p <= lower_q
 
 
@@ -269,8 +269,8 @@ class TestProxies:
         cov = sumset_window(lower, oracle.enumerate(10**4), 10**4)
         for horizon in (100, 1000, 10**4):
             window = cov[: horizon + 1]
-            assert proxies(window, horizon, lower.shape[0]) == \
-                self._separate(window, horizon, lower.shape[0], horizon // 10)
+            assert proxies(window, horizon, lower.modulus) == \
+                self._separate(window, horizon, lower.modulus, horizon // 10)
 
 
 class TestAxiomSuite:

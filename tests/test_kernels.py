@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from buckdens import kernels
-from buckdens.sets import combine_rotated, tile_periodic
+from buckdens.sets import ResidueSet, combine_rotated
 
 
 def random_bits(rng, n, p=0.3):
@@ -39,25 +39,24 @@ class TestKernelsAgreeWithReferences:
 
 
 class TestTilePeriodic:
+    # ResidueSet.window, the 0/1 indicator of a set tiled to any length
     def test_exact_multiple(self):
-        bits = np.array([1, 0], dtype=np.uint8)
-        assert tile_periodic(bits, 6).tolist() == [1, 0, 1, 0, 1, 0]
+        assert ResidueSet(2, [0]).window(6).tolist() == [1, 0, 1, 0, 1, 0]
 
     def test_truncation(self):
-        bits = np.array([1, 0, 0], dtype=np.uint8)
-        assert tile_periodic(bits, 5).tolist() == [1, 0, 0, 1, 0]
+        assert ResidueSet(3, [0]).window(5).tolist() == [1, 0, 0, 1, 0]
 
     def test_returns_a_copy(self):
-        bits = np.array([1], dtype=np.uint8)
-        tiled = tile_periodic(bits, 3)
-        tiled[0] = 0
-        assert bits[0] == 1
+        p = ResidueSet(1, [0])
+        for length in (1, 3):
+            p.window(length)[0] = 0
+            assert 0 in p
 
     @pytest.mark.parametrize("period", [1, 2, 7, 64])
     def test_matches_np_tile_below_at_and_above_multiples(self, period):
         bits = random_bits(np.random.default_rng(period), period)
+        p = ResidueSet.from_bits(bits)
         for length in range(0, 4 * period + 2):
             reps = -(-length // period)
-            assert np.array_equal(tile_periodic(bits, length),
-                                  np.tile(bits, reps)[:length])
-            assert tile_periodic(bits, length).dtype == bits.dtype
+            assert np.array_equal(p.window(length), np.tile(bits, reps)[:length])
+            assert p.window(length).dtype == np.uint8

@@ -178,7 +178,7 @@ class TestPerfectPowersCover:
         for k in range(2, 12):
             power = power * base % m
             want[power] = True
-        assert np.array_equal(perfect_powers_cover(m).bits(), want)
+        assert np.array_equal(perfect_powers_cover(m).window(m), want)
 
     def test_nine_factorial_matches_powers_of_every_base(self):
         # 9! = 2^7 3^4 5 7: exponents 2..6, then k0 = 7, the least k >= 7
@@ -228,7 +228,7 @@ class TestCoverDigests:
                                                (primes_cover, PRIMES)],
                              ids=["powers", "primes"])
     def test_tower_moduli(self, cover, digests):
-        got = [hashlib.sha256(cover(math.factorial(n)).bits().tobytes()).hexdigest()
+        got = [hashlib.sha256(cover(math.factorial(n)).window(math.factorial(n)).tobytes()).hexdigest()
                for n in range(1, 12)]
         assert got == digests
 
@@ -248,6 +248,20 @@ class TestFiniteCover:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             finite_cover([], 4)
+
+
+@pytest.mark.parametrize("spec, size", [("factorials", 11), ("finite:0,24,7", 3)])
+def test_a_sparse_cover_of_eleven_factorial_allocates_only_its_words(spec, size):
+    # the words hold 11!/8 = 4989600 bytes; a byte per residue would be 11!
+    oracle = parse_oracle(spec)
+    tracemalloc.start()
+    try:
+        cover = oracle.cover(math.factorial(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+    assert len(cover) == size
 
 
 @pytest.mark.parametrize("cover", [primes_cover, factorials_cover, perfect_powers_cover,

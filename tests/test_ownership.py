@@ -1,6 +1,9 @@
 """Decisions that one module owns, read from the package's syntax trees.
 
 - The packed-hex bitmap format: only ``sets`` packs, unpacks or parses hex.
+- The representation: a ``ResidueSet`` holds its modulus and one array of
+  little-endian 64-bit words, and no module reads it as a byte per residue
+  (there is no ``.bits()``).
 - The enumeration budget: only ``density.check_horizon`` compares a value
   with ``DEFAULT_ENUM_BUDGET``.
 - A valid modulus: ``sets.check_budget`` refuses one below 1, and the
@@ -18,9 +21,12 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import numpy as np
+
 import buckdens
 from buckdens.cli import build_parser
 from buckdens.construction import Level
+from buckdens.sets import ResidueSet
 
 PACKAGE = Path(buckdens.__file__).resolve().parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -43,6 +49,21 @@ def test_only_sets_packs_unpacks_or_parses_hex():
              and node.func.attr in ("packbits", "unpackbits", "fromhex")}
     assert calls == {("sets.py", "packbits"), ("sets.py", "unpackbits"),
                      ("sets.py", "fromhex")}
+
+
+def test_a_residue_set_holds_its_modulus_and_one_word_array():
+    assert ResidueSet.__slots__ == ("modulus", "_words")
+    for k in (1, 64, 65, 5040):
+        words = ResidueSet(k, [0, k - 1]).words()
+        assert words.dtype == np.dtype("<u8") and words.shape == (-(-k // 64),)
+
+
+def test_no_module_reads_a_residue_set_byte_by_byte():
+    calls = [(name, ast.unparse(node)) for name, tree in TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "bits"]
+    assert calls == []
 
 
 def test_only_check_horizon_compares_with_the_enumeration_budget():

@@ -186,9 +186,9 @@ class TestShiftKernel:
         assert np.count_nonzero(b) <= sets._SHIFT_MAX
         want = shift_or_reference(a, b)
         x, y = ResidueSet.from_bits(a), ResidueSet.from_bits(b)
-        assert np.array_equal(sumset_mod(x, y).bits(), want)
-        assert np.array_equal(sumset_mod(y, x).bits(), want)
-        assert np.array_equal(min_plus_mod(b, np.where(a, 0, 1)) == 0, want)
+        assert np.array_equal(sumset_mod(x, y).window(k), want)
+        assert np.array_equal(sumset_mod(y, x).window(k), want)
+        assert np.array_equal(min_plus_mod(y, np.where(a, 0, 1)) == 0, want)
 
 
 BLOCK = sets._BLOCK
@@ -321,7 +321,7 @@ class TestPeriodicPeel:
                 want = shift_or_reference(more, fewer)
                 for a, b in ((x, partner), (partner, x)):
                     got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
-                    assert np.array_equal(got.bits(), want)
+                    assert np.array_equal(got.window(k), want)
 
     def test_peelable_operands_take_no_transform(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -357,11 +357,12 @@ class TestPeriodicPeel:
         else:
             x = nested_operand(k, rng, 0.005)
         size = np.count_nonzero(x)
-        assert size > sets._SHIFT_MAX and sets._periodic_layer(x, size) is not None
+        p = ResidueSet.from_bits(x)
+        assert size > sets._SHIFT_MAX and sets._periodic_layer(p, size) is not None
         c = ResidueSet(k, rng.choice(k, size=size + 10, replace=False))
-        want = sumset_mod(ResidueSet.from_bits(x), c).bits()
+        want = sumset_mod(p, c).window(k)
         assert 0 < np.count_nonzero(want) < k
-        assert np.array_equal(want, min_plus_mod(x, np.where(c.bits(), 0, 1)) == 0)
+        assert np.array_equal(want, min_plus_mod(p, np.where(c.window(k), 0, 1)) == 0)
 
 
 def nested_operand(k, rng, density):
@@ -378,16 +379,19 @@ def nested_operand(k, rng, density):
 
 def periodic_layer_reference(x):
     """``(q, f, E)`` of ``sets._periodic_layer`` from the definition: for
-    each prime q | k from the largest down, the AND-fold f mod k/q and the
-    members E of x off its tiling, listed directly; the first q whose E
-    holds at most ``_SHIFT_MAX`` residues, and None when there is none."""
+    each prime q | k, the AND-fold f mod k/q and the members E of x off its
+    tiling, listed directly; of these, the one with the fewest E, the
+    largest q on a tie, when that E holds at most ``_SHIFT_MAX`` residues,
+    and None otherwise."""
     k = x.shape[0]
-    for q in sorted(sets.factorize(k), reverse=True):
+    layers = []
+    for q in sets.factorize(k):
         core = x.reshape(q, k // q).min(axis=0)
-        excess = np.flatnonzero(x > np.tile(core, q))
-        if excess.size <= sets._SHIFT_MAX:
-            return q, core, excess
-    return None
+        layers.append((q, core, np.flatnonzero(x > np.tile(core, q))))
+    if not layers:
+        return None
+    best = min(layers, key=lambda layer: (layer[2].size, -layer[0]))
+    return best if best[2].size <= sets._SHIFT_MAX else None
 
 
 def largest_prime_leaves_an_excess():
@@ -430,13 +434,13 @@ class TestPeriodicLayer:
     @example(np.zeros(2 * 3 * 5 * 7, dtype=np.uint8))
     @example(np.ones(1, dtype=np.uint8))
     @example(largest_prime_leaves_an_excess())
-    def test_matches_first_fit_reference(self, x):
-        got = sets._periodic_layer(x, int(np.count_nonzero(x)))
+    def test_matches_least_excess_reference(self, x):
+        got = sets._periodic_layer(ResidueSet.from_bits(x), int(np.count_nonzero(x)))
         want = periodic_layer_reference(x)
         assert (got is None) == (want is None)
         if want is not None:
             assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[1].window(x.shape[0] // got[0]), want[1])
             assert np.array_equal(got[2], want[2])
 
 
@@ -459,7 +463,7 @@ class TestMinPlusMod:
                      dtype=np.uint8)
         values = np.array(data.draw(st.lists(st.integers(0, 500), min_size=k,
                                              max_size=k)), dtype=np.int32)
-        got = min_plus_mod(p, values)
+        got = min_plus_mod(ResidueSet.from_bits(p), values)
         for r in range(k):
             sums = [int(values[c]) for c in range(k) if p[(r - c) % k]]
             assert got[r] == min(sums, default=np.iinfo(np.int32).max)
@@ -484,7 +488,7 @@ class TestMinPlusMod:
                 values = np.full(k, none, dtype=np.int32)
                 classes = rng.choice(k, size=300, replace=False)
                 values[classes] = rng.integers(0, none, size=300)
-                assert np.array_equal(min_plus_mod(p, values),
+                assert np.array_equal(min_plus_mod(ResidueSet.from_bits(p), values),
                                       min_plus_reference(p, values, none))
 
     def test_a_large_period_without_a_layer_is_refused(self, monkeypatch):
@@ -495,7 +499,7 @@ class TestMinPlusMod:
         rng = np.random.default_rng(3)
         p = (rng.random(1 << 16) < 0.3).astype(np.uint8)
         with pytest.raises(ResourceLimitError, match="no periodic layer"):
-            min_plus_mod(p, np.zeros(1 << 16, dtype=np.int32))
+            min_plus_mod(ResidueSet.from_bits(p), np.zeros(1 << 16, dtype=np.int32))
 
 
 SPARSE_RATIO = sets._SPARSE_RATIO
@@ -536,10 +540,11 @@ def semiring_moduli(two):
 
 class TestScatterRotation:
     # Rotations' two paths, the scatter (or gather) of a listed table and
-    # one rotation (or compare) per shift, on either side of the
-    # sparse/dense rule and in both semirings, at moduli below and above
-    # the listing's block size; the ratio only picks the path, so 1 forces
-    # the listing and k + 1 the whole passes of any table with a live entry
+    # one rotation (or count) per shift, on either side of the sparse/dense
+    # rule and in both semirings (words by OR, tables by min), at moduli
+    # that are multiples of 64 and moduli that are not, below and above the
+    # listing's block size; the ratio only picks the path, so 1 forces the
+    # listing and k + 1 the whole passes of any table with a live entry
     @settings(max_examples=150)
     @given(st.data())
     def test_paths_agree_with_rolls(self, data):
@@ -553,16 +558,21 @@ class TestScatterRotation:
         want = start.copy()
         for s in shifts.tolist():
             want = op(want, np.roll(table, s))
-        assert (sets.Rotations(op, table, fill).entries is not None) == sparse
+        words = op is np.bitwise_or
+        handed = ResidueSet.from_bits(table) if words else table
+        begin = ResidueSet.from_bits(start).words() if words else start
+        assert (sets.Rotations(handed).entries is not None) == sparse
         for ratio in (SPARSE_RATIO, 1, k + 1):
             with pytest.MonkeyPatch.context() as patched:
                 patched.setattr(sets, "_SPARSE_RATIO", ratio)
-                rotations = sets.Rotations(op, table, fill)
-            got = rotations.combine(start.copy(), shifts)
+                rotations = sets.Rotations(handed)
+            got = rotations.combine(begin.copy(), shifts)
+            if words:
+                got = ResidueSet.from_words(k, got).window(k)
             assert np.array_equal(got, want)
-            if op is np.bitwise_or:
+            if words:
                 for s in shifts.tolist():
-                    assert rotations.gain(start, s) == \
+                    assert rotations.gain(begin, s) == \
                         np.count_nonzero(np.roll(table, s) > start)
 
     @settings(max_examples=60)
@@ -578,12 +588,12 @@ class TestScatterRotation:
             p = np.zeros(k, dtype=np.uint8)
             size = data.draw(st.integers(150, 300))
             p[rng.choice(k, size=size, replace=False)] = 1
-            assert sets._periodic_layer(p, size) is None
+            assert sets._periodic_layer(ResidueSet.from_bits(p), size) is None
             c = nested_operand(k, rng, data.draw(st.sampled_from([0.02, 0.3])))
             want = shift_or_reference(c, p)
             for a, b in ((p, c), (c, p)):
                 got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
-                assert np.array_equal(got.bits(), want)
+                assert np.array_equal(got.window(k), want)
             return
         # below _PEEL_MIN_MODULUS, so that every operand peels or shifts
         k = data.draw(semiring_moduli(5))
@@ -592,13 +602,14 @@ class TestScatterRotation:
         op, table, fill = data.draw(semiring_tables(k, sparse))
         p = data.draw(layered_bitmaps(st.just(k)))
         if op is np.minimum:
-            assert np.array_equal(min_plus_mod(p, table), min_plus_reference(p, table, fill))
+            assert np.array_equal(min_plus_mod(ResidueSet.from_bits(p), table),
+                                  min_plus_reference(p, table, fill))
             return
         fewer, more = sorted((p, table), key=np.count_nonzero)
         want = shift_or_reference(more, fewer)
         for a, b in ((p, table), (table, p)):
             got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
-            assert np.array_equal(got.bits(), want)
+            assert np.array_equal(got.window(k), want)
 
 
 class TestRebase:
@@ -774,9 +785,10 @@ class TestFileFormat:
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 20005])
     def test_bitmap_hex_round_trip(self, k):
         bits = (np.random.default_rng(k).random(k) < 0.5).astype(np.uint8)
-        text = bitmap_hex(bits)
+        text = bitmap_hex(ResidueSet.from_bits(bits))
         assert len(text) == 2 * -(-k // 8) and text == text.lower()
-        assert np.array_equal(bitmap_from_hex(k, text), bits)
+        assert text == np.packbits(bits, bitorder="little").tobytes().hex()
+        assert np.array_equal(bitmap_from_hex(k, text).window(k), bits)
 
     @pytest.mark.parametrize("k, text", [
         (12, "FF0F"), (12, "ff 0f"), (12, "ff0"), (12, "ff0f00"), (5, "e4"),

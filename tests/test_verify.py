@@ -15,7 +15,7 @@ from buckdens.oracles import (
     parse_oracle,
 )
 from buckdens.density import DEFAULT_ENUM_BUDGET
-from buckdens.sets import ResourceLimitError
+from buckdens.sets import ResidueSet, ResourceLimitError
 from buckdens.verify import (
     a_window,
     cross_density_check,
@@ -56,7 +56,7 @@ class TestAWindow:
 
 def window_by_double_loop(period_bits, b_values, horizon):
     # every a in A ∩ [0, horizon] against every b in B (the inner loop
-    # vectorized)
+    # vectorized), for A given by its 0/1 period
     m = len(period_bits)
     b_values = np.asarray(b_values, dtype=np.int64)
     want = np.zeros(horizon + 1, dtype=np.uint8)
@@ -79,8 +79,9 @@ class TestSumsetWindow:
                 b_vals = rng.choice(2 * horizon, size=size, replace=False)
                 for extra in ([], [0], [horizon], [0, horizon]):
                     b = np.concatenate((b_vals, extra)).astype(np.int64)
-                    assert np.array_equal(sumset_window(period, b, horizon),
-                                          window_by_double_loop(period, b, horizon))
+                    assert np.array_equal(
+                        sumset_window(ResidueSet.from_bits(period), b, horizon),
+                        window_by_double_loop(period, b, horizon))
 
     def test_unpeelable_long_period_is_refused(self, monkeypatch):
         # a random period of M = 2^20 has no layer to peel: it is refused
@@ -93,7 +94,7 @@ class TestSumsetWindow:
         period = (rng.random(1 << 20) < 0.3).astype(np.uint8)
         b = rng.choice(6000, size=100, replace=False)
         with pytest.raises(ResourceLimitError, match="no periodic layer"):
-            sumset_window(period, b, 5000)
+            sumset_window(ResidueSet.from_bits(period), b, 5000)
 
     @pytest.mark.parametrize("depth", [6, 7])
     @pytest.mark.parametrize("oracle", [PrimesOracle(), PerfectPowersOracle(),
@@ -104,7 +105,7 @@ class TestSumsetWindow:
         # periods give the windows of the whole periods H∖{h} and H mod N!
         t = construct(oracle, HALF, depth)
         top = t.top
-        whole = (top.H.discard(top.h).bits(), top.H.bits())
+        whole = (top.H.discard(top.h).window(top.modulus), top.H.window(top.modulus))
         horizons = {top.modulus - 1, top.modulus}
         for lv in t.levels:
             m = lv.modulus
@@ -113,9 +114,9 @@ class TestSumsetWindow:
             b = oracle.enumerate(horizon)
             for period, full in zip(verify._periods(t, horizon), whole):
                 if horizon < top.modulus:
-                    assert horizon < len(period) <= 2 * horizon
+                    assert horizon < period.modulus <= 2 * horizon
                 else:
-                    assert len(period) == top.modulus
+                    assert period.modulus == top.modulus
                 assert np.array_equal(sumset_window(period, b, horizon),
                                       window_by_double_loop(full, b, horizon))
 
@@ -135,7 +136,7 @@ class TestSumsetWindow:
         period = (rng.random(modulus) < 0.3).astype(np.uint8)
         for size in (0, 1, 6, 40, 200):
             b = rng.choice(2 * horizon, size=size, replace=False).astype(np.int64)
-            sumset_window(period, b, horizon)
+            sumset_window(ResidueSet.from_bits(period), b, horizon)
             assert np.array_equal(tables.pop(), reference_proxies.first_member_table(
                 b, modulus, horizon))
 
@@ -151,19 +152,19 @@ class TestSumsetWindow:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert len(verify._periods(t, 10**4)[0]) == 2 * math.factorial(7)
+        assert verify._periods(t, 10**4)[0].modulus == 2 * math.factorial(7)
 
     def test_empty_operands(self):
-        ones, zeros = np.ones(30, np.uint8), np.zeros(30, np.uint8)
+        ones, zeros = ResidueSet(30, range(30)), ResidueSet(30)
         assert sumset_window(zeros, np.array([1]), 9).tolist() == [0] * 10
         assert sumset_window(ones, np.array([], dtype=np.int64), 9).tolist() == [0] * 10
         assert sumset_window(ones, np.array([10, 11]), 9).tolist() == [0] * 10
 
     def test_period_one(self):
         # A = N: A + B is everything from min(B) on
-        got = sumset_window(np.ones(1, np.uint8), np.array([7, 3, 5]), 9)
+        got = sumset_window(ResidueSet(1, [0]), np.array([7, 3, 5]), 9)
         assert got.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 1, 1]
-        assert sumset_window(np.ones(1, np.uint8), np.array([0]), 0).tolist() == [1]
+        assert sumset_window(ResidueSet(1, [0]), np.array([0]), 0).tolist() == [1]
 
 
 HORIZON_GUARDED = {
