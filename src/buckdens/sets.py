@@ -46,6 +46,7 @@ dense one.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -345,21 +346,14 @@ def fold(op: np.ufunc, p: ResidueSet, m: int) -> ResidueSet:
     for ``np.bitwise_or``.
 
     One ``op.reduce`` over the rows of words when m is a multiple of 64;
-    else the set's integer is halved, with an odd last row set aside."""
+    else the rows of the set's integer combined one by one."""
     words, q = p.words(), p.modulus // m
     if m % 64 == 0:
         return ResidueSet(m, _bits=op.reduce(words.reshape(q, m // 64), axis=0))
     combine = operator.and_ if op is np.bitwise_and else operator.or_
-    x, spare = _to_int(words), None
-    while q > 1:
-        if q % 2:
-            q -= 1
-            last = x >> (q * m)
-            x &= (1 << (q * m)) - 1
-            spare = last if spare is None else combine(spare, last)
-        q //= 2
-        x = combine(x & ((1 << (q * m)) - 1), x >> (q * m))
-    return ResidueSet(m, _bits=_from_int(x if spare is None else combine(x, spare), m))
+    x, mask = _to_int(words), (1 << m) - 1
+    rows = ((x >> (j * m)) & mask for j in range(q))
+    return ResidueSet(m, _bits=_from_int(functools.reduce(combine, rows), m))
 
 
 def _common_words(p: ResidueSet, q: ResidueSet) -> tuple[int, np.ndarray, np.ndarray]:

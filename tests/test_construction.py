@@ -350,19 +350,26 @@ class TestClaimA:
         # the check shifts over a few residues per layer instead of over
         # every member of H' at the small moduli (10611 rotations if it did);
         # H' is tried first and peels, so the dense cover is folded down
-        # and rotated by a few residues only
+        # and rotated by a few residues only.  Dense words are rotated by
+        # combine_rotated, or as one integer when their modulus is not a
+        # multiple of 64; both are counted, in bytes of words
         rotated = []
-        combine = sets.combine_rotated
+        combine, integer = sets.combine_rotated, sets.Rotations._rotated
 
         def counting(*args):
             rotated.append(args[-2].nbytes)
             combine(*args)
 
+        def counting_integer(self, shift):
+            rotated.append(8 * sets.word_count(self.k))
+            return integer(self, shift)
+
         oracle = PrimesOracle()
         t = construct(oracle, alpha, 10)
         monkeypatch.setattr(sets, "combine_rotated", counting)
+        monkeypatch.setattr(sets.Rotations, "_rotated", counting_integer)
         assert check_claimA(t, oracle).ok
-        assert 0 < len(rotated) <= 1000
+        assert 0 < len(rotated) <= 400
         assert sum(rotated) <= 5 * 10 ** 6
 
     @pytest.mark.parametrize("spec, depth", [
@@ -404,7 +411,9 @@ class TestClaimA:
     def test_sparse_checks_scan_no_full_level(self, monkeypatch):
         # the covers of factorials and a finite set hold at most n residues
         # of n!: the scatters and gathers list them block by block, never
-        # in one flatnonzero over the level's whole bitmap
+        # in one flatnonzero over the level's whole word array.  A 9! level
+        # is 5670 words, less than one _BLOCK, so the block is shrunk to
+        # 1024 words (65536 residues) for the listing to go block by block
         scanned = []
 
         def recording(x):
@@ -421,9 +430,10 @@ class TestClaimA:
             t = construct(oracle, Fraction(2, 3), 9)
             with monkeypatch.context() as patched:
                 patched.setattr(sets, "np", NumpyView())
+                patched.setattr(sets, "_BLOCK", 1024)
                 scanned.clear()
                 assert check_claimA(t, oracle).ok
-            assert scanned and max(scanned) <= sets._BLOCK < t.top.modulus
+            assert scanned and max(scanned) <= 1024 < sets.word_count(t.top.modulus)
 
     def test_an_oracle_breaking_the_projection_is_caught(self):
         # cover(7!) gains 0, which is not in cover(8!) mod 7!: the builder's
