@@ -17,10 +17,7 @@ from .density import (
     DensityInterval,
     UpperDensityFn,
     axiom_suite,
-    buck_upper_finite,
     buck_upper_periodic,
-    conjugate,
-    in_domain,
 )
 from .oracles import (
     CoverOracle,

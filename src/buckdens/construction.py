@@ -74,7 +74,8 @@ class Level:
 @dataclass
 class Tower:
     """Levels n = 1, ..., N for the target alpha; ``trivial`` (no levels:
-    A = N, which certifies alpha = 1 only) and ``depth`` are derived."""
+    A = N, which certifies alpha = 1 only), ``depth`` and ``tail`` are
+    derived."""
 
     alpha: Fraction
     oracle_spec: str
@@ -92,6 +93,12 @@ class Tower:
     @property
     def top(self) -> Level:
         return self.levels[-1]
+
+    @property
+    def tail(self) -> Fraction:
+        """2/(N+1)!, the bound on sum_{n>N} 1/n! that ``count_A`` and the
+        theorem report allow for the levels past N; 0 for a trivial tower."""
+        return Fraction(0) if self.trivial else Fraction(2, math.factorial(self.top.n + 1))
 
 
 def _base_level(cover_one: ResidueSet) -> Level:
@@ -323,7 +330,7 @@ def count_A(t: Tower, horizon: int) -> tuple[int, int]:
     Upper bound counts A_N, in closed form over whole periods of H_N and
     one prefix; the lower bound removes the marked class of h_N
     (which contains every deeper removal) plus an outward-rounded tail
-    allowance of horizon * sum_{n>N} 1/n! < horizon * 2/(N+1)!."""
+    allowance of horizon * ``t.tail``."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if t.trivial:
@@ -334,8 +341,7 @@ def count_A(t: Tower, horizon: int) -> tuple[int, int]:
              - (0 in top.H))
     first = top.h if top.h >= 1 else top.modulus
     marked = 0 if first > horizon else (horizon - first) // top.modulus + 1
-    tail = math.ceil(Fraction(2 * horizon, math.factorial(top.n + 1)))
-    lower = max(0, upper - marked - tail)
+    lower = max(0, upper - marked - math.ceil(horizon * t.tail))
     return lower, upper
 
 

@@ -1,6 +1,5 @@
-"""Density taxonomy: exact Buck-style upper density on periodic sets and
-finite sets, conjugate/lower values, and float-valued empirical estimators
-used only for verification.
+"""Density taxonomy: exact Buck-style upper density on periodic sets, and
+float-valued empirical estimators used only for verification.
 
 The exact path works entirely in :class:`fractions.Fraction`, and
 ``parse_rational`` is the one way a written rational enters it.  Empirical
@@ -15,7 +14,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -34,9 +33,6 @@ __all__ = [
     "UpperDensityFn",
     "DensityInterval",
     "buck_upper_periodic",
-    "buck_upper_finite",
-    "conjugate",
-    "in_domain",
     "DEFAULT_ENUM_BUDGET",
     "check_horizon",
     "periodic_indicator",
@@ -119,29 +115,6 @@ def buck_upper_periodic(p: ResidueSet) -> Fraction:
     union of APs containing it has at least this asymptotic density.
     """
     return p.density()
-
-
-def buck_upper_finite(s: Iterable[int]) -> Fraction:
-    """Upper Buck density of a finite set (always 0: cover by m*N + (S mod m)
-    with m arbitrarily large)."""
-    for x in s:
-        if x < 0:
-            raise ValueError("finite sets must contain non-negative integers")
-    return Fraction(0)
-
-
-def conjugate(value_of_complement: Fraction) -> Fraction:
-    """Lower density of X from the upper density of N \\ X."""
-    if not 0 <= value_of_complement <= 1:
-        raise ValueError(f"density {value_of_complement} outside [0, 1]")
-    return 1 - value_of_complement
-
-
-def in_domain(lower: Fraction, upper: Fraction) -> bool:
-    """True iff lower and upper densities agree exactly."""
-    if lower > upper:
-        raise ValueError("lower density exceeds upper density")
-    return lower == upper
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,10 @@ other operand down to ``k/q``.  An operand with no layer is shifted below
 verifier takes the min case for the least member of A + B in each class.
 Tower operands always peel: level n is level n − 1 tiled plus at most n − 1
 classes.  The kernel takes its operands in the order it is handed them and
-counts nothing it is not handed: each sparse/dense choice is read off a
-listing (``_sparse_members``) that lists live entries block by block,
-skipping the blocks that hold none, and gives up once it passes its limit,
-so an 11-residue cover of ``11!`` is not scanned in full and a dense one
-is refused after one block.
+counts nothing it is not handed: each sparse/dense choice is read off one
+listing (``_sparse_members``), a single pass that compares the table with
+its fill and lists the live entries, or gives up when there are more than
+its limit.
 
 A rotated table is a :class:`Rotations`, which applies the one
 sparse/dense rule: a table with at most one live entry in ``_SPARSE_RATIO``
@@ -88,8 +87,6 @@ DENSE_LIMIT = 1 << 28
 # _PEEL_MIN_MODULUS and a refusal from there on
 _SHIFT_MAX = 64
 _PEEL_MIN_MODULUS = 1 << 14
-# _sparse_members lists an array in blocks of this many entries
-_BLOCK = 1 << 16
 # Rotations: a table that lists at most one live entry in this many is
 # scattered (or gathered) instead of rotated; a scatter over at most
 # _SHIFT_MAX shifts then lists at most k/8 targets
@@ -200,25 +197,13 @@ def tile_words(words: np.ndarray, k: int, q: int) -> np.ndarray:
 
 class ResidueSet:
     """The set ``modulus * N + residues``, its residues in ``[0, modulus)``
-    stored as words (no residues = the empty set).
-
-    ``_bits`` hands over words that are already packed (``from_words``);
-    the set shares them, and they are never written after."""
+    stored as words (no residues = the empty set)."""
 
     __slots__ = ("modulus", "_words")
 
-    def __init__(self, modulus: int, residues: Iterable[int] = (), *,
-                 _bits: np.ndarray | None = None):
+    def __init__(self, modulus: int, residues: Iterable[int] = ()):
         check_budget(modulus)
         self.modulus = k = int(modulus)
-        if _bits is not None:
-            if _bits.dtype != _WORD or _bits.shape != (word_count(k),):
-                raise ValueError(f"words of dtype {_bits.dtype} and shape {_bits.shape} "
-                                 f"do not hold modulus {k}")
-            if k % 64 and _bits[-1] >> np.uint64(k % 64):
-                raise ValueError(f"words set padding bits past modulus {k}")
-            self._words = np.ascontiguousarray(_bits)
-            return
         if isinstance(residues, np.ndarray):
             positions = residues.astype(np.int64) % k
         else:
@@ -228,8 +213,20 @@ class ResidueSet:
 
     @classmethod
     def from_words(cls, modulus: int, words: np.ndarray) -> "ResidueSet":
-        """The set whose words are ``words`` (shared, not copied)."""
-        return cls(modulus, _bits=words)
+        """The set whose words are ``words``, shared, not copied, and never
+        written after: the one way packed words become a residue set.
+        Words of another dtype or length, or with a padding bit set past
+        the modulus, are a ValueError."""
+        check_budget(modulus)
+        k = int(modulus)
+        if words.dtype != _WORD or words.shape != (word_count(k),):
+            raise ValueError(f"words of dtype {words.dtype} and shape {words.shape} "
+                             f"do not hold modulus {k}")
+        if k % 64 and words[-1] >> np.uint64(k % 64):
+            raise ValueError(f"words set padding bits past modulus {k}")
+        p = cls.__new__(cls)
+        p.modulus, p._words = k, np.ascontiguousarray(words)
+        return p
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "ResidueSet":
@@ -238,7 +235,7 @@ class ResidueSet:
         words = np.zeros(word_count(bits.shape[0]), dtype=_WORD)
         packed = np.packbits(bits, bitorder="little")
         words.view(np.uint8)[:packed.size] = packed
-        return cls(bits.shape[0], _bits=words)
+        return cls.from_words(bits.shape[0], words)
 
     # -- queries ------------------------------------------------------------
 
@@ -281,15 +278,10 @@ class ResidueSet:
         ``1 <= length <= modulus``."""
         if not 1 <= length <= self.modulus:
             raise ValueError(f"prefix length {length} outside [1, {self.modulus}]")
-        return ResidueSet(length, _bits=_head(self._words, length))
+        return ResidueSet.from_words(length, _head(self._words, length))
 
     def density(self) -> Fraction:
         return Fraction(len(self), self.modulus)
-
-    def member(self, x: int) -> bool:
-        if x < 0:
-            raise ValueError("periodic sets live on the non-negative integers")
-        return x % self.modulus in self
 
     def is_empty(self) -> bool:
         return not self._words.any()
@@ -321,7 +313,7 @@ class ResidueSet:
         out = self._words.copy()
         positions = np.atleast_1d(np.asarray(r % self.modulus, dtype=np.int64))
         np.bitwise_and.at(out, positions >> 6, ~_bit(positions))
-        return ResidueSet(self.modulus, _bits=out)
+        return ResidueSet.from_words(self.modulus, out)
 
 
 def naturals() -> ResidueSet:
@@ -337,7 +329,7 @@ def rebase(p: ResidueSet, m: int) -> ResidueSet:
     if m == k:
         return p
     check_budget(m)
-    return ResidueSet(m, _bits=tile_words(p.words(), k, m // k))
+    return ResidueSet.from_words(m, tile_words(p.words(), k, m // k))
 
 
 def fold(op: np.ufunc, p: ResidueSet, m: int) -> ResidueSet:
@@ -349,11 +341,11 @@ def fold(op: np.ufunc, p: ResidueSet, m: int) -> ResidueSet:
     else the rows of the set's integer combined one by one."""
     words, q = p.words(), p.modulus // m
     if m % 64 == 0:
-        return ResidueSet(m, _bits=op.reduce(words.reshape(q, m // 64), axis=0))
+        return ResidueSet.from_words(m, op.reduce(words.reshape(q, m // 64), axis=0))
     combine = operator.and_ if op is np.bitwise_and else operator.or_
     x, mask = _to_int(words), (1 << m) - 1
     rows = ((x >> (j * m)) & mask for j in range(q))
-    return ResidueSet(m, _bits=_from_int(functools.reduce(combine, rows), m))
+    return ResidueSet.from_words(m, _from_int(functools.reduce(combine, rows), m))
 
 
 def _common_words(p: ResidueSet, q: ResidueSet) -> tuple[int, np.ndarray, np.ndarray]:
@@ -363,12 +355,12 @@ def _common_words(p: ResidueSet, q: ResidueSet) -> tuple[int, np.ndarray, np.nda
 
 def union(p: ResidueSet, q: ResidueSet) -> ResidueSet:
     m, a, b = _common_words(p, q)
-    return ResidueSet(m, _bits=a | b)
+    return ResidueSet.from_words(m, a | b)
 
 
 def intersect(p: ResidueSet, q: ResidueSet) -> ResidueSet:
     m, a, b = _common_words(p, q)
-    return ResidueSet(m, _bits=a & b)
+    return ResidueSet.from_words(m, a & b)
 
 
 def affine(p: ResidueSet, k: int, h: int) -> ResidueSet:
@@ -413,7 +405,7 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     for x, y in ((p, c), (c, p)):
         out = _peel_shift(x, len(x), y)
         if out is not None:
-            return ResidueSet(k, _bits=out)
+            return ResidueSet.from_words(k, out)
     raise ResourceLimitError(
         f"neither operand of a sumset mod {k} has a periodic layer to peel")
 
@@ -504,7 +496,7 @@ class Rotations:
             self.entries = _word_members(self.table, self.k // _SPARSE_RATIO)
         else:
             self.op, self.k, self.table = np.minimum, table.shape[0], table
-            self.entries = _sparse_members(np.minimum, table, np.iinfo(table.dtype).max,
+            self.entries = _sparse_members(table, np.iinfo(table.dtype).max,
                                            self.k // _SPARSE_RATIO)
         self._integer = (_to_int(self.table) if self.entries is None
                          and self.op is np.bitwise_or and self.k % 64 else None)
@@ -552,7 +544,7 @@ class Rotations:
             out |= _from_int(rotations, self.k)
         else:
             for s in shifts.tolist():
-                combine_rotated(self.op, out, out, *self._rolled(s))
+                combine_rotated(self.op, out, *self._rolled(s))
         return out
 
     def gain(self, base: np.ndarray, shift: int) -> int:
@@ -570,14 +562,12 @@ class Rotations:
         return _count(t[:n - w] & ~base[w:]) + _count(t[n - w:] & ~base[:w])
 
 
-def combine_rotated(op: np.ufunc, out: np.ndarray, src: np.ndarray, table: np.ndarray,
-                    shift: int) -> None:
-    """``out = op(src, np.roll(table, shift))`` for a binary ufunc ``op`` (OR
-    on words, min on tables) and ``0 <= shift < len(table)``; ``src`` may
-    be ``out`` itself."""
+def combine_rotated(op: np.ufunc, out: np.ndarray, table: np.ndarray, shift: int) -> None:
+    """``out = op(out, np.roll(table, shift))``, in place, for a binary ufunc
+    ``op`` (OR on words, min on tables) and ``0 <= shift < len(table)``."""
     k = table.shape[0]
-    op(src[shift:], table[: k - shift], out=out[shift:])
-    op(src[:shift], table[k - shift:], out=out[:shift])
+    op(out[shift:], table[: k - shift], out=out[shift:])
+    op(out[:shift], table[k - shift:], out=out[:shift])
 
 
 def _periodic_layer(x: ResidueSet, size: int) -> tuple[int, ResidueSet, np.ndarray] | None:
@@ -611,45 +601,22 @@ def _periodic_layer(x: ResidueSet, size: int) -> tuple[int, ResidueSet, np.ndarr
     return q, core, _word_members(outside, excess)
 
 
-def _sparse_members(op: np.ufunc, x: np.ndarray, fill: int,
-                    limit: int) -> np.ndarray | None:
+def _sparse_members(x: np.ndarray, fill: int, limit: int) -> np.ndarray | None:
     """``np.flatnonzero(x != fill)`` when it has at most ``limit`` entries,
-    else None, for ``x`` words or a 0/1 array with ``op`` OR and ``fill``
-    0, or a min table with ``op`` min and ``fill`` its dtype's maximum.
-
-    The first ``_BLOCK`` entries are counted first, so a dense x is
-    refused after one block, with no index listed, and an x of one block
-    is listed from that count.  Past them an
-    ``op.reduce`` per block finds the blocks that hold an entry other than
-    fill, and only those and the tail are listed, each added to the count
-    as it comes, with no mask as long as x.
-    """
-    k = x.shape[0]
-    head = x[:_BLOCK] != fill
-    count = int(np.count_nonzero(head))
-    if count > limit:
+    else None, for ``x`` words or a 0/1 array with ``fill`` 0, or a min
+    table with ``fill`` its dtype's maximum: one mask of a byte per entry,
+    counted, then listed."""
+    live = x != fill
+    if np.count_nonzero(live) > limit:
         return None
-    if k <= _BLOCK:
-        return np.flatnonzero(head)
-    whole = max(_BLOCK, k - k % _BLOCK)
-    occupied = np.flatnonzero(
-        op.reduce(x[_BLOCK:whole].reshape(-1, _BLOCK), axis=1) != fill) + 1
-    if count + occupied.size > limit:
-        return None
-    parts = [np.flatnonzero(head)]
-    for b in (occupied * _BLOCK).tolist() + [whole]:
-        parts.append(np.flatnonzero(x[b:b + _BLOCK] != fill) + b)
-        count += parts[-1].size
-        if count > limit:
-            return None
-    return np.concatenate(parts)
+    return np.flatnonzero(live)
 
 
 def _word_members(words: np.ndarray, limit: int) -> np.ndarray | None:
     """The sorted set bits of ``words`` when there are at most ``limit``,
     else None: the non-zero words are listed (``_sparse_members``, which
     refuses more than ``limit`` of them), and only those are unpacked."""
-    nonzero = _sparse_members(np.bitwise_or, words, 0, limit)
+    nonzero = _sparse_members(words, 0, limit)
     if nonzero is None:
         return None
     live = words[nonzero]
@@ -709,7 +676,7 @@ def bitmap_from_hex(k: int, text: str) -> ResidueSet:
         raise ValueError(f"bitmap sets padding bits past modulus {k}")
     words = np.zeros(word_count(k), dtype=_WORD)
     words.view(np.uint8)[:len(packed)] = np.frombuffer(packed, dtype=np.uint8)
-    return ResidueSet(k, _bits=words)
+    return ResidueSet.from_words(k, words)
 
 
 # ---------------------------------------------------------------------------

@@ -269,12 +269,8 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
 
     ab = a_bounds(tower)
     sb = sum_bounds(tower, oracle)
-    if tower.trivial:
-        eps_final = Fraction(0)
-        tail = 0.0
-    else:
-        eps_final = sb.per_level[-1][3]
-        tail = 2.0 / math.factorial(tower.top.n + 1)
+    eps_final = Fraction(0) if tower.trivial else sb.per_level[-1][3]
+    tail = float(tower.tail)
 
     report = DensityReport(
         alpha=tower.alpha, oracle=oracle.name, exact=oracle.exact,

@@ -408,33 +408,6 @@ class TestClaimA:
         assert check_claimA(t, oracle).ok
         assert max(lengths, default=0) < math.factorial(9) // 8
 
-    def test_sparse_checks_scan_no_full_level(self, monkeypatch):
-        # the covers of factorials and a finite set hold at most n residues
-        # of n!: the scatters and gathers list them block by block, never
-        # in one flatnonzero over the level's whole word array.  A 9! level
-        # is 5670 words, less than one _BLOCK, so the block is shrunk to
-        # 1024 words (65536 residues) for the listing to go block by block
-        scanned = []
-
-        def recording(x):
-            scanned.append(np.size(x))
-            return np.flatnonzero(x)
-
-        class NumpyView:   # numpy as buckdens.sets sees it
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            flatnonzero = staticmethod(recording)
-
-        for oracle in (FactorialsOracle(), FiniteOracle([0, 24, 7])):
-            t = construct(oracle, Fraction(2, 3), 9)
-            with monkeypatch.context() as patched:
-                patched.setattr(sets, "np", NumpyView())
-                patched.setattr(sets, "_BLOCK", 1024)
-                scanned.clear()
-                assert check_claimA(t, oracle).ok
-            assert scanned and max(scanned) <= 1024 < sets.word_count(t.top.modulus)
-
     def test_an_oracle_breaking_the_projection_is_caught(self):
         # cover(7!) gains 0, which is not in cover(8!) mod 7!: the builder's
         # tiling assumes the projection, and the check neither assumes it

@@ -13,13 +13,10 @@ from buckdens.density import (
     DensityInterval,
     UpperDensityFn,
     axiom_suite,
-    buck_upper_finite,
     buck_upper_periodic,
-    conjugate,
     empirical_asymptotic,
     empirical_banach,
     empirical_logarithmic,
-    in_domain,
     periodic_indicator,
     proxies,
     _randrange_block,
@@ -60,38 +57,7 @@ class TestBuckOnPeriodic:
             assert sup.density() >= buck_upper_periodic(p)
 
 
-class TestBuckOnFinite:
-    def test_singleton(self):
-        assert buck_upper_finite({5}) == 0
-
-    def test_empty(self):
-        assert buck_upper_finite(set()) == 0
-
-    def test_large_block(self):
-        assert buck_upper_finite(range(10**6 + 1)) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            buck_upper_finite({-1})
-
-
 class TestConjugate:
-    def test_split(self):
-        assert conjugate(Fraction(1, 2)) == Fraction(1, 2)
-
-    def test_edges(self):
-        assert conjugate(Fraction(0)) == 1
-        assert conjugate(Fraction(1)) == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            conjugate(Fraction(3, 2))
-
-    @given(st.fractions(min_value=0, max_value=1))
-    @settings(max_examples=100)
-    def test_involution(self, x):
-        assert conjugate(conjugate(x)) == x
-
     @given(st.integers(1, 60), st.data())
     @settings(max_examples=50)
     def test_lower_density_monotone_under_inclusion(self, k, data):
@@ -107,16 +73,6 @@ class TestConjugate:
 
 
 class TestDomain:
-    def test_agreeing_bounds(self):
-        assert in_domain(Fraction(1, 2), Fraction(1, 2))
-
-    def test_gap(self):
-        assert not in_domain(Fraction(0), Fraction(1))
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            in_domain(Fraction(1), Fraction(0))
-
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             DensityInterval(Fraction(1, 2), Fraction(1, 3))
@@ -182,7 +138,7 @@ class TestEmpiricalBanachAndLog:
         p = ResidueSet(7, [2, 5])
         ind = periodic_indicator(p, 1000)
         assert ind[2] == 1 and ind[3] == 0 and ind[9] == 1
-        assert int(ind.sum()) == len([x for x in range(1001) if p.member(x)])
+        assert int(ind.sum()) == len([x for x in range(1001) if x in p])
 
     def test_indicator_horizon_is_bounded(self):
         with pytest.raises(ResourceLimitError):

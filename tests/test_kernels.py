@@ -22,16 +22,13 @@ class TestKernelsAgreeWithReferences:
             bits = draw(rng, k)
             got = draw(rng, k)
             want = op(got, np.roll(bits, shift))
-            into = np.zeros_like(got)
-            combine_rotated(op, into, got, bits, shift)
-            assert np.array_equal(into, want)
-            combine_rotated(op, got, got, bits, shift)
+            combine_rotated(op, got, bits, shift)
             assert np.array_equal(got, want)
 
     def test_edge_shifts(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
         out = np.zeros(4, dtype=np.uint8)
-        combine_rotated(np.bitwise_or, out, out, bits, 0)
+        combine_rotated(np.bitwise_or, out, bits, 0)
         assert out.tolist() == [1, 0, 1, 1]
 
     def test_active_backend_is_numpy(self):

@@ -14,6 +14,9 @@
 - The sparse/dense rule: only ``sets.Rotations.__init__`` reads
   ``_SPARSE_RATIO``, handing its limit to the listing, and ``construction``
   rotates, scatters and gathers only through ``Rotations``.
+- The listing: ``sets._sparse_members`` is the one place in ``sets`` that
+  compares a whole table with its fill, in one pass; there is no block
+  size (``_BLOCK``).
 - ``construction.Level`` holds the fields its JSON holds, and no more.
 """
 
@@ -95,6 +98,18 @@ def test_construction_rotates_only_through_rotations():
     assert "Rotations" in names
 
 
+def test_only_the_listing_compares_a_table_with_its_fill():
+    tree = TREES["sets.py"]
+    assert not any(isinstance(node, ast.Name) and node.id == "_BLOCK"
+                   for node in ast.walk(tree))
+    owners = [owner for owner, fn in _qualified_functions(tree)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Compare)
+              and any(isinstance(n, ast.Name) and n.id == "fill"
+                      for n in [node.left, *node.comparators])]
+    assert owners == ["_sparse_members"]
+
+
 def test_level_holds_only_its_json_fields():
     assert [f.name for f in dataclasses.fields(Level)] == [
         "n", "H", "h", "k_chosen", "density_a", "sum_lower", "sum_upper"]
@@ -141,7 +156,6 @@ def test_only_these_parameters_have_defaults():
         ("oracles.py", "FiniteOracle.__init__", "name"),
         ("oracles.py", "EnumeratedOracle.__init__", "name"),
         ("sets.py", "ResidueSet.__init__", "residues"),
-        ("sets.py", "ResidueSet.__init__", "_bits"),
     }
 
 

@@ -191,89 +191,79 @@ class TestShiftKernel:
         assert np.array_equal(min_plus_mod(y, np.where(a, 0, 1)) == 0, want)
 
 
-BLOCK = sets._BLOCK
 FACT11 = math.factorial(11)
+KINDS = ["uint8", "bool", "words", "int32", "int64"]
 
 
-def block_edges(k):
-    """Indices on either side of every block boundary below k, and k − 1."""
-    edges = {0, k - 1}
-    for b in range(BLOCK, k, BLOCK):
-        edges.update((b - 1, b))
-    return sorted(edges)
+def sparse_table(kind, k, live, value=1):
+    """(x, fill): a table of ``kind`` and length k, ``live`` set to
+    ``value`` (a bit of a word for words) and every other entry its fill, 0
+    for bitmaps and words and the dtype's maximum for min tables."""
+    if kind in ("int32", "int64"):
+        fill = np.iinfo(kind).max
+        x = np.full(k, fill, dtype=kind)
+    else:
+        fill = 0
+        x = np.zeros(k, dtype=np.dtype("<u8") if kind == "words" else kind)
+        value = np.uint64(1) << np.uint64(value % 64) if kind == "words" else 1
+    x[live] = value
+    return x, fill
 
 
 @st.composite
-def sparse_bitmaps(draw, lengths):
-    """A uint8 bitmap of a drawn length with up to 64 members, each either
-    anywhere or on a block edge."""
+def sparse_tables(draw, lengths, kinds=KINDS):
+    """A table of a drawn kind and length with up to 64 live entries, each
+    anywhere or at either end."""
     k = draw(lengths)
-    anywhere = st.integers(0, k - 1)
-    members = draw(st.lists(st.one_of(anywhere, st.sampled_from(block_edges(k))),
-                            max_size=64))
-    x = np.zeros(k, dtype=np.uint8)
-    x[members] = 1
-    return x
+    ends = st.sampled_from([0, k - 1])
+    live = draw(st.lists(st.one_of(st.integers(0, k - 1), ends), max_size=64))
+    return sparse_table(draw(st.sampled_from(kinds)), k, live, draw(st.integers(0, 1000)))
+
+
+def assert_lists_at_its_limit(x, fill):
+    want = np.flatnonzero(x != fill)
+    got = sets._sparse_members(x, fill, want.size)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, want)
+    if want.size:
+        assert sets._sparse_members(x, fill, want.size - 1) is None
 
 
 class TestSparseMembers:
-    # lengths below, at and between block multiples
+    # lengths below and above 2**16, and at its neighbours
     @settings(max_examples=80)
-    @given(sparse_bitmaps(st.one_of(st.integers(1, 4 * BLOCK + 3),
-                                    st.sampled_from([BLOCK, 3 * BLOCK, BLOCK + 1]))))
-    @example(np.zeros(1, dtype=np.uint8))
-    @example(np.zeros(2 * BLOCK, dtype=np.uint8))
-    @example(np.zeros(2 * BLOCK + 7, dtype=np.uint8))
-    @example(np.ones(BLOCK + 1, dtype=np.uint8))
-    def test_matches_flatnonzero(self, x):
-        for bitmap in (x, x.view(bool)):
-            want = np.flatnonzero(bitmap)
-            got = sets._sparse_members(np.bitwise_or, bitmap, 0, want.size)
-            assert got.dtype == np.intp
-            assert np.array_equal(got, want)
-            if want.size:
-                assert sets._sparse_members(np.bitwise_or, bitmap, 0, want.size - 1) is None
+    @given(sparse_tables(st.one_of(st.integers(1, 4 * 2 ** 16 + 3),
+                                   st.sampled_from([2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]))))
+    @example(sparse_table("uint8", 1, []))
+    @example(sparse_table("words", 2 ** 16 + 7, []))
+    @example(sparse_table("int32", 2 ** 16 + 1, []))
+    @example(sparse_table("int64", 3, [0, 1, 2]))
+    @example((np.ones(2 ** 16 + 1, dtype=np.uint8), 0))
+    def test_matches_flatnonzero(self, table):
+        assert_lists_at_its_limit(*table)
 
+    # the residues of 11! as a bitmap and as its words, and an int32 table
+    # as long (the dtype the verifier's tables take)
     @settings(max_examples=15)
-    @given(sparse_bitmaps(st.just(FACT11)))
-    @example(np.zeros(FACT11, dtype=np.uint8))
-    def test_matches_flatnonzero_at_eleven_factorial(self, x):
-        want = np.flatnonzero(x)
-        assert np.array_equal(sets._sparse_members(np.bitwise_or, x, 0, want.size), want)
+    @given(sparse_tables(st.just(FACT11), ["uint8", "bool"])
+           | sparse_tables(st.just(sets.word_count(FACT11)), ["words"]))
+    @example(sparse_table("uint8", FACT11, []))
+    @example(sparse_table("int32", FACT11, [0, 5, FACT11 - 1], 7))
+    def test_matches_flatnonzero_at_eleven_factorial(self, table):
+        assert_lists_at_its_limit(*table)
 
-    def test_every_block_edge(self):
-        for k in (BLOCK - 1, BLOCK, 3 * BLOCK, 3 * BLOCK + 5):
-            x = np.zeros(k, dtype=np.uint8)
-            x[block_edges(k)] = 1
-            want = np.flatnonzero(x)
-            assert np.array_equal(sets._sparse_members(np.bitwise_or, x, 0, want.size), want)
-
-    # two entries in the head block, two in block 2 and two in the tail:
-    # limits 0 and 1 are passed in the head, 2 by the occupied blocks, 3 in
-    # block 2, and 4 and 5 in the tail
+    # six live entries, two of them at the ends: every limit below six is
+    # refused, and six and up list all of them
     @pytest.mark.parametrize("limit", range(8))
     def test_refuses_once_the_count_passes_the_limit(self, limit):
-        k = 3 * BLOCK + 5
-        entries = [3, 10, 2 * BLOCK + 1, 2 * BLOCK + 7, 3 * BLOCK + 2, 3 * BLOCK + 4]
-        bitmap = np.zeros(k, dtype=np.uint8)
-        bitmap[entries] = 1
-        fill = np.iinfo(np.int64).max
-        table = np.full(k, fill, dtype=np.int64)
-        table[entries] = 7
-        for op, x, none in ((np.bitwise_or, bitmap, 0), (np.minimum, table, fill)):
-            got = sets._sparse_members(op, x, none, limit)
+        k = 3 * 2 ** 16 + 5
+        entries = [0, 10, 2 ** 16, 2 ** 16 + 7, 3 * 2 ** 16 + 2, k - 1]
+        for kind in KINDS:
+            got = sets._sparse_members(*sparse_table(kind, k, entries, 7), limit)
             if limit < len(entries):
                 assert got is None
             else:
                 assert np.array_equal(got, entries)
-
-    def test_a_dense_head_is_refused_before_the_rest_is_reduced(self):
-        class NoReduce:
-            def reduce(self, *args, **kwargs):
-                raise AssertionError("reduced past a head that passed the limit")
-
-        x = np.ones(3 * BLOCK, dtype=np.uint8)
-        assert sets._sparse_members(NoReduce(), x, 0, BLOCK - 1) is None
 
 
 def periodic_operands(k, rng, density):
@@ -629,13 +619,14 @@ class TestRebase:
 
 
 class TestMember:
+    # x in p for any x >= 0, the modulus's multiples included
     @pytest.mark.parametrize("p,x,expected", [
         (ResidueSet(2, [0]), 4, True),
         (ResidueSet(2, [0]), 7, False),
         (ResidueSet(6, [1, 2, 3, 5]), 25, True),
     ])
     def test_examples(self, p, x, expected):
-        assert p.member(x) is expected
+        assert (x in p) is expected
 
 
 class TestCanonicalize:
@@ -657,7 +648,7 @@ class TestCanonicalize:
         c = canonicalize(p)
         assert canonicalize(c).modulus == c.modulus
         for x in range(p.modulus):
-            assert c.member(x) == p.member(x)
+            assert (x in c) == (x in p)
 
 
 def is_prime(n):
@@ -721,7 +712,7 @@ class TestBitmapRepresentation:
 
     def test_mismatched_bitmap_is_a_value_error(self):
         with pytest.raises(ValueError):
-            ResidueSet(5, _bits=np.zeros(4, dtype=np.uint8))
+            ResidueSet.from_words(5, np.zeros(4, dtype=np.uint8))
 
 
 class TestEquality:
