@@ -175,8 +175,8 @@ def construct(oracle: CoverOracle, alpha, depth: int, *,
     """Build a depth-``depth`` tower targeting sumset density ``alpha``.
 
     alpha = 1 short-circuits to the trivial tower denoting A = N.  Depth is
-    capped so that depth! stays within the dense-bitmap budget (default cap
-    10, 11 with ``allow_deep``).
+    capped so that a level's ⌈depth!/64⌉ words stay within the word budget,
+    ``sets.DENSE_LIMIT`` residues (default cap 10, 11 with ``allow_deep``).
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:

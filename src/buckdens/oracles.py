@@ -66,30 +66,17 @@ class CoverOracle:
 # ---------------------------------------------------------------------------
 # primes
 
-_SIEVE_SEGMENT = 1 << 22
-
-
 def sieve_primes(bound: int) -> np.ndarray:
-    """Primes <= bound via a segmented sieve of Eratosthenes."""
+    """Primes <= bound, by one sieve of Eratosthenes over ``bound + 1``
+    flags (every package bound is within ``DEFAULT_ENUM_BUDGET``)."""
     if bound < 2:
         return np.empty(0, dtype=np.int64)
-    root = int(math.isqrt(bound))
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, int(math.isqrt(root)) + 1):
-        if base[p]:
-            base[p * p:: p] = False
-    base_primes = np.nonzero(base)[0]
-    chunks = [base_primes[base_primes <= bound]]
-    for lo in range(root + 1, bound + 1, _SIEVE_SEGMENT):
-        hi = min(lo + _SIEVE_SEGMENT, bound + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base_primes:
-            start = -(lo // -p) * p  # first multiple of p >= lo
-            if start < hi:
-                seg[start - lo:: p] = False
-        chunks.append(np.nonzero(seg)[0] + lo)
-    return np.concatenate(chunks).astype(np.int64)
+    flags = np.ones(bound + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p:: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
 
 
 def primes_cover(m: int) -> ResidueSet:
@@ -204,7 +191,7 @@ class FactorialsOracle(CoverOracle):
             vals.append(f)
             j += 1
             f *= j
-        return np.array(sorted(set(vals)), dtype=np.int64)
+        return np.array(vals, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,18 @@ other operand down to ``k/q``.  An operand with no layer is shifted below
 verifier takes the min case for the least member of A + B in each class.
 Tower operands always peel: level n is level n − 1 tiled plus at most n − 1
 classes.  The kernel takes its operands in the order it is handed them and
-counts nothing it is not handed: each sparse/dense choice is read off one
-listing (``_sparse_members``), a single pass that compares the table with
-its fill and lists the live entries, or gives up when there are more than
-its limit.
+counts nothing it is not handed.  An integer table is rotated whole, once
+per shift.
 
-A rotated table is a :class:`Rotations`, which applies the one
-sparse/dense rule: a table with at most one live entry in ``_SPARSE_RATIO``
-is scattered, once per combine, at its listed entries shifted, so its
-rotations cost its entries, not the modulus; a denser one is rotated.  The
-peel combines its excess rotations through it, and the tower builder and
-checker count each candidate class's gain ``|roll(cover, h) ∖ state|``
-through it, gathered for a sparse cover and counted in one pass for a
-dense one.
+Rotated words are a :class:`Rotations`, which applies the one sparse/dense
+rule, read off one listing (``_word_members``): a single pass over the
+words that lists the set bits, or gives up when there are more than its
+limit.  A set with at most one member in ``_SPARSE_RATIO`` is scattered,
+once per combine, at its listed members shifted, so its rotations cost its
+members, not the modulus; a denser one is rotated.  The peel combines its
+excess rotations through it, and the tower builder and checker count each
+candidate class's gain ``|roll(cover, h) ∖ state|`` through it, gathered
+for a sparse cover and counted in one pass for a dense one.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ DENSE_LIMIT = 1 << 28
 # _PEEL_MIN_MODULUS and a refusal from there on
 _SHIFT_MAX = 64
 _PEEL_MIN_MODULUS = 1 << 14
-# Rotations: a table that lists at most one live entry in this many is
+# Rotations: words that list at most one member in this many are
 # scattered (or gathered) instead of rotated; a scatter over at most
 # _SHIFT_MAX shifts then lists at most k/8 targets
 _SPARSE_RATIO = 512
@@ -416,10 +415,10 @@ def min_plus_mod(p: ResidueSet, values: np.ndarray) -> np.ndarray:
     qualifies, t[r] is the dtype's maximum.
 
     The min case of ``_peel_shift``: ``sumset_mod`` with OR replaced by
-    min, and the table's live entries those below the dtype's maximum.  A
-    p of more than ``_SHIFT_MAX`` members with no periodic layer at a
-    modulus from ``_PEEL_MIN_MODULUS`` up raises
-    :class:`ResourceLimitError`; every tower period peels.
+    min, the table rotated whole at each shift.  A p of more than
+    ``_SHIFT_MAX`` members with no periodic layer at a modulus from
+    ``_PEEL_MIN_MODULUS`` up raises :class:`ResourceLimitError`; every
+    tower period peels.
     """
     if values.shape != (p.modulus,):
         raise ValueError(f"a table of shape {values.shape} for modulus {p.modulus}")
@@ -436,9 +435,8 @@ def _peel_shift(p: ResidueSet, size: int,
                 table: ResidueSet | np.ndarray) -> np.ndarray | None:
     """``out[r] = op{table[(r − c) mod k] : c in p}`` for a set ``p`` of
     ``size`` members and a table of its modulus k: a residue set, whose
-    words come out ORed, or an integer table, whose entries below its
-    dtype's maximum are live and come out by min; all clear (or the
-    maximum) where p is empty.
+    words come out ORed, or an integer table, whose entries come out by
+    min; all clear (or the dtype's maximum) where p is empty.
 
     - *shift*: when p has at most ``_SHIFT_MAX`` members, op over the
       rotations of ``table`` by each of them;
@@ -449,38 +447,43 @@ def _peel_shift(p: ResidueSet, size: int,
     - a p with no layer is shifted over when k is below
       ``_PEEL_MIN_MODULUS``, and from there on the result is None.
 
-    Only the fold, the tiling and the empty result differ between the
-    two semirings.  Each combine of rotations lists its own table
-    (:class:`Rotations`), and an empty excess lists none.  Each p, and each
-    core peeled from it, has its layer searched once.
+    Only the fold, the tiling, the empty result and the combine differ
+    between the two semirings: words are combined through
+    :class:`Rotations`, which lists them, and an integer table is rotated
+    whole once per shift.  An empty excess combines nothing.  Each p, and
+    each core peeled from it, has its layer searched once.
     """
     k = p.modulus
     words = isinstance(table, ResidueSet)
-    if size > _SHIFT_MAX:
-        layer = _periodic_layer(p, size)
-        if layer is not None:
-            q, core, excess = layer
-            period = k // q
-            folded = (fold(np.bitwise_or, table, period) if words
-                      else np.minimum.reduce(table.reshape(q, period), axis=0))
-            inner = _peel_shift(core, (size - excess.size) // q, folded)
-            if inner is None:
-                return None
-            out = tile_words(inner, period, q) if words else np.tile(inner, q)
-            return Rotations(table).combine(out, excess) if excess.size else out
-        if k >= _PEEL_MIN_MODULUS:
+    layer = _periodic_layer(p, size) if size > _SHIFT_MAX else None
+    if layer is not None:
+        q, core, shifts = layer
+        period = k // q
+        folded = (fold(np.bitwise_or, table, period) if words
+                  else np.minimum.reduce(table.reshape(q, period), axis=0))
+        inner = _peel_shift(core, (size - shifts.size) // q, folded)
+        if inner is None:
             return None
-    out = (np.zeros(word_count(k), dtype=_WORD) if words
-           else np.full(k, np.iinfo(table.dtype).max, dtype=table.dtype))
-    return Rotations(table).combine(out, p.members(0, k))
+        out = tile_words(inner, period, q) if words else np.tile(inner, q)
+    elif size > _SHIFT_MAX and k >= _PEEL_MIN_MODULUS:
+        return None
+    else:
+        out = (np.zeros(word_count(k), dtype=_WORD) if words
+               else np.full(k, np.iinfo(table.dtype).max, dtype=table.dtype))
+        shifts = p.members(0, k)
+    if not shifts.size:
+        return out
+    if words:
+        return Rotations(table).combine(out, shifts)
+    for s in shifts.tolist():
+        combine_rotated(np.minimum, out, table, s)
+    return out
 
 
 class Rotations:
-    """A table of length k, combined at rotations: a residue set's words by
-    OR, or an integer table by min, whose entries below its dtype's
-    maximum are live.
+    """A residue set's words, ORed in at rotations.
 
-    The table is listed once, here: one that lists at most one live entry
+    The words are listed once, here: a set that lists at most one member
     in ``_SPARSE_RATIO`` keeps its ``entries`` and is scattered or
     gathered at them shifted, and a denser one, refused by the listing
     (``entries`` None), is rotated or counted in whole passes.  Dense
@@ -488,18 +491,13 @@ class Rotations:
     (``_integer``).  All paths give the same results.
     """
 
-    __slots__ = ("op", "k", "table", "entries", "_integer")
+    __slots__ = ("k", "table", "entries", "_integer")
 
-    def __init__(self, table: ResidueSet | np.ndarray):
-        if isinstance(table, ResidueSet):
-            self.op, self.k, self.table = np.bitwise_or, table.modulus, table.words()
-            self.entries = _word_members(self.table, self.k // _SPARSE_RATIO)
-        else:
-            self.op, self.k, self.table = np.minimum, table.shape[0], table
-            self.entries = _sparse_members(table, np.iinfo(table.dtype).max,
-                                           self.k // _SPARSE_RATIO)
-        self._integer = (_to_int(self.table) if self.entries is None
-                         and self.op is np.bitwise_or and self.k % 64 else None)
+    def __init__(self, table: ResidueSet):
+        self.k, self.table = table.modulus, table.words()
+        self.entries = _word_members(self.table, self.k // _SPARSE_RATIO)
+        self._integer = (_to_int(self.table) if self.entries is None and self.k % 64
+                         else None)
 
     def _targets(self, shifts: np.ndarray) -> np.ndarray:
         targets = (self.entries[None, :] + shifts[:, None]).ravel()
@@ -511,13 +509,10 @@ class Rotations:
         return ((x << shift) | (x >> (k - shift))) & ((1 << k) - 1)
 
     def _rolled(self, shift: int) -> tuple[np.ndarray, int]:
-        """(t, w) with ``np.roll(t, w)`` the table rotated by ``shift``, for
-        an integer table or words with k a multiple of 64: the words roll
-        by ``shift // 64`` once their bits are carried by ``shift % 64``
-        within the ring of words."""
+        """(t, w) with ``np.roll(t, w)`` the words rotated by ``shift``, for
+        k a multiple of 64: the words roll by ``shift // 64`` once their
+        bits are carried by ``shift % 64`` within the ring of words."""
         t = self.table
-        if self.op is np.minimum:
-            return t, shift
         w, b = divmod(shift, 64)
         if not b:
             return t, w
@@ -527,16 +522,11 @@ class Rotations:
         return carried, w
 
     def combine(self, out: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        """``out`` (words, or a table like this one) combined in place by
-        op with the table rotated by each of ``shifts``: one scatter over
-        ``(entry + shift) mod k`` for a listed table, one rotation per
-        shift for a dense one."""
+        """The words ``out`` ORed in place with the set rotated by each of
+        ``shifts``: bits set at ``(entry + shift) mod k`` for a listed set,
+        one rotation per shift for a dense one."""
         if self.entries is not None:
-            targets = self._targets(shifts)
-            if self.op is np.minimum:
-                np.minimum.at(out, targets, np.tile(self.table[self.entries], shifts.size))
-            else:
-                _set_bits(out, targets)
+            _set_bits(out, self._targets(shifts))
         elif self._integer is not None:
             rotations = 0
             for s in shifts.tolist():
@@ -544,14 +534,13 @@ class Rotations:
             out |= _from_int(rotations, self.k)
         else:
             for s in shifts.tolist():
-                combine_rotated(self.op, out, *self._rolled(s))
+                combine_rotated(np.bitwise_or, out, *self._rolled(s))
         return out
 
     def gain(self, base: np.ndarray, shift: int) -> int:
-        """``|roll(table, shift) ∖ base|`` for a table of words and the words
-        ``base`` of the same modulus: the listed entries whose targets
-        ``base`` lacks, gathered, or one count of each of the two rolled
-        pieces of a dense table."""
+        """``|roll(set, shift) ∖ base|`` for the words ``base`` of the same
+        modulus: the listed members whose targets ``base`` lacks, gathered,
+        or one count of each of the two rolled pieces of a dense set."""
         if self.entries is not None:
             targets = self._targets(np.array([shift]))
             return self.entries.size - int(np.count_nonzero(_get_bits(base, targets)))
@@ -601,24 +590,15 @@ def _periodic_layer(x: ResidueSet, size: int) -> tuple[int, ResidueSet, np.ndarr
     return q, core, _word_members(outside, excess)
 
 
-def _sparse_members(x: np.ndarray, fill: int, limit: int) -> np.ndarray | None:
-    """``np.flatnonzero(x != fill)`` when it has at most ``limit`` entries,
-    else None, for ``x`` words or a 0/1 array with ``fill`` 0, or a min
-    table with ``fill`` its dtype's maximum: one mask of a byte per entry,
-    counted, then listed."""
-    live = x != fill
-    if np.count_nonzero(live) > limit:
-        return None
-    return np.flatnonzero(live)
-
-
 def _word_members(words: np.ndarray, limit: int) -> np.ndarray | None:
     """The sorted set bits of ``words`` when there are at most ``limit``,
-    else None: the non-zero words are listed (``_sparse_members``, which
-    refuses more than ``limit`` of them), and only those are unpacked."""
-    nonzero = _sparse_members(words, 0, limit)
-    if nonzero is None:
+    else None: one mask of a byte per word, counted (more than ``limit``
+    non-zero words are refused), then listed, and only the non-zero words
+    are unpacked."""
+    mask = words != 0
+    if np.count_nonzero(mask) > limit:
         return None
+    nonzero = np.flatnonzero(mask)
     live = words[nonzero]
     if _count(live) > limit:
         return None

@@ -285,6 +285,39 @@ class TestClaimA:
         assert code == 2
         assert err.count("\n") == 1 and "FAILED at level 7" in err
 
+    @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
+    def test_check_hands_sumset_mod_only_operands_that_peel(self, monkeypatch, spec):
+        # what keeps verify off exit 3: on a valid depth-8 tower, and on the
+        # same tower with 1-3 bits flipped across its levels, every operand
+        # check_claimA hands sumset_mod, and every core peeled from it, is
+        # shifted over (at most _SHIFT_MAX members) or has a periodic
+        # layer, so a malformed level fails its certificate instead of
+        # being refused
+        real = sets._periodic_layer
+
+        def peeling(x, size):
+            got = real(x, size)
+            assert got is not None, f"{size} residues mod {x.modulus} have no layer"
+            return got
+
+        oracle = parse_oracle(spec)
+        t = construct(oracle, HALF, 8)
+        rng = np.random.default_rng(len(spec))
+        towers = [t]
+        for flips in (1, 1, 2, 2, 3, 3):
+            levels = list(t.levels)
+            for i in rng.choice(len(levels), size=flips):
+                lv = levels[i]
+                r = int(rng.integers(lv.modulus))
+                flipped = lv.H.words().copy()
+                flipped[r >> 6] ^= np.uint64(1) << np.uint64(r & 63)
+                levels[i] = replace(lv, H=ResidueSet.from_words(lv.modulus, flipped))
+            towers.append(replace(t, levels=levels))
+        monkeypatch.setattr(sets, "_periodic_layer", peeling)
+        reports = [check_claimA(tower, oracle) for tower in towers]
+        assert reports[0].ok
+        assert not any(report.ok for report in reports[1:])
+
     def test_k_chosen_off_the_marked_class_is_caught(self, tmp_path, capsys):
         # level 5 of this tower stores k = 0 with h_5 = h_4; k = 3 would put
         # h_5 at h_4 + 3·4!, so the stored k no longer matches h

@@ -34,6 +34,9 @@ class TestSieve:
     def test_count_to_a_million(self):
         assert sieve_primes(10**6).size == 78498
 
+    def test_count_to_the_enumeration_budget(self):
+        assert sieve_primes(10**7).size == 664579
+
     def test_segment_boundaries(self):
         full = sieve_primes(10**5)
         assert full[-1] == 99991

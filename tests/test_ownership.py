@@ -14,9 +14,10 @@
 - The sparse/dense rule: only ``sets.Rotations.__init__`` reads
   ``_SPARSE_RATIO``, handing its limit to the listing, and ``construction``
   rotates, scatters and gathers only through ``Rotations``.
-- The listing: ``sets._sparse_members`` is the one place in ``sets`` that
-  compares a whole table with its fill, in one pass; there is no block
-  size (``_BLOCK``).
+- The listing: ``Rotations`` takes a residue set only, and ``sets`` lists
+  words alone (``_word_members``, in one pass): there is no listing of
+  integer tables (``_sparse_members``), no min scatter (``minimum.at``)
+  and no block size (``_BLOCK``).
 - ``construction.Level`` holds the fields its JSON holds, and no more.
 """
 
@@ -94,20 +95,23 @@ def test_construction_rotates_only_through_rotations():
              node.attr if isinstance(node, ast.Attribute) else node.name
              for node in ast.walk(TREES["construction.py"])
              if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
-    assert names.isdisjoint({"combine_rotated", "sparse_members", "_sparse_members"})
+    assert names.isdisjoint({"combine_rotated", "_word_members"})
     assert "Rotations" in names
 
 
-def test_only_the_listing_compares_a_table_with_its_fill():
+def test_rotations_take_residue_sets_and_only_words_are_listed():
     tree = TREES["sets.py"]
-    assert not any(isinstance(node, ast.Name) and node.id == "_BLOCK"
+    init = dict(_qualified_functions(tree))["Rotations.__init__"]
+    assert not any(isinstance(node, ast.Name) and node.id == "isinstance"
+                   for node in ast.walk(init))
+    names = {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef))}
+    assert names.isdisjoint({"_sparse_members", "_BLOCK"})
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "at"
+                   and ast.unparse(node.value).endswith("minimum")
                    for node in ast.walk(tree))
-    owners = [owner for owner, fn in _qualified_functions(tree)
-              for node in ast.walk(fn)
-              if isinstance(node, ast.Compare)
-              and any(isinstance(n, ast.Name) and n.id == "fill"
-                      for n in [node.left, *node.comparators])]
-    assert owners == ["_sparse_members"]
 
 
 def test_level_holds_only_its_json_fields():

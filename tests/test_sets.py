@@ -192,78 +192,65 @@ class TestShiftKernel:
 
 
 FACT11 = math.factorial(11)
-KINDS = ["uint8", "bool", "words", "int32", "int64"]
 
 
-def sparse_table(kind, k, live, value=1):
-    """(x, fill): a table of ``kind`` and length k, ``live`` set to
-    ``value`` (a bit of a word for words) and every other entry its fill, 0
-    for bitmaps and words and the dtype's maximum for min tables."""
-    if kind in ("int32", "int64"):
-        fill = np.iinfo(kind).max
-        x = np.full(k, fill, dtype=kind)
-    else:
-        fill = 0
-        x = np.zeros(k, dtype=np.dtype("<u8") if kind == "words" else kind)
-        value = np.uint64(1) << np.uint64(value % 64) if kind == "words" else 1
-    x[live] = value
-    return x, fill
+def word_table(n, members):
+    """The words of the set mod n with ``members``."""
+    return ResidueSet(n, members).words()
 
 
 @st.composite
-def sparse_tables(draw, lengths, kinds=KINDS):
-    """A table of a drawn kind and length with up to 64 live entries, each
-    anywhere or at either end."""
-    k = draw(lengths)
-    ends = st.sampled_from([0, k - 1])
-    live = draw(st.lists(st.one_of(st.integers(0, k - 1), ends), max_size=64))
-    return sparse_table(draw(st.sampled_from(kinds)), k, live, draw(st.integers(0, 1000)))
+def sparse_words(draw, word_counts):
+    """The words of a set of a drawn number of words (its modulus up to 63
+    short of filling the last) with up to 64 members, each anywhere, at
+    either end, or among the first few words, so that words hold several."""
+    n = max(1, 64 * draw(word_counts) - draw(st.integers(0, 63)))
+    anywhere = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1]),
+                         st.integers(0, min(n, 256) - 1))
+    return word_table(n, draw(st.lists(anywhere, max_size=64)))
 
 
-def assert_lists_at_its_limit(x, fill):
-    want = np.flatnonzero(x != fill)
-    got = sets._sparse_members(x, fill, want.size)
+def assert_lists_at_its_limit(words):
+    want = np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))
+    got = sets._word_members(words, want.size)
     assert got.dtype == np.intp
     assert np.array_equal(got, want)
     if want.size:
-        assert sets._sparse_members(x, fill, want.size - 1) is None
+        assert sets._word_members(words, want.size - 1) is None
 
 
 class TestSparseMembers:
-    # lengths below and above 2**16, and at its neighbours
+    # the one listing, _word_members, against the unpacked bits: word
+    # counts below and above 2**16, and at its neighbours
     @settings(max_examples=80)
-    @given(sparse_tables(st.one_of(st.integers(1, 4 * 2 ** 16 + 3),
-                                   st.sampled_from([2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]))))
-    @example(sparse_table("uint8", 1, []))
-    @example(sparse_table("words", 2 ** 16 + 7, []))
-    @example(sparse_table("int32", 2 ** 16 + 1, []))
-    @example(sparse_table("int64", 3, [0, 1, 2]))
-    @example((np.ones(2 ** 16 + 1, dtype=np.uint8), 0))
-    def test_matches_flatnonzero(self, table):
-        assert_lists_at_its_limit(*table)
+    @given(sparse_words(st.one_of(st.integers(1, 4 * 2 ** 16 + 3),
+                                  st.sampled_from([2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]))))
+    @example(word_table(1, []))
+    @example(word_table(64 * (2 ** 16 + 7), []))
+    @example(word_table(64 * 2 ** 16 + 1, [0, 1, 63, 64, 64 * 2 ** 16]))
+    @example(np.full(2 ** 16 + 1, np.uint64(2 ** 64 - 1)))
+    def test_matches_flatnonzero(self, words):
+        assert_lists_at_its_limit(words)
 
-    # the residues of 11! as a bitmap and as its words, and an int32 table
-    # as long (the dtype the verifier's tables take)
+    # the words of a set mod 11!, the largest tower modulus
     @settings(max_examples=15)
-    @given(sparse_tables(st.just(FACT11), ["uint8", "bool"])
-           | sparse_tables(st.just(sets.word_count(FACT11)), ["words"]))
-    @example(sparse_table("uint8", FACT11, []))
-    @example(sparse_table("int32", FACT11, [0, 5, FACT11 - 1], 7))
-    def test_matches_flatnonzero_at_eleven_factorial(self, table):
-        assert_lists_at_its_limit(*table)
+    @given(sparse_words(st.just(sets.word_count(FACT11))))
+    @example(word_table(FACT11, []))
+    @example(word_table(FACT11, [0, 5, FACT11 - 1]))
+    def test_matches_flatnonzero_at_eleven_factorial(self, words):
+        assert_lists_at_its_limit(words)
 
-    # six live entries, two of them at the ends: every limit below six is
-    # refused, and six and up list all of them
+    # six members in five words, two of them at the ends: every limit
+    # below six is refused, and six and up list all of them
     @pytest.mark.parametrize("limit", range(8))
     def test_refuses_once_the_count_passes_the_limit(self, limit):
         k = 3 * 2 ** 16 + 5
-        entries = [0, 10, 2 ** 16, 2 ** 16 + 7, 3 * 2 ** 16 + 2, k - 1]
-        for kind in KINDS:
-            got = sets._sparse_members(*sparse_table(kind, k, entries, 7), limit)
-            if limit < len(entries):
-                assert got is None
-            else:
-                assert np.array_equal(got, entries)
+        members = [0, 10, 2 ** 16, 2 ** 16 + 7, 3 * 2 ** 16 + 2, k - 1]
+        got = sets._word_members(word_table(k, members), limit)
+        if limit < len(members):
+            assert got is None
+        else:
+            assert np.array_equal(got, members)
 
 
 def periodic_operands(k, rng, density):
@@ -496,12 +483,9 @@ SPARSE_RATIO = sets._SPARSE_RATIO
 
 
 @st.composite
-def semiring_tables(draw, k, sparse):
-    """(op, table, fill) of length k whose live entries (not ``fill``) lie
-    on the drawn side of the sparse/dense rule: an OR bitmap with fill 0,
-    or a min table with fill its dtype's maximum and live values drawn
-    from a small range, so that they repeat.  The entries 0 and k − 1 are
-    taken first when drawn so."""
+def rule_bitmaps(draw, k, sparse):
+    """A bitmap of length k whose members lie on the drawn side of the
+    sparse/dense rule, 0 and k − 1 taken first when drawn so."""
     bound = k // SPARSE_RATIO
     count = draw(st.integers(0, bound) if sparse else
                  st.integers(bound + 1, min(k, bound + 200)))
@@ -510,60 +494,63 @@ def semiring_tables(draw, k, sparse):
     if draw(st.booleans()):
         edges = np.unique([0, k - 1])
         order = np.concatenate([edges, order[~np.isin(order, edges)]])
-    entries = order[:count]
-    if draw(st.booleans()):
-        table = np.zeros(k, dtype=np.uint8)
-        table[entries] = 1
-        return np.bitwise_or, table, 0
+    table = np.zeros(k, dtype=np.uint8)
+    table[order[:count]] = 1
+    return table
+
+
+@st.composite
+def min_tables(draw, k):
+    """(table, fill) of length k: an int32 or int64 table whose entries
+    are its dtype's maximum (``fill``) but for a drawn number, anywhere
+    from none to all of them, with values from a small range, so that they
+    repeat."""
     dtype = draw(st.sampled_from([np.int32, np.int64]))
     fill = np.iinfo(dtype).max
+    count = draw(st.one_of(st.integers(0, min(k, 200)), st.just(k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     table = np.full(k, fill, dtype=dtype)
-    table[entries] = rng.integers(0, draw(st.sampled_from([3, 1000])), size=count)
-    return np.minimum, table, fill
+    table[rng.permutation(k)[:count]] = rng.integers(0, draw(st.sampled_from([3, 1000])),
+                                                    size=count)
+    return table, fill
 
 
 def semiring_moduli(two):
     """Moduli with several prime factors, at least 2 * SPARSE_RATIO so that
-    the sparse side holds live entries."""
+    the sparse side holds members."""
     return smooth_moduli(two, 2, 1).filter(lambda k: k >= 2 * SPARSE_RATIO)
 
 
 class TestScatterRotation:
-    # Rotations' two paths, the scatter (or gather) of a listed table and
-    # one rotation (or count) per shift, on either side of the sparse/dense
-    # rule and in both semirings (words by OR, tables by min), at moduli
-    # that are multiples of 64 and moduli that are not, below and above the
-    # listing's block size; the ratio only picks the path, so 1 forces the
-    # listing and k + 1 the whole passes of any table with a live entry
+    # Rotations' two paths, the scatter (or gather) of a listed set and one
+    # rotation (or count) per shift, on either side of the sparse/dense
+    # rule, at moduli that are multiples of 64 and moduli that are not; the
+    # ratio only picks the path, so 1 forces the listing and k + 1 the
+    # whole passes of any set with a member
     @settings(max_examples=150)
     @given(st.data())
     def test_paths_agree_with_rolls(self, data):
         k = data.draw(st.one_of(semiring_moduli(6), st.sampled_from([2 ** 17, 100800])))
         sparse = data.draw(st.booleans())
-        op, table, fill = data.draw(semiring_tables(k, sparse))
+        table = data.draw(rule_bitmaps(k, sparse))
         shifts = np.array(data.draw(st.lists(st.one_of(st.integers(0, k - 1), st.just(k - 1)),
                                              unique=True, max_size=64)), dtype=np.intp)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        start = np.where(rng.random(k) < 0.5, table[rng.permutation(k)], fill).astype(table.dtype)
+        start = np.where(rng.random(k) < 0.5, table[rng.permutation(k)], 0).astype(np.uint8)
         want = start.copy()
         for s in shifts.tolist():
-            want = op(want, np.roll(table, s))
-        words = op is np.bitwise_or
-        handed = ResidueSet.from_bits(table) if words else table
-        begin = ResidueSet.from_bits(start).words() if words else start
+            want |= np.roll(table, s)
+        handed = ResidueSet.from_bits(table)
+        begin = ResidueSet.from_bits(start).words()
         assert (sets.Rotations(handed).entries is not None) == sparse
         for ratio in (SPARSE_RATIO, 1, k + 1):
             with pytest.MonkeyPatch.context() as patched:
                 patched.setattr(sets, "_SPARSE_RATIO", ratio)
                 rotations = sets.Rotations(handed)
             got = rotations.combine(begin.copy(), shifts)
-            if words:
-                got = ResidueSet.from_words(k, got).window(k)
-            assert np.array_equal(got, want)
-            if words:
-                for s in shifts.tolist():
-                    assert rotations.gain(begin, s) == \
-                        np.count_nonzero(np.roll(table, s) > start)
+            assert np.array_equal(ResidueSet.from_words(k, got).window(k), want)
+            for s in shifts.tolist():
+                assert rotations.gain(begin, s) == np.count_nonzero(np.roll(table, s) > start)
 
     @settings(max_examples=60)
     @given(st.data())
@@ -588,13 +575,13 @@ class TestScatterRotation:
         # below _PEEL_MIN_MODULUS, so that every operand peels or shifts
         k = data.draw(semiring_moduli(5))
         assert k < sets._PEEL_MIN_MODULUS
-        sparse = data.draw(st.booleans())
-        op, table, fill = data.draw(semiring_tables(k, sparse))
         p = data.draw(layered_bitmaps(st.just(k)))
-        if op is np.minimum:
+        if data.draw(st.booleans()):
+            table, fill = data.draw(min_tables(k))
             assert np.array_equal(min_plus_mod(ResidueSet.from_bits(p), table),
                                   min_plus_reference(p, table, fill))
             return
+        table = data.draw(rule_bitmaps(k, data.draw(st.booleans())))
         fewer, more = sorted((p, table), key=np.count_nonzero)
         want = shift_or_reference(more, fewer)
         for a, b in ((p, table), (table, p)):
