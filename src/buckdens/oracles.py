@@ -9,6 +9,7 @@ by enumerating a predicate up to a bound are under-approximate and carry
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import warnings
@@ -19,7 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .density import check_horizon
-from .sets import ResidueSet, ResourceLimitError, check_budget, factorize
+from .sets import (ResidueSet, ResourceLimitError, check_budget, factorize, intersect,
+                   naturals, union)
 
 __all__ = [
     "CoverOracle",
@@ -87,10 +89,8 @@ def primes_cover(m: int) -> ResidueSet:
     """
     check_budget(m)
     primes = factorize(m)
-    bits = _crt_product([_indicator(q, p, zero=False) for q, p in _prime_powers(primes)])
-    for p in primes:
-        bits[p % m] = 1
-    return ResidueSet.from_bits(bits)
+    units = _crt_product([_indicator(q, p, zero=False) for q, p in _prime_powers(primes)])
+    return union(units, ResidueSet(m, primes))
 
 
 def _prime_powers(factors: dict[int, int]) -> list[tuple[int, int]]:
@@ -106,23 +106,17 @@ def _indicator(q: int, p: int, *, zero: bool) -> np.ndarray:
     return ind
 
 
-def _crt_product(indicators: list[np.ndarray]) -> np.ndarray:
-    """The 0/1 bitmap mod m of ``{r : ind_q[r mod q] for every q}``, from one
+def _crt_product(indicators: list[np.ndarray]) -> ResidueSet:
+    """The set mod m of ``{r : ind_q[r mod q] for every q}``, from one 0/1
     indicator of length q per prime power q || m, in ascending order of q.
 
-    Under the CRT a product of component sets has
-    ``bits[r] = AND_q ind_q[r mod q]``.  Each step tiles the bitmap so far
-    (length L) q times into an (L, q) array, whose row i, column j is the
-    residue x = i*q + j with x mod q = j, and ANDs the indicator into every
-    row; the largest q goes last, so the widest rows come in one step.
-    With no prime power (m = 1) the product is the one-residue bitmap.
+    Under the CRT a product of component sets is their intersection: each
+    indicator is packed as a set mod q and the sets are intersected in
+    turn, every step tiling in words (``tile_words``), the largest q last.
+    With no prime power (m = 1) the product is all of N.
     """
-    bits, *rest = indicators or [np.ones(1, dtype=np.uint8)]
-    for ind in rest:
-        t = np.tile(bits, ind.shape[0]).reshape(bits.shape[0], ind.shape[0])
-        t &= ind
-        bits = t.ravel()
-    return bits
+    components = [ResidueSet.from_bits(ind) for ind in indicators] or [naturals()]
+    return functools.reduce(intersect, components)
 
 
 class PrimesOracle(CoverOracle):
@@ -221,8 +215,8 @@ def perfect_powers_cover(m: int) -> ResidueSet:
 
     x -> x^k acts componentwise under the CRT, so the k-th power image mod
     m is the product of its images mod the prime powers q = p^e || m
-    (``_crt_product``), and the cover is the OR of these products over
-    k >= 2.  With v the largest e:
+    (``_crt_product``), and the cover is the ``union`` of these products
+    over k >= 2.  With v the largest e:
 
     - for k >= v the image mod q lies in the units plus 0 (units map to
       units, and a multiple of p to 0 since k >= e), and every exponent
@@ -234,11 +228,11 @@ def perfect_powers_cover(m: int) -> ResidueSet:
     check_budget(m)
     factors = factorize(m)
     moduli = _prime_powers(factors)
-    bits = _crt_product([_indicator(q, p, zero=True) for q, p in moduli])
+    cover = _crt_product([_indicator(q, p, zero=True) for q, p in moduli])
     for k in range(2, max(factors.values(), default=0)):
         if factorize(k) == {k: 1}:
-            bits |= _crt_product([_power_image(q, k) for q, _ in moduli])
-    return ResidueSet.from_bits(bits)
+            cover = union(cover, _crt_product([_power_image(q, k) for q, _ in moduli]))
+    return cover
 
 
 class PerfectPowersOracle(CoverOracle):

@@ -10,10 +10,10 @@ A residue set is one array of ``⌈k/64⌉`` little-endian 64-bit words
 (dtype ``'<u8'``): residue i is bit ``i % 64`` of word ``i // 64``, and the
 bits past k are clear, so the words' first ``⌈k/8⌉`` bytes are the packed
 bitmap that set files and tower JSON hold as hex.  Whole-set passes (tile,
-fold, count, rotate) run on words.  For a modulus that is not a multiple of
-64 the tile, fold and rotation instead read the same bits as one Python
-integer (``_to_int``), shift it and write the words back (``_from_int``).
-A 0/1 array
+fold, count, rotate) run on words; a tile ``np.tile``s the words of the
+periods that end on a word boundary.  Building those periods, and the fold
+and rotation at a modulus that is not a multiple of 64, shift one Python
+integer (``_to_int``) and write the words back (``_from_int``).  A 0/1 array
 enters through ``ResidueSet.from_bits`` and leaves through
 ``ResidueSet.window`` only.  A modulus above ``DENSE_LIMIT`` (``2**28``,
 which every tower modulus ``n! <= 11!`` fits) is refused with
@@ -181,17 +181,20 @@ def _from_int(x: int, n: int) -> np.ndarray:
 
 
 def tile_words(words: np.ndarray, k: int, q: int) -> np.ndarray:
-    """The words of a k-residue period repeated q times: ``np.tile`` when k
-    is a multiple of 64, else the period's bits, read as one integer,
-    doubled until they cover the k·q residues."""
-    if k % 64 == 0:
-        return np.tile(words, q)
-    n = k * q
-    tiled, length = _to_int(words), k
-    while length < n:
-        tiled |= tiled << length
-        length *= 2
-    return _from_int(tiled & ((1 << n) - 1), n)
+    """The words of a k-residue period repeated q times, a fresh array: the
+    g = 64 / gcd(k, 64) periods that end on a word boundary (all q when g
+    does not divide q) are built as one integer, doubled until it covers
+    them, and their words ``np.tile``d; nothing is built when g = 1."""
+    g = 64 // math.gcd(k, 64)
+    g = q if q % g else g
+    if g > 1:
+        n, tiled, length = k * g, _to_int(words), k
+        while length < n:
+            tiled |= tiled << length
+            length *= 2
+        words = _from_int(tiled & ((1 << n) - 1) if length > n else tiled, n)
+        return words if g == q else np.tile(words, q // g)
+    return np.tile(words, q)
 
 
 class ResidueSet:
@@ -347,19 +350,21 @@ def fold(op: np.ufunc, p: ResidueSet, m: int) -> ResidueSet:
     return ResidueSet.from_words(m, _from_int(functools.reduce(combine, rows), m))
 
 
-def _common_words(p: ResidueSet, q: ResidueSet) -> tuple[int, np.ndarray, np.ndarray]:
+def _combine(op: np.ufunc, p: ResidueSet, q: ResidueSet) -> ResidueSet:
+    """``op`` of the words of p and q rebased to their lcm m, written into
+    p's tile when p is rebased: that tile is fresh, and nothing else holds
+    it."""
     m = math.lcm(p.modulus, q.modulus)
-    return m, rebase(p, m).words(), rebase(q, m).words()
+    a, b = rebase(p, m).words(), rebase(q, m).words()
+    return ResidueSet.from_words(m, op(a, b, out=a if m != p.modulus else None))
 
 
 def union(p: ResidueSet, q: ResidueSet) -> ResidueSet:
-    m, a, b = _common_words(p, q)
-    return ResidueSet.from_words(m, a | b)
+    return _combine(np.bitwise_or, p, q)
 
 
 def intersect(p: ResidueSet, q: ResidueSet) -> ResidueSet:
-    m, a, b = _common_words(p, q)
-    return ResidueSet.from_words(m, a & b)
+    return _combine(np.bitwise_and, p, q)
 
 
 def affine(p: ResidueSet, k: int, h: int) -> ResidueSet:

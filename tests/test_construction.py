@@ -127,13 +127,17 @@ class TestStep:
 
     def test_construct_never_calls_the_convolution(self, monkeypatch):
         # the builder tiles the carried lower sumset; only check_claimA
-        # convolves, so its certificates are an independent re-derivation
+        # convolves, so its certificates are an independent re-derivation;
+        # the covers intersect their CRT components through ``rebase``, so
+        # they are built before the patch
         def refuse(*args, **kwargs):
             raise AssertionError("the builder must not convolve or rebase")
 
         for spec, alpha in (("primes", HALF), ("powers", Fraction(9, 10)),
                             ("factorials", Fraction(1, 3)), ("finite:0,24,7", HALF)):
             oracle = parse_oracle(spec)
+            for n in range(1, 8):
+                oracle.cover_cached(math.factorial(n))
             with monkeypatch.context() as patched:
                 for module in (construction, sets):
                     for name in ("sumset_mod", "rebase"):

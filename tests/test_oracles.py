@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buckdens.oracles import (
     _FACTORIAL_STEP_MAX,
@@ -18,13 +20,20 @@ from buckdens.oracles import (
     finite_cover,
     parse_oracle,
     perfect_powers_cover,
+    _crt_product,
     _kempner,
     _power_image,
+    _prime_powers,
     primes_cover,
     sieve_primes,
     smallness_profile,
 )
-from buckdens.sets import ResourceLimitError
+from buckdens.sets import ResourceLimitError, factorize
+
+
+# moduli 64·j (j odd, or 81 at 5184) whose odd component is tiled by a
+# multiple of 64, so the CRT product tiles it through whole words
+WHOLE_WORD_TILED = [192, 320, 576, 960, 1344, 5184]
 
 
 class TestSieve:
@@ -70,10 +79,25 @@ class TestPrimesCover:
     def test_matches_gcd_definition(self):
         # the classes coprime to m, plus p mod m for each prime p | m
         primes = sieve_primes(1000)
-        for m in list(range(1, 1001)) + [math.factorial(n) for n in range(2, 10)]:
+        for m in (list(range(1, 1001)) + WHOLE_WORD_TILED
+                  + [math.factorial(n) for n in range(2, 10)]):
             bits = np.gcd(np.arange(m), m) == 1
             bits[primes[m % primes == 0] % m] = True
             assert primes_cover(m).residues() == np.nonzero(bits)[0].tolist(), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**5), st.integers(0, 2**32 - 1))
+def test_crt_product_is_the_and_of_its_components(m, seed):
+    # r is in the product iff every component holds r mod q
+    rng = np.random.default_rng(seed)
+    moduli = [q for q, _ in _prime_powers(factorize(m))]
+    indicators = [(rng.random(q) < 0.8).astype(np.uint8) for q in moduli]
+    want, r = np.ones(m, dtype=bool), np.arange(m)
+    for q, ind in zip(moduli, indicators):
+        want &= ind[r % q].astype(bool)
+    got = _crt_product(indicators)
+    assert got.modulus == m and np.array_equal(got.window(m), want)
 
 
 class TestFactorialsCover:
@@ -161,7 +185,7 @@ class TestPerfectPowersCover:
 
     def test_brute_force_exponent_union(self):
         # independent oracle: union over a generous exponent schedule
-        for m in list(range(1, 151)) + [720]:
+        for m in list(range(1, 151)) + [720] + WHOLE_WORD_TILED:
             base = np.arange(m, dtype=np.int64)
             power = base * base % m
             want = np.zeros(m, dtype=bool)
@@ -265,6 +289,22 @@ def test_a_sparse_cover_of_eleven_factorial_allocates_only_its_words(spec, size)
         tracemalloc.stop()
     assert peak < 8 * 10**6
     assert len(cover) == size
+
+
+@pytest.mark.parametrize("cover, size", [(primes_cover, 8294405),
+                                         (perfect_powers_cover, 12140238)],
+                         ids=["primes", "powers"])
+def test_a_crt_cover_of_eleven_factorial_peaks_at_a_few_times_its_words(cover, size):
+    # the words hold 11!/8 = 4989600 bytes; the components are intersected
+    # in words, with no byte per residue of 11!
+    tracemalloc.start()
+    try:
+        got = cover(math.factorial(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 4989600
+    assert len(got) == size
 
 
 @pytest.mark.parametrize("cover", [primes_cover, factorials_cover, perfect_powers_cover,

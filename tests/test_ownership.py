@@ -19,6 +19,9 @@
   integer tables (``_sparse_members``), no min scatter (``minimum.at``)
   and no block size (``_BLOCK``).
 - ``construction.Level`` holds the fields its JSON holds, and no more.
+- The covers: ``oracles`` builds its CRT products with the set algebra, so
+  it tiles nothing (no ``np.tile``) and packs bytes (``from_bits``) only in
+  ``_crt_product``, each a component indicator of length q.
 """
 
 import ast
@@ -112,6 +115,15 @@ def test_rotations_take_residue_sets_and_only_words_are_listed():
     assert not any(isinstance(node, ast.Attribute) and node.attr == "at"
                    and ast.unparse(node.value).endswith("minimum")
                    for node in ast.walk(tree))
+
+
+def test_oracles_tile_nothing_and_pack_only_the_crt_components():
+    owners = {(node.func.attr, owner)
+              for owner, fn in _qualified_functions(TREES["oracles.py"])
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("tile", "from_bits")}
+    assert owners == {("from_bits", "_crt_product")}
 
 
 def test_level_holds_only_its_json_fields():

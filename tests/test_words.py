@@ -6,6 +6,8 @@ them is compared here with the same operation on a 0/1 uint8 array and
 (where the general bit-offset path runs).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,8 +61,11 @@ class TestWords:
         assert np.array_equal(p.discard(np.array(probes, dtype=np.int64)).window(k), cleared)
 
     @settings(max_examples=120)
-    @given(bitmaps(), st.integers(1, 12))
-    def test_tile_and_window(self, bits, q):
+    @given(st.data())
+    def test_tile_and_window(self, data):
+        # q from 64 up tiles every period, odd ones too, through whole words
+        q = data.draw(st.one_of(st.integers(1, 12), st.sampled_from([64, 128, 192])))
+        bits = data.draw(bitmaps(MODULI if q <= 12 else st.integers(1, 400)))
         k = bits.shape[0]
         p = ResidueSet.from_bits(bits)
         want = np.tile(bits, q)
@@ -68,6 +73,33 @@ class TestWords:
                               .window(k * q), want)
         assert np.array_equal(rebase(p, k * q).window(k * q), want)
         assert np.array_equal(p.window(k * q - 1), want[:-1])
+
+    def test_an_odd_period_is_built_as_one_word_aligned_block(self, monkeypatch):
+        # 64 periods of 81 residues end on a word boundary, so tiling them
+        # to 11! builds 81·64 bits as an integer and tiles the words
+        k, q = 81, math.factorial(11) // 81
+        built = []
+        real = sets._from_int
+
+        def recording(x, n):
+            built.append(n)
+            return real(x, n)
+
+        monkeypatch.setattr(sets, "_from_int", recording)
+        bits = np.zeros(k, dtype=np.uint8)
+        bits[[0, 5, 80]] = 1
+        out = tile_words(ResidueSet.from_bits(bits).words(), k, q)
+        assert built and max(built) <= k * 64
+        block = np.tile(bits, 64)
+        assert np.array_equal(np.unpackbits(out[:k].view(np.uint8), bitorder="little"), block)
+        assert (out.reshape(-1, k) == out[:k]).all()
+
+    @pytest.mark.parametrize("k", [64, 81])
+    def test_one_tile_is_a_fresh_copy(self, k):
+        # construct and the peel OR into a tiled result in place
+        words = ResidueSet(k, [0, k - 1]).words()
+        out = tile_words(words, k, 1)
+        assert np.array_equal(out, words) and not np.shares_memory(out, words)
 
     @settings(max_examples=120)
     @given(bitmaps(), st.data())
