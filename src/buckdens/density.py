@@ -148,6 +148,14 @@ def _check_indicator(ind: np.ndarray, horizon: int) -> None:
 _ASYMPTOTIC_POINTS = 60   # log-spaced n, before rounding merges any
 
 
+def _asymptotic_grid(horizon: int) -> np.ndarray:
+    """The distinct n of ``empirical_asymptotic``, ascending: ``np.unique``
+    of the rounded-down grid, deduplicated in Python because ``np.unique``
+    imports ``numpy.ma`` on its first call."""
+    grid = np.geomspace(max(1, horizon // 100), horizon, num=_ASYMPTOTIC_POINTS)
+    return np.array(sorted(set(grid.astype(np.int64).tolist())), dtype=np.int64)
+
+
 def empirical_asymptotic(ind: np.ndarray, horizon: int) -> tuple[float, float]:
     """(min, max) of |X ∩ [1, n]| / n over ``_ASYMPTOTIC_POINTS`` log-spaced
     n in [horizon/100, horizon].
@@ -158,8 +166,7 @@ def empirical_asymptotic(ind: np.ndarray, horizon: int) -> tuple[float, float]:
     between consecutive n.
     """
     _check_indicator(ind, horizon)
-    lo_n = max(1, horizon // 100)
-    ns = np.unique(np.geomspace(lo_n, horizon, num=_ASYMPTOTIC_POINTS).astype(np.int64))
+    ns = _asymptotic_grid(horizon)
     starts = np.concatenate(([1], ns[:-1] + 1))
     counts = np.cumsum([np.count_nonzero(ind[a: b + 1]) for a, b in zip(starts, ns)],
                        dtype=np.int64)   # counts[j] = |X ∩ [1, ns[j]]|

@@ -69,16 +69,17 @@ class CoverOracle:
 # primes
 
 def sieve_primes(bound: int) -> np.ndarray:
-    """Primes <= bound, by one sieve of Eratosthenes over ``bound + 1``
-    flags (every package bound is within ``DEFAULT_ENUM_BUDGET``)."""
+    """Primes <= bound, by one sieve of Eratosthenes over the odd numbers,
+    ``(bound + 1) // 2`` flags (every package bound is within
+    ``DEFAULT_ENUM_BUDGET``)."""
     if bound < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    odd = np.ones((bound + 1) // 2, dtype=bool)   # odd[i] flags 2i + 1
+    odd[0] = False
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2:: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64, copy=False)
 
 
 def primes_cover(m: int) -> ResidueSet:

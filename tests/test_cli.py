@@ -1,9 +1,7 @@
-import contextlib
 import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -25,12 +23,41 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _process_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_process(*argv):
     """The CLI in a fresh interpreter, for failures that must not allocate."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "buckdens.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_process_env(), timeout=60)
+
+
+# the child's own peak RSS: ru_maxrss would also count the spawning
+# process, whose peak RSS Linux carries across exec
+_PEAK_RSS = """\
+import runpy, sys
+try:
+    runpy.run_module("buckdens.cli", run_name="__main__")
+finally:
+    sys.stdout.flush()
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+"""
+
+
+def peak_rss_process(out_path, *argv):
+    """Peak RSS in bytes of the CLI in a fresh interpreter that exits 0,
+    with its stdout written to ``out_path``."""
+    with open(out_path, "w") as fh:
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], stdout=fh,
+                              stderr=subprocess.PIPE, text=True, env=_process_env(),
+                              timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    value, unit = proc.stderr.split()[-2:]
+    assert unit == "kB"
+    return int(value) * 1024
 
 
 class TestStartup:
@@ -173,14 +200,10 @@ class TestCover:
     def test_dump_is_streamed(self, tmp_path):
         # a list and a string of all 2**21 residues would peak near 211 MiB
         m = 2**22
-        with open(tmp_path / "out.txt", "w") as fh, contextlib.redirect_stdout(fh):
-            tracemalloc.start()
-            try:
-                assert main(["cover", "--b", "primes", "--mod", str(m), "--dump"]) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 4 * m
+        argv = ["cover", "--b", "primes", "--mod", str(m)]
+        plain = peak_rss_process(tmp_path / "count.txt", *argv)
+        dumped = peak_rss_process(tmp_path / "out.txt", *argv, "--dump")
+        assert dumped - plain < 4 * m
         residues = primes_cover(m).residues()
         assert (tmp_path / "out.txt").read_text() == \
             f"{len(residues)}\n" + ",".join(map(str, residues)) + "\n"

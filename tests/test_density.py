@@ -1,12 +1,18 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import buckdens
+from buckdens import density
 from buckdens.density import (
     BUCK,
     DEFAULT_ENUM_BUDGET,
@@ -198,6 +204,48 @@ class TestProxiesMatchReferences:
         ind = periodic_indicator(ResidueSet(2, [0]), 100)
         with pytest.raises(ValueError, match="period must be at least 1"):
             empirical_banach(ind, 10, 100, period)
+
+
+class TestLogarithmicPastTheBlasThreshold:
+    # n > 10**4, where np.dot may split the sum across OpenBLAS threads
+    @pytest.mark.parametrize("horizon", [10**4 + 200, 10**5, 123457, 10**6])
+    def test_bit_identical_to_the_reference(self, horizon):
+        ind = (np.random.default_rng(11).random(horizon + 1) < 0.3).astype(np.uint8)
+        assert empirical_logarithmic(ind, horizon) == reference_proxies.logarithmic(ind, horizon)
+
+
+class TestAsymptoticGrid:
+    @pytest.mark.parametrize("horizons", [range(1, 3001), [10**e for e in range(8)]])
+    def test_equals_np_unique(self, horizons):
+        for horizon in horizons:
+            grid = np.geomspace(max(1, horizon // 100), horizon, num=60).astype(np.int64)
+            ns = density._asymptotic_grid(horizon)
+            assert ns.dtype == np.int64
+            assert np.array_equal(ns, np.unique(grid)), horizon
+
+    def test_proxies_leave_numpy_ma_out(self):
+        # np.unique imports numpy.ma on its first call, a fixed cost on
+        # every fresh verify or estimate process
+        script = """\
+import sys
+from fractions import Fraction
+from buckdens.construction import construct
+from buckdens.density import periodic_indicator, proxies
+from buckdens.oracles import PrimesOracle
+from buckdens.sets import ResidueSet
+from buckdens.verify import theorem_report
+oracle = PrimesOracle()
+tower = construct(oracle, Fraction(1, 2), 5)
+theorem_report(oracle, tower.alpha, tower.depth, 10**5, tower=tower)
+proxies(periodic_indicator(ResidueSet(30, [1, 7, 11, 13]), 10**4), 10**4, 30)
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(buckdens.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestProxies:

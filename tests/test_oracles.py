@@ -46,6 +46,14 @@ class TestSieve:
     def test_count_to_the_enumeration_budget(self):
         assert sieve_primes(10**7).size == 664579
 
+    def test_every_small_bound(self):
+        # odd and even bounds, and the edges 0-3 of the odd-only sieve
+        for bound in range(301):
+            expected = [n for n in range(2, bound + 1)
+                        if all(n % d for d in range(2, math.isqrt(n) + 1))]
+            got = sieve_primes(bound)
+            assert got.dtype == np.int64 and got.tolist() == expected, bound
+
     def test_segment_boundaries(self):
         full = sieve_primes(10**5)
         assert full[-1] == 99991
