@@ -38,12 +38,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# _write hands a text stream this many characters at a time: a stream
+# encodes all it is handed at once, so a whole 11 MB tower document would
+# be held twice, once as str and once encoded
+_WRITE_SLICE = 1 << 20
+
+
 def _write(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        _write_slices(sys.stdout, text if text.endswith("\n") else text + "\n")
+
+
+def _write_slices(fh, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[start:start + _WRITE_SLICE])
 
 
 def _levels_csv(path: str, tower) -> None:

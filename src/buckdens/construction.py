@@ -23,7 +23,7 @@ import numpy as np
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
 from .sets import (ResidueSet, ResourceLimitError, Rotations, bitmap_from_hex,
-                   bitmap_hex, fold, sumset_mod, tile_words, word_count)
+                   bitmap_hex_chunks, fold, sumset_mod, tile_words, word_count)
 
 __all__ = [
     "CertificateError",
@@ -366,7 +366,10 @@ def _decode_residue_set(modulus: int, doc) -> ResidueSet:
 # config may hold the pair "data": "" too, so the slots are looked up after
 # the top-level "levels" line only: "levels" is the last key, and json
 # escapes every newline in a string and indents nested keys deeper, so no
-# caller value (oracle, config) can produce that line
+# caller value (oracle, config) can produce that line.  The hex goes in one
+# chunk at a time, appended with += to the one local document str, which
+# CPython resizes in place while nothing else refers to it; so a level's
+# hex is never held whole beside the document, as a join would hold it
 _DATA_SLOT = '"data": ""'
 _LEVELS_LINE = '\n  "levels": ['
 
@@ -395,10 +398,13 @@ def tower_to_json(t: Tower, config: dict | None = None) -> str:
     text = json.dumps(doc, indent=2) + "\n"
     cut = text.index(_LEVELS_LINE)
     pieces = text[cut:].split(_DATA_SLOT)
-    out = [text[:cut], pieces[0]]
+    out = text[:cut] + pieces[0]
     for lv, piece in zip(t.levels, pieces[1:], strict=True):
-        out += ['"data": "', bitmap_hex(lv.H), '"', piece]
-    return "".join(out)
+        out += '"data": "'
+        for chunk in bitmap_hex_chunks(lv.H):
+            out += chunk
+        out += '"' + piece
+    return out
 
 
 def _require(doc, keys: tuple[str, ...], what: str) -> None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import buckdens
+from buckdens import cli
 from buckdens.cli import main, parse_rational
 from buckdens.construction import Tower, construct, tower_from_json, tower_to_json
 from buckdens.oracles import FiniteOracle, primes_cover
@@ -58,6 +60,28 @@ def peak_rss_process(out_path, *argv):
     value, unit = proc.stderr.split()[-2:]
     assert unit == "kB"
     return int(value) * 1024
+
+
+class TestWrite:
+    TEXT = "0123456789abcdef" * (1 << 20)   # 16 MB
+
+    def test_a_file_is_written_in_slices(self, tmp_path):
+        # a text stream handed the whole str would hold it encoded too
+        path = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            cli._write(str(path), self.TEXT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live <= 3 * cli._WRITE_SLICE
+        assert path.read_text() == self.TEXT
+
+    @pytest.mark.parametrize("text", [TEXT, "", "a", "a\n"])
+    def test_stdout_ends_with_one_newline(self, capsys, text):
+        cli._write(None, text)
+        assert capsys.readouterr().out == (text if text.endswith("\n") else text + "\n")
 
 
 class TestStartup:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -615,6 +616,20 @@ class TestSerialization:
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             tower_from_json('{"schema": "nope", "levels": []}')
+
+    def test_writing_holds_the_document_and_at_most_two_chunks(self):
+        # level 11's hex spans many chunks; joining the levels' hex would
+        # hold it all beside the finished document
+        t = construct(FactorialsOracle(), Fraction(1, 3), 11, allow_deep=True)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            text = tower_to_json(t, {"b": "factorials"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 8 * sets._HEX_CHUNK
+        assert peak - live <= len(text) + 2 * sets._HEX_CHUNK
 
     # caller strings holding the spliced slot, the levels line, quotes, NUL
     # and non-ASCII text, as keys and as values; the config also holds the

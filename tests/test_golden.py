@@ -18,7 +18,16 @@ CONSTRUCT = {
         "35d40c2b5dd6e1a15d7036da216502c9b0e53028b6eb73967d537b68c2a510d8",
     ("finite:0,24,7", "3/5", "6"):
         "f7bcf9b509735eea895aea2a6146fd20a24bcf75c8411977c81aabed6011870b",
+    # at depth 10 a level's hex runs past one chunk of the codec
+    ("primes", "1/2", "10"):
+        "38e205ba2ea8a7310712d4c8d94e6c297f198953693207cea2fdbdb1f7b4b69c",
+    ("powers", "2/3", "10"):
+        "44955a40e258431ca9455dd1104d5b96bac3ef68b045620fb872aa7b362350e1",
 }
+
+# a depth-11 tower written with --out: 11 MB, the hex of its top level
+# alone spans several chunks
+CONSTRUCT_OUT = "729c6b748bb6870fd2137b810feac9afd2ba44c82a69831c08e34e87de975f90"
 
 VERIFY = "7274d5b35a4f3a5abf24d4ba50c34b204a07c0676ab850d730754a0121a37917"
 
@@ -51,6 +60,14 @@ def test_construct_stdout(capsys, spec, alpha, depth):
     digest = stdout_digest(capsys, "construct", "--b", spec, "--alpha", alpha,
                            "--depth", depth)
     assert digest == CONSTRUCT[spec, alpha, depth]
+
+
+def test_construct_out_file(tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    assert main(["construct", "--b", "factorials", "--alpha", "1/3", "--depth", "11",
+                 "--allow-deep", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONSTRUCT_OUT
 
 
 def test_verify_report(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Decisions that one module owns, read from the package's syntax trees.
 
-- The packed-hex bitmap format: only ``sets`` packs, unpacks or parses hex.
+- The packed-hex bitmap format: only ``sets`` packs or unpacks bits, and
+  only ``sets`` encodes hex (``.hex()``) or decodes it (``a2b_hex``), so the
+  format has one owner in both directions.
 - The representation: a ``ResidueSet`` holds its modulus and one array of
   little-endian 64-bit words, and no module reads it as a byte per residue
   (there is no ``.bits()``).
@@ -53,9 +55,10 @@ def test_only_sets_packs_unpacks_or_parses_hex():
     calls = {(name, node.func.attr)
              for name, tree in TREES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in ("packbits", "unpackbits", "fromhex")}
+             and node.func.attr in ("packbits", "unpackbits", "hex", "fromhex",
+                                    "a2b_hex", "unhexlify", "b2a_hex", "hexlify")}
     assert calls == {("sets.py", "packbits"), ("sets.py", "unpackbits"),
-                     ("sets.py", "fromhex")}
+                     ("sets.py", "hex"), ("sets.py", "a2b_hex")}
 
 
 def test_a_residue_set_holds_its_modulus_and_one_word_array():

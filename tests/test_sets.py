@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from buckdens.sets import (
     affine,
     bitmap_from_hex,
     bitmap_hex,
+    bitmap_hex_chunks,
     canonicalize,
     divisors,
     dumps_periodic,
@@ -780,3 +782,73 @@ class TestFileFormat:
     def test_bitmap_from_hex_takes_only_what_bitmap_hex_writes(self, k, text):
         with pytest.raises(ValueError):
             bitmap_from_hex(k, text)
+
+
+# ---------------------------------------------------------------------------
+# the hex codec across its chunk boundaries
+
+CHUNK = sets._HEX_CHUNK
+BAD_TEXT_DIGITS = 2 * CHUNK + 2
+
+
+def random_set(k):
+    words = np.random.default_rng(k).integers(0, 1 << 64, size=-(-k // 64),
+                                              dtype=np.uint64)
+    if k % 64:
+        words[-1] &= np.uint64((1 << (k % 64)) - 1)
+    return ResidueSet.from_words(k, words)
+
+
+@pytest.fixture(scope="module")
+def three_chunk_text():
+    # its last digit lies in a third chunk; k leaves 5 padding bits
+    k = 4 * BAD_TEXT_DIGITS - 5
+    return k, bitmap_hex(random_set(k))
+
+
+class TestHexChunks:
+    @pytest.mark.parametrize("digits", [CHUNK - 2, CHUNK, CHUNK + 2, 2 * CHUNK])
+    @pytest.mark.parametrize("spare", [0, 5])
+    def test_round_trip_at_a_boundary(self, digits, spare):
+        k = 4 * digits - spare
+        p = random_set(k)
+        chunks = list(bitmap_hex_chunks(p))
+        assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1]) <= CHUNK
+        text = bitmap_hex(p)
+        assert text == "".join(chunks)
+        assert text == p.words().view(np.uint8)[:-(-k // 8)].tobytes().hex()
+        assert len(text) == digits
+        assert bitmap_from_hex(k, text) == p
+
+    @pytest.mark.parametrize("offset", [0, CHUNK - 1, CHUNK, CHUNK + 1,
+                                        BAD_TEXT_DIGITS - 1])
+    @pytest.mark.parametrize("bad", ["A", " ", "g", "\u00e9"],
+                             ids=["upper-case", "space", "g", "non-ascii"])
+    def test_a_bad_digit_is_refused_in_any_chunk(self, three_chunk_text, offset, bad):
+        k, text = three_chunk_text
+        text = text[:offset] + bad + text[offset + 1:]
+        message = f"bitmap for modulus {k} must be {BAD_TEXT_DIGITS} lower-case hex digits"
+        with pytest.raises(ValueError) as info:
+            bitmap_from_hex(k, text)
+        assert str(info.value) == message
+
+    def test_a_padding_bit_is_refused_past_the_first_chunk(self, three_chunk_text):
+        k, text = three_chunk_text
+        last = int(text[-2:], 16) | 1 << (k % 8)
+        with pytest.raises(ValueError, match="padding bits past modulus"):
+            bitmap_from_hex(k, text[:-2] + f"{last:02x}")
+
+    def test_decoding_holds_the_words_and_at_most_two_chunks(self):
+        # the text spans many chunks; a full-size bytes copy of it would
+        # cost as much again as the words
+        k = 1 << 25
+        text = bitmap_hex(random_set(k))
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            p = bitmap_from_hex(k, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live <= p.words().nbytes + 2 * CHUNK
