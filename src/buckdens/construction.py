@@ -254,16 +254,18 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     inside H.
 
     H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, and
-    ``sumset_mod`` tries it first, so it peels H' level by level: it
-    reads each layer from the words of H' (not from ``k_chosen``, h or
-    the lower levels), folds the cover's words down with it and combines
-    the few leftover residues.  The builder instead never convolves: it
+    ``sumset_mod`` shifts over or peels its first operand only, so it
+    peels H' level by level: it reads each layer from the words of H'
+    (not from ``k_chosen``, h or the lower levels), folds the cover's
+    words down with it and combines the few leftover residues.  The builder instead never convolves: it
     tiles each level's lower sumset to the next modulus, adds the
     candidate classes one rotated cover at a time and counts in closed
     form, so these certificates are an independent re-derivation.
 
+    Level n is summed only once it has nested in level n − 1, so its H'
+    is H'_{n−1} tiled, plus a few lifts of h_{n−1}, minus h_n, and peels.
     A level that does not nest in its predecessor may hold an H' that
-    peels nowhere, which ``sumset_mod`` refuses from ``2**14`` up; as the
+    peels nowhere, which ``sumset_mod`` refuses at any modulus; as the
     report already fails at the predecessor, the check stops there, and a
     refusal at any level it does reach is raised.  A tower with no levels
     gets no checks, and its report is ok for alpha = 1 only.

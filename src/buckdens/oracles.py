@@ -86,11 +86,13 @@ def primes_cover(m: int) -> ResidueSet:
     """Exact cover of the primes mod m: every class coprime to m contains a
     prime (Dirichlet), plus the classes of the finitely many primes dividing m.
 
-    The units mod m are the CRT product of the units mod each q || m.
+    Being coprime to m is a condition mod each prime p | m, so the units are
+    the CRT product of the units mod each p, a set mod the radical of m,
+    which the ``union`` with the primes dividing m rebases to m.
     """
     check_budget(m)
     primes = factorize(m)
-    units = _crt_product([_indicator(q, p, zero=False) for q, p in _prime_powers(primes)])
+    units = _crt_product([_indicator(p, p, zero=False) for p in primes])
     return union(units, ResidueSet(m, primes))
 
 
@@ -109,7 +111,9 @@ def _indicator(q: int, p: int, *, zero: bool) -> np.ndarray:
 
 def _crt_product(indicators: list[np.ndarray]) -> ResidueSet:
     """The set mod m of ``{r : ind_q[r mod q] for every q}``, from one 0/1
-    indicator of length q per prime power q || m, in ascending order of q.
+    indicator of length q per modulus q of pairwise coprime moduli whose
+    product is m (the primes or the prime powers q || m), in ascending
+    order of q.
 
     Under the CRT a product of component sets is their intersection: each
     indicator is packed as a set mod q and the sets are intersected in

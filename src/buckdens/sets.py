@@ -20,16 +20,15 @@ which every tower modulus ``n! <= 11!`` fits) is refused with
 :class:`ResourceLimitError`.
 
 ``sumset_mod`` and ``min_plus_mod`` are one integer algorithm in two
-semirings, OR on words and min on integer tables (``_peel_shift``): shift
-when one operand is small, else peel, at any modulus, a period ``k/q``
-(prime ``q``) off an operand that has one up to a few residues, folding the
-other operand down to ``k/q``.  An operand with no layer is shifted below
-``2**14`` and refused with :class:`ResourceLimitError` from there on.  The
-verifier takes the min case for the least member of A + B in each class.
-Tower operands always peel: level n is level n − 1 tiled plus at most n − 1
-classes.  The kernel takes its operands in the order it is handed them and
-counts nothing it is not handed.  An integer table is rotated whole, once
-per shift.
+semirings, OR on words and min on integer tables (``_peel_shift``): the
+first operand is shifted over when it is small, else a period ``k/q``
+(prime ``q``) is peeled off it when it has one up to a few residues,
+folding the other operand down to ``k/q``.  Any other first operand is
+refused with :class:`ResourceLimitError`, at every modulus; the second is
+never tried in its place.  The verifier takes the min case for the least
+member of A + B in each class.  Tower operands always peel: level n is
+level n − 1 tiled plus at most n − 1 classes.  The kernel counts nothing it
+is not handed.  An integer table is rotated whole, once per shift.
 
 Rotated words are a :class:`Rotations`, which applies the one sparse/dense
 rule, read off one listing (``_word_members``): a single pass over the
@@ -82,12 +81,10 @@ __all__ = [
 
 DENSE_LIMIT = 1 << 28
 
-# _peel_shift: shift (OR or min) when an operand has at most this many
-# residues; else a periodic peel when it has at most this many residues off
-# a period k/q; else, for an operand with no such layer, a shift below
-# _PEEL_MIN_MODULUS and a refusal from there on
+# _peel_shift: shift (OR or min) when the first operand has at most this
+# many residues; else a periodic peel when it has at most this many residues
+# off a period k/q; else a refusal
 _SHIFT_MAX = 64
-_PEEL_MIN_MODULUS = 1 << 14
 # Rotations: words that list at most one member in this many are
 # scattered (or gathered) instead of rotated; a scatter over at most
 # _SHIFT_MAX shifts then lists at most k/8 targets
@@ -399,28 +396,22 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     When ``c`` is the residue cover of a set ``Y`` modulo ``k``, this
     realizes the sumset ``P + Y`` as a finite union of APs.
 
-    The OR case of ``_peel_shift``: one operand X is shifted over or
-    peeled, and the other is the table, rotated or, when it lists as
-    sparse, scattered.  ``p`` is tried as X first and ``c`` only when
-    ``_peel_shift`` refuses ``p``; each operand is counted when it is
-    tried, and when both are refused :class:`ResourceLimitError` is
-    raised.
+    The OR case of ``_peel_shift``: ``p`` is shifted over or peeled, and
+    ``c`` is the table, rotated or, when it lists as sparse, scattered.
+    Only ``p`` is tried: a ``p`` of more than ``_SHIFT_MAX`` members with
+    no periodic layer raises :class:`ResourceLimitError` at any modulus,
+    so a caller with a small operand hands it first.
 
     A tower level is its predecessor tiled plus at most n − 1 classes, so
     ``H ∖ {h}`` at ``n!``, passed first, peels level by level down to the
     shift sizes, shifting only a few residues per layer, and its cover is
-    never counted.  Which path runs depends on the operands' members and
-    their order alone; the result does not.
+    never counted.  Which path runs depends on ``p``'s members alone; the
+    result does not.
     """
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
-    for x, y in ((p, c), (c, p)):
-        out = _peel_shift(x, len(x), y)
-        if out is not None:
-            return ResidueSet.from_words(k, out)
-    raise ResourceLimitError(
-        f"neither operand of a sumset mod {k} has a periodic layer to peel")
+    return ResidueSet.from_words(k, _peel_shift(p, len(p), c))
 
 
 def min_plus_mod(p: ResidueSet, values: np.ndarray) -> np.ndarray:
@@ -430,23 +421,16 @@ def min_plus_mod(p: ResidueSet, values: np.ndarray) -> np.ndarray:
 
     The min case of ``_peel_shift``: ``sumset_mod`` with OR replaced by
     min, the table rotated whole at each shift.  A p of more than
-    ``_SHIFT_MAX`` members with no periodic layer at a modulus from
-    ``_PEEL_MIN_MODULUS`` up raises :class:`ResourceLimitError`; every
-    tower period peels.
+    ``_SHIFT_MAX`` members with no periodic layer raises
+    :class:`ResourceLimitError` at any modulus; every tower period peels.
     """
     if values.shape != (p.modulus,):
         raise ValueError(f"a table of shape {values.shape} for modulus {p.modulus}")
-    size = len(p)
-    out = _peel_shift(p, size, values)
-    if out is None:
-        raise ResourceLimitError(
-            f"a period of {size} residues mod {p.modulus} "
-            "has no periodic layer to peel")
-    return out
+    return _peel_shift(p, len(p), values)
 
 
 def _peel_shift(p: ResidueSet, size: int,
-                table: ResidueSet | np.ndarray) -> np.ndarray | None:
+                table: ResidueSet | np.ndarray) -> np.ndarray:
     """``out[r] = op{table[(r − c) mod k] : c in p}`` for a set ``p`` of
     ``size`` members and a table of its modulus k: a residue set, whose
     words come out ORed, or an integer table, whose entries come out by
@@ -454,12 +438,12 @@ def _peel_shift(p: ResidueSet, size: int,
 
     - *shift*: when p has at most ``_SHIFT_MAX`` members, op over the
       rotations of ``table`` by each of them;
-    - *peel*: otherwise, at any modulus, when p has a periodic layer
-      ``(q, f, E)``: the tiling of the same sum at ``k/q`` of f with
-      ``table`` folded by op mod ``k/q``, combined with the rotations of
-      ``table`` by each residue of E;
-    - a p with no layer is shifted over when k is below
-      ``_PEEL_MIN_MODULUS``, and from there on the result is None.
+    - *peel*: otherwise, when p has a periodic layer ``(q, f, E)``: the
+      tiling of the same sum at ``k/q`` of f with ``table`` folded by op
+      mod ``k/q``, combined with the rotations of ``table`` by each
+      residue of E;
+    - any other p, and any p whose core is such a p, raises
+      :class:`ResourceLimitError`, at every modulus.
 
     Only the fold, the tiling, the empty result and the combine differ
     between the two semirings: words are combined through
@@ -469,18 +453,17 @@ def _peel_shift(p: ResidueSet, size: int,
     """
     k = p.modulus
     words = isinstance(table, ResidueSet)
-    layer = _periodic_layer(p, size) if size > _SHIFT_MAX else None
-    if layer is not None:
+    if size > _SHIFT_MAX:
+        layer = _periodic_layer(p, size)
+        if layer is None:
+            raise ResourceLimitError(
+                f"{size} residues mod {k} have no periodic layer to peel")
         q, core, shifts = layer
         period = k // q
         folded = (fold(np.bitwise_or, table, period) if words
                   else np.minimum.reduce(table.reshape(q, period), axis=0))
         inner = _peel_shift(core, (size - shifts.size) // q, folded)
-        if inner is None:
-            return None
         out = tile_words(inner, period, q) if words else np.tile(inner, q)
-    elif size > _SHIFT_MAX and k >= _PEEL_MIN_MODULUS:
-        return None
     else:
         out = (np.zeros(word_count(k), dtype=_WORD) if words
                else np.full(k, np.iinfo(table.dtype).max, dtype=table.dtype))
@@ -582,9 +565,10 @@ def _periodic_layer(x: ResidueSet, size: int) -> tuple[int, ResidueSet, np.ndarr
     outside the tiling of ``f``: ``|E| = size - q |f|``.  Every prime is
     folded, from the largest down, and the one with the least ``|E|`` is
     taken, the largest on a tie, when that ``|E|`` is at most
-    ``_SHIFT_MAX``; None when none is.  An empty E ends the search, and
-    is not listed.  ``f`` is empty only for an x of at most ``_SHIFT_MAX``
-    members, which the dispatch shifts first.
+    ``_SHIFT_MAX``; None when none is, and ``_peel_shift`` refuses x.  An
+    empty E ends the search, and is not listed.  ``f`` is empty only for an
+    x of at most ``_SHIFT_MAX`` members, which ``_peel_shift`` shifts over
+    without searching.
     """
     k = x.modulus
     best = None

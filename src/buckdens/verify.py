@@ -71,10 +71,13 @@ def sumset_window(period: ResidueSet, b_values: np.ndarray, horizon: int) -> np.
     x ≡ r (mod M) lies in A + B iff x >= t_r = min{F_c : r − c in P}, with
     F_c the least member of B ∩ [0, horizon] in class c (horizon + 1 if
     none): t is the min-plus sum of P and F mod M, which
-    ``sets.min_plus_mod`` takes by peeling P's periodic layers.  The cost
-    follows M, so a caller with a long period and a short window passes a
-    prefix of the period longer than the window, as ``_periods`` does.
-    ``b_values`` may come in any order.
+    ``sets.min_plus_mod`` takes by peeling P's periodic layers.  P must
+    peel (or have at most ``sets._SHIFT_MAX`` members), else
+    :class:`~buckdens.sets.ResourceLimitError` is raised at any M; a
+    tower period, and the prefix ``_periods`` cuts from it, always does.
+    The cost follows M, so a caller with a long period and a short window
+    passes a prefix of the period longer than the window, as ``_periods``
+    does.  ``b_values`` may come in any order.
     """
     m = period.modulus
     n = min(m, horizon + 1)

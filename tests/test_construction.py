@@ -266,9 +266,9 @@ class TestClaimA:
 
     def test_unpeelable_level_after_a_nesting_failure_fails_the_check(
             self, tmp_path, capsys):
-        # a random level 8 fails to nest in level 7, and neither its H' nor
-        # the powers cover of 8! has a layer to peel: the check ends at the
-        # failed level 7 instead of raising, and verify exits 2, not 3
+        # a random level 8 fails to nest in level 7, and its H' has no
+        # layer to peel: the check ends at the failed level 7 instead of
+        # raising, and verify exits 2, not 3
         oracle = PerfectPowersOracle()
         t = construct(oracle, HALF, 8)
         top = t.top
@@ -384,11 +384,11 @@ class TestClaimA:
 
     @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4)], ids=["half", "three-quarters"])
     def test_depth_ten_check_peels_at_every_modulus(self, monkeypatch, alpha):
-        # H' peels at every modulus, not only from _PEEL_MIN_MODULUS up, so
-        # the check shifts over a few residues per layer instead of over
-        # every member of H' at the small moduli (10611 rotations if it did);
-        # H' is tried first and peels, so the dense cover is folded down
-        # and rotated by a few residues only.  Dense words are rotated by
+        # H' peels at every modulus, so the check shifts over a few
+        # residues per layer instead of over every member of H' at the
+        # small moduli (10611 rotations if it did); H' is handed first
+        # and peels, so the dense cover is folded down and rotated by a
+        # few residues only.  Dense words are rotated by
         # combine_rotated, or as one integer when their modulus is not a
         # multiple of 64; both are counted, in bytes of words
         rotated = []

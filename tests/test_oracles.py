@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buckdens.oracles import (
@@ -83,6 +83,23 @@ class TestPrimesCover:
     def test_count_mod_720(self):
         # phi(720) = 192 plus the three primes dividing 720
         assert len(primes_cover(720)) == 195
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 10**5))
+    @example(1 << 24)
+    def test_matches_its_definition(self, m):
+        # r is in the cover iff no prime p | m divides r, or r is a prime
+        # p | m (mod m); the classes are checked a block at a time
+        primes = list(factorize(m))
+        got = primes_cover(m).window(m)
+        for start in range(0, m, 1 << 20):
+            r = np.arange(start, min(m, start + (1 << 20)))
+            want = np.ones(r.size, dtype=bool)
+            for p in primes:
+                want &= r % p != 0
+            for p in primes:
+                want |= r == p % m
+            assert np.array_equal(got[start:start + r.size], want)
 
     def test_matches_gcd_definition(self):
         # the classes coprime to m, plus p mod m for each prime p | m
@@ -398,14 +415,15 @@ class TestSmallnessProfile:
         assert prof.verdict == "not small"
 
     def test_epsilon_bound_for_sumsets(self):
-        # |sumset(P, cover)| <= |P| * |cover|
+        # |sumset(P, cover)| <= |P| * |cover|; the cover, a few residues,
+        # is handed first, as P, an AP of step 7 mod n!, has no layer
         from buckdens.sets import ResidueSet, sumset_mod
         oracle = FactorialsOracle()
         for n in range(2, 7):
             m = math.factorial(n)
             cov = oracle.cover(m)
             p = ResidueSet(m, range(0, m, 7))
-            s = sumset_mod(p, cov)
+            s = sumset_mod(cov, p)
             assert len(s) <= len(p) * len(cov)
 
 

@@ -23,7 +23,11 @@
 - ``construction.Level`` holds the fields its JSON holds, and no more.
 - The covers: ``oracles`` builds its CRT products with the set algebra, so
   it tiles nothing (no ``np.tile``) and packs bytes (``from_bits``) only in
-  ``_crt_product``, each a component indicator of length q.
+  ``_crt_product``, each a component indicator of length p (a prime, for
+  the primes cover) or q (a prime power, for the powers cover).
+- Refusals in ``sets``: only ``check_budget`` (a modulus past the budget)
+  and ``_peel_shift`` (a first operand it can neither shift over nor peel)
+  raise ``ResourceLimitError``.
 """
 
 import ast
@@ -127,6 +131,15 @@ def test_oracles_tile_nothing_and_pack_only_the_crt_components():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr in ("tile", "from_bits")}
     assert owners == {("from_bits", "_crt_product")}
+
+
+def test_sets_refuses_only_in_check_budget_and_peel_shift():
+    owners = {owner for owner, fn in _qualified_functions(TREES["sets.py"])
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and "ResourceLimitError" in {n.id for n in ast.walk(node.exc)
+                                          if isinstance(n, ast.Name)}}
+    assert owners == {"check_budget", "_peel_shift"}
 
 
 def test_level_holds_only_its_json_fields():

@@ -30,6 +30,8 @@ from buckdens.sets import (
     union,
 )
 
+from layered import nested_operand
+
 
 def brute_members(p, bound):
     residues = set(p.residues())
@@ -175,8 +177,9 @@ def shift_or_reference(a, b):
 
 class TestShiftKernel:
     # the shift branch of both semirings, at lengths divisible by 4,
-    # = 2 (mod 4) and odd, from _PEEL_MIN_MODULUS up, with the wrap-around
-    # shifts 0 and k - 1 in the small operand
+    # = 2 (mod 4) and odd, with the wrap-around shifts 0 and k - 1 in the
+    # small operand, which is handed first; the other operand is handed
+    # first too where it is small, or peels (the full set)
     @pytest.mark.parametrize("k", [
         1 << 14, 8 * 5040, 362880,
         (1 << 14) + 2, 2 * 3 ** 9,
@@ -192,9 +195,10 @@ class TestShiftKernel:
         assert np.count_nonzero(b) <= sets._SHIFT_MAX
         want = shift_or_reference(a, b)
         x, y = ResidueSet.from_bits(a), ResidueSet.from_bits(b)
-        assert np.array_equal(sumset_mod(x, y).window(k), want)
         assert np.array_equal(sumset_mod(y, x).window(k), want)
         assert np.array_equal(min_plus_mod(y, np.where(a, 0, 1)) == 0, want)
+        if len(x) <= sets._SHIFT_MAX or density == 1.0:
+            assert np.array_equal(sumset_mod(x, y).window(k), want)
 
 
 FACT11 = math.factorial(11)
@@ -260,51 +264,52 @@ class TestSparseMembers:
 
 
 def periodic_operands(k, rng, density):
-    """Bitmaps of length k with a periodic layer, for each prime q | k:
-    tile(core) with a few members added, tile(core) with a few removed
-    (each removal leaves q − 1 lifts outside the AND-fold), and tile(core)
-    plus a few members where core itself is a tiled aperiodic bitmap plus
-    a few members (two layers to peel)."""
+    """Bitmaps of length k that peel first by each prime q | k: tile(core)
+    with a few members added, tile(core) with a few removed (each removal
+    leaves q − 1 lifts outside the AND-fold), and tile(core) plus a few
+    members where core itself is a tiled bitmap plus a few members (two
+    layers to peel), each core a ``nested_operand``."""
     def flip(x, value, size):
         x[rng.choice(np.flatnonzero(x != value), size=size, replace=False)] = value
         return x
 
     for q in sets.factorize(k):
-        core = (rng.random(k // q) < density).astype(np.uint8)
+        core = nested_operand(k // q, rng, density)
         yield flip(np.tile(core, q), 1, 20)
         yield flip(np.tile(core, q), 0, 3)
         r = min(sets.factorize(k // q))
-        core = np.tile((rng.random(k // q // r) < density).astype(np.uint8), r)
+        core = np.tile(nested_operand(k // q // r, rng, density), r)
         yield flip(np.tile(flip(core, 1, 10), q), 1, 10)
 
 
+def unlayered_operand(k, rng, size):
+    """A bitmap of length k with ``size`` random members, more than
+    ``_SHIFT_MAX``, and no periodic layer."""
+    x = np.zeros(k, dtype=np.uint8)
+    x[rng.choice(k, size=size, replace=False)] = 1
+    assert size > sets._SHIFT_MAX
+    assert sets._periodic_layer(ResidueSet.from_bits(x), size) is None
+    return x
+
+
 class TestPeriodicPeel:
-    # the peel runs at every modulus: 5040 and 9240 lie below
-    # _PEEL_MIN_MODULUS, which only decides what an operand with no layer
-    # takes; periodic_operands leaves an aperiodic core at k/q, refused from
-    # _PEEL_MIN_MODULUS up, so 8! and 2^16 take nested_operand instead
+    # the peel at moduli from 5040 to 2^16, multiples of 64 and not
     @pytest.mark.parametrize("k", [math.factorial(8), 1 << 16, 3 ** 9, 4 * 5040,
                                    5040, 9240])
     def test_matches_shift_or(self, k):
         # a dense layered operand with a sparse partner, and a sparse one
-        # (still beyond the shift-OR size) with a dense partner; each sum
-        # is taken in both orders
+        # (still beyond the shift-OR size) with a dense partner, each
+        # handed first; neither partner has a layer
         rng = np.random.default_rng(k)
-        sparse = np.zeros(k, dtype=np.uint8)
-        sparse[rng.choice(k, size=150, replace=False)] = 1
+        sparse = unlayered_operand(k, rng, 150)
         dense = (rng.random(k) < 0.3).astype(np.uint8)
         for partner, density in ((sparse, 0.3), (dense, 0.02)):
-            if k // min(sets.factorize(k)) < sets._PEEL_MIN_MODULUS:
-                operands = periodic_operands(k, rng, density)
-            else:
-                operands = [nested_operand(k, rng, density)]
-            for x in operands:
+            for x in [nested_operand(k, rng, density), *periodic_operands(k, rng, density)]:
                 assert np.count_nonzero(x) > sets._SHIFT_MAX
                 fewer, more = sorted((x, partner), key=np.count_nonzero)
                 want = shift_or_reference(more, fewer)
-                for a, b in ((x, partner), (partner, x)):
-                    got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
-                    assert np.array_equal(got.window(k), want)
+                got = sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(partner))
+                assert np.array_equal(got.window(k), want)
 
     def test_peelable_operands_take_no_transform(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -318,14 +323,44 @@ class TestPeriodicPeel:
             sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(partner))
 
     def test_aperiodic_operands_are_refused(self):
-        # neither operand has a layer, at a modulus from _PEEL_MIN_MODULUS up
+        # neither operand has a layer: the first is refused, in either order
         k = math.factorial(8)
         rng = np.random.default_rng(2)
         x, y = (ResidueSet.from_bits((rng.random(k) < 0.1).astype(np.uint8))
                 for _ in range(2))
         for a, b in ((x, y), (y, x)):
-            with pytest.raises(ResourceLimitError, match="has a periodic layer"):
+            with pytest.raises(ResourceLimitError, match="no periodic layer"):
                 sumset_mod(a, b)
+
+    @pytest.mark.parametrize("k", [5040, math.factorial(8)])
+    @pytest.mark.parametrize("size", [80, 150])
+    def test_unlayered_operands_are_refused_in_both_semirings(self, monkeypatch, k, size):
+        # a first operand of more than _SHIFT_MAX members with no layer is
+        # refused, with one message, at every modulus, before any shift
+        def refuse(*args):
+            raise AssertionError("an unpeelable operand reached a shift")
+
+        monkeypatch.setattr(sets, "combine_rotated", refuse)
+        monkeypatch.setattr(sets.Rotations, "combine", refuse)
+        rng = np.random.default_rng(k + size)
+        x = ResidueSet.from_bits(unlayered_operand(k, rng, size))
+        message = f"{size} residues mod {k} have no periodic layer to peel"
+        with pytest.raises(ResourceLimitError, match=message):
+            sumset_mod(x, ResidueSet(k, [0]))
+        with pytest.raises(ResourceLimitError, match=message):
+            min_plus_mod(x, np.zeros(k, dtype=np.int32))
+
+    def test_only_the_first_operand_is_tried(self):
+        # handed first, the layered operand peels; handed second, it is
+        # never tried, and the first, with no layer, is refused
+        k = math.factorial(8)
+        rng = np.random.default_rng(4)
+        layered = ResidueSet.from_bits(nested_operand(k, rng, 0.3))
+        unlayered = ResidueSet.from_bits(unlayered_operand(k, rng, 150))
+        want = shift_or_reference(layered.window(k), unlayered.window(k))
+        assert np.array_equal(sumset_mod(layered, unlayered).window(k), want)
+        with pytest.raises(ResourceLimitError, match="no periodic layer"):
+            sumset_mod(unlayered, layered)
 
     @pytest.mark.parametrize("k", [5040, math.factorial(8)])
     def test_or_and_min_semirings_agree(self, k):
@@ -334,11 +369,7 @@ class TestPeriodicPeel:
         # and so does sumset_mod, handed P first; both operands are sparse
         # enough that P + C misses residues
         rng = np.random.default_rng(k + 5)
-        if k < sets._PEEL_MIN_MODULUS:
-            x = np.tile(nested_operand(k // 7, rng, 0.015), 7)
-            x[rng.choice(k, size=10, replace=False)] ^= 1
-        else:
-            x = nested_operand(k, rng, 0.005)
+        x = nested_operand(k, rng, 0.015 if k == 5040 else 0.005)
         size = np.count_nonzero(x)
         p = ResidueSet.from_bits(x)
         assert size > sets._SHIFT_MAX and sets._periodic_layer(p, size) is not None
@@ -346,18 +377,6 @@ class TestPeriodicPeel:
         want = sumset_mod(p, c).window(k)
         assert 0 < np.count_nonzero(want) < k
         assert np.array_equal(want, min_plus_mod(p, np.where(c.window(k), 0, 1)) == 0)
-
-
-def nested_operand(k, rng, density):
-    """A bitmap of length k that peels layer by layer, by the smallest prime
-    each time, down to an aperiodic core below ``_PEEL_MIN_MODULUS``, where
-    an operand with no layer is shifted."""
-    if k < sets._PEEL_MIN_MODULUS:
-        return (rng.random(k) < density).astype(np.uint8)
-    q = min(sets.factorize(k))
-    x = np.tile(nested_operand(k // q, rng, density), q)
-    x[rng.choice(k, size=10, replace=False)] ^= 1
-    return x
 
 
 def periodic_layer_reference(x):
@@ -451,10 +470,8 @@ class TestMinPlusMod:
             sums = [int(values[c]) for c in range(k) if p[(r - c) % k]]
             assert got[r] == min(sums, default=np.iinfo(np.int32).max)
 
-    # periodic_operands leaves an aperiodic core at k/q, which min_plus_mod
-    # shifts below _PEEL_MIN_MODULUS and refuses from there on, so those are
-    # taken only where every k/q lies below it; nested_operand peels up to
-    # four layers deep; 5040 peels below _PEEL_MIN_MODULUS
+    # nested_operand peels by the smallest prime, down to a core of at most
+    # _SHIFT_MAX members, and periodic_operands first by each prime of k
     @pytest.mark.parametrize("k", [4 * 5040, 3 ** 9, 30030, math.factorial(8), 1 << 17,
                                    5040])
     def test_peel_matches_brute_force(self, k):
@@ -463,10 +480,7 @@ class TestMinPlusMod:
         rng = np.random.default_rng(k)
         none = 10 ** 6
         for density in (0.3, 0.02):
-            operands = [nested_operand(k, rng, density)]
-            if k // min(sets.factorize(k)) < sets._PEEL_MIN_MODULUS:
-                operands += periodic_operands(k, rng, density)
-            for p in operands:
+            for p in [nested_operand(k, rng, density), *periodic_operands(k, rng, density)]:
                 assert np.count_nonzero(p) > sets._SHIFT_MAX
                 values = np.full(k, none, dtype=np.int32)
                 classes = rng.choice(k, size=300, replace=False)
@@ -561,28 +575,15 @@ class TestScatterRotation:
     @settings(max_examples=60)
     @given(st.data())
     def test_sums_match_references(self, data):
-        if data.draw(st.booleans()):
-            # from _PEEL_MIN_MODULUS up, a first operand of more than
-            # _SHIFT_MAX members with no layer falls back to a second that
-            # peels; random members pair up across a fold too rarely for
-            # 150 of them to leave at most _SHIFT_MAX
-            k = data.draw(st.sampled_from([1 << 15, 2 * 3 ** 9, math.factorial(8)]))
-            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-            p = np.zeros(k, dtype=np.uint8)
-            size = data.draw(st.integers(150, 300))
-            p[rng.choice(k, size=size, replace=False)] = 1
-            assert sets._periodic_layer(ResidueSet.from_bits(p), size) is None
-            c = nested_operand(k, rng, data.draw(st.sampled_from([0.02, 0.3])))
-            want = shift_or_reference(c, p)
-            for a, b in ((p, c), (c, p)):
-                got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
-                assert np.array_equal(got.window(k), want)
-            return
-        # below _PEEL_MIN_MODULUS, so that every operand peels or shifts
-        k = data.draw(semiring_moduli(5))
-        assert k < sets._PEEL_MIN_MODULUS
-        p = data.draw(layered_bitmaps(st.just(k)))
-        if data.draw(st.booleans()):
+        # a first operand that shifts or peels, by primes drawn layer by
+        # layer, at moduli that are multiples of 64 and moduli that are
+        # not, against a min table or a second operand on either side of
+        # the sparse/dense rule
+        k = data.draw(st.one_of(semiring_moduli(6),
+                                st.sampled_from([1 << 15, 2 * 3 ** 9, math.factorial(8)])))
+        p = data.draw(nested_bitmaps(k))
+        # the min reference loops over up to k classes: below 2**15 only
+        if k < 1 << 15 and data.draw(st.booleans()):
             table, fill = data.draw(min_tables(k))
             assert np.array_equal(min_plus_mod(ResidueSet.from_bits(p), table),
                                   min_plus_reference(p, table, fill))
@@ -590,9 +591,18 @@ class TestScatterRotation:
         table = data.draw(rule_bitmaps(k, data.draw(st.booleans())))
         fewer, more = sorted((p, table), key=np.count_nonzero)
         want = shift_or_reference(more, fewer)
-        for a, b in ((p, table), (table, p)):
-            got = sumset_mod(ResidueSet.from_bits(a), ResidueSet.from_bits(b))
-            assert np.array_equal(got.window(k), want)
+        got = sumset_mod(ResidueSet.from_bits(p), ResidueSet.from_bits(table))
+        assert np.array_equal(got.window(k), want)
+
+
+@st.composite
+def nested_bitmaps(draw, k):
+    """A ``nested_operand`` of length k at a drawn density, whose layers
+    peel by primes drawn from k's; a sparse one is a bare core, which is
+    shifted over whole."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.001, 0.02, 0.3, 0.9, 1.0]))
+    return nested_operand(k, rng, density, choose=rng.choice)
 
 
 class TestRebase:

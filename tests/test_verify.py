@@ -26,6 +26,7 @@ from buckdens.verify import (
 )
 
 import reference_proxies
+from layered import nested_operand
 
 HALF = Fraction(1, 2)
 
@@ -68,13 +69,15 @@ def window_by_double_loop(period_bits, b_values, horizon):
 
 class TestSumsetWindow:
     # horizon 120 against periods M <= T, T < M <= 2T and M > 2T; the
-    # thresholds are taken over the whole period at every M
+    # thresholds are taken over the whole period at every M.  The periods
+    # are layered as tower periods are, so that the kernel peels them; at
+    # a prime M, which has no layer, a dense period holds CORE_SIZE members
     @pytest.mark.parametrize("modulus", [1, 37, 120, 121, 150, 240, 241, 242, 250, 400])
     def test_matches_double_loop(self, modulus):
         rng = np.random.default_rng(modulus)
         horizon = 120
         for density in (0.02, 0.3, 0.9):
-            period = (rng.random(modulus) < density).astype(np.uint8)
+            period = nested_operand(modulus, rng, density)
             for size in (1, 6, 40):
                 b_vals = rng.choice(2 * horizon, size=size, replace=False)
                 for extra in ([], [0], [horizon], [0, horizon]):
@@ -133,7 +136,7 @@ class TestSumsetWindow:
         monkeypatch.setattr(verify, "min_plus_mod", recording)
         rng = np.random.default_rng(modulus)
         horizon = 120
-        period = (rng.random(modulus) < 0.3).astype(np.uint8)
+        period = nested_operand(modulus, rng, 0.3)
         for size in (0, 1, 6, 40, 200):
             b = rng.choice(2 * horizon, size=size, replace=False).astype(np.int64)
             sumset_window(ResidueSet.from_bits(period), b, horizon)
@@ -269,6 +272,34 @@ class TestTheoremReport:
         assert rep.passed
         assert rep.rows
         assert moduli == [lv.modulus for lv in t.levels]
+
+    @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
+    @pytest.mark.parametrize("alpha", ["1/12", "1/2", "3/4"])
+    def test_windows_hand_min_plus_mod_only_periods_that_peel(self, monkeypatch, spec, alpha):
+        # what keeps verify off exit 3: at every horizon, every period
+        # theorem_report hands min_plus_mod, and every core peeled from it,
+        # is shifted over (at most _SHIFT_MAX members) or has a periodic
+        # layer, so that none is refused
+        real_layer, real_min_plus = sets._periodic_layer, verify.min_plus_mod
+        periods = []
+
+        def peeling(x, size):
+            got = real_layer(x, size)
+            assert got is not None, f"{size} residues mod {x.modulus} have no layer"
+            return got
+
+        def recording(period, least):
+            periods.append(period.modulus)
+            return real_min_plus(period, least)
+
+        oracle = parse_oracle(spec)
+        t = construct(oracle, Fraction(alpha), 8)
+        monkeypatch.setattr(sets, "_periodic_layer", peeling)
+        monkeypatch.setattr(verify, "min_plus_mod", recording)
+        for horizon in (1, 5, 100, 10**3, 10**4, 10**5):
+            before = len(periods)
+            assert theorem_report(oracle, t.alpha, 8, horizon, tower=t).passed
+            assert len(periods) > before
 
     @pytest.mark.parametrize("oracle", [PrimesOracle(), PerfectPowersOracle()],
                              ids=["primes", "powers"])
