@@ -23,7 +23,7 @@ import numpy as np
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
 from .sets import (ResidueSet, ResourceLimitError, Rotations, bitmap_from_hex,
-                   bitmap_hex_chunks, fold, sumset_mod, tile_words, word_count)
+                   bitmap_hex_chunks, fold, rebase, tile_words, union, word_count)
 
 __all__ = [
     "CertificateError",
@@ -33,6 +33,7 @@ __all__ = [
     "step",
     "check_claimA",
     "ClaimAReport",
+    "a_classes",
     "a_bounds",
     "sum_bounds",
     "SumBounds",
@@ -129,10 +130,11 @@ def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
     cover is never counted: each candidate's U adds the cover's
     ``Rotations.gain`` over the state.
 
-    ``check_claimA`` re-derives L from ``H_n'`` and ``cover(n!)`` alone
-    and U from L, folding the top cover's own words to smaller moduli and
-    never asking the oracle for them, so an oracle that breaks the
-    projection identity is caught.
+    ``check_claimA`` re-derives L and U from the classes that the nesting
+    of each level reveals and from ``cover(n!)`` alone, folded to each
+    class's modulus, with its own integer rotations: it shares no
+    rotation with this step, and an oracle that breaks the projection
+    identity is caught.
     """
     m = prev.n
     fact_m = prev.modulus
@@ -237,6 +239,86 @@ class ClaimAReport:
         return None
 
 
+def _level_classes(prev: Level, lv: Level) -> list[int] | None:
+    """The classes that level ``lv`` (n) adds to A: the lifts
+    h_{n−1} + j·(n−1)! that H_n holds, other than h_n, as residues mod n!;
+    None when lv does not nest in ``prev``.
+
+    Level n nests when each of its n rows mod (n−1)! lies between
+    H'_{n−1} = H_{n−1} ∖ {h_{n−1}} and H_{n−1}: when the AND-fold of the
+    rows contains H'_{n−1} and their OR-fold lies inside H_{n−1}.  Then
+    H_n is H'_{n−1} tiled plus the lifts it holds, and when h_n is one of
+    those lifts (or outside H_n), H'_n is H'_{n−1} tiled plus these
+    classes.  No later level that nests removes any of them, so H'_N is
+    the union of every level's classes c + n!·N.
+    """
+    m = prev.modulus
+    if not (prev.H.discard(prev.h).issubset(fold(np.bitwise_and, lv.H, m))
+            and fold(np.bitwise_or, lv.H, m).issubset(prev.H)):
+        return None
+    h = lv.h % lv.modulus
+    return [c for c in range(prev.h % m, lv.modulus, m) if c != h and c in lv.H]
+
+
+def a_classes(t: Tower) -> list[tuple[int, int]]:
+    """A's definite part, H'_N = H_N ∖ {h_N} mod N!, as its classes
+    ``(n!, c)``, each the integers c + n!·N, level by level
+    (``_level_classes``); the one class of N when A = N.  Raises
+    :class:`CertificateError` at the first level that does not nest in its
+    predecessor, or that holds its marked element off the class of the
+    predecessor's, as H'_N is then no union of these classes."""
+    if t.trivial:
+        return [(1, 0)]
+    classes = []
+    for prev, lv in zip(t.levels, t.levels[1:]):
+        held = _level_classes(prev, lv)
+        if held is None:
+            raise CertificateError(f"level {lv.n} does not nest in level {prev.n}")
+        if lv.h in lv.H and (lv.h - prev.h) % prev.modulus:
+            raise CertificateError(f"level {lv.n} marks an element off the class "
+                                   f"of level {prev.n}'s")
+        classes += [(lv.modulus, c) for c in held]
+    return classes
+
+
+def _rotated(p: ResidueSet, shifts) -> ResidueSet:
+    """The set ``p`` rotated by each of ``shifts`` (each in [0, k)) and
+    ORed: its words as one Python integer, rotated once per shift."""
+    k = p.modulus
+    x, mask, out = int.from_bytes(p.words().tobytes(), "little"), (1 << k) - 1, 0
+    for s in shifts:
+        out |= ((x << s) | (x >> (k - s))) & mask
+    return ResidueSet.from_words(k, np.frombuffer(out.to_bytes(8 * word_count(k), "little"),
+                                                  dtype="<u8"))
+
+
+def _class_sums(lv: Level, cover: ResidueSet,
+                classes: dict[int, list[int]]) -> tuple[Fraction, Fraction]:
+    """(L, U) of level ``lv`` from the classes of A read so far, ``classes``
+    (level m to residues mod m!), and the level's cover mod n!.
+
+    Each class c + m!·N plus B is the set of x with x mod m! in c plus the
+    cover folded to m!, so S, the union of the classes' sumsets, lives mod
+    M, the largest class modulus, and L = |S|/M.  The cover is folded down
+    one factorial at a time, and each class rotates its fold.  As
+    H = H' ∪ {h}, U adds the cover's residues s with s + h outside S:
+    one count of the cover ANDed with the complement of S rotated back by
+    h and tiled to n! (U = L when h is outside H).
+    """
+    s, folded, m = ResidueSet(1), cover, lv.n
+    for n in sorted(classes, reverse=True):
+        while m > n:
+            m -= 1
+            folded = fold(np.bitwise_or, folded, math.factorial(m))
+        s = union(s, _rotated(folded, classes[n]))
+    lower = s.density()
+    if lv.h not in lv.H:
+        return lower, lower
+    mask = rebase(_rotated(s, [-lv.h % s.modulus]), lv.modulus).words()
+    missed = ResidueSet.from_words(lv.modulus, cover.words() & ~mask)
+    return lower, lower + Fraction(len(missed), lv.modulus)
+
+
 def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     """Recompute every level certificate from scratch and test the nesting
     inclusions between consecutive levels, up to the first level whose
@@ -244,42 +326,22 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
 
     Per level, the stored L, U, h, density and (from level 2 on) k_n with
     h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values; |H| is
-    counted once.  H' is a copy of H's words with the bit of h cleared.
-    One ``sumset_mod`` of H' with the cover, H' handed first, gives
-    L = d((n!N + H') + B); as H = H' ∪ {h}, the sumset of H adds the
-    cover rotated by h, so U counts L's members plus the cover's
-    ``Rotations.gain`` over L's words at h.  The cover is never counted.
-    Level n+1 nests when each of its n+1 rows mod n! lies between H' and
-    H: when the AND-fold of the rows contains H' and their OR-fold lies
-    inside H.
-
-    H' is periodic mod (n−1)! up to its k_n ≤ n − 1 top classes, and
-    ``sumset_mod`` shifts over or peels its first operand only, so it
-    peels H' level by level: it reads each layer from the words of H'
-    (not from ``k_chosen``, h or the lower levels), folds the cover's
-    words down with it and combines the few leftover residues.  The builder instead never convolves: it
-    tiles each level's lower sumset to the next modulus, adds the
-    candidate classes one rotated cover at a time and counts in closed
-    form, so these certificates are an independent re-derivation.
-
-    Level n is summed only once it has nested in level n − 1, so its H'
-    is H'_{n−1} tiled, plus a few lifts of h_{n−1}, minus h_n, and peels.
-    A level that does not nest in its predecessor may hold an H' that
-    peels nowhere, which ``sumset_mod`` refuses at any modulus; as the
-    report already fails at the predecessor, the check stops there, and a
-    refusal at any level it does reach is raised.  A tower with no levels
-    gets no checks, and its report is ok for alpha = 1 only.
+    counted once.  L and U come from the classes of A that the levels so
+    far hold (``_class_sums``): each nesting check reveals the next
+    level's classes (``_level_classes``), so level n is summed only once
+    it has nested in level n − 1, and H'_n is a union of at most Σk full
+    classes.  A level whose stored h is no lift of h_{n−1} fails its
+    stored fields, whatever its L and U.  The checker rotates Python
+    integers of its own: the builder instead adds one rotated cover per
+    class to the tiled lower sumset through ``sets.Rotations`` and counts
+    in closed form, so these certificates are an independent
+    re-derivation.  A tower with no levels gets no checks, and its report
+    is ok for alpha = 1 only.
     """
     checks: list[LevelCheck] = []
+    classes: dict[int, list[int]] = {}
     for i, lv in enumerate(t.levels):
-        cover = oracle.cover_cached(lv.modulus)
-        h_prime = lv.H.discard(lv.h)
-        low = sumset_mod(h_prime, cover)
-        lower_count = upper_count = len(low)
-        if lv.h in lv.H:   # h outside H (a broken tower) leaves H' = H
-            upper_count += Rotations(cover).gain(low.words(), lv.h % lv.modulus)
-        lower = Fraction(lower_count, lv.modulus)
-        upper = Fraction(upper_count, lv.modulus)
+        lower, upper = _class_sums(lv, oracle.cover_cached(lv.modulus), classes)
         bracket_ok = lower <= t.alpha < upper
         stored_ok = (lower == lv.sum_lower and upper == lv.sum_upper
                      and 0 <= lv.h < lv.modulus and lv.h in lv.H
@@ -290,9 +352,10 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
                          and lv.h == prev.h + k * prev.modulus)
         nesting_ok: bool | None = None
         if i + 1 < len(t.levels):
-            nxt = t.levels[i + 1].H
-            nesting_ok = (h_prime.issubset(fold(np.bitwise_and, nxt, lv.modulus))
-                          and fold(np.bitwise_or, nxt, lv.modulus).issubset(lv.H))
+            held = _level_classes(lv, t.levels[i + 1])
+            nesting_ok = held is not None
+            if held:
+                classes[lv.n + 1] = held
         checks.append(LevelCheck(lv.n, lower, upper, bracket_ok, stored_ok, nesting_ok))
         if nesting_ok is False:
             break

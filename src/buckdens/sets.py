@@ -19,26 +19,17 @@ enters through ``ResidueSet.from_bits`` and leaves through
 which every tower modulus ``n! <= 11!`` fits) is refused with
 :class:`ResourceLimitError`.
 
-``sumset_mod`` and ``min_plus_mod`` are one integer algorithm in two
-semirings, OR on words and min on integer tables (``_peel_shift``): the
-first operand is shifted over when it is small, else a period ``k/q``
-(prime ``q``) is peeled off it when it has one up to a few residues,
-folding the other operand down to ``k/q``.  Any other first operand is
-refused with :class:`ResourceLimitError`, at every modulus; the second is
-never tried in its place.  The verifier takes the min case for the least
-member of A + B in each class.  Tower operands always peel: level n is
-level n − 1 tiled plus at most n − 1 classes.  The kernel counts nothing it
-is not handed.  An integer table is rotated whole, once per shift.
-
 Rotated words are a :class:`Rotations`, which applies the one sparse/dense
 rule, read off one listing (``_word_members``): a single pass over the
 words that lists the set bits, or gives up when there are more than its
 limit.  A set with at most one member in ``_SPARSE_RATIO`` is scattered,
 once per combine, at its listed members shifted, so its rotations cost its
-members, not the modulus; a denser one is rotated.  The peel combines its
-excess rotations through it, and the tower builder and checker count each
+members, not the modulus; a denser one is rotated.  The tower builder
+combines each chosen class's rotated cover through it and counts each
 candidate class's gain ``|roll(cover, h) ∖ state|`` through it, gathered
 for a sparse cover and counted in one pass for a dense one.
+``sumset_mod`` is one OR of rotations through it, a shift by each member
+of its first operand.
 """
 
 from __future__ import annotations
@@ -66,7 +57,6 @@ __all__ = [
     "intersect",
     "affine",
     "sumset_mod",
-    "min_plus_mod",
     "Rotations",
     "rebase",
     "combine_rotated",
@@ -81,13 +71,8 @@ __all__ = [
 
 DENSE_LIMIT = 1 << 28
 
-# _peel_shift: shift (OR or min) when the first operand has at most this
-# many residues; else a periodic peel when it has at most this many residues
-# off a period k/q; else a refusal
-_SHIFT_MAX = 64
 # Rotations: words that list at most one member in this many are
-# scattered (or gathered) instead of rotated; a scatter over at most
-# _SHIFT_MAX shifts then lists at most k/8 targets
+# scattered (or gathered) instead of rotated
 _SPARSE_RATIO = 512
 
 # packed-hex bitmaps are written and read this many hex digits (256 KiB of
@@ -187,20 +172,27 @@ def _from_int(x: int, n: int) -> np.ndarray:
 
 
 def tile_words(words: np.ndarray, k: int, q: int) -> np.ndarray:
-    """The words of a k-residue period repeated q times, a fresh array: the
-    g = 64 / gcd(k, 64) periods that end on a word boundary (all q when g
-    does not divide q) are built as one integer, doubled until it covers
-    them, and their words ``np.tile``d; nothing is built when g = 1."""
+    """The words of a k-residue period repeated q times, a fresh array: a
+    block of g = 64 / gcd(k, 64) periods, which ends on a word boundary (or
+    all q periods, when q <= g), is built as one integer, doubled until it
+    covers them; the block's words are tiled q // g times and the head of
+    one more block holds the q mod g periods left over.  Nothing is built
+    when g = 1."""
     g = 64 // math.gcd(k, 64)
-    g = q if q % g else g
-    if g > 1:
-        n, tiled, length = k * g, _to_int(words), k
-        while length < n:
-            tiled |= tiled << length
-            length *= 2
-        words = _from_int(tiled & ((1 << n) - 1) if length > n else tiled, n)
-        return words if g == q else np.tile(words, q // g)
-    return np.tile(words, q)
+    if g == 1:
+        return np.tile(words, q)
+    n, tiled, length = k * min(g, q), _to_int(words), k
+    while length < n:
+        tiled |= tiled << length
+        length *= 2
+    block = _from_int(tiled & ((1 << n) - 1) if length > n else tiled, n)
+    if q <= g:
+        return block
+    out = np.empty(word_count(k * q), dtype=_WORD)
+    whole = q // g * block.size
+    out[:whole].reshape(q // g, block.size)[:] = block
+    out[whole:] = _head(block, q % g * k)
+    return out
 
 
 class ResidueSet:
@@ -394,87 +386,15 @@ def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     """``{(h + r) mod k : h in p, r in c}``.
 
     When ``c`` is the residue cover of a set ``Y`` modulo ``k``, this
-    realizes the sumset ``P + Y`` as a finite union of APs.
-
-    The OR case of ``_peel_shift``: ``p`` is shifted over or peeled, and
-    ``c`` is the table, rotated or, when it lists as sparse, scattered.
-    Only ``p`` is tried: a ``p`` of more than ``_SHIFT_MAX`` members with
-    no periodic layer raises :class:`ResourceLimitError` at any modulus,
-    so a caller with a small operand hands it first.
-
-    A tower level is its predecessor tiled plus at most n − 1 classes, so
-    ``H ∖ {h}`` at ``n!``, passed first, peels level by level down to the
-    shift sizes, shifting only a few residues per layer, and its cover is
-    never counted.  Which path runs depends on ``p``'s members alone; the
-    result does not.
+    realizes the sumset ``P + Y`` as a finite union of APs: ``c`` rotated
+    by each member of ``p``, ORed through :class:`Rotations`, so a caller
+    with a small operand hands it first.
     """
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
-    return ResidueSet.from_words(k, _peel_shift(p, len(p), c))
-
-
-def min_plus_mod(p: ResidueSet, values: np.ndarray) -> np.ndarray:
-    """``t[r] = min{values[c] : (r − c) mod k in p}`` for every residue r
-    mod k, for an integer table ``values`` of length k; where no class c
-    qualifies, t[r] is the dtype's maximum.
-
-    The min case of ``_peel_shift``: ``sumset_mod`` with OR replaced by
-    min, the table rotated whole at each shift.  A p of more than
-    ``_SHIFT_MAX`` members with no periodic layer raises
-    :class:`ResourceLimitError` at any modulus; every tower period peels.
-    """
-    if values.shape != (p.modulus,):
-        raise ValueError(f"a table of shape {values.shape} for modulus {p.modulus}")
-    return _peel_shift(p, len(p), values)
-
-
-def _peel_shift(p: ResidueSet, size: int,
-                table: ResidueSet | np.ndarray) -> np.ndarray:
-    """``out[r] = op{table[(r − c) mod k] : c in p}`` for a set ``p`` of
-    ``size`` members and a table of its modulus k: a residue set, whose
-    words come out ORed, or an integer table, whose entries come out by
-    min; all clear (or the dtype's maximum) where p is empty.
-
-    - *shift*: when p has at most ``_SHIFT_MAX`` members, op over the
-      rotations of ``table`` by each of them;
-    - *peel*: otherwise, when p has a periodic layer ``(q, f, E)``: the
-      tiling of the same sum at ``k/q`` of f with ``table`` folded by op
-      mod ``k/q``, combined with the rotations of ``table`` by each
-      residue of E;
-    - any other p, and any p whose core is such a p, raises
-      :class:`ResourceLimitError`, at every modulus.
-
-    Only the fold, the tiling, the empty result and the combine differ
-    between the two semirings: words are combined through
-    :class:`Rotations`, which lists them, and an integer table is rotated
-    whole once per shift.  An empty excess combines nothing.  Each p, and
-    each core peeled from it, has its layer searched once.
-    """
-    k = p.modulus
-    words = isinstance(table, ResidueSet)
-    if size > _SHIFT_MAX:
-        layer = _periodic_layer(p, size)
-        if layer is None:
-            raise ResourceLimitError(
-                f"{size} residues mod {k} have no periodic layer to peel")
-        q, core, shifts = layer
-        period = k // q
-        folded = (fold(np.bitwise_or, table, period) if words
-                  else np.minimum.reduce(table.reshape(q, period), axis=0))
-        inner = _peel_shift(core, (size - shifts.size) // q, folded)
-        out = tile_words(inner, period, q) if words else np.tile(inner, q)
-    else:
-        out = (np.zeros(word_count(k), dtype=_WORD) if words
-               else np.full(k, np.iinfo(table.dtype).max, dtype=table.dtype))
-        shifts = p.members(0, k)
-    if not shifts.size:
-        return out
-    if words:
-        return Rotations(table).combine(out, shifts)
-    for s in shifts.tolist():
-        combine_rotated(np.minimum, out, table, s)
-    return out
+    out = np.zeros(word_count(k), dtype=_WORD)
+    return ResidueSet.from_words(k, Rotations(c).combine(out, p.members(0, k)))
 
 
 class Rotations:
@@ -485,7 +405,9 @@ class Rotations:
     gathered at them shifted, and a denser one, refused by the listing
     (``entries`` None), is rotated or counted in whole passes.  Dense
     words whose modulus is not a multiple of 64 are rotated as one integer
-    (``_integer``).  All paths give the same results.
+    (``_integer``).  All paths give the same results.  The tower builder
+    (``construction.step``) and ``sumset_mod`` rotate through it;
+    ``construction.check_claimA`` rotates nothing through it.
     """
 
     __slots__ = ("k", "table", "entries", "_integer")
@@ -531,7 +453,7 @@ class Rotations:
             out |= _from_int(rotations, self.k)
         else:
             for s in shifts.tolist():
-                combine_rotated(np.bitwise_or, out, *self._rolled(s))
+                combine_rotated(out, *self._rolled(s))
         return out
 
     def gain(self, base: np.ndarray, shift: int) -> int:
@@ -548,44 +470,11 @@ class Rotations:
         return _count(t[:n - w] & ~base[w:]) + _count(t[n - w:] & ~base[:w])
 
 
-def combine_rotated(op: np.ufunc, out: np.ndarray, table: np.ndarray, shift: int) -> None:
-    """``out = op(out, np.roll(table, shift))``, in place, for a binary ufunc
-    ``op`` (OR on words, min on tables) and ``0 <= shift < len(table)``."""
+def combine_rotated(out: np.ndarray, table: np.ndarray, shift: int) -> None:
+    """``out |= np.roll(table, shift)``, in place, for ``0 <= shift < len(table)``."""
     k = table.shape[0]
-    op(out[shift:], table[: k - shift], out=out[shift:])
-    op(out[:shift], table[k - shift:], out=out[:shift])
-
-
-def _periodic_layer(x: ResidueSet, size: int) -> tuple[int, ResidueSet, np.ndarray] | None:
-    """``(q, f, E)`` peeling a period ``k/q`` off the set ``x`` mod k with
-    ``size`` members.
-
-    For a prime ``q | k``, ``f`` is the AND-fold of x mod ``k/q`` (the
-    residues whose every lift lies in x) and ``E`` lists the members of x
-    outside the tiling of ``f``: ``|E| = size - q |f|``.  Every prime is
-    folded, from the largest down, and the one with the least ``|E|`` is
-    taken, the largest on a tie, when that ``|E|`` is at most
-    ``_SHIFT_MAX``; None when none is, and ``_peel_shift`` refuses x.  An
-    empty E ends the search, and is not listed.  ``f`` is empty only for an
-    x of at most ``_SHIFT_MAX`` members, which ``_peel_shift`` shifts over
-    without searching.
-    """
-    k = x.modulus
-    best = None
-    for q in sorted(factorize(k), reverse=True):
-        core = fold(np.bitwise_and, x, k // q)
-        excess = size - q * len(core)
-        if best is None or excess < best[0]:
-            best = excess, q, core
-            if not excess:
-                break
-    if best is None or best[0] > _SHIFT_MAX:
-        return None
-    excess, q, core = best
-    if not excess:
-        return q, core, np.empty(0, dtype=np.intp)
-    outside = x.words() & ~tile_words(core.words(), k // q, q)
-    return q, core, _word_members(outside, excess)
+    out[shift:] |= table[: k - shift]
+    out[:shift] |= table[k - shift:]
 
 
 def _word_members(words: np.ndarray, limit: int) -> np.ndarray | None:

@@ -2,10 +2,12 @@
 A+B from a tower, compare empirical frequencies against the exact
 certificates, and cross-check with asymptotic/Banach/logarithmic proxies.
 
-The A + B windows come from a prefix of A's period just longer than the
-window: the least member of A + B in each residue class is a min-plus sum
-of that prefix with B's first members, peeled layer by layer in
-:mod:`buckdens.sets`, with no convolution.  The proxies are float-side;
+The A + B windows come from A's classes, which the tower's nesting
+reveals (``construction.a_classes``): within each residue class modulo
+the largest class modulus up to the window, A + B is everything from one
+threshold on, taken up the class moduli from B's first members, and a
+class whose modulus passes the window adds its one member plus B.  The
+proxies are float-side;
 the certified rationals come from :mod:`buckdens.construction` and are
 never touched.
 """
@@ -24,13 +26,14 @@ from .construction import (
     SumBounds,
     Tower,
     a_bounds,
+    a_classes,
     check_claimA,
     count_A,
     sum_bounds,
 )
 from .density import check_horizon, proxies
 from .oracles import CoverOracle
-from .sets import ResidueSet, min_plus_mod, naturals
+from .sets import ResidueSet, naturals
 
 __all__ = [
     "a_window",
@@ -64,66 +67,104 @@ def a_window(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return definite, upper.window(horizon + 1) - definite
 
 
-def sumset_window(period: ResidueSet, b_values: np.ndarray, horizon: int) -> np.ndarray:
-    """Indicator on [0, horizon] of A + B, with A = {a >= 0 : a mod M in P}
-    for the set P = ``period`` mod M.
+def sumset_window(classes: list[tuple[int, int]], b_values: np.ndarray,
+                  horizon: int) -> np.ndarray:
+    """Indicator on [0, horizon] of A + B, for A the union of the classes
+    c + m·N, ``(m, c)`` in ``classes``, each modulus a divisor of every
+    larger one (as the tower's n! are); ``b_values`` in any order.
 
-    x ≡ r (mod M) lies in A + B iff x >= t_r = min{F_c : r − c in P}, with
-    F_c the least member of B ∩ [0, horizon] in class c (horizon + 1 if
-    none): t is the min-plus sum of P and F mod M, which
-    ``sets.min_plus_mod`` takes by peeling P's periodic layers.  P must
-    peel (or have at most ``sets._SHIFT_MAX`` members), else
-    :class:`~buckdens.sets.ResourceLimitError` is raised at any M; a
-    tower period, and the prefix ``_periods`` cuts from it, always does.
-    The cost follows M, so a caller with a long period and a short window
-    passes a prefix of the period longer than the window, as ``_periods``
-    does.  ``b_values`` may come in any order.
+    Within a class r mod m, (c + m·N) + B is every x ≡ r from
+    c + F_m[(r − c) mod m] on, F_m[s] the least member of B ∩ [0, horizon]
+    ≡ s (mod m), the min-fold of F_M.  So within each class r mod M, the
+    largest modulus up to the horizon, A + B is every x ≡ r from t_r on:
+    the thresholds are lifted up the moduli, from m to m' as the least
+    x ≡ r' (mod m') at or above t, t + ((r' − t) mod m'), and lowered by
+    the classes at m'.  A class whose modulus passes the horizon has at
+    most its c in the window and adds c + (B ∩ [0, horizon − c]).  No
+    table is longer than min(M, horizon + 1), or than M + √(horizon + 1)
+    when M is shorter than √(horizon + 1) and the rows are widened.
     """
-    m = period.modulus
-    n = min(m, horizon + 1)
     out = np.zeros(horizon + 1, dtype=np.uint8)
     # int32 holds every horizon within the enumeration budget; minimum.at
     # takes its fast path only when the values match the table's dtype
     b_values = b_values[b_values <= horizon].astype(np.int32)
-    least = np.full(m, horizon + 1, dtype=np.int32)
-    np.minimum.at(least, b_values % m, b_values)
-    threshold = min_plus_mod(period, least)[:n]
-    # x = q*n + r is covered iff q*n >= t_r - r (and q = 0 whenever n < M)
-    threshold -= np.arange(n, dtype=np.int32)
-    full, rest = divmod(horizon + 1, n)
-    np.greater_equal(np.arange(full)[:, None] * n, threshold,
-                     out=out[: full * n].reshape(full, n))
-    np.greater_equal(full * n, threshold[:rest], out=out[full * n:])
+    moduli = sorted({m for m, _ in classes if m <= horizon})
+    if moduli:
+        big = moduli[-1]
+        first = _first_members(b_values, big, horizon)
+        threshold = np.full(1, 2 * horizon + 2, dtype=np.int32)   # nothing mod 1
+        for m in moduli:
+            threshold = _lifted(threshold, m)
+            least = first if m == big else first.reshape(big // m, m).min(axis=0)
+            for c in (c for n, c in classes if n == m):
+                shifted = np.roll(least, c)
+                shifted += c
+                np.minimum(threshold, shifted, out=threshold)
+        # rows of at least √(horizon + 1) residues keep the loop over rows short
+        width = big * -(-math.isqrt(horizon + 1) // big)
+        if width > big:
+            threshold = _lifted(threshold, width)
+        # x = q*width + r is covered iff q*width >= t_r - r
+        threshold -= np.arange(width, dtype=np.int32)
+        full, rest = divmod(horizon + 1, width)
+        np.greater_equal(np.arange(0, full * width, width, dtype=np.int32)[:, None], threshold,
+                         out=out[: full * width].reshape(full, width))
+        np.greater_equal(full * width, threshold[:rest], out=out[full * width:])
+    for m, c in classes:
+        if m > horizon >= c:
+            out[c + b_values[b_values <= horizon - c]] = 1
     return out
 
 
-def _periods(t: Tower, horizon: int) -> tuple[ResidueSet, ResidueSet]:
-    """Periods of the definite part of A and of A_N, H∖{h} and H at the top
-    level N, cut to a length d that gives the same window [0, horizon];
-    ``[1]`` for both when A = N.
+def _lifted(threshold: np.ndarray, m: int) -> np.ndarray:
+    """Thresholds t mod a multiple m of their length: for each r' mod m,
+    the least x ≡ r' (mod m) at or above t_{r' mod len(t)}."""
+    tiled = np.tile(threshold, m // threshold.size)
+    out = np.arange(m, dtype=np.int32)
+    out -= tiled
+    out %= m
+    out += tiled
+    return out
+
+
+def _first_members(b_values: np.ndarray, m: int, horizon: int) -> np.ndarray:
+    """F[s], the least member of B ∩ [0, horizon] ≡ s (mod m), horizon + 1
+    if none, for those members ``b_values``, int32, in any order."""
+    first = np.full(m, horizon + 1, dtype=np.int32)
+    np.minimum.at(first, b_values % m, b_values)
+    return first
+
+
+def _period_length(t: Tower, horizon: int) -> int:
+    """The length d to which ``_periods`` cuts the top level, which the
+    Banach proxy scans over; 1 when A = N.
 
     Every window starts here, so here a horizon is refused, before B is
     enumerated: below 1 with ``ValueError``, past ``DEFAULT_ENUM_BUDGET``
-    with ``ResourceLimitError``.
-
-    Any d > horizon gives the same window, as only the first lift of each
-    residue lies in it.  With f = n! the largest level modulus up to the
-    horizon, d = min(N!, (⌊horizon/f⌋ + 1)·f), at most 2·horizon.  For
-    n < N: level m + 1 removes lifts of h_m from m! on, so below
-    (n + 1)! >= d, H is H_{n+1}, whose rows mod f are H_n or H_n∖{h_n},
-    and the prefix peels like a level.  The upper period is H's prefix,
-    the lower one a copy with h cleared when h < d.
+    with ``ResourceLimitError``.  Any d > horizon gives the same window,
+    as only the first lift of each residue lies in it.  With f = n! the
+    largest level modulus up to the horizon, d = min(N!, (⌊horizon/f⌋ +
+    1)·f), at most 2·horizon.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     check_horizon(horizon)
     if t.trivial:
-        return naturals(), naturals()
-    top = t.top
+        return 1
     f = max((lv.modulus for lv in t.levels if lv.modulus <= horizon), default=1)
-    d = min(top.modulus, (horizon // f + 1) * f)
-    upper = top.H.prefix(d)
-    return (upper.discard(top.h) if top.h < d else upper), upper
+    return min(t.top.modulus, (horizon // f + 1) * f)
+
+
+def _periods(t: Tower, horizon: int) -> tuple[ResidueSet, ResidueSet]:
+    """Periods of the definite part of A and of A_N, H∖{h} and H at the top
+    level N, cut to the length ``_period_length`` gives, which has the same
+    window [0, horizon]; ``[1]`` for both when A = N.  The upper period is
+    H's prefix, the lower one a copy with h cleared when h < d."""
+    d = _period_length(t, horizon)
+    if t.trivial:
+        return naturals(), naturals()
+    upper = t.top.H.prefix(d)
+    return (upper.discard(t.top.h) if t.top.h < d else upper), upper
 
 
 def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, int]:
@@ -138,15 +179,17 @@ def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, 
 
 def _coverages(t: Tower, oracle: CoverOracle,
                horizon: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The A + B windows of the two periods ``_periods`` cuts, and their
-    length d."""
-    lower, upper = _periods(t, horizon)
+    """The A + B windows of A's definite part and of A_N, which adds the
+    class of h_N, and the period length the proxies scan."""
+    d = _period_length(t, horizon)
+    lower = a_classes(t)
     b_values = oracle.enumerate(horizon)
     lo_cov = sumset_window(lower, b_values, horizon)
-    # the two periods differ only at h, whose class first enters the window at h
-    hi_cov = (lo_cov if t.trivial or t.top.h > horizon
-              else sumset_window(upper, b_values, horizon))
-    return lo_cov, hi_cov, lower.modulus
+    # the class of h first enters the window at h
+    top = None if t.trivial else t.top
+    hi_cov = (lo_cov if top is None or top.h > horizon or top.h not in top.H
+              else sumset_window(lower + [(top.modulus, top.h)], b_values, horizon))
+    return lo_cov, hi_cov, d
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +387,8 @@ def cross_density_check(t: Tower, oracle: CoverOracle, horizon: int) -> CrossDen
     Periodic-set structure makes all the proxies agree in the limit; this is
     the finite-scale reflection of uniformity across quasi-densities.
     """
-    lower = _periods(t, horizon)[0]
+    d = _period_length(t, horizon)
     sb = sum_bounds(t, oracle)
-    lo_cov = sumset_window(lower, oracle.enumerate(horizon), horizon)
+    lo_cov = sumset_window(a_classes(t), oracle.enumerate(horizon), horizon)
     return CrossDensityReport(t.alpha, (sb.final.lower, sb.final.upper), _CROSS_SLACK,
-                              *proxies(lo_cov, horizon, lower.modulus))
+                              *proxies(lo_cov, horizon, d))

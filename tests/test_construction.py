@@ -127,8 +127,7 @@ class TestStep:
         assert densities == sorted(densities)
 
     def test_construct_never_calls_the_convolution(self, monkeypatch):
-        # the builder tiles the carried lower sumset; only check_claimA
-        # convolves, so its certificates are an independent re-derivation;
+        # the builder tiles the carried lower sumset and never convolves;
         # the covers intersect their CRT components through ``rebase``, so
         # they are built before the patch
         def refuse(*args, **kwargs):
@@ -146,27 +145,6 @@ class TestStep:
                             patched.setattr(module, name, refuse)
                 t = construct(oracle, alpha, 7)
             assert check_claimA(t, oracle).ok
-
-    def test_check_convolves_once_per_level(self, monkeypatch):
-        # H = H' ∪ {h}: U is L's sumset plus one rotated cover, and nesting
-        # reads rows of the next level, so no level is convolved twice or tiled
-        oracle = PrimesOracle()
-        t = construct(oracle, HALF, 8)
-        convolved = []
-        real = construction.sumset_mod
-
-        def counting(p, c):
-            convolved.append(p.modulus)
-            return real(p, c)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the check must not rebase")
-
-        monkeypatch.setattr(construction, "sumset_mod", counting)
-        monkeypatch.setattr(construction, "rebase", refuse, raising=False)
-        monkeypatch.setattr(sets, "rebase", refuse)
-        assert check_claimA(t, oracle).ok
-        assert convolved == [lv.modulus for lv in t.levels]
 
     def test_step_carries_the_lower_sumset(self):
         def lower_sumset(lv):  # (H minus h) + cover(n!) mod n!, by convolution
@@ -232,8 +210,8 @@ class TestClaimA:
         assert top.upper - top.lower <= Fraction(1, 120)
 
     def test_tampered_tower_is_caught(self, tmp_path, capsys):
-        # level 3 with 2 dropped fails to nest in level 2 but still peels:
-        # the check stops at level 2, where the report fails
+        # level 3 with 2 dropped fails to nest in level 2: the check stops
+        # at level 2, where the report fails
         oracle = FiniteOracle([0])
         t = construct(oracle, HALF, 4)
         lv = t.levels[2]
@@ -243,7 +221,6 @@ class TestClaimA:
                                 density_a=Fraction(len(dropped), lv.modulus))
         bad = Tower(alpha=t.alpha, oracle_spec=t.oracle_spec, exact=t.exact,
                     levels=bad_levels)
-        sumset_mod(dropped.discard(lv.h), oracle.cover_cached(lv.modulus))
         report = check_claimA(bad, oracle)
         assert not report.ok
         assert report.first_violation() == 2
@@ -266,19 +243,15 @@ class TestClaimA:
 
     def test_unpeelable_level_after_a_nesting_failure_fails_the_check(
             self, tmp_path, capsys):
-        # a random level 8 fails to nest in level 7, and its H' has no
-        # layer to peel: the check ends at the failed level 7 instead of
-        # raising, and verify exits 2, not 3
+        # a random level 8, with no periodic layer, fails to nest in level
+        # 7: the check ends at the failed level 7, and verify exits 2
         oracle = PerfectPowersOracle()
         t = construct(oracle, HALF, 8)
         top = t.top
         bits = (np.random.default_rng(8).random(top.modulus) < 0.3).astype(np.uint8)
         bits[top.h] = 1
-        assert sets._periodic_layer(ResidueSet.from_bits(bits), int(np.count_nonzero(bits))) is None
         bad = Tower(alpha=t.alpha, oracle_spec=t.oracle_spec, exact=t.exact,
                     levels=t.levels[:-1] + [replace(top, H=ResidueSet.from_bits(bits))])
-        with pytest.raises(ResourceLimitError):
-            sumset_mod(bad.top.H.discard(top.h), oracle.cover_cached(top.modulus))
         report = check_claimA(bad, oracle)
         assert report.first_violation() == 7
         assert [c.n for c in report.checks] == list(range(1, 8))
@@ -291,20 +264,11 @@ class TestClaimA:
         assert err.count("\n") == 1 and "FAILED at level 7" in err
 
     @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
-    def test_check_hands_sumset_mod_only_operands_that_peel(self, monkeypatch, spec):
-        # what keeps verify off exit 3: on a valid depth-8 tower, and on the
-        # same tower with 1-3 bits flipped across its levels, every operand
-        # check_claimA hands sumset_mod, and every core peeled from it, is
-        # shifted over (at most _SHIFT_MAX members) or has a periodic
-        # layer, so a malformed level fails its certificate instead of
-        # being refused
-        real = sets._periodic_layer
-
-        def peeling(x, size):
-            got = real(x, size)
-            assert got is not None, f"{size} residues mod {x.modulus} have no layer"
-            return got
-
+    def test_check_hands_sumset_mod_only_operands_that_peel(self, spec):
+        # a valid depth-8 tower, and the same tower with 1-3 bits flipped
+        # across its levels: check_claimA hands sumset_mod nothing, reads
+        # the classes of each level that nests, and fails every corrupted
+        # tower instead of raising
         oracle = parse_oracle(spec)
         t = construct(oracle, HALF, 8)
         rng = np.random.default_rng(len(spec))
@@ -318,7 +282,6 @@ class TestClaimA:
                 flipped[r >> 6] ^= np.uint64(1) << np.uint64(r & 63)
                 levels[i] = replace(lv, H=ResidueSet.from_words(lv.modulus, flipped))
             towers.append(replace(t, levels=levels))
-        monkeypatch.setattr(sets, "_periodic_layer", peeling)
         reports = [check_claimA(tower, oracle) for tower in towers]
         assert reports[0].ok
         assert not any(report.ok for report in reports[1:])
@@ -340,75 +303,16 @@ class TestClaimA:
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and "FAILED at level 5" in captured.err
 
-    def test_refusal_after_a_nesting_level_is_raised(self, monkeypatch):
-        def refuse(p, c):
-            raise ResourceLimitError("refused")
-
-        oracle = PrimesOracle()
-        t = construct(oracle, HALF, 4)
-        monkeypatch.setattr(construction, "sumset_mod", refuse)
-        with pytest.raises(ResourceLimitError, match="refused"):
-            check_claimA(t, oracle)
-
-    def test_depth_ten_check_takes_no_transform(self, monkeypatch):
-        # every H' peels level by level down to shift-OR sizes
-        def refuse(*args, **kwargs):
-            raise AssertionError("check_claimA reached a transform")
-
+    def test_depth_ten_check_takes_no_transform(self):
+        # the classes are summed by integer rotation (no module names an
+        # FFT: test_ownership.test_no_module_names_fft), and give the
+        # stored certificates at every level
         for oracle in (PrimesOracle(), PerfectPowersOracle()):
             t = construct(oracle, HALF, 10)
-            with monkeypatch.context() as patched:
-                patched.setattr(np.fft, "rfft", refuse)
-                report = check_claimA(t, oracle)
+            report = check_claimA(t, oracle)
             assert report.ok
             assert [(c.lower, c.upper) for c in report.checks] == \
                 [(lv.sum_lower, lv.sum_upper) for lv in t.levels]
-
-    def test_each_layer_is_the_fold_with_the_least_excess(self, monkeypatch):
-        # at 2·9! the depth-10 powers H' folds by 3 with no excess, where
-        # the fold by 7, the largest prime whose excess fits, leaves 18
-        # residues to rotate: every prime is folded, and 3 is taken
-        layers = {}
-        real = sets._periodic_layer
-
-        def recording(x, size):
-            got = real(x, size)
-            layers.setdefault(x.modulus, got and (got[0], got[2].size))
-            return got
-
-        oracle = PerfectPowersOracle()
-        t = construct(oracle, Fraction(3, 4), 10)
-        monkeypatch.setattr(sets, "_periodic_layer", recording)
-        assert check_claimA(t, oracle).ok
-        assert layers[2 * math.factorial(9)] == (3, 0)
-
-    @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4)], ids=["half", "three-quarters"])
-    def test_depth_ten_check_peels_at_every_modulus(self, monkeypatch, alpha):
-        # H' peels at every modulus, so the check shifts over a few
-        # residues per layer instead of over every member of H' at the
-        # small moduli (10611 rotations if it did); H' is handed first
-        # and peels, so the dense cover is folded down and rotated by a
-        # few residues only.  Dense words are rotated by
-        # combine_rotated, or as one integer when their modulus is not a
-        # multiple of 64; both are counted, in bytes of words
-        rotated = []
-        combine, integer = sets.combine_rotated, sets.Rotations._rotated
-
-        def counting(*args):
-            rotated.append(args[-2].nbytes)
-            combine(*args)
-
-        def counting_integer(self, shift):
-            rotated.append(8 * sets.word_count(self.k))
-            return integer(self, shift)
-
-        oracle = PrimesOracle()
-        t = construct(oracle, alpha, 10)
-        monkeypatch.setattr(sets, "combine_rotated", counting)
-        monkeypatch.setattr(sets.Rotations, "_rotated", counting_integer)
-        assert check_claimA(t, oracle).ok
-        assert 0 < len(rotated) <= 400
-        assert sum(rotated) <= 5 * 10 ** 6
 
     @pytest.mark.parametrize("spec, depth", [
         ("factorials", 9), ("finite:0,24,7", 9), ("primes", 8), ("powers", 8)])
@@ -445,6 +349,41 @@ class TestClaimA:
         t = construct(oracle, alpha, 9)
         assert check_claimA(t, oracle).ok
         assert max(lengths, default=0) < math.factorial(9) // 8
+
+    @pytest.mark.parametrize("mutant", ["_rolled", "gain"])
+    @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4)], ids=["half", "three-quarters"])
+    def test_a_rotation_bug_the_builder_makes_is_caught(self, monkeypatch, mutant, alpha):
+        # a broken Rotations, left in place for construct and for the
+        # check, builds a depth-8 powers tower with wrong certificates from
+        # level 8 on; check_claimA shares no rotation with the builder and
+        # fails it there
+        real_gain = sets.Rotations.gain
+
+        def rolled_without_carry(self, shift):
+            # Rotations._rolled without the carry of the last word into the first
+            t = self.table
+            w, b = divmod(shift, 64)
+            if not b:
+                return t, w
+            carried = t << b
+            carried[1:] |= t[:-1] >> (64 - b)
+            return carried, w
+
+        def gain_without_wrap(self, base, shift):
+            # Rotations.gain without the wrapped piece of a dense count
+            if self.entries is not None or self._integer is not None:
+                return real_gain(self, base, shift)
+            t, w = self._rolled(shift)
+            return int(np.bitwise_count(t[:t.shape[0] - w] & ~base[w:]).sum())
+
+        broken = {"_rolled": rolled_without_carry, "gain": gain_without_wrap}[mutant]
+        oracle = PerfectPowersOracle()
+        honest = construct(oracle, alpha, 8)
+        monkeypatch.setattr(sets.Rotations, mutant, broken)
+        t = construct(oracle, alpha, 8)
+        assert t.top.sum_upper != honest.top.sum_upper
+        report = check_claimA(t, oracle)
+        assert report.first_violation() == 8
 
     def test_an_oracle_breaking_the_projection_is_caught(self):
         # cover(7!) gains 0, which is not in cover(8!) mod 7!: the builder's

@@ -36,7 +36,7 @@ from buckdens.sets import (
     union,
 )
 
-from buckdens.verify import _periods, sumset_window
+from buckdens.verify import _coverages
 
 import reference_proxies
 
@@ -269,12 +269,11 @@ class TestProxies:
     def test_a_verify_window(self):
         oracle = PrimesOracle()
         tower = construct(oracle, Fraction(1, 2), 6)
-        lower = _periods(tower, 10**4)[0]
-        cov = sumset_window(lower, oracle.enumerate(10**4), 10**4)
+        cov, _, period = _coverages(tower, oracle, 10**4)
         for horizon in (100, 1000, 10**4):
             window = cov[: horizon + 1]
-            assert proxies(window, horizon, lower.modulus) == \
-                self._separate(window, horizon, lower.modulus, horizon // 10)
+            assert proxies(window, horizon, period) == \
+                self._separate(window, horizon, period, horizon // 10)
 
 
 class TestAxiomSuite:

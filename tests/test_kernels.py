@@ -10,25 +10,21 @@ def random_bits(rng, n, p=0.3):
 
 
 class TestKernelsAgreeWithReferences:
-    @pytest.mark.parametrize("op,draw", [
-        (np.bitwise_or, random_bits),
-        (np.minimum, lambda rng, n: rng.integers(0, 1000, n, dtype=np.int32)),
-    ])
-    def test_combine_rotated_is_op_with_np_roll(self, op, draw):
+    def test_combine_rotated_is_or_with_np_roll(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             k = int(rng.integers(1, 3000))
             shift = int(rng.integers(0, k))
-            bits = draw(rng, k)
-            got = draw(rng, k)
-            want = op(got, np.roll(bits, shift))
-            combine_rotated(op, got, bits, shift)
+            bits = random_bits(rng, k)
+            got = random_bits(rng, k)
+            want = got | np.roll(bits, shift)
+            combine_rotated(got, bits, shift)
             assert np.array_equal(got, want)
 
     def test_edge_shifts(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
         out = np.zeros(4, dtype=np.uint8)
-        combine_rotated(np.bitwise_or, out, bits, 0)
+        combine_rotated(out, bits, 0)
         assert out.tolist() == [1, 0, 1, 1]
 
     def test_active_backend_is_numpy(self):

@@ -15,7 +15,11 @@
   another value, and ``axioms`` has no flag that one value serves.
 - The sparse/dense rule: only ``sets.Rotations.__init__`` reads
   ``_SPARSE_RATIO``, handing its limit to the listing, and ``construction``
-  rotates, scatters and gathers only through ``Rotations``.
+  rotates words, scatters and gathers only through ``Rotations``.
+- The checker's independence: ``check_claimA``, and every function of
+  ``construction`` it reaches, names neither ``Rotations`` nor
+  ``sumset_mod``, so no rotation is shared with the builder.
+- No transform: no module names ``fft``.
 - The listing: ``Rotations`` takes a residue set only, and ``sets`` lists
   words alone (``_word_members``, in one pass): there is no listing of
   integer tables (``_sparse_members``), no min scatter (``minimum.at``)
@@ -26,8 +30,7 @@
   ``_crt_product``, each a component indicator of length p (a prime, for
   the primes cover) or q (a prime power, for the powers cover).
 - Refusals in ``sets``: only ``check_budget`` (a modulus past the budget)
-  and ``_peel_shift`` (a first operand it can neither shift over nor peel)
-  raise ``ResourceLimitError``.
+  raises ``ResourceLimitError``.
 """
 
 import ast
@@ -109,6 +112,32 @@ def test_construction_rotates_only_through_rotations():
     assert "Rotations" in names
 
 
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_check_claimA_names_neither_rotations_nor_sumset_mod():
+    functions = {name: fn for name, fn in _qualified_functions(TREES["construction.py"])}
+    reached, todo = set(), ["check_claimA"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += [n for n in _names(functions[name]) if n in functions and n not in reached]
+    assert {"check_claimA", "_class_sums", "_level_classes", "_rotated"} <= reached
+    names = set().union(*(_names(functions[name]) for name in reached))
+    assert names.isdisjoint({"Rotations", "sumset_mod", "combine", "gain", "_rolled"})
+
+
+def test_no_module_names_fft():
+    named = {(module, n) for module, tree in TREES.items() for n in _names(tree)
+             if "fft" in n.lower()}
+    imported = {(module, alias.name) for module, tree in TREES.items()
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if "fft" in alias.name.lower()}
+    assert named | imported == set()
+
+
 def test_rotations_take_residue_sets_and_only_words_are_listed():
     tree = TREES["sets.py"]
     init = dict(_qualified_functions(tree))["Rotations.__init__"]
@@ -133,13 +162,13 @@ def test_oracles_tile_nothing_and_pack_only_the_crt_components():
     assert owners == {("from_bits", "_crt_product")}
 
 
-def test_sets_refuses_only_in_check_budget_and_peel_shift():
+def test_sets_refuses_only_in_check_budget():
     owners = {owner for owner, fn in _qualified_functions(TREES["sets.py"])
               for node in ast.walk(fn)
               if isinstance(node, ast.Raise) and node.exc is not None
               and "ResourceLimitError" in {n.id for n in ast.walk(node.exc)
                                           if isinstance(n, ast.Name)}}
-    assert owners == {"check_budget", "_peel_shift"}
+    assert owners == {"check_budget"}
 
 
 def test_level_holds_only_its_json_fields():

@@ -22,15 +22,12 @@ from buckdens.sets import (
     dumps_periodic,
     factorize,
     intersect,
-    min_plus_mod,
     loads_periodic,
     naturals,
     rebase,
     sumset_mod,
     union,
 )
-
-from layered import nested_operand
 
 
 def brute_members(p, bound):
@@ -176,10 +173,10 @@ def shift_or_reference(a, b):
 
 
 class TestShiftKernel:
-    # the shift branch of both semirings, at lengths divisible by 4,
-    # = 2 (mod 4) and odd, with the wrap-around shifts 0 and k - 1 in the
-    # small operand, which is handed first; the other operand is handed
-    # first too where it is small, or peels (the full set)
+    # one rotation of the second operand per member of the first, at
+    # lengths divisible by 4, = 2 (mod 4) and odd, with the wrap-around
+    # shifts 0 and k - 1 in the small operand, which is handed first; the
+    # other operand is handed first too where it is small
     @pytest.mark.parametrize("k", [
         1 << 14, 8 * 5040, 362880,
         (1 << 14) + 2, 2 * 3 ** 9,
@@ -192,12 +189,10 @@ class TestShiftKernel:
         b = np.zeros(k, dtype=np.uint8)
         b[rng.choice(k, size=40, replace=False)] = 1
         b[[0, k - 1]] = 1
-        assert np.count_nonzero(b) <= sets._SHIFT_MAX
         want = shift_or_reference(a, b)
         x, y = ResidueSet.from_bits(a), ResidueSet.from_bits(b)
         assert np.array_equal(sumset_mod(y, x).window(k), want)
-        assert np.array_equal(min_plus_mod(y, np.where(a, 0, 1)) == 0, want)
-        if len(x) <= sets._SHIFT_MAX or density == 1.0:
+        if len(x) <= 64:
             assert np.array_equal(sumset_mod(x, y).window(k), want)
 
 
@@ -263,240 +258,11 @@ class TestSparseMembers:
             assert np.array_equal(got, members)
 
 
-def periodic_operands(k, rng, density):
-    """Bitmaps of length k that peel first by each prime q | k: tile(core)
-    with a few members added, tile(core) with a few removed (each removal
-    leaves q − 1 lifts outside the AND-fold), and tile(core) plus a few
-    members where core itself is a tiled bitmap plus a few members (two
-    layers to peel), each core a ``nested_operand``."""
-    def flip(x, value, size):
-        x[rng.choice(np.flatnonzero(x != value), size=size, replace=False)] = value
-        return x
-
-    for q in sets.factorize(k):
-        core = nested_operand(k // q, rng, density)
-        yield flip(np.tile(core, q), 1, 20)
-        yield flip(np.tile(core, q), 0, 3)
-        r = min(sets.factorize(k // q))
-        core = np.tile(nested_operand(k // q // r, rng, density), r)
-        yield flip(np.tile(flip(core, 1, 10), q), 1, 10)
-
-
-def unlayered_operand(k, rng, size):
-    """A bitmap of length k with ``size`` random members, more than
-    ``_SHIFT_MAX``, and no periodic layer."""
-    x = np.zeros(k, dtype=np.uint8)
-    x[rng.choice(k, size=size, replace=False)] = 1
-    assert size > sets._SHIFT_MAX
-    assert sets._periodic_layer(ResidueSet.from_bits(x), size) is None
-    return x
-
-
-class TestPeriodicPeel:
-    # the peel at moduli from 5040 to 2^16, multiples of 64 and not
-    @pytest.mark.parametrize("k", [math.factorial(8), 1 << 16, 3 ** 9, 4 * 5040,
-                                   5040, 9240])
-    def test_matches_shift_or(self, k):
-        # a dense layered operand with a sparse partner, and a sparse one
-        # (still beyond the shift-OR size) with a dense partner, each
-        # handed first; neither partner has a layer
-        rng = np.random.default_rng(k)
-        sparse = unlayered_operand(k, rng, 150)
-        dense = (rng.random(k) < 0.3).astype(np.uint8)
-        for partner, density in ((sparse, 0.3), (dense, 0.02)):
-            for x in [nested_operand(k, rng, density), *periodic_operands(k, rng, density)]:
-                assert np.count_nonzero(x) > sets._SHIFT_MAX
-                fewer, more = sorted((x, partner), key=np.count_nonzero)
-                want = shift_or_reference(more, fewer)
-                got = sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(partner))
-                assert np.array_equal(got.window(k), want)
-
-    def test_peelable_operands_take_no_transform(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a peelable operand reached a transform")
-
-        monkeypatch.setattr(np.fft, "rfft", refuse)
-        k = 4 * 5040
-        rng = np.random.default_rng(1)
-        partner = (rng.random(k) < 0.1).astype(np.uint8)
-        for x in periodic_operands(k, rng, 0.3):
-            sumset_mod(ResidueSet.from_bits(x), ResidueSet.from_bits(partner))
-
-    def test_aperiodic_operands_are_refused(self):
-        # neither operand has a layer: the first is refused, in either order
-        k = math.factorial(8)
-        rng = np.random.default_rng(2)
-        x, y = (ResidueSet.from_bits((rng.random(k) < 0.1).astype(np.uint8))
-                for _ in range(2))
-        for a, b in ((x, y), (y, x)):
-            with pytest.raises(ResourceLimitError, match="no periodic layer"):
-                sumset_mod(a, b)
-
-    @pytest.mark.parametrize("k", [5040, math.factorial(8)])
-    @pytest.mark.parametrize("size", [80, 150])
-    def test_unlayered_operands_are_refused_in_both_semirings(self, monkeypatch, k, size):
-        # a first operand of more than _SHIFT_MAX members with no layer is
-        # refused, with one message, at every modulus, before any shift
-        def refuse(*args):
-            raise AssertionError("an unpeelable operand reached a shift")
-
-        monkeypatch.setattr(sets, "combine_rotated", refuse)
-        monkeypatch.setattr(sets.Rotations, "combine", refuse)
-        rng = np.random.default_rng(k + size)
-        x = ResidueSet.from_bits(unlayered_operand(k, rng, size))
-        message = f"{size} residues mod {k} have no periodic layer to peel"
-        with pytest.raises(ResourceLimitError, match=message):
-            sumset_mod(x, ResidueSet(k, [0]))
-        with pytest.raises(ResourceLimitError, match=message):
-            min_plus_mod(x, np.zeros(k, dtype=np.int32))
-
-    def test_only_the_first_operand_is_tried(self):
-        # handed first, the layered operand peels; handed second, it is
-        # never tried, and the first, with no layer, is refused
-        k = math.factorial(8)
-        rng = np.random.default_rng(4)
-        layered = ResidueSet.from_bits(nested_operand(k, rng, 0.3))
-        unlayered = ResidueSet.from_bits(unlayered_operand(k, rng, 150))
-        want = shift_or_reference(layered.window(k), unlayered.window(k))
-        assert np.array_equal(sumset_mod(layered, unlayered).window(k), want)
-        with pytest.raises(ResourceLimitError, match="no periodic layer"):
-            sumset_mod(unlayered, layered)
-
-    @pytest.mark.parametrize("k", [5040, math.factorial(8)])
-    def test_or_and_min_semirings_agree(self, k):
-        # P + C is where the min-plus sum of P with the 0/1 table that is 0
-        # on C reaches 0.  P is layered and C is not: min_plus_mod peels P,
-        # and so does sumset_mod, handed P first; both operands are sparse
-        # enough that P + C misses residues
-        rng = np.random.default_rng(k + 5)
-        x = nested_operand(k, rng, 0.015 if k == 5040 else 0.005)
-        size = np.count_nonzero(x)
-        p = ResidueSet.from_bits(x)
-        assert size > sets._SHIFT_MAX and sets._periodic_layer(p, size) is not None
-        c = ResidueSet(k, rng.choice(k, size=size + 10, replace=False))
-        want = sumset_mod(p, c).window(k)
-        assert 0 < np.count_nonzero(want) < k
-        assert np.array_equal(want, min_plus_mod(p, np.where(c.window(k), 0, 1)) == 0)
-
-
-def periodic_layer_reference(x):
-    """``(q, f, E)`` of ``sets._periodic_layer`` from the definition: for
-    each prime q | k, the AND-fold f mod k/q and the members E of x off its
-    tiling, listed directly; of these, the one with the fewest E, the
-    largest q on a tie, when that E holds at most ``_SHIFT_MAX`` residues,
-    and None otherwise."""
-    k = x.shape[0]
-    layers = []
-    for q in sets.factorize(k):
-        core = x.reshape(q, k // q).min(axis=0)
-        layers.append((q, core, np.flatnonzero(x > np.tile(core, q))))
-    if not layers:
-        return None
-    best = min(layers, key=lambda layer: (layer[2].size, -layer[0]))
-    return best if best[2].size <= sets._SHIFT_MAX else None
-
-
-def largest_prime_leaves_an_excess():
-    """A bitmap of length 210, periodic mod 105 (q = 2 leaves no excess),
-    whose fold by the largest prime, 7, leaves an excess of 2: the tiling
-    of a period-15 core plus one residue and its lift by 105."""
-    core = np.array([1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
-    y = np.tile(core, 7)
-    y[1] = 1
-    return np.tile(y, 2)
-
-
 def smooth_moduli(two, three, five):
     """k = 2^a 3^b 5^c 7^d with a <= two, b <= three, c <= five, d <= 1."""
     return st.builds(lambda a, b, c, d: 2 ** a * 3 ** b * 5 ** c * 7 ** d,
                      st.integers(0, two), st.integers(0, three), st.integers(0, five),
                      st.integers(0, 1))
-
-
-@st.composite
-def layered_bitmaps(draw, moduli):
-    """A bitmap of a length k drawn from ``moduli``: a random core mod k/d
-    for a drawn divisor d, tiled, with up to 80 members flipped, so that
-    several primes may fold it, with excesses on both sides of
-    ``_SHIFT_MAX``."""
-    k = draw(moduli)
-    d = draw(st.sampled_from(divisors(k)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    density = draw(st.sampled_from([0.02, 0.3, 0.9, 1.0]))
-    x = np.tile((rng.random(k // d) < density).astype(np.uint8), d)
-    flips = draw(st.integers(0, min(k, 80)))
-    x[rng.choice(k, size=flips, replace=False)] ^= 1
-    return x
-
-
-class TestPeriodicLayer:
-    @settings(max_examples=300)
-    @given(layered_bitmaps(smooth_moduli(6, 3, 2)))
-    @example(np.ones(2 * 3 * 5 * 7, dtype=np.uint8))
-    @example(np.zeros(2 * 3 * 5 * 7, dtype=np.uint8))
-    @example(np.ones(1, dtype=np.uint8))
-    @example(largest_prime_leaves_an_excess())
-    def test_matches_least_excess_reference(self, x):
-        got = sets._periodic_layer(ResidueSet.from_bits(x), int(np.count_nonzero(x)))
-        want = periodic_layer_reference(x)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got[0] == want[0]
-            assert np.array_equal(got[1].window(x.shape[0] // got[0]), want[1])
-            assert np.array_equal(got[2], want[2])
-
-
-def min_plus_reference(p, values, none):
-    """min{values[c] : p[r - c]} per residue r, class by class over the
-    classes whose value is not ``none``: with all of ``values`` at least
-    ``none``, every r is ``none`` once p has a member."""
-    fill = none if p.any() else np.iinfo(values.dtype).max
-    out = np.full(p.shape[0], fill, dtype=values.dtype)
-    for c in np.flatnonzero(values != none):
-        np.minimum(out, np.where(np.roll(p, int(c)), values[c], out), out=out)
-    return out
-
-
-class TestMinPlusMod:
-    @given(st.integers(1, 120), st.data())
-    @settings(max_examples=60)
-    def test_matches_double_loop(self, k, data):
-        p = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)),
-                     dtype=np.uint8)
-        values = np.array(data.draw(st.lists(st.integers(0, 500), min_size=k,
-                                             max_size=k)), dtype=np.int32)
-        got = min_plus_mod(ResidueSet.from_bits(p), values)
-        for r in range(k):
-            sums = [int(values[c]) for c in range(k) if p[(r - c) % k]]
-            assert got[r] == min(sums, default=np.iinfo(np.int32).max)
-
-    # nested_operand peels by the smallest prime, down to a core of at most
-    # _SHIFT_MAX members, and periodic_operands first by each prime of k
-    @pytest.mark.parametrize("k", [4 * 5040, 3 ** 9, 30030, math.factorial(8), 1 << 17,
-                                   5040])
-    def test_peel_matches_brute_force(self, k):
-        # first-member tables over a few hundred classes, the rest "none"
-        # (horizon + 1), against dense and sparse layered periods
-        rng = np.random.default_rng(k)
-        none = 10 ** 6
-        for density in (0.3, 0.02):
-            for p in [nested_operand(k, rng, density), *periodic_operands(k, rng, density)]:
-                assert np.count_nonzero(p) > sets._SHIFT_MAX
-                values = np.full(k, none, dtype=np.int32)
-                classes = rng.choice(k, size=300, replace=False)
-                values[classes] = rng.integers(0, none, size=300)
-                assert np.array_equal(min_plus_mod(ResidueSet.from_bits(p), values),
-                                      min_plus_reference(p, values, none))
-
-    def test_a_large_period_without_a_layer_is_refused(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("an unpeelable period reached the shift loop")
-
-        monkeypatch.setattr(sets, "combine_rotated", refuse)
-        rng = np.random.default_rng(3)
-        p = (rng.random(1 << 16) < 0.3).astype(np.uint8)
-        with pytest.raises(ResourceLimitError, match="no periodic layer"):
-            min_plus_mod(ResidueSet.from_bits(p), np.zeros(1 << 16, dtype=np.int32))
 
 
 SPARSE_RATIO = sets._SPARSE_RATIO
@@ -519,23 +285,7 @@ def rule_bitmaps(draw, k, sparse):
     return table
 
 
-@st.composite
-def min_tables(draw, k):
-    """(table, fill) of length k: an int32 or int64 table whose entries
-    are its dtype's maximum (``fill``) but for a drawn number, anywhere
-    from none to all of them, with values from a small range, so that they
-    repeat."""
-    dtype = draw(st.sampled_from([np.int32, np.int64]))
-    fill = np.iinfo(dtype).max
-    count = draw(st.one_of(st.integers(0, min(k, 200)), st.just(k)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    table = np.full(k, fill, dtype=dtype)
-    table[rng.permutation(k)[:count]] = rng.integers(0, draw(st.sampled_from([3, 1000])),
-                                                    size=count)
-    return table, fill
-
-
-def semiring_moduli(two):
+def rotation_moduli(two):
     """Moduli with several prime factors, at least 2 * SPARSE_RATIO so that
     the sparse side holds members."""
     return smooth_moduli(two, 2, 1).filter(lambda k: k >= 2 * SPARSE_RATIO)
@@ -550,7 +300,7 @@ class TestScatterRotation:
     @settings(max_examples=150)
     @given(st.data())
     def test_paths_agree_with_rolls(self, data):
-        k = data.draw(st.one_of(semiring_moduli(6), st.sampled_from([2 ** 17, 100800])))
+        k = data.draw(st.one_of(rotation_moduli(6), st.sampled_from([2 ** 17, 100800])))
         sparse = data.draw(st.booleans())
         table = data.draw(rule_bitmaps(k, sparse))
         shifts = np.array(data.draw(st.lists(st.one_of(st.integers(0, k - 1), st.just(k - 1)),
@@ -575,34 +325,19 @@ class TestScatterRotation:
     @settings(max_examples=60)
     @given(st.data())
     def test_sums_match_references(self, data):
-        # a first operand that shifts or peels, by primes drawn layer by
-        # layer, at moduli that are multiples of 64 and moduli that are
-        # not, against a min table or a second operand on either side of
-        # the sparse/dense rule
-        k = data.draw(st.one_of(semiring_moduli(6),
+        # a first operand of up to 300 members, scattered anywhere, at
+        # moduli that are multiples of 64 and moduli that are not, against
+        # a second operand on either side of the sparse/dense rule
+        k = data.draw(st.one_of(rotation_moduli(6),
                                 st.sampled_from([1 << 15, 2 * 3 ** 9, math.factorial(8)])))
-        p = data.draw(nested_bitmaps(k))
-        # the min reference loops over up to k classes: below 2**15 only
-        if k < 1 << 15 and data.draw(st.booleans()):
-            table, fill = data.draw(min_tables(k))
-            assert np.array_equal(min_plus_mod(ResidueSet.from_bits(p), table),
-                                  min_plus_reference(p, table, fill))
-            return
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        p = np.zeros(k, dtype=np.uint8)
+        p[rng.choice(k, size=data.draw(st.integers(0, 300)), replace=False)] = 1
         table = data.draw(rule_bitmaps(k, data.draw(st.booleans())))
         fewer, more = sorted((p, table), key=np.count_nonzero)
         want = shift_or_reference(more, fewer)
         got = sumset_mod(ResidueSet.from_bits(p), ResidueSet.from_bits(table))
         assert np.array_equal(got.window(k), want)
-
-
-@st.composite
-def nested_bitmaps(draw, k):
-    """A ``nested_operand`` of length k at a drawn density, whose layers
-    peel by primes drawn from k's; a sparse one is a bare core, which is
-    shifted over whole."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    density = draw(st.sampled_from([0.001, 0.02, 0.3, 0.9, 1.0]))
-    return nested_operand(k, rng, density, choose=rng.choice)
 
 
 class TestRebase:

@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from buckdens import construction, sets, verify
-from buckdens.construction import CertificateError, Tower, construct, tower_from_json, tower_to_json
+from buckdens.cli import main
+from buckdens.construction import (CertificateError, Tower, check_claimA, construct,
+                                   tower_from_json, tower_to_json)
 from buckdens.oracles import (
     FactorialsOracle,
     FiniteOracle,
@@ -15,7 +18,7 @@ from buckdens.oracles import (
     parse_oracle,
 )
 from buckdens.density import DEFAULT_ENUM_BUDGET
-from buckdens.sets import ResidueSet, ResourceLimitError
+from buckdens.sets import ResourceLimitError
 from buckdens.verify import (
     a_window,
     cross_density_check,
@@ -26,7 +29,6 @@ from buckdens.verify import (
 )
 
 import reference_proxies
-from layered import nested_operand
 
 HALF = Fraction(1, 2)
 
@@ -67,85 +69,90 @@ def window_by_double_loop(period_bits, b_values, horizon):
     return want
 
 
+def class_chain(modulus):
+    """The divisors 1 | p | p·q | ... | modulus, one prime factor more at
+    each step."""
+    out, m = [1], 1
+    for p, e in sets.factorize(modulus).items():
+        for _ in range(e):
+            m *= p
+            out.append(m)
+    return out
+
+
+def class_bits(classes, modulus):
+    """The 0/1 period mod ``modulus`` of the union of ``classes``."""
+    bits = np.zeros(modulus, dtype=np.uint8)
+    for m, c in classes:
+        bits[c::m] = 1
+    return bits
+
+
+def tower_bits(t):
+    """H∖{h} and H at the top level of a tower, as 0/1 periods mod N!."""
+    top = t.top
+    return top.H.discard(top.h).window(top.modulus), top.H.window(top.modulus)
+
+
 class TestSumsetWindow:
-    # horizon 120 against periods M <= T, T < M <= 2T and M > 2T; the
-    # thresholds are taken over the whole period at every M.  The periods
-    # are layered as tower periods are, so that the kernel peels them; at
-    # a prime M, which has no layer, a dense period holds CORE_SIZE members
+    # horizon 120 against classes mod the divisors of M <= T, T < M <= 2T
+    # and M > 2T, a few at each divisor of a chain, so that the thresholds
+    # are lifted over several moduli to the largest one up to the
+    # horizon, and every class mod a larger one adds its member plus B
     @pytest.mark.parametrize("modulus", [1, 37, 120, 121, 150, 240, 241, 242, 250, 400])
     def test_matches_double_loop(self, modulus):
         rng = np.random.default_rng(modulus)
         horizon = 120
-        for density in (0.02, 0.3, 0.9):
-            period = nested_operand(modulus, rng, density)
+        for count in (1, 3, 12):
+            classes = [(m, int(c)) for m in class_chain(modulus)
+                       for c in rng.choice(m, size=min(m, count), replace=False)]
             for size in (1, 6, 40):
                 b_vals = rng.choice(2 * horizon, size=size, replace=False)
                 for extra in ([], [0], [horizon], [0, horizon]):
                     b = np.concatenate((b_vals, extra)).astype(np.int64)
                     assert np.array_equal(
-                        sumset_window(ResidueSet.from_bits(period), b, horizon),
-                        window_by_double_loop(period, b, horizon))
-
-    def test_unpeelable_long_period_is_refused(self, monkeypatch):
-        # a random period of M = 2^20 has no layer to peel: it is refused
-        # before any shift loop over its ~3·10^5 members
-        def refuse(*args):
-            raise AssertionError("an unpeelable period reached the shift loop")
-
-        monkeypatch.setattr(sets, "combine_rotated", refuse)
-        rng = np.random.default_rng(0)
-        period = (rng.random(1 << 20) < 0.3).astype(np.uint8)
-        b = rng.choice(6000, size=100, replace=False)
-        with pytest.raises(ResourceLimitError, match="no periodic layer"):
-            sumset_window(ResidueSet.from_bits(period), b, 5000)
+                        sumset_window(classes, b, horizon),
+                        window_by_double_loop(class_bits(classes, modulus), b, horizon))
 
     @pytest.mark.parametrize("depth", [6, 7])
     @pytest.mark.parametrize("oracle", [PrimesOracle(), PerfectPowersOracle(),
                                         FactorialsOracle(), FiniteOracle([0, 24, 7])],
                              ids=["primes", "powers", "factorials", "finite"])
     def test_tower_period_with_a_short_window(self, oracle, depth):
-        # around each level modulus m, and just below and at N!, the cut
-        # periods give the windows of the whole periods H∖{h} and H mod N!
+        # around each level modulus m, and just below and at N!, the class
+        # windows are those of the whole periods H∖{h} and H mod N!, and the
+        # proxies' period is cut to at most twice the horizon
         t = construct(oracle, HALF, depth)
         top = t.top
-        whole = (top.H.discard(top.h).window(top.modulus), top.H.window(top.modulus))
         horizons = {top.modulus - 1, top.modulus}
         for lv in t.levels:
             m = lv.modulus
             horizons |= {m - 1, m, 2 * m - 1, 2 * m}
         for horizon in sorted(horizons - {0}):
             b = oracle.enumerate(horizon)
-            for period, full in zip(verify._periods(t, horizon), whole):
-                if horizon < top.modulus:
-                    assert horizon < period.modulus <= 2 * horizon
-                else:
-                    assert period.modulus == top.modulus
-                assert np.array_equal(sumset_window(period, b, horizon),
-                                      window_by_double_loop(full, b, horizon))
+            lo, hi, d = verify._coverages(t, oracle, horizon)
+            for period in verify._periods(t, horizon):
+                assert period.modulus == d
+            if horizon < top.modulus:
+                assert horizon < d <= 2 * horizon
+            else:
+                assert d == top.modulus
+            for window, full in zip((lo, hi), tower_bits(t)):
+                assert np.array_equal(window, window_by_double_loop(full, b, horizon))
 
     @pytest.mark.parametrize("modulus", [1, 7, 120, 121, 400])
-    def test_first_member_table_matches_sort_and_unique(self, monkeypatch, modulus):
+    def test_first_member_table_matches_sort_and_unique(self, modulus):
         # B unsorted, with members past the horizon
-        tables = []
-        real = verify.min_plus_mod
-
-        def recording(period, least):
-            tables.append(least.copy())
-            return real(period, least)
-
-        monkeypatch.setattr(verify, "min_plus_mod", recording)
         rng = np.random.default_rng(modulus)
         horizon = 120
-        period = nested_operand(modulus, rng, 0.3)
         for size in (0, 1, 6, 40, 200):
             b = rng.choice(2 * horizon, size=size, replace=False).astype(np.int64)
-            sumset_window(ResidueSet.from_bits(period), b, horizon)
-            assert np.array_equal(tables.pop(), reference_proxies.first_member_table(
-                b, modulus, horizon))
+            cut = b[b <= horizon].astype(np.int32)
+            assert np.array_equal(verify._first_members(cut, modulus, horizon),
+                                  reference_proxies.first_member_table(b, modulus, horizon))
 
     def test_short_window_of_a_deep_tower_stays_small(self):
-        # at T = 10^4 the depth-10 periods are cut to 10080 bytes; the
-        # whole period would allocate 10! bytes per copy
+        # at T = 10^4 the depth-10 windows take no table of 10! entries
         oracle = PrimesOracle()
         t = construct(oracle, HALF, 10)
         tracemalloc.start()
@@ -158,16 +165,33 @@ class TestSumsetWindow:
         assert verify._periods(t, 10**4)[0].modulus == 2 * math.factorial(7)
 
     def test_empty_operands(self):
-        ones, zeros = ResidueSet(30, range(30)), ResidueSet(30)
-        assert sumset_window(zeros, np.array([1]), 9).tolist() == [0] * 10
+        ones = [(30, c) for c in range(30)]
+        assert sumset_window([], np.array([1]), 9).tolist() == [0] * 10
         assert sumset_window(ones, np.array([], dtype=np.int64), 9).tolist() == [0] * 10
         assert sumset_window(ones, np.array([10, 11]), 9).tolist() == [0] * 10
 
     def test_period_one(self):
         # A = N: A + B is everything from min(B) on
-        got = sumset_window(ResidueSet(1, [0]), np.array([7, 3, 5]), 9)
+        got = sumset_window([(1, 0)], np.array([7, 3, 5]), 9)
         assert got.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 1, 1]
-        assert sumset_window(ResidueSet(1, [0]), np.array([0]), 0).tolist() == [1]
+        assert sumset_window([(1, 0)], np.array([0]), 0).tolist() == [1]
+
+    def test_long_thresholds_hold_no_table_past_the_largest_modulus(self):
+        # classes at 9! and 10! with T = 10^6: the thresholds live mod 9!,
+        # and the classes mod 10! add their member plus B directly
+        horizon = 10**6
+        classes = [(720, 0), (math.factorial(9), 5), (math.factorial(10), 120),
+                   (math.factorial(10), 363000)]
+        b = np.arange(0, horizon + 1, 97, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            got = sumset_window(classes, b, horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < horizon + 6 * 4 * math.factorial(9) + (1 << 20)
+        bits = class_bits(classes, math.factorial(10))
+        assert np.array_equal(got[:5000], window_by_double_loop(bits, b, 4999))
 
 
 HORIZON_GUARDED = {
@@ -226,6 +250,49 @@ class TestEnumerateSumset:
             assert lo1 <= lo2 and hi1 <= hi2
 
 
+def unnested_top(t):
+    """The tower with one member of its top H cleared, one off the lifts of
+    h_{N-1}, so that the top level no longer nests in level N - 1."""
+    prev, top = t.levels[-2], t.top
+    r = next(r for r in top.H if (r - prev.h) % prev.modulus)
+    return replace(t, levels=t.levels[:-1] + [replace(top, H=top.H.discard(r))])
+
+
+class TestClassReader:
+    # the windows read A's classes off the nesting of each level, so a
+    # tower whose levels do not nest is refused; the stored H is never
+    # read as A
+    @pytest.mark.parametrize("name", ["enumerate_sumset", "cross_density_check"])
+    def test_a_top_level_that_does_not_nest_is_refused(self, name):
+        oracle = PrimesOracle()
+        bad = unnested_top(construct(oracle, HALF, 6))
+        call = {"enumerate_sumset": enumerate_sumset,
+                "cross_density_check": cross_density_check}[name]
+        with pytest.raises(CertificateError, match="level 6 does not nest in level 5"):
+            call(bad, oracle, 10**4)
+
+    def test_a_marked_element_off_the_marked_class_is_refused(self):
+        # h_6 moved to a member of H_6 off the lifts of h_5: H_6 still nests,
+        # but H'_6 is no union of classes; the check fails at level 6
+        oracle = PrimesOracle()
+        t = construct(oracle, HALF, 6)
+        prev, top = t.levels[-2], t.top
+        h = next(r for r in top.H if (r - prev.h) % prev.modulus)
+        bad = replace(t, levels=t.levels[:-1] + [replace(top, h=h)])
+        assert check_claimA(bad, oracle).first_violation() == 6
+        with pytest.raises(CertificateError, match="level 6 marks an element off"):
+            enumerate_sumset(bad, oracle, 10**4)
+
+    def test_verify_on_a_tower_with_one_flipped_bit_exits_two(self, tmp_path, capsys):
+        oracle = PrimesOracle()
+        path = tmp_path / "bad.json"
+        path.write_text(tower_to_json(unnested_top(construct(oracle, HALF, 6))))
+        code = main(["verify", "--tower", str(path), "--b", "primes", "--horizon", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "certificate error: certificate FAILED at level 5\n"
+
+
 class TestTheoremReport:
     def test_factorials_third(self):
         oracle = FactorialsOracle()
@@ -249,8 +316,9 @@ class TestTheoremReport:
                              ids=["primes", "powers"])
     @pytest.mark.parametrize("alpha", ["1/2", "3/4", "11/12"])
     def test_windows_take_no_transform_and_no_sumset(self, monkeypatch, oracle, alpha):
-        # the windows come from min-plus peels of the tower period: no transform
-        # anywhere, and sumset_mod only in check_claimA, once per level
+        # the windows come from the tower's classes and the check from its
+        # own rotations: sumset_mod is called nowhere (and no module names
+        # an FFT: test_ownership.test_no_module_names_fft)
         t = construct(oracle, Fraction(alpha), 8)
         moduli = []
         real = sets.sumset_mod
@@ -259,47 +327,29 @@ class TestTheoremReport:
             moduli.append(p.modulus)
             return real(p, c)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a verify window reached a transform")
-
-        monkeypatch.setattr(np.fft, "rfft", refuse)
         for module in (sets, construction, verify):
             if getattr(module, "sumset_mod", None) is real:
                 monkeypatch.setattr(module, "sumset_mod", recording)
         enumerate_sumset(t, oracle, 10**4)
-        assert moduli == []
         rep = theorem_report(oracle, t.alpha, 8, 10**6, tower=t)
         assert rep.passed
         assert rep.rows
-        assert moduli == [lv.modulus for lv in t.levels]
+        assert moduli == []
 
     @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
-    @pytest.mark.parametrize("alpha", ["1/12", "1/2", "3/4"])
-    def test_windows_hand_min_plus_mod_only_periods_that_peel(self, monkeypatch, spec, alpha):
-        # what keeps verify off exit 3: at every horizon, every period
-        # theorem_report hands min_plus_mod, and every core peeled from it,
-        # is shifted over (at most _SHIFT_MAX members) or has a periodic
-        # layer, so that none is refused
-        real_layer, real_min_plus = sets._periodic_layer, verify.min_plus_mod
-        periods = []
-
-        def peeling(x, size):
-            got = real_layer(x, size)
-            assert got is not None, f"{size} residues mod {x.modulus} have no layer"
-            return got
-
-        def recording(period, least):
-            periods.append(period.modulus)
-            return real_min_plus(period, least)
-
+    def test_windows_match_a_double_loop(self, spec):
+        # the four exact oracles at alpha in {1/12, 1/2, 3/4}, depth 8:
+        # the windows from the classes against every a of H∖{h} (and H)
+        # mod 8! up to T against every b, at horizons below a level
+        # modulus, between two, and past 7!
         oracle = parse_oracle(spec)
-        t = construct(oracle, Fraction(alpha), 8)
-        monkeypatch.setattr(sets, "_periodic_layer", peeling)
-        monkeypatch.setattr(verify, "min_plus_mod", recording)
-        for horizon in (1, 5, 100, 10**3, 10**4, 10**5):
-            before = len(periods)
-            assert theorem_report(oracle, t.alpha, 8, horizon, tower=t).passed
-            assert len(periods) > before
+        for alpha in ("1/12", "1/2", "3/4"):
+            t = construct(oracle, Fraction(alpha), 8)
+            for horizon in (1, 5, 100, 10**3, 10**4):
+                b = oracle.enumerate(horizon)
+                lo, hi, _ = verify._coverages(t, oracle, horizon)
+                for window, full in zip((lo, hi), tower_bits(t)):
+                    assert np.array_equal(window, window_by_double_loop(full, b, horizon))
 
     @pytest.mark.parametrize("oracle", [PrimesOracle(), PerfectPowersOracle()],
                              ids=["primes", "powers"])
@@ -340,7 +390,6 @@ class TestTheoremReport:
         assert max(lengths) <= d + horizon // 10 + 1
 
     def test_tampered_tower_raises(self):
-        from dataclasses import replace
         oracle = FiniteOracle([0])
         t = construct(oracle, HALF, 4)
         lv = t.levels[2]

@@ -63,8 +63,10 @@ class TestWords:
     @settings(max_examples=120)
     @given(st.data())
     def test_tile_and_window(self, data):
-        # q from 64 up tiles every period, odd ones too, through whole words
-        q = data.draw(st.one_of(st.integers(1, 12), st.sampled_from([64, 128, 192])))
+        # q from 64 up tiles every period, odd ones too, through whole
+        # words, and a q that no block length divides ends in a head
+        q = data.draw(st.one_of(st.integers(1, 12),
+                                st.sampled_from([64, 65, 100, 128, 131, 192])))
         bits = data.draw(bitmaps(MODULI if q <= 12 else st.integers(1, 400)))
         k = bits.shape[0]
         p = ResidueSet.from_bits(bits)
@@ -94,9 +96,28 @@ class TestWords:
         assert np.array_equal(np.unpackbits(out[:k].view(np.uint8), bitorder="little"), block)
         assert (out.reshape(-1, k) == out[:k]).all()
 
+    @pytest.mark.parametrize("k, q", [(3, 3 ** 9), (5, 5 ** 6), (24, 1001)])
+    def test_periods_left_over_are_the_head_of_one_block(self, monkeypatch, k, q):
+        # q is no multiple of the block of 64 / gcd(k, 64) periods: one
+        # block is built as an integer, and the words past its whole tiles
+        # are its head, not an integer of all q periods
+        built = []
+        real = sets._from_int
+
+        def recording(x, n):
+            built.append(n)
+            return real(x, n)
+
+        monkeypatch.setattr(sets, "_from_int", recording)
+        bits = np.zeros(k, dtype=np.uint8)
+        bits[[0, k - 1]] = 1
+        out = tile_words(ResidueSet.from_bits(bits).words(), k, q)
+        assert built and max(built) <= k * 64
+        assert np.array_equal(ResidueSet.from_words(k * q, out).window(k * q), np.tile(bits, q))
+
     @pytest.mark.parametrize("k", [64, 81])
     def test_one_tile_is_a_fresh_copy(self, k):
-        # construct and the peel OR into a tiled result in place
+        # construct ORs into a tiled result in place
         words = ResidueSet(k, [0, k - 1]).words()
         out = tile_words(words, k, 1)
         assert np.array_equal(out, words) and not np.shares_memory(out, words)
