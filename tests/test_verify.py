@@ -337,19 +337,19 @@ class TestTheoremReport:
         assert moduli == []
 
     @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
-    def test_windows_match_a_double_loop(self, spec):
+    @pytest.mark.parametrize("alpha", ["1/12", "1/2", "3/4"])
+    def test_windows_match_a_double_loop(self, spec, alpha):
         # the four exact oracles at alpha in {1/12, 1/2, 3/4}, depth 8:
         # the windows from the classes against every a of H∖{h} (and H)
         # mod 8! up to T against every b, at horizons below a level
         # modulus, between two, and past 7!
         oracle = parse_oracle(spec)
-        for alpha in ("1/12", "1/2", "3/4"):
-            t = construct(oracle, Fraction(alpha), 8)
-            for horizon in (1, 5, 100, 10**3, 10**4):
-                b = oracle.enumerate(horizon)
-                lo, hi, _ = verify._coverages(t, oracle, horizon)
-                for window, full in zip((lo, hi), tower_bits(t)):
-                    assert np.array_equal(window, window_by_double_loop(full, b, horizon))
+        t = construct(oracle, Fraction(alpha), 8)
+        for horizon in (1, 5, 100, 10**3, 10**4):
+            b = oracle.enumerate(horizon)
+            lo, hi, _ = verify._coverages(t, oracle, horizon)
+            for window, full in zip((lo, hi), tower_bits(t)):
+                assert np.array_equal(window, window_by_double_loop(full, b, horizon))
 
     @pytest.mark.parametrize("oracle", [PrimesOracle(), PerfectPowersOracle()],
                              ids=["primes", "powers"])
