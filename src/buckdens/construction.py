@@ -23,7 +23,7 @@ import numpy as np
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
 from .sets import (ResidueSet, ResourceLimitError, Rotations, bitmap_from_hex,
-                   bitmap_hex_chunks, fold, rebase, tile_words, union, word_count)
+                   bitmap_hex_chunks, fold, rebase, rotated, tile_words, union, word_count)
 
 __all__ = [
     "CertificateError",
@@ -132,9 +132,9 @@ def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
 
     ``check_claimA`` re-derives L and U from the classes that the nesting
     of each level reveals and from ``cover(n!)`` alone, folded to each
-    class's modulus, with its own integer rotations: it shares no
-    rotation with this step, and an oracle that breaks the projection
-    identity is caught.
+    class's modulus, with ``sets.rotated``, which ``Rotations`` never
+    reaches: it shares no rotation with this step, and an oracle that
+    breaks the projection identity is caught.
     """
     m = prev.n
     fact_m = prev.modulus
@@ -151,7 +151,7 @@ def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
         upper = Fraction(grown, big)
         if upper > alpha:
             break
-        cover.combine(lower, np.array([shift]))
+        cover.combine(lower, shift)
         size = grown
     else:
         raise CertificateError(
@@ -226,6 +226,7 @@ class LevelCheck:
 class ClaimAReport:
     alpha: Fraction
     checks: list[LevelCheck]
+    classes: list[tuple[int, int]]   # (n!, c) as a_classes lists them, as far as read
 
     @property
     def ok(self) -> bool:
@@ -281,17 +282,6 @@ def a_classes(t: Tower) -> list[tuple[int, int]]:
     return classes
 
 
-def _rotated(p: ResidueSet, shifts) -> ResidueSet:
-    """The set ``p`` rotated by each of ``shifts`` (each in [0, k)) and
-    ORed: its words as one Python integer, rotated once per shift."""
-    k = p.modulus
-    x, mask, out = int.from_bytes(p.words().tobytes(), "little"), (1 << k) - 1, 0
-    for s in shifts:
-        out |= ((x << s) | (x >> (k - s))) & mask
-    return ResidueSet.from_words(k, np.frombuffer(out.to_bytes(8 * word_count(k), "little"),
-                                                  dtype="<u8"))
-
-
 def _class_sums(lv: Level, cover: ResidueSet,
                 classes: dict[int, list[int]]) -> tuple[Fraction, Fraction]:
     """(L, U) of level ``lv`` from the classes of A read so far, ``classes``
@@ -310,11 +300,11 @@ def _class_sums(lv: Level, cover: ResidueSet,
         while m > n:
             m -= 1
             folded = fold(np.bitwise_or, folded, math.factorial(m))
-        s = union(s, _rotated(folded, classes[n]))
+        s = union(s, rotated(folded, classes[n]))
     lower = s.density()
     if lv.h not in lv.H:
         return lower, lower
-    mask = rebase(_rotated(s, [-lv.h % s.modulus]), lv.modulus).words()
+    mask = rebase(rotated(s, [-lv.h % s.modulus]), lv.modulus).words()
     missed = ResidueSet.from_words(lv.modulus, cover.words() & ~mask)
     return lower, lower + Fraction(len(missed), lv.modulus)
 
@@ -331,12 +321,13 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
     level's classes (``_level_classes``), so level n is summed only once
     it has nested in level n − 1, and H'_n is a union of at most Σk full
     classes.  A level whose stored h is no lift of h_{n−1} fails its
-    stored fields, whatever its L and U.  The checker rotates Python
-    integers of its own: the builder instead adds one rotated cover per
-    class to the tiled lower sumset through ``sets.Rotations`` and counts
-    in closed form, so these certificates are an independent
-    re-derivation.  A tower with no levels gets no checks, and its report
-    is ok for alpha = 1 only.
+    stored fields, whatever its L and U.  The checker rotates only through
+    ``sets.rotated``: the builder instead adds one rotated cover per class
+    to the tiled lower sumset through ``sets.Rotations`` and counts in
+    closed form, so these certificates are an independent re-derivation.
+    The report carries the classes read, ``a_classes(t)`` once it is ok.
+    A tower with no levels gets no checks, and its report is ok for
+    alpha = 1 only.
     """
     checks: list[LevelCheck] = []
     classes: dict[int, list[int]] = {}
@@ -359,7 +350,8 @@ def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
         checks.append(LevelCheck(lv.n, lower, upper, bracket_ok, stored_ok, nesting_ok))
         if nesting_ok is False:
             break
-    return ClaimAReport(t.alpha, checks)
+    read = [(math.factorial(n), c) for n, held in classes.items() for c in held]
+    return ClaimAReport(t.alpha, checks, read if t.levels else [(1, 0)])
 
 
 def a_bounds(t: Tower) -> DensityInterval:

@@ -12,24 +12,27 @@ bits past k are clear, so the words' first ``⌈k/8⌉`` bytes are the packed
 bitmap that set files and tower JSON hold as hex.  Whole-set passes (tile,
 fold, count, rotate) run on words; a tile ``np.tile``s the words of the
 periods that end on a word boundary.  Building those periods, and the fold
-and rotation at a modulus that is not a multiple of 64, shift one Python
-integer (``_to_int``) and write the words back (``_from_int``).  A 0/1 array
+at a modulus that is not a multiple of 64, shift one Python integer
+(``_to_int``) and write the words back (``_from_int``).  A 0/1 array
 enters through ``ResidueSet.from_bits`` and leaves through
 ``ResidueSet.window`` only.  A modulus above ``DENSE_LIMIT`` (``2**28``,
 which every tower modulus ``n! <= 11!`` fits) is refused with
 :class:`ResourceLimitError`.
 
-Rotated words are a :class:`Rotations`, which applies the one sparse/dense
-rule, read off one listing (``_word_members``): a single pass over the
-words that lists the set bits, or gives up when there are more than its
-limit.  A set with at most one member in ``_SPARSE_RATIO`` is scattered,
-once per combine, at its listed members shifted, so its rotations cost its
-members, not the modulus; a denser one is rotated.  The tower builder
-combines each chosen class's rotated cover through it and counts each
-candidate class's gain ``|roll(cover, h) ∖ state|`` through it, gathered
-for a sparse cover and counted in one pass for a dense one.
-``sumset_mod`` is one OR of rotations through it, a shift by each member
-of its first operand.
+``rotated``, a set's integer rotated once per shift and ORed, is the one
+integer rotation: ``check_claimA`` sums A's classes with it, and
+``sumset_mod`` is its larger operand rotated by each member of the other.
+
+The tower builder (``step``) alone rotates through a :class:`Rotations`,
+which applies the one sparse/dense rule, read off one listing
+(``_word_members``): a single pass over the words that lists the set bits,
+or gives up past its limit.  A set with at most one member in
+``_SPARSE_RATIO``, or at a modulus that is not a multiple of 64, is
+scattered at its members shifted, so a rotation costs its members, not
+the modulus; a denser one has its words rolled.  ``step`` combines each
+chosen class's rotated cover and counts each candidate's gain
+``|roll(cover, h) ∖ state|`` through it, gathered for a listed cover and
+counted in one pass for a dense one.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "union",
     "intersect",
     "affine",
+    "rotated",
     "sumset_mod",
     "Rotations",
     "rebase",
@@ -382,50 +386,54 @@ def affine(p: ResidueSet, k: int, h: int) -> ResidueSet:
     return ResidueSet(m, p.members(0, p.modulus).astype(np.int64) * k + h % m)
 
 
+def rotated(p: ResidueSet, shifts) -> ResidueSet:
+    """The set ``p`` rotated by each of ``shifts`` (each in [0, k)) and
+    ORed: its words as one Python integer, rotated once per shift."""
+    k = p.modulus
+    x, mask, out = int.from_bytes(p.words().tobytes(), "little"), (1 << k) - 1, 0
+    for s in shifts:
+        out |= ((x << s) | (x >> (k - s))) & mask
+    return ResidueSet.from_words(k, np.frombuffer(out.to_bytes(8 * word_count(k), "little"),
+                                                  dtype="<u8"))
+
+
 def sumset_mod(p: ResidueSet, c: ResidueSet) -> ResidueSet:
     """``{(h + r) mod k : h in p, r in c}``.
 
     When ``c`` is the residue cover of a set ``Y`` modulo ``k``, this
-    realizes the sumset ``P + Y`` as a finite union of APs: ``c`` rotated
-    by each member of ``p``, ORed through :class:`Rotations`, so a caller
-    with a small operand hands it first.
+    realizes the sumset ``P + Y`` as a finite union of APs: the operand
+    with more members ``rotated`` by each member of the other.
     """
     k = p.modulus
     if c.modulus != k:
         raise ValueError("sumset_mod operands must share a modulus (rebase first)")
-    out = np.zeros(word_count(k), dtype=_WORD)
-    return ResidueSet.from_words(k, Rotations(c).combine(out, p.members(0, k)))
+    fewer, more = sorted((p, c), key=len)
+    return rotated(more, fewer.members(0, k).tolist())
 
 
 class Rotations:
-    """A residue set's words, ORed in at rotations.
+    """A residue set's words, ORed in or counted at one rotation at a
+    time, for ``construction.step`` alone (never through ``rotated``).
 
     The words are listed once, here: a set that lists at most one member
-    in ``_SPARSE_RATIO`` keeps its ``entries`` and is scattered or
-    gathered at them shifted, and a denser one, refused by the listing
-    (``entries`` None), is rotated or counted in whole passes.  Dense
-    words whose modulus is not a multiple of 64 are rotated as one integer
-    (``_integer``).  All paths give the same results.  The tower builder
-    (``construction.step``) and ``sumset_mod`` rotate through it;
-    ``construction.check_claimA`` rotates nothing through it.
+    in ``_SPARSE_RATIO``, or at a modulus that is not a multiple of 64 (a
+    tower's only at n! <= 7!), keeps its ``entries`` and is scattered or
+    gathered at them shifted; a denser one, refused by the listing
+    (``entries`` None), has its words rolled and is ORed or counted in
+    whole passes.  Both paths give the same results.
     """
 
-    __slots__ = ("k", "table", "entries", "_integer")
+    __slots__ = ("k", "table", "entries")
 
     def __init__(self, table: ResidueSet):
         self.k, self.table = table.modulus, table.words()
-        self.entries = _word_members(self.table, self.k // _SPARSE_RATIO)
-        self._integer = (_to_int(self.table) if self.entries is None and self.k % 64
-                         else None)
+        self.entries = _word_members(
+            self.table, self.k if self.k % 64 else self.k // _SPARSE_RATIO)
 
-    def _targets(self, shifts: np.ndarray) -> np.ndarray:
-        targets = (self.entries[None, :] + shifts[:, None]).ravel()
+    def _targets(self, shift: int) -> np.ndarray:
+        targets = self.entries + shift
         targets[targets >= self.k] -= self.k
         return targets
-
-    def _rotated(self, shift: int) -> int:
-        x, k = self._integer, self.k
-        return ((x << shift) | (x >> (k - shift))) & ((1 << k) - 1)
 
     def _rolled(self, shift: int) -> tuple[np.ndarray, int]:
         """(t, w) with ``np.roll(t, w)`` the words rotated by ``shift``, for
@@ -440,31 +448,22 @@ class Rotations:
         carried[0] |= t[-1] >> np.uint64(64 - b)
         return carried, w
 
-    def combine(self, out: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        """The words ``out`` ORed in place with the set rotated by each of
-        ``shifts``: bits set at ``(entry + shift) mod k`` for a listed set,
-        one rotation per shift for a dense one."""
+    def combine(self, out: np.ndarray, shift: int) -> None:
+        """The words ``out`` ORed in place with the set rotated by
+        ``shift``: bits set at ``(entry + shift) mod k`` for a listed set,
+        the rolled words for a dense one."""
         if self.entries is not None:
-            _set_bits(out, self._targets(shifts))
-        elif self._integer is not None:
-            rotations = 0
-            for s in shifts.tolist():
-                rotations |= self._rotated(s)
-            out |= _from_int(rotations, self.k)
+            _set_bits(out, self._targets(shift))
         else:
-            for s in shifts.tolist():
-                combine_rotated(out, *self._rolled(s))
-        return out
+            combine_rotated(out, *self._rolled(shift))
 
     def gain(self, base: np.ndarray, shift: int) -> int:
         """``|roll(set, shift) ∖ base|`` for the words ``base`` of the same
         modulus: the listed members whose targets ``base`` lacks, gathered,
         or one count of each of the two rolled pieces of a dense set."""
         if self.entries is not None:
-            targets = self._targets(np.array([shift]))
+            targets = self._targets(shift)
             return self.entries.size - int(np.count_nonzero(_get_bits(base, targets)))
-        if self._integer is not None:
-            return (self._rotated(shift) & ~_to_int(base)).bit_count()
         t, w = self._rolled(shift)
         n = t.shape[0]
         return _count(t[:n - w] & ~base[w:]) + _count(t[n - w:] & ~base[:w])

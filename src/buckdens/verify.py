@@ -3,13 +3,12 @@ A+B from a tower, compare empirical frequencies against the exact
 certificates, and cross-check with asymptotic/Banach/logarithmic proxies.
 
 The A + B windows come from A's classes, which the tower's nesting
-reveals (``construction.a_classes``): within each residue class modulo
-the largest class modulus up to the window, A + B is everything from one
-threshold on, taken up the class moduli from B's first members, and a
-class whose modulus passes the window adds its one member plus B.  The
-proxies are float-side;
-the certified rationals come from :mod:`buckdens.construction` and are
-never touched.
+reveals (``construction.a_classes``, or the report of ``check_claimA``):
+within each residue class modulo the largest class modulus up to the
+window, A + B is everything from one threshold on, taken up the class
+moduli from B's first members, and a class whose modulus passes the window
+adds its one member plus B.  The proxies are float-side; the certified
+rationals come from :mod:`buckdens.construction` and are never touched.
 """
 
 from __future__ import annotations
@@ -173,16 +172,16 @@ def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, 
     Exceptional memberships of A (undecided beyond the tower depth) feed the
     upper count only.
     """
-    lo_cov, hi_cov, _ = _coverages(t, oracle, horizon)
+    lo_cov, hi_cov, _ = _coverages(t, a_classes(t), oracle, horizon)
     return int(np.count_nonzero(lo_cov[1:])), int(np.count_nonzero(hi_cov[1:]))
 
 
-def _coverages(t: Tower, oracle: CoverOracle,
+def _coverages(t: Tower, lower: list[tuple[int, int]], oracle: CoverOracle,
                horizon: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The A + B windows of A's definite part and of A_N, which adds the
-    class of h_N, and the period length the proxies scan."""
+    """The A + B windows of A's definite part, the classes ``lower`` (as
+    ``a_classes`` lists them), and of A_N, which adds the class of h_N,
+    and the period length the proxies scan."""
     d = _period_length(t, horizon)
-    lower = a_classes(t)
     b_values = oracle.enumerate(horizon)
     lo_cov = sumset_window(lower, b_values, horizon)
     # the class of h first enters the window at h
@@ -328,7 +327,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
     lo_cert = float(sb.final.lower)
     hi_cert = float(sb.final.upper)
     # coverage of [0, t] is a prefix of coverage of [0, horizon]
-    lo_all, hi_all, period = _coverages(tower, oracle, horizon)
+    lo_all, hi_all, period = _coverages(tower, claim.classes, oracle, horizon)
     for t_val in sorted({max(1, horizon // 100), max(1, horizon // 10), horizon}):
         lo_cov, hi_cov = lo_all[: t_val + 1], hi_all[: t_val + 1]
         c_lo = int(np.count_nonzero(lo_cov[1:]))

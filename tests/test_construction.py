@@ -371,7 +371,7 @@ class TestClaimA:
 
         def gain_without_wrap(self, base, shift):
             # Rotations.gain without the wrapped piece of a dense count
-            if self.entries is not None or self._integer is not None:
+            if self.entries is not None:
                 return real_gain(self, base, shift)
             t, w = self._rolled(shift)
             return int(np.bitwise_count(t[:t.shape[0] - w] & ~base[w:]).sum())
@@ -384,6 +384,29 @@ class TestClaimA:
         assert t.top.sum_upper != honest.top.sum_upper
         report = check_claimA(t, oracle)
         assert report.first_violation() == 8
+
+    @pytest.mark.parametrize("spec", ["primes", "powers"])
+    @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4)], ids=["half", "three-quarters"])
+    def test_a_rotation_bug_the_checker_makes_leaves_the_builder_alone(
+            self, monkeypatch, spec, alpha):
+        # sets.rotated without the wrap of the bits shifted past k, left in
+        # place for construct and for the check: the builder never reaches
+        # it and builds the same depth-10 tower, which the check then fails
+        def rotated_without_wrap(p, shifts):
+            k = p.modulus
+            x, out = int.from_bytes(p.words().tobytes(), "little"), 0
+            for s in shifts:
+                out |= (x << s) & ((1 << k) - 1)
+            return ResidueSet.from_words(k, np.frombuffer(
+                out.to_bytes(8 * sets.word_count(k), "little"), dtype="<u8"))
+
+        honest = tower_to_json(construct(parse_oracle(spec), alpha, 10))
+        monkeypatch.setattr(sets, "rotated", rotated_without_wrap)
+        monkeypatch.setattr(construction, "rotated", rotated_without_wrap)
+        oracle = parse_oracle(spec)
+        t = construct(oracle, alpha, 10)
+        assert tower_to_json(t) == honest
+        assert not check_claimA(t, oracle).ok
 
     def test_an_oracle_breaking_the_projection_is_caught(self):
         # cover(7!) gains 0, which is not in cover(8!) mod 7!: the builder's

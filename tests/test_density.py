@@ -27,7 +27,7 @@ from buckdens.density import (
     proxies,
     _randrange_block,
 )
-from buckdens.construction import construct
+from buckdens.construction import a_classes, construct
 from buckdens.oracles import PrimesOracle
 from buckdens.sets import (
     ResidueSet,
@@ -229,7 +229,7 @@ class TestAsymptoticGrid:
         script = """\
 import sys
 from fractions import Fraction
-from buckdens.construction import construct
+from buckdens.construction import a_classes, construct
 from buckdens.density import periodic_indicator, proxies
 from buckdens.oracles import PrimesOracle
 from buckdens.sets import ResidueSet
@@ -269,7 +269,7 @@ class TestProxies:
     def test_a_verify_window(self):
         oracle = PrimesOracle()
         tower = construct(oracle, Fraction(1, 2), 6)
-        cov, _, period = _coverages(tower, oracle, 10**4)
+        cov, _, period = _coverages(tower, a_classes(tower), oracle, 10**4)
         for horizon in (100, 1000, 10**4):
             window = cov[: horizon + 1]
             assert proxies(window, horizon, period) == \

@@ -15,10 +15,14 @@
   another value, and ``axioms`` has no flag that one value serves.
 - The sparse/dense rule: only ``sets.Rotations.__init__`` reads
   ``_SPARSE_RATIO``, handing its limit to the listing, and ``construction``
-  rotates words, scatters and gathers only through ``Rotations``.
-- The checker's independence: ``check_claimA``, and every function of
-  ``construction`` it reaches, names neither ``Rotations`` nor
-  ``sumset_mod``, so no rotation is shared with the builder.
+  rotates words, scatters and gathers only through ``Rotations``, which
+  serves ``step`` alone.
+- The checker's independence: ``check_claimA`` rotates through
+  ``sets.rotated``, the one integer rotation, and neither it nor any
+  function of ``construction`` or ``sets`` it reaches names ``Rotations``
+  or ``sumset_mod``; ``step`` and ``Rotations`` name neither ``rotated``
+  nor ``sumset_mod``.  So no rotation is shared between the builder and
+  the checker.
 - No transform: no module names ``fft``.
 - The listing: ``Rotations`` takes a residue set only, and ``sets`` lists
   words alone (``_word_members``, in one pass): there is no listing of
@@ -117,16 +121,36 @@ def _names(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_check_claimA_names_neither_rotations_nor_sumset_mod():
-    functions = {name: fn for name, fn in _qualified_functions(TREES["construction.py"])}
-    reached, todo = set(), ["check_claimA"]
+def _reached(start, modules):
+    """The functions of ``modules`` that ``start`` reaches by name (methods
+    only by their qualified names, so none), and every name they use."""
+    functions = {name: fn for module in modules
+                 for name, fn in _qualified_functions(TREES[module])}
+    reached, todo = set(), [start]
     while todo:
         name = todo.pop()
         reached.add(name)
         todo += [n for n in _names(functions[name]) if n in functions and n not in reached]
-    assert {"check_claimA", "_class_sums", "_level_classes", "_rotated"} <= reached
-    names = set().union(*(_names(functions[name]) for name in reached))
+    return reached, set().union(*(_names(functions[name]) for name in reached))
+
+
+def test_check_claimA_names_neither_rotations_nor_sumset_mod():
+    reached, names = _reached("check_claimA", ["construction.py"])
+    assert {"check_claimA", "_class_sums", "_level_classes"} <= reached
+    assert "rotated" in names
     assert names.isdisjoint({"Rotations", "sumset_mod", "combine", "gain", "_rolled"})
+
+
+def test_builder_and_checker_share_no_rotation():
+    # the builder's rotations are Rotations, the checker's sets.rotated,
+    # and neither side reaches the other's
+    step = dict(_qualified_functions(TREES["construction.py"]))["step"]
+    rotations = next(node for node in TREES["sets.py"].body
+                     if isinstance(node, ast.ClassDef) and node.name == "Rotations")
+    assert (_names(step) | _names(rotations)).isdisjoint({"rotated", "sumset_mod"})
+    reached, names = _reached("check_claimA", ["construction.py", "sets.py"])
+    assert {"rotated", "fold", "union", "rebase"} <= reached
+    assert names.isdisjoint({"Rotations", "sumset_mod"})
 
 
 def test_no_module_names_fft():

@@ -164,6 +164,21 @@ class TestSumsetMod:
         want = {(a + c) % k for a in hs for c in cs}
         assert set(got.residues()) == want
 
+    def test_a_dense_first_operand_is_rotated_not_listed(self):
+        # the operand with more members is rotated by each member of the
+        # other, whichever is handed first: the 20160 evens mod 8! are not
+        # 20160 shifts of the 70 odd residues below 140
+        k = math.factorial(8)
+        evens, odds = ResidueSet(k, range(0, k, 2)), ResidueSet(k, range(1, 140, 2))
+        tracemalloc.start()
+        try:
+            got = sumset_mod(evens, odds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.residues() == list(range(1, k, 2))
+        assert peak < 1 << 20
+
 
 def shift_or_reference(a, b):
     out = np.zeros_like(a)
@@ -173,10 +188,10 @@ def shift_or_reference(a, b):
 
 
 class TestShiftKernel:
-    # one rotation of the second operand per member of the first, at
-    # lengths divisible by 4, = 2 (mod 4) and odd, with the wrap-around
-    # shifts 0 and k - 1 in the small operand, which is handed first; the
-    # other operand is handed first too where it is small
+    # one rotation of the operand with more members per member of the
+    # other, at lengths divisible by 4, = 2 (mod 4) and odd, with the
+    # wrap-around shifts 0 and k - 1 in the small operand, handed first
+    # and second
     @pytest.mark.parametrize("k", [
         1 << 14, 8 * 5040, 362880,
         (1 << 14) + 2, 2 * 3 ** 9,
@@ -192,8 +207,7 @@ class TestShiftKernel:
         want = shift_or_reference(a, b)
         x, y = ResidueSet.from_bits(a), ResidueSet.from_bits(b)
         assert np.array_equal(sumset_mod(y, x).window(k), want)
-        if len(x) <= 64:
-            assert np.array_equal(sumset_mod(x, y).window(k), want)
+        assert np.array_equal(sumset_mod(x, y).window(k), want)
 
 
 FACT11 = math.factorial(11)
@@ -292,11 +306,12 @@ def rotation_moduli(two):
 
 
 class TestScatterRotation:
-    # Rotations' two paths, the scatter (or gather) of a listed set and one
-    # rotation (or count) per shift, on either side of the sparse/dense
-    # rule, at moduli that are multiples of 64 and moduli that are not; the
-    # ratio only picks the path, so 1 forces the listing and k + 1 the
-    # whole passes of any set with a member
+    # Rotations' two paths, the scatter (or gather) of a listed set and its
+    # rolled words, on either side of the sparse/dense rule, at moduli that
+    # are multiples of 64 and moduli that are not, one shift per combine;
+    # the ratio only picks the path, so 1 forces the listing and k + 1 the
+    # rolled words of any set with a member, where 64 divides k (any other
+    # modulus is always listed)
     @settings(max_examples=150)
     @given(st.data())
     def test_paths_agree_with_rolls(self, data):
@@ -312,12 +327,14 @@ class TestScatterRotation:
             want |= np.roll(table, s)
         handed = ResidueSet.from_bits(table)
         begin = ResidueSet.from_bits(start).words()
-        assert (sets.Rotations(handed).entries is not None) == sparse
+        assert (sets.Rotations(handed).entries is not None) == (sparse or k % 64 != 0)
         for ratio in (SPARSE_RATIO, 1, k + 1):
             with pytest.MonkeyPatch.context() as patched:
                 patched.setattr(sets, "_SPARSE_RATIO", ratio)
                 rotations = sets.Rotations(handed)
-            got = rotations.combine(begin.copy(), shifts)
+            got = begin.copy()
+            for s in shifts.tolist():
+                rotations.combine(got, s)
             assert np.array_equal(ResidueSet.from_words(k, got).window(k), want)
             for s in shifts.tolist():
                 assert rotations.gain(begin, s) == np.count_nonzero(np.roll(table, s) > start)

@@ -8,8 +8,8 @@ import pytest
 
 from buckdens import construction, sets, verify
 from buckdens.cli import main
-from buckdens.construction import (CertificateError, Tower, check_claimA, construct,
-                                   tower_from_json, tower_to_json)
+from buckdens.construction import (CertificateError, Tower, a_classes, check_claimA,
+                                   construct, tower_from_json, tower_to_json)
 from buckdens.oracles import (
     FactorialsOracle,
     FiniteOracle,
@@ -130,7 +130,7 @@ class TestSumsetWindow:
             horizons |= {m - 1, m, 2 * m - 1, 2 * m}
         for horizon in sorted(horizons - {0}):
             b = oracle.enumerate(horizon)
-            lo, hi, d = verify._coverages(t, oracle, horizon)
+            lo, hi, d = verify._coverages(t, a_classes(t), oracle, horizon)
             for period in verify._periods(t, horizon):
                 assert period.modulus == d
             if horizon < top.modulus:
@@ -157,7 +157,7 @@ class TestSumsetWindow:
         t = construct(oracle, HALF, 10)
         tracemalloc.start()
         try:
-            verify._coverages(t, oracle, 10**4)
+            verify._coverages(t, a_classes(t), oracle, 10**4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -283,6 +283,33 @@ class TestClassReader:
         with pytest.raises(CertificateError, match="level 6 marks an element off"):
             enumerate_sumset(bad, oracle, 10**4)
 
+    @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
+    @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4), Fraction(1)],
+                             ids=["half", "three-quarters", "one"])
+    def test_the_check_reads_the_classes_a_classes_lists(self, spec, alpha):
+        # the trivial tower at alpha = 1 included: A = N, the one class of N
+        oracle = parse_oracle(spec)
+        t = construct(oracle, alpha, 8)
+        report = check_claimA(t, oracle)
+        assert report.ok
+        assert report.classes == a_classes(t)
+
+    def test_theorem_report_reads_the_classes_once(self, monkeypatch):
+        # the windows take A's classes from the check's report, so each of a
+        # depth-8 tower's seven nesting folds runs once, in check_claimA
+        calls = []
+        real = construction._level_classes
+
+        def counting(prev, lv):
+            calls.append(lv.n)
+            return real(prev, lv)
+
+        oracle = PrimesOracle()
+        t = construct(oracle, HALF, 8)
+        monkeypatch.setattr(construction, "_level_classes", counting)
+        theorem_report(oracle, t.alpha, 8, 10**4, tower=t)
+        assert calls == list(range(2, 9))
+
     def test_verify_on_a_tower_with_one_flipped_bit_exits_two(self, tmp_path, capsys):
         oracle = PrimesOracle()
         path = tmp_path / "bad.json"
@@ -347,7 +374,7 @@ class TestTheoremReport:
         t = construct(oracle, Fraction(alpha), 8)
         for horizon in (1, 5, 100, 10**3, 10**4):
             b = oracle.enumerate(horizon)
-            lo, hi, _ = verify._coverages(t, oracle, horizon)
+            lo, hi, _ = verify._coverages(t, a_classes(t), oracle, horizon)
             for window, full in zip((lo, hi), tower_bits(t)):
                 assert np.array_equal(window, window_by_double_loop(full, b, horizon))
 

@@ -135,9 +135,10 @@ class TestWords:
     @settings(max_examples=150)
     @given(bitmaps(), st.data())
     def test_rotations_and_gains(self, bits, data):
-        # both paths of Rotations on a table of words: the scatter and
-        # gather of its members (ratio 1) and one rotation or count per
-        # shift (ratio k + 1)
+        # both paths of Rotations on a table of words, one shift per
+        # combine: the scatter and gather of its members (ratio 1) and its
+        # rolled words (ratio k + 1, where 64 divides k; any other modulus
+        # is always listed)
         k = bits.shape[0]
         table = ResidueSet.from_bits(bits)
         base = data.draw(bitmaps(st.just(k)))
@@ -152,7 +153,9 @@ class TestWords:
             start = ResidueSet.from_bits(base).words()
             for s in shifts:
                 assert rotations.gain(start, s) == np.count_nonzero(np.roll(bits, s) > base)
-            got = rotations.combine(start.copy(), np.array(shifts, dtype=np.intp))
+            got = start.copy()
+            for s in shifts:
+                rotations.combine(got, s)
             assert np.array_equal(ResidueSet.from_words(k, got).window(k), want)
 
     @settings(max_examples=80)
