@@ -1,6 +1,17 @@
 """buckdens: exact periodic-set algebra, residue-cover oracles, and
 certified sumset-density towers."""
 
+import os
+
+# One OpenBLAS thread, set before the first import of numpy.  The one BLAS
+# call is the logarithmic proxy's dot product, which a second thread does
+# not speed up, and an idle second thread spins for about 0.1 s of CPU
+# after start-up and after each threaded call.  A value already set is
+# overwritten: on more threads OpenBLAS would split each half of the
+# proxy's fixed two-part sum (``density.empirical_logarithmic``) again,
+# and its last digits would move.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .sets import (
     ResidueSet,
     ResourceLimitError,

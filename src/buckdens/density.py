@@ -207,12 +207,23 @@ def empirical_logarithmic(ind: np.ndarray, horizon: int) -> float:
     bool).  Evaluated on (sqrt(horizon), horizon]: dropping a prefix leaves
     the logarithmic density unchanged in the limit but kills the small-i
     transient, which otherwise decays only like 1/log(horizon).
+
+    The dot product sums in the order the goldens were recorded in, that
+    of OpenBLAS's ddot on two threads: one sum up to 10**4 terms, and past
+    that the first ceil(n/2) terms plus the rest.  The package runs
+    OpenBLAS on one thread, which sums each part whole.
     """
     _check_indicator(ind, horizon)
     start = math.isqrt(horizon) + 1 if horizon > 4 else 1
     weights = np.arange(start, horizon + 1, dtype=np.float64)
     np.divide(1.0, weights, out=weights)
-    return float(np.dot(ind[start: horizon + 1].astype(np.float64), weights) / weights.sum())
+    terms = ind[start: horizon + 1].astype(np.float64)
+    if terms.shape[0] <= 10**4:
+        total = np.dot(terms, weights)
+    else:
+        half = -(-terms.shape[0] // 2)
+        total = np.dot(terms[:half], weights[:half]) + np.dot(terms[half:], weights[half:])
+    return float(total / weights.sum())
 
 
 def default_window(horizon: int) -> int:

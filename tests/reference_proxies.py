@@ -29,9 +29,17 @@ def banach(ind, window, horizon):
 
 
 def logarithmic(ind, horizon):
+    """The golden summation order: past 10**4 terms, the first ceil(n/2)
+    terms and the rest are summed apart, each by one np.dot."""
     start = math.isqrt(horizon) + 1 if horizon > 4 else 1
+    x = ind[start: horizon + 1].astype(np.float64)
     weights = 1.0 / np.arange(start, horizon + 1)
-    return float(np.dot(ind[start: horizon + 1].astype(np.float64), weights) / weights.sum())
+    n = len(x)
+    if n <= 10**4:
+        return float(np.dot(x, weights) / weights.sum())
+    half = (n + 1) // 2
+    total = np.dot(x[:half], weights[:half]) + np.dot(x[half:], weights[half:])
+    return float(total / weights.sum())
 
 
 def first_member_table(b_values, m, horizon):

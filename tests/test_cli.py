@@ -389,6 +389,24 @@ class TestVerify:
                          "--b", "finite:0", "--horizon", "1000")
         assert code == 0 and len(checks) == 1
 
+    def test_report_bytes_do_not_follow_the_blas_threads(self, tmp_path, capsys):
+        # past 10**4 terms the logarithmic proxy's sum order is fixed, so
+        # no thread setting moves its last digits
+        tower = self._tower_file(tmp_path, capsys, depth="8", b="primes")
+        reports = {}
+        for threads in (None, "1", "2", "4"):
+            env = _process_env()
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "buckdens.cli", "verify", "--tower", str(tower),
+                 "--b", "primes", "--horizon", "1000000"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports[threads] = proc.stdout
+        assert reports["1"] == reports[None] == reports["2"] == reports["4"]
+
     @pytest.mark.parametrize("horizon", ["0", "-5"])
     def test_horizon_below_one_is_usage_error(self, tmp_path, capsys, horizon):
         tower = self._tower_file(tmp_path, capsys)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -206,12 +207,67 @@ class TestProxiesMatchReferences:
             empirical_banach(ind, 10, 100, period)
 
 
+def _horizon_with_terms(n):
+    """The horizon at which the logarithmic proxy sums n terms, those of
+    (isqrt(horizon), horizon]."""
+    horizon = n
+    while horizon - math.isqrt(horizon) < n:
+        horizon += 1
+    return horizon
+
+
+# OpenBLAS on two threads, in a process that loads numpy and not buckdens:
+# the sum the goldens were recorded with
+_PLAIN_DOT = """\
+import math, sys
+import numpy as np
+for horizon, seed in zip(map(int, sys.argv[1::2]), map(int, sys.argv[2::2])):
+    ind = np.random.default_rng(seed).integers(0, 2, horizon + 1, dtype=np.uint8)
+    start = math.isqrt(horizon) + 1
+    w = 1.0 / np.arange(start, horizon + 1)
+    print(float(np.dot(ind[start:].astype(np.float64), w) / w.sum()).hex())
+"""
+
+
 class TestLogarithmicPastTheBlasThreshold:
-    # n > 10**4, where np.dot may split the sum across OpenBLAS threads
+    # n > 10**4 terms, where the sum is taken in two halves
+    @pytest.mark.parametrize("seed", [0, 1, 11])
     @pytest.mark.parametrize("horizon", [10**4 + 200, 10**5, 123457, 10**6])
-    def test_bit_identical_to_the_reference(self, horizon):
-        ind = (np.random.default_rng(11).random(horizon + 1) < 0.3).astype(np.uint8)
+    def test_bit_identical_to_the_reference(self, horizon, seed):
+        ind = (np.random.default_rng(seed).random(horizon + 1) < 0.3).astype(np.uint8)
         assert empirical_logarithmic(ind, horizon) == reference_proxies.logarithmic(ind, horizon)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread")
+    def test_equals_a_plain_dot_on_two_blas_threads(self):
+        cases = [(_horizon_with_terms(n), seed)
+                 for n in (9900, 10**4, 10**4 + 1, 10**5 + 1, 10**6, 10**7) for seed in (0, 1)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PLAIN_DOT, *(str(v) for case in cases for v in case)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+        assert proc.returncode == 0, proc.stderr
+        expected = proc.stdout.split()
+        assert len(expected) == len(cases)
+        for (horizon, seed), want in zip(cases, expected):
+            ind = np.random.default_rng(seed).integers(0, 2, horizon + 1, dtype=np.uint8)
+            assert empirical_logarithmic(ind, horizon).hex() == want, horizon
+
+
+class TestOneBlasThread:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                        reason="needs /proc and two CPUs")
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_importing_buckdens_leaves_one_thread(self, preset):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = str(Path(buckdens.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, buckdens; print(len(os.listdir('/proc/self/task')))"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
 
 
 class TestAsymptoticGrid:

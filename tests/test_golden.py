@@ -32,8 +32,7 @@ CONSTRUCT_OUT = "729c6b748bb6870fd2137b810feac9afd2ba44c82a69831c08e34e87de975f9
 VERIFY = "7274d5b35a4f3a5abf24d4ba50c34b204a07c0676ab850d730754a0121a37917"
 
 # at horizon 10**4 the logarithmic proxy's dot product has at most 10**4
-# terms, which numpy sums on one thread, so its bits do not follow the BLAS
-# thread count
+# terms, which it sums in one piece
 ESTIMATE_SETS = {
     "residues": "modulus 30\nresidues 1,7,11,13,17,19,23,29\n",
     "bitmap": "modulus 20\nbitmap a5c30f\n",

@@ -24,6 +24,9 @@
   nor ``sumset_mod``.  So no rotation is shared between the builder and
   the checker.
 - No transform: no module names ``fft``.
+- BLAS: only ``density.empirical_logarithmic`` names a product that numpy
+  hands to BLAS, and ``buckdens/__init__.py`` sets one OpenBLAS thread
+  before its first import of a package module, and so before numpy.
 - The listing: ``Rotations`` takes a residue set only, and ``sets`` lists
   words alone (``_word_members``, in one pass): there is no listing of
   integer tables (``_sparse_members``), no min scatter (``minimum.at``)
@@ -160,6 +163,35 @@ def test_no_module_names_fft():
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names if "fft" in alias.name.lower()}
     assert named | imported == set()
+
+
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
+
+
+def _names_blas(node):
+    if isinstance(node, ast.MatMult):
+        return True
+    name = (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else "")
+    return not _BLAS_NAMES.isdisjoint(name.split("."))
+
+
+def test_only_the_logarithmic_proxy_calls_blas():
+    owners = {(module, owner) for module, tree in TREES.items()
+              for node, owner in _enclosing_functions(tree) if _names_blas(node)}
+    assert owners == {("density.py", "empirical_logarithmic")}
+
+
+def test_one_blas_thread_is_set_before_the_first_package_import():
+    body = TREES["__init__.py"].body
+    sets_threads = [i for i, node in enumerate(body)
+                    if isinstance(node, ast.Assign)
+                    and ast.unparse(node.targets[0]) == "os.environ['OPENBLAS_NUM_THREADS']"
+                    and isinstance(node.value, ast.Constant) and node.value.value == "1"]
+    first_import = next(i for i, node in enumerate(body)
+                        if isinstance(node, ast.ImportFrom) and node.level > 0)
+    assert sets_threads and sets_threads[0] < first_import
 
 
 def test_rotations_take_residue_sets_and_only_words_are_listed():
