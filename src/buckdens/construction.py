@@ -22,7 +22,7 @@ import numpy as np
 
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
-from .sets import (ResidueSet, ResourceLimitError, Rotations, bitmap_from_hex,
+from .sets import (ResidueSet, ResourceLimitError, Rotations, bitmap_from_hex_range,
                    bitmap_hex_chunks, fold, rebase, rotated, tile_words, union, word_count)
 
 __all__ = [
@@ -405,29 +405,46 @@ def count_A(t: Tower, horizon: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # serialization (deterministic; round-trips byte-exactly)
 
-def _decode_residue_set(modulus: int, doc) -> ResidueSet:
+def _decode_residue_set(modulus: int, doc, slot: tuple[str, int, int] | None
+                        ) -> ResidueSet:
     """A level's H from its JSON object: a ``hex-bitmap-le`` string that
-    ``sets.bitmap_from_hex`` takes, so that ``tower_to_json`` writes it
-    back byte for byte."""
+    ``sets.bitmap_from_hex_range`` takes, so that ``tower_to_json`` writes
+    it back byte for byte.  The string is ``text[start:stop]`` for a
+    ``slot`` ``(text, start, stop)`` of a canonical document, else
+    ``doc``'s own value."""
     _require(doc, ("encoding", "data"), "H")
     if doc["encoding"] != "hex-bitmap-le":
         raise ValueError(f"unknown residue-set encoding {doc['encoding']!r}")
-    data = doc["data"]
-    if not isinstance(data, str):
-        raise ValueError("H data must be a hex string")
-    return bitmap_from_hex(modulus, data)
+    if slot is None:
+        data = doc["data"]
+        if not isinstance(data, str):
+            raise ValueError("H data must be a hex string")
+        slot = (data, 0, len(data))
+    return bitmap_from_hex_range(modulus, *slot)
 
 
-# tower_to_json dumps each level's H data as "" and splices the hex in after,
-# so json's escaper never scans megabytes of hex that need no escaping.  A
-# config may hold the pair "data": "" too, so the slots are looked up after
-# the top-level "levels" line only: "levels" is the last key, and json
-# escapes every newline in a string and indents nested keys deeper, so no
-# caller value (oracle, config) can produce that line.  The hex goes in one
-# chunk at a time, appended with += to the one local document str, which
-# CPython resizes in place while nothing else refers to it; so a level's
-# hex is never held whole beside the document, as a join would hold it
-_DATA_SLOT = '"data": ""'
+# The canonical layout, which tower_to_json writes and tower_from_json
+# reads without handing the hex to json.loads: json.dumps(doc, indent=2)
+# + "\n", where after the top-level "levels" line the pair "data": "<hex>"
+# occurs once per level, as that level's H data, and nowhere else.  The
+# writer puts "levels" last, and no caller value (oracle, config) can
+# produce that line or a pair after it: json escapes every newline and
+# quote in a string and indents nested keys deeper, and a config's own
+# "data": "" pairs sit before the line.
+# Writing: each level's H data is dumped as "" and the hex spliced in after,
+# so json's escaper never scans megabytes of hex that need no escaping.  The
+# hex goes in one chunk at a time, appended with += to the one local
+# document str, which CPython resizes in place while nothing else refers to
+# it; so a level's hex is never held whole beside the document, as a join
+# would hold it.
+# Reading: each slot after the "levels" line is emptied up to its closing
+# quote, only that skeleton goes through json.loads, and each level is
+# decoded from its range of the document.  A slot holding a backslash (an
+# escape), a skeleton that is not itself canonical, or slots that are not
+# exactly the levels' H data make another layout, and json.loads reads the
+# document whole.
+_DATA_OPEN = '"data": "'
+_DATA_SLOT = _DATA_OPEN + '"'
 _LEVELS_LINE = '\n  "levels": ['
 
 
@@ -457,7 +474,7 @@ def tower_to_json(t: Tower, config: dict | None = None) -> str:
     pieces = text[cut:].split(_DATA_SLOT)
     out = text[:cut] + pieces[0]
     for lv, piece in zip(t.levels, pieces[1:], strict=True):
-        out += '"data": "'
+        out += _DATA_OPEN
         for chunk in bitmap_hex_chunks(lv.H):
             out += chunk
         out += '"' + piece
@@ -485,12 +502,55 @@ def _rational(value, what: str) -> Fraction:
         raise ValueError(f"{what}: {e}") from e
 
 
-def tower_from_json(text: str) -> tuple[Tower, dict | None]:
-    """Parse and validate a tower document; any malformation is a ValueError."""
+def _canonical_slots(text: str) -> tuple[dict, list[tuple[int, int]]] | None:
+    """The document and each level's hex range, for a ``text`` in the
+    canonical layout: the hex slots after the "levels" line are emptied,
+    and only that skeleton goes through ``json.loads``.  None for a slot
+    holding a backslash or any other layout."""
+    cut = text.find(_LEVELS_LINE)
+    if cut < 0:
+        return None
+    pieces, spans, pos = [text[:cut]], [], cut
+    while (start := text.find(_DATA_OPEN, pos)) >= 0:
+        start += len(_DATA_OPEN)
+        stop = text.find('"', start)
+        if stop < 0 or text.find("\\", start, stop) >= 0:
+            return None
+        pieces.append(text[pos:start])
+        spans.append((start, stop))
+        pos = stop
+    pieces.append(text[pos:])
+    skeleton = "".join(pieces)
     try:
-        doc = json.loads(text)
-    except RecursionError as e:   # json's decoder recurses once per nesting level
-        raise ValueError("tower JSON nests too deeply") from e
+        doc = json.loads(skeleton)
+        if json.dumps(doc, indent=2) + "\n" != skeleton:
+            return None
+    except (ValueError, RecursionError):
+        return None
+    # every "data": "" of a canonical dump is a real pair, and each span is
+    # one after the "levels" line; so with one per level, they are the
+    # levels' H data, in order
+    levels = doc.get("levels") if isinstance(doc, dict) else None
+    if not (isinstance(levels, list) and len(levels) == len(spans)
+            and all(isinstance(lv, dict) and isinstance(lv.get("H"), dict)
+                    and lv["H"].get("data") == "" for lv in levels)):
+        return None
+    return doc, spans
+
+
+def tower_from_json(text: str) -> tuple[Tower, dict | None]:
+    """Parse and validate a tower document; any malformation is a ValueError.
+    A document in the canonical layout is read by ``_canonical_slots``,
+    any other by ``json.loads``, to the same tower and config."""
+    canonical = _canonical_slots(text)
+    if canonical is None:
+        try:
+            doc = json.loads(text)
+        except RecursionError as e:   # json's decoder recurses once per nesting level
+            raise ValueError("tower JSON nests too deeply") from e
+        spans = None
+    else:
+        doc, spans = canonical
     _require(doc, ("schema", "alpha", "oracle", "exact", "trivial", "levels"), "tower")
     if doc["schema"] != SCHEMA:
         raise ValueError(f"unsupported tower schema {doc['schema']!r}")
@@ -518,7 +578,8 @@ def tower_from_json(text: str) -> tuple[Tower, dict | None]:
                              "a non-negative integer after it)")
         levels.append(Level(
             n=n,
-            H=_decode_residue_set(modulus, lvdoc["H"]),
+            H=_decode_residue_set(modulus, lvdoc["H"],
+                                  None if spans is None else (text, *spans[n - 1])),
             h=h,
             k_chosen=k,
             density_a=_rational(lvdoc["densityA"], f"{what} densityA"),

@@ -69,6 +69,7 @@ __all__ = [
     "bitmap_hex_chunks",
     "bitmap_hex",
     "bitmap_from_hex",
+    "bitmap_from_hex_range",
     "dumps_periodic",
     "loads_periodic",
 ]
@@ -530,24 +531,32 @@ def bitmap_hex(p: ResidueSet) -> str:
 
 
 def bitmap_from_hex(k: int, text: str) -> ResidueSet:
-    """The set mod k that ``bitmap_hex`` writes as ``text``: exactly
-    ``2·⌈k/8⌉`` lower-case hex digits, no whitespace, and no padding bit
-    set past k; anything else, or ``k < 1``, is a ValueError.  The text is
-    decoded ``_HEX_CHUNK`` digits at a time straight into the zeroed words.
-    ``binascii.a2b_hex`` takes upper-case digits too, which substring
-    scans look for, and refuses everything else that is not a hex digit."""
+    """``bitmap_from_hex_range`` over the whole of ``text``."""
+    return bitmap_from_hex_range(k, text, 0, len(text))
+
+
+def bitmap_from_hex_range(k: int, text: str, start: int, stop: int) -> ResidueSet:
+    """The set mod k that ``bitmap_hex`` writes as ``text[start:stop]``:
+    exactly ``2·⌈k/8⌉`` lower-case hex digits, no whitespace, and no
+    padding bit set past k; anything else, or ``k < 1``, is a ValueError.
+    The range is decoded ``_HEX_CHUNK`` digits at a time straight into the
+    zeroed words, so a caller can hand a slot of a larger document without
+    cutting it out.  ``binascii.a2b_hex`` takes upper-case digits too,
+    which substring scans look for, and refuses everything else that is
+    not a hex digit."""
     if k < 1:
         raise ValueError(f"modulus must be positive, got {k}")
     digits = 2 * -(-k // 8)
     wrong = ValueError(f"bitmap for modulus {k} must be {digits} lower-case hex digits")
-    if len(text) != digits or any(c in text for c in "ABCDEF"):
+    if stop - start != digits or any(text.find(c, start, stop) >= 0 for c in "ABCDEF"):
         raise wrong
     words = np.zeros(word_count(k), dtype=_WORD)
     packed = words.view(np.uint8)[:digits // 2]
-    for start in range(0, digits, _HEX_CHUNK):
+    for at in range(0, digits, _HEX_CHUNK):
         try:
-            packed[start // 2:(start + _HEX_CHUNK) // 2] = np.frombuffer(
-                binascii.a2b_hex(text[start:start + _HEX_CHUNK]), dtype=np.uint8)
+            packed[at // 2:(at + _HEX_CHUNK) // 2] = np.frombuffer(
+                binascii.a2b_hex(text[start + at:start + min(at + _HEX_CHUNK, digits)]),
+                dtype=np.uint8)
         except ValueError:
             raise wrong from None
     if k % 8 and packed[-1] >> (k % 8):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buckdens import construction, sets
 from buckdens.cli import main
@@ -34,6 +37,12 @@ from buckdens.verify import a_window
 from naive_replay import materialize, naive_replay
 
 HALF = Fraction(1, 2)
+
+
+@functools.cache
+def _canonical_text(spec: str, alpha: Fraction, depth: int) -> str:
+    config = {"b": spec, "alpha": str(alpha), "depth": depth}
+    return tower_to_json(construct(parse_oracle(spec), alpha, depth), config)
 
 
 class TestKnownTrace:
@@ -566,8 +575,13 @@ class TestSerialization:
                     " " + data[:-1], data + " "):
             doc = json.loads(text)
             doc["levels"][5]["H"]["data"] = bad
-            with pytest.raises(ValueError, match="180 lower-case hex digits"):
-                tower_from_json(json.dumps(doc))
+            canonical = json.dumps(doc, indent=2) + "\n"
+            # json escapes the newline, and a slot holding a backslash is
+            # read by json.loads; every other case reaches the range decoder
+            assert (construction._canonical_slots(canonical) is None) == ("\n" in bad)
+            for bad_text in (json.dumps(doc), canonical):
+                with pytest.raises(ValueError, match="180 lower-case hex digits"):
+                    tower_from_json(bad_text)
 
     def test_level_hex_is_the_set_file_bitmap(self):
         tower = construct(FiniteOracle([0]), Fraction(9, 10), 7)
@@ -592,6 +606,94 @@ class TestSerialization:
             tracemalloc.stop()
         assert len(text) > 8 * sets._HEX_CHUNK
         assert peak - live <= len(text) + 2 * sets._HEX_CHUNK
+
+    def test_reading_hands_json_loads_no_hex_and_holds_one_chunk(self, monkeypatch):
+        # the canonical layout is read from a skeleton with its slots
+        # emptied, each level decoded from its range of the document
+        t = construct(FactorialsOracle(), Fraction(1, 3), 11, allow_deep=True)
+        text = tower_to_json(t, {"b": "factorials"})
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s: parsed.append(len(s)) or loads(s))
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            loaded, cfg = tower_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == t and cfg == {"b": "factorials"}
+        assert len(text) > 16 * sets._HEX_CHUNK
+        assert sum(parsed) < 64 * 1024
+        words = sum(lv.H.words().nbytes for lv in loaded.levels)
+        assert peak - live <= words + 2 * sets._HEX_CHUNK
+
+    EXACT = [("primes", HALF), ("factorials", Fraction(1, 3)),
+             ("powers", Fraction(9, 10)), ("finite:0,24,7", HALF)]
+    # characters that end a slot, escape, are or are not hex, break the
+    # JSON syntax or its whitespace, or are not ASCII
+    EDIT_CHARS = ['"', "\\", "0", "f", "A", " ", "\n", "\x01", "{", "}", "[", "]", ",",
+                  ":", "-", "1", "e", ".", "é"]
+
+    @staticmethod
+    def assert_reads_as_json_loads_reads(text):
+        """``tower_from_json(text)`` gives the tower and config it gives for
+        the minified document, which ``json.loads`` reads whole, or both
+        raise ValueError; where ``text`` is no JSON, it raises ValueError."""
+        try:
+            minified = json.dumps(json.loads(text), separators=(",", ":"))
+        except ValueError:
+            with pytest.raises(ValueError):
+                tower_from_json(text)
+            return
+        assert construction._canonical_slots(minified) is None
+        try:
+            expected = tower_from_json(minified)
+        except ValueError:
+            with pytest.raises(ValueError):
+                tower_from_json(text)
+            return
+        assert tower_from_json(text) == expected
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(EXACT), st.integers(1, 8), st.data())
+    def test_a_one_character_edit_reads_as_json_loads_reads_it(self, oracle, depth, data):
+        text = _canonical_text(*oracle, depth)
+        at = data.draw(st.integers(0, len(text) - 1))
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        char = "" if kind == "delete" else data.draw(st.sampled_from(self.EDIT_CHARS))
+        edited = text[:at] + char + text[at + (kind != "insert"):]
+        self.assert_reads_as_json_loads_reads(edited)
+
+    def test_other_layouts_of_a_canonical_dump_read_as_json_loads_reads_them(self):
+        text = _canonical_text("primes", HALF, 4)
+        doc = json.loads(text)
+        levels = doc["levels"]
+        head = {k: v for k, v in doc.items() if k not in ("config", "levels")}
+        trivial = tower_to_json(construct(PrimesOracle(), Fraction(1), 3), {"data": ""})
+        moved = json.loads(text)   # level 2's hex under another key, its H data a number
+        moved["levels"][1]["note"] = {"data": moved["levels"][1]["H"]["data"]}
+        moved["levels"][1]["H"]["data"] = 5
+        cases = {
+            # (text, read from its skeleton)
+            "levels first": ({"levels": levels, **head, "config": doc["config"]}, True),
+            "a config after levels holding the slot pair":
+                ({**head, "levels": levels, "config": {"data": ""}}, False),
+            "a config before levels holding the slot pair":
+                ({**head, "config": {"data": "", "levels": [{"data": ""}]}, "levels": levels},
+                 True),
+            "an empty levels key before the levels":
+                (text.replace('\n  "levels": [', '\n  "levels": [],\n  "levels": [', 1), False),
+            "an empty levels key after the levels":
+                (text[:-len("\n}\n")] + ',\n  "levels": []\n}\n', False),
+            "the trivial tower": (trivial, True),
+            "a level's hex outside its H": (moved, False),
+        }
+        for name, (case, fast) in cases.items():
+            case_text = case if isinstance(case, str) else json.dumps(case, indent=2) + "\n"
+            assert (construction._canonical_slots(case_text) is not None) == fast, name
+            self.assert_reads_as_json_loads_reads(case_text)
+        assert tower_to_json(*tower_from_json(trivial)) == trivial
 
     # caller strings holding the spliced slot, the levels line, quotes, NUL
     # and non-ASCII text, as keys and as values; the config also holds the

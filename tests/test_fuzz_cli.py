@@ -8,6 +8,7 @@ with a message on stderr, never an uncaught exception.
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,12 +105,39 @@ def _apply(doc, edit):
         pass   # an earlier edit removed or retyped the path
 
 
+# raw edits inside one level's hex slot of a document's text: a character
+# that ends the slot, escapes, is not lower-case hex or is a control
+# character put in place of one digit; a deleted digit; and a second
+# "data" key after the slot, holding that level's hex again
+RAW_EDITS = ("\\", '"', "0", "A", "\x01", "delete", "second key")
+SLOT = re.compile(r'"data": "([^"]*)"')
+
+
+def _apply_raw(text, edit):
+    kind, level, at = edit
+    slots = list(SLOT.finditer(text, max(text.find('\n  "levels": ['), 0)))
+    if not slots:
+        return text
+    slot = slots[level % len(slots)]
+    start, stop = slot.span(1)
+    if kind == "second key":
+        return f'{text[:stop + 1]},\n        "data": "{slot[1]}"{text[stop + 1:]}'
+    if start == stop:
+        return text
+    at = start + at % (stop - start)
+    return text[:at] + ("" if kind == "delete" else kind) + text[at + 1:]
+
+
 @st.composite
 def tower_texts(draw):
     doc = json.loads(TOWER)
     for edit in draw(st.lists(EDITS, max_size=2)):
         _apply(doc, edit)
-    text = json.dumps(doc, indent=2)
+    # the canonical layout, which tower_to_json writes, ends in a newline
+    text = json.dumps(doc, indent=2) + draw(st.sampled_from(["", "\n"]))
+    for edit in draw(st.lists(st.tuples(st.sampled_from(RAW_EDITS), st.integers(0, DEPTH - 1),
+                                        st.integers(0, 10**6)), max_size=1)):
+        text = _apply_raw(text, edit)
     if draw(st.integers(0, 3)) == 0:   # a truncated file
         return text[:draw(st.integers(0, len(text) - 1))]
     return text
@@ -182,6 +210,20 @@ def test_every_input_ends_in_a_documented_exit_code(workdir, command):
     assert code in EXIT_CODES
     if code != 0:
         assert err.strip()
+
+
+@pytest.mark.parametrize("kind,expected", [
+    ("\\", {1}), ('"', {1}), ("0", {0, 1, 2}), ("A", {1}), ("\x01", {1}), ("delete", {1}),
+    ("second key", {0})])
+@pytest.mark.parametrize("level", range(DEPTH))
+def test_a_raw_edit_in_a_canonical_hex_slot_ends_in_its_exit_code(workdir, kind, expected,
+                                                                  level):
+    assert TOWER.endswith("}\n")
+    (workdir / "tower.json").write_text(_apply_raw(TOWER, (kind, level, 1)))
+    code, err = run_cli(["verify", "--tower", str(workdir / "tower.json"), "--b", "primes",
+                         "--horizon", "100"])
+    assert code in expected
+    assert len(err.strip().splitlines()) == 1   # the verdict or the error
 
 
 CONSTRUCT = ["construct", "--b", "primes", "--depth", "3", "--alpha"]

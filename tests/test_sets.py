@@ -15,6 +15,7 @@ from buckdens.sets import (
     ResourceLimitError,
     affine,
     bitmap_from_hex,
+    bitmap_from_hex_range,
     bitmap_hex,
     bitmap_hex_chunks,
     canonicalize,
@@ -594,6 +595,20 @@ class TestHexChunks:
         with pytest.raises(ValueError) as info:
             bitmap_from_hex(k, text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("offset", [0, CHUNK, BAD_TEXT_DIGITS - 1])
+    def test_a_range_is_read_apart_from_the_text_around_it(self, three_chunk_text, offset):
+        # the range decoder reads a slot of a larger document in place;
+        # upper-case digits and quotes just outside the range are not its
+        k, text = three_chunk_text
+        start, stop = 2, 2 + len(text)
+        document = 'A"' + text + '"F'
+        assert bitmap_from_hex_range(k, document, start, stop) == bitmap_from_hex(k, text)
+        at = start + offset
+        with pytest.raises(ValueError, match="lower-case hex digits"):
+            bitmap_from_hex_range(k, document[:at] + "A" + document[at + 1:], start, stop)
+        with pytest.raises(ValueError, match="lower-case hex digits"):
+            bitmap_from_hex_range(k, document, start, stop + 1)
 
     def test_a_padding_bit_is_refused_past_the_first_chunk(self, three_chunk_text):
         k, text = three_chunk_text
