@@ -583,14 +583,17 @@ def dumps_periodic(p: ResidueSet) -> str:
 
 def loads_periodic(text: str) -> ResidueSet:
     """The set a ``dumps_periodic`` text stands for.  Residues must lie in
-    ``[0, k)``, and a bitmap must be one ``bitmap_from_hex`` takes; any
-    other text is a ``ValueError``."""
+    ``[0, k)``, a bitmap must be one ``bitmap_from_hex`` takes, and no
+    non-blank line may follow the payload line; any other text is a
+    ``ValueError``."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("modulus "):
         raise ValueError("periodic-set file must start with 'modulus <k>'")
     k = int(lines[0].split(maxsplit=1)[1])
     if len(lines) < 2:
         raise ValueError("missing residues/bitmap line")
+    if len(lines) > 2:
+        raise ValueError("periodic-set file has a line after its residues/bitmap line")
     tag, _, payload = lines[1].partition(" ")
     payload = payload.strip()
     if tag == "residues":

@@ -2,13 +2,16 @@
 A+B from a tower, compare empirical frequencies against the exact
 certificates, and cross-check with asymptotic/Banach/logarithmic proxies.
 
-The A + B windows come from A's classes, which the tower's nesting
-reveals (``construction.a_classes``, or the report of ``check_claimA``):
-within each residue class modulo the largest class modulus up to the
-window, A + B is everything from one threshold on, taken up the class
-moduli from B's first members, and a class whose modulus passes the window
-adds its one member plus B.  The proxies are float-side; the certified
-rationals come from :mod:`buckdens.construction` and are never touched.
+Verify reads A only as its classes, which the tower's nesting reveals
+(``construction.a_classes``, or the report of ``check_claimA``); of a
+level's H it reads only whether h is in H, and |H| for the report.  A's
+own windows fill its classes, and the exceptional one the class of h_N
+mod N!.  For the A + B windows, within each residue class modulo the
+largest class modulus up to the window, A + B is everything from one
+threshold on, taken up the class moduli from B's first members, and a
+class whose modulus passes the window adds its one member plus B.  The
+proxies are float-side; the certified rationals come from
+:mod:`buckdens.construction` and are never touched.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .construction import (
 )
 from .density import check_horizon, proxies
 from .oracles import CoverOracle
-from .sets import ResidueSet, naturals
 
 __all__ = [
     "a_window",
@@ -57,13 +59,19 @@ def sampling_slack(horizon: int) -> float:
 def a_window(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """(definite, exceptional) uint8 indicators of A on [0, horizon].
 
-    ``definite`` members are provably in A: beyond depth N the construction
-    only ever removes elements congruent to h_N mod N!.  ``exceptional``
-    marks that single undecided class.
+    ``definite`` members are provably in A: they fill A's classes
+    (``a_classes``), as beyond depth N the construction only ever removes
+    elements congruent to h_N mod N!.  ``exceptional`` marks that single
+    undecided class, when h_N is in H_N.
     """
-    lower, upper = _periods(t, horizon)
-    definite = lower.window(horizon + 1)
-    return definite, upper.window(horizon + 1) - definite
+    _period_length(t, horizon)
+    definite = np.zeros(horizon + 1, dtype=np.uint8)
+    for m, c in a_classes(t):
+        definite[c::m] = 1
+    exceptional = np.zeros_like(definite)
+    if not t.trivial and t.top.h in t.top.H:
+        exceptional[t.top.h::t.top.modulus] = 1
+    return definite, exceptional
 
 
 def sumset_window(classes: list[tuple[int, int]], b_values: np.ndarray,
@@ -135,35 +143,18 @@ def _first_members(b_values: np.ndarray, m: int, horizon: int) -> np.ndarray:
 
 
 def _period_length(t: Tower, horizon: int) -> int:
-    """The length d to which ``_periods`` cuts the top level, which the
-    Banach proxy scans over; 1 when A = N.
+    """The period the Banach proxy scans over: 1 when A = N, else
+    min(N!, horizon + 1).  N! is the period of A's definite part, and
+    horizon + 1 serves any window on [0, horizon].
 
     Every window starts here, so here a horizon is refused, before B is
     enumerated: below 1 with ``ValueError``, past ``DEFAULT_ENUM_BUDGET``
-    with ``ResourceLimitError``.  Any d > horizon gives the same window,
-    as only the first lift of each residue lies in it.  With f = n! the
-    largest level modulus up to the horizon, d = min(N!, (⌊horizon/f⌋ +
-    1)·f), at most 2·horizon.
+    with ``ResourceLimitError``.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     check_horizon(horizon)
-    if t.trivial:
-        return 1
-    f = max((lv.modulus for lv in t.levels if lv.modulus <= horizon), default=1)
-    return min(t.top.modulus, (horizon // f + 1) * f)
-
-
-def _periods(t: Tower, horizon: int) -> tuple[ResidueSet, ResidueSet]:
-    """Periods of the definite part of A and of A_N, H∖{h} and H at the top
-    level N, cut to the length ``_period_length`` gives, which has the same
-    window [0, horizon]; ``[1]`` for both when A = N.  The upper period is
-    H's prefix, the lower one a copy with h cleared when h < d."""
-    d = _period_length(t, horizon)
-    if t.trivial:
-        return naturals(), naturals()
-    upper = t.top.H.prefix(d)
-    return (upper.discard(t.top.h) if t.top.h < d else upper), upper
+    return 1 if t.trivial else min(t.top.modulus, horizon + 1)
 
 
 def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, int]:

@@ -551,8 +551,12 @@ class TestEstimate:
         "modulus -6\nresidues \n",
         "modulus 12\nbitmap FF 0F\n",     # bytes.fromhex takes these two,
         "modulus 12\nbitmap ff 0f\n",     # dumps_periodic writes neither
+        "modulus 6\nresidues 1,2\ngarbage line\n",
+        "modulus 6\nresidues 1,2\nresidues 3\n",
+        "modulus 6\nresidues 1,2\nbitmap 3f\n",
     ], ids=["negative", "residue-k", "spare-byte", "padding", "short", "zero-modulus",
-            "negative-modulus", "upper-case-spaced", "spaced"])
+            "negative-modulus", "upper-case-spaced", "spaced", "trailing-garbage",
+            "second-residues", "bitmap-after-residues"])
     def test_malformed_set_file_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "set.txt"
         path.write_text(text)

@@ -38,6 +38,9 @@
   the primes cover) or q (a prime power, for the powers cover).
 - Refusals in ``sets``: only ``check_budget`` (a modulus past the budget)
   raises ``ResourceLimitError``.
+- The verifier reads A only as its classes: ``verify`` imports nothing from
+  ``sets`` and cuts, windows or edits no residue set (no ``.window``,
+  ``.prefix`` or ``.discard``).
 """
 
 import ast
@@ -274,6 +277,17 @@ def test_only_these_parameters_have_defaults():
         ("oracles.py", "EnumeratedOracle.__init__", "name"),
         ("sets.py", "ResidueSet.__init__", "residues"),
     }
+
+
+def test_verify_reads_a_only_as_classes():
+    tree = TREES["verify.py"]
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert all(node.module not in ("sets", "buckdens.sets")
+               and "sets" not in {alias.name for alias in node.names} for node in imports)
+    calls = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("window", "prefix", "discard")]
+    assert calls == []
 
 
 def test_axioms_takes_only_samples_seed_and_out():

@@ -17,7 +17,7 @@ from buckdens.oracles import (
     PrimesOracle,
     parse_oracle,
 )
-from buckdens.density import DEFAULT_ENUM_BUDGET
+from buckdens.density import DEFAULT_ENUM_BUDGET, empirical_banach
 from buckdens.sets import ResourceLimitError
 from buckdens.verify import (
     a_window,
@@ -50,6 +50,17 @@ class TestAWindow:
         for x in np.flatnonzero(definite):
             for lv in t.levels:
                 assert (int(x) % lv.modulus) in lv.H
+
+    def test_a_marked_element_outside_h_leaves_no_exceptional_class(self):
+        # h_5 moved to a lift of h_4 that H_5 does not hold: A_5 is H_5
+        # itself, all of it definite
+        t = construct(PrimesOracle(), HALF, 5)
+        prev, top = t.levels[-2], t.top
+        h = next(c for c in range(prev.h, top.modulus, prev.modulus) if c not in top.H)
+        bad = replace(t, levels=t.levels[:-1] + [replace(top, h=h)])
+        definite, exceptional = a_window(bad, 2 * top.modulus)
+        assert np.array_equal(definite, np.resize(top.H.window(top.modulus), 2 * top.modulus + 1))
+        assert not exceptional.any()
 
     def test_definite_and_exceptional_disjoint(self):
         t = construct(PrimesOracle(), Fraction(1, 3), 5)
@@ -119,9 +130,10 @@ class TestSumsetWindow:
                                         FactorialsOracle(), FiniteOracle([0, 24, 7])],
                              ids=["primes", "powers", "factorials", "finite"])
     def test_tower_period_with_a_short_window(self, oracle, depth):
-        # around each level modulus m, and just below and at N!, the class
-        # windows are those of the whole periods H∖{h} and H mod N!, and the
-        # proxies' period is cut to at most twice the horizon
+        # around each level modulus m, and just below and at N!: A's windows
+        # are the whole periods H∖{h} and H mod N! cut to the window, and so
+        # are the class windows of A + B; the proxies' period is N! or, past
+        # the window, T + 1, and scans to the full scan's Banach maximum
         t = construct(oracle, HALF, depth)
         top = t.top
         horizons = {top.modulus - 1, top.modulus}
@@ -130,15 +142,18 @@ class TestSumsetWindow:
             horizons |= {m - 1, m, 2 * m - 1, 2 * m}
         for horizon in sorted(horizons - {0}):
             b = oracle.enumerate(horizon)
+            lower, upper = (np.resize(bits, horizon + 1) for bits in tower_bits(t))
+            definite, exceptional = a_window(t, horizon)
+            assert np.array_equal(definite, lower)
+            assert np.array_equal(exceptional, upper - lower)
             lo, hi, d = verify._coverages(t, a_classes(t), oracle, horizon)
-            for period in verify._periods(t, horizon):
-                assert period.modulus == d
-            if horizon < top.modulus:
-                assert horizon < d <= 2 * horizon
-            else:
-                assert d == top.modulus
+            assert d == (top.modulus if top.modulus <= horizon else horizon + 1)
             for window, full in zip((lo, hi), tower_bits(t)):
                 assert np.array_equal(window, window_by_double_loop(full, b, horizon))
+            for ind in (lo, definite):
+                for width in {1, max(1, horizon // 10), horizon}:
+                    assert (empirical_banach(ind, width, horizon, d)
+                            == empirical_banach(ind, width, horizon, horizon + 1))
 
     @pytest.mark.parametrize("modulus", [1, 7, 120, 121, 400])
     def test_first_member_table_matches_sort_and_unique(self, modulus):
@@ -159,10 +174,13 @@ class TestSumsetWindow:
         try:
             verify._coverages(t, a_classes(t), oracle, 10**4)
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            a_window(t, 10**4)
+            _, a_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert verify._periods(t, 10**4)[0].modulus == 2 * math.factorial(7)
+        assert a_peak < 1 << 20
 
     def test_empty_operands(self):
         ones = [(30, c) for c in range(30)]
@@ -262,12 +280,13 @@ class TestClassReader:
     # the windows read A's classes off the nesting of each level, so a
     # tower whose levels do not nest is refused; the stored H is never
     # read as A
-    @pytest.mark.parametrize("name", ["enumerate_sumset", "cross_density_check"])
+    @pytest.mark.parametrize("name", ["enumerate_sumset", "cross_density_check", "a_window"])
     def test_a_top_level_that_does_not_nest_is_refused(self, name):
         oracle = PrimesOracle()
         bad = unnested_top(construct(oracle, HALF, 6))
         call = {"enumerate_sumset": enumerate_sumset,
-                "cross_density_check": cross_density_check}[name]
+                "cross_density_check": cross_density_check,
+                "a_window": lambda t, o, h: a_window(t, h)}[name]
         with pytest.raises(CertificateError, match="level 6 does not nest in level 5"):
             call(bad, oracle, 10**4)
 
@@ -282,6 +301,8 @@ class TestClassReader:
         assert check_claimA(bad, oracle).first_violation() == 6
         with pytest.raises(CertificateError, match="level 6 marks an element off"):
             enumerate_sumset(bad, oracle, 10**4)
+        with pytest.raises(CertificateError, match="level 6 marks an element off"):
+            a_window(bad, 10**4)
 
     @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
     @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4), Fraction(1)],
