@@ -62,7 +62,7 @@ def _levels_csv(path: str, tower) -> None:
         w = csv.writer(fh)
         w.writerow(["n", "size_H", "h", "k_chosen", "densityA", "L", "U"])
         for lv in tower.levels:
-            w.writerow([lv.n, len(lv.H), lv.h, lv.k_chosen,
+            w.writerow([lv.n, int(lv.density_a * lv.modulus), lv.h, lv.k_chosen,
                         str(lv.density_a), str(lv.sum_lower), str(lv.sum_upper)])
 
 
@@ -80,7 +80,7 @@ def _cmd_construct(args) -> int:
         _levels_csv(args.csv, tower)
     if not tower.trivial:
         top = tower.top
-        print(f"constructed depth {tower.depth}: |H_N|={len(top.H)}, "
+        print(f"constructed depth {tower.depth}: |H_N|={int(top.density_a * top.modulus)}, "
               f"L={top.sum_lower}, U={top.sum_upper}", file=sys.stderr)
     else:
         print("alpha = 1: trivial tower, A = N", file=sys.stderr)

@@ -8,6 +8,12 @@ where L_n and U_n are the exact densities of (n!*N + H_n \\ {h_n}) + B and
 (n!*N + H_n) + B.  The limit set A = intersection of the n!*N + H_n then has
 sumset density exactly alpha; at finite depth every certificate is an exact
 rational and is re-checkable from scratch.
+
+The cutoffs k_n fix the whole tower: H_1 = {0} and h_1 = 0, h_n is the
+lift h_{n−1} + k_n·(n−1)!, and H_n is H_{n−1} tiled to n! less the lifts
+past h_n (``_next_H``).  So A's classes are the lifts before each h_n
+(``a_classes``), and a stored H is checked by one equality with the H
+that its level's k's rebuild.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import numpy as np
 from .density import DensityInterval, parse_rational
 from .oracles import CoverOracle
 from .sets import (ResidueSet, ResourceLimitError, Rotations, bitmap_from_hex_range,
-                   bitmap_hex_chunks, fold, rebase, rotated, tile_words, union, word_count)
+                   bitmap_hex_chunks, clear_bits, fold, rebase, rotated, tile_words, union,
+                   word_count)
 
 __all__ = [
     "CertificateError",
@@ -61,7 +68,7 @@ class Level:
 
     n: int
     H: ResidueSet           # subset of [0, n!)
-    h: int                  # marked element, h in H
+    h: int                  # marked element, lift k_n of h_{n-1}
     k_chosen: int | None    # absent at level 1
     density_a: Fraction     # |H| / n!
     sum_lower: Fraction     # density of (n!N + H\{h}) + B
@@ -111,6 +118,16 @@ def _base_level(cover_one: ResidueSet) -> Level:
                  density_a=Fraction(1), sum_lower=Fraction(0), sum_upper=Fraction(1))
 
 
+def _next_H(words: np.ndarray, h: int, n: int, k: int) -> np.ndarray:
+    """H_n's words, fresh, from H_{n−1}'s ``words`` mod (n−1)!, h_{n−1} = ``h``
+    and k_n = ``k``: H_{n−1} tiled to n!, less the lifts h + j·(n−1)! with
+    j > k, cleared in place."""
+    m = math.factorial(n - 1)
+    out = tile_words(words, m, n)
+    clear_bits(out, np.arange(h + (k + 1) * m, n * m, m))
+    return out
+
+
 def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
          alpha: Fraction) -> Level:
     """One inductive step from level m to level m+1, modulo (m+1)!.
@@ -124,17 +141,16 @@ def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
     new level's lower sumset, and the state after it gives U.
 
     The counts come without a pass over (m+1)!: the tiled lower sumset has
-    (m+1)·|prev's| members, read off ``prev.sum_lower``, and H_{m+1}, the
-    tiling of H_m less its m − k classes beyond the cutoff, has
-    (m+1)·|H_m| − (m − k), cleared bit by bit from the tiled words.  The
-    cover is never counted: each candidate's U adds the cover's
-    ``Rotations.gain`` over the state.
+    (m+1)·|prev's| members, read off ``prev.sum_lower``, and H_{m+1}
+    (``_next_H``), the tiling of H_m less its m − k lifts beyond the
+    cutoff, has (m+1)·|H_m| − (m − k).  The cover is never counted: each
+    candidate's U adds the cover's ``Rotations.gain`` over the state.
 
-    ``check_claimA`` re-derives L and U from the classes that the nesting
-    of each level reveals and from ``cover(n!)`` alone, folded to each
-    class's modulus, with ``sets.rotated``, which ``Rotations`` never
-    reaches: it shares no rotation with this step, and an oracle that
-    breaks the projection identity is caught.
+    ``check_claimA`` re-derives L and U from the classes that the k's
+    give and from ``cover(n!)`` alone, folded to each class's modulus,
+    with ``sets.rotated``, which ``Rotations`` never reaches: it shares no
+    rotation with this step, and an oracle that breaks the projection
+    identity is caught.
     """
     m = prev.n
     fact_m = prev.modulus
@@ -158,13 +174,10 @@ def step(prev: Level, lower: np.ndarray, cover_next: ResidueSet,
             f"no admissible cutoff at level {m + 1}: max candidate density "
             f"{upper} fails to exceed alpha={alpha}")
 
-    h_next = prev.h + k * fact_m
-    tiled = ResidueSet.from_words(big, tile_words(prev.H.words(), fact_m, m + 1))
-
     return Level(
         n=m + 1,
-        H=tiled.discard(np.arange(h_next + fact_m, big, fact_m)),   # beyond the cutoff
-        h=h_next,
+        H=ResidueSet.from_words(big, _next_H(prev.H.words(), prev.h, m + 1, k)),
+        h=prev.h + k * fact_m,
         k_chosen=k,
         density_a=Fraction((m + 1) * int(prev.density_a * fact_m) - (m - k), big),
         sum_lower=Fraction(size, big),
@@ -219,14 +232,12 @@ class LevelCheck:
     upper: Fraction
     bracket_ok: bool          # L_n <= alpha < U_n
     stored_ok: bool           # recomputed values match the stored ones
-    nesting_ok: bool | None   # inclusions into/over the next level
 
 
 @dataclass
 class ClaimAReport:
     alpha: Fraction
     checks: list[LevelCheck]
-    classes: list[tuple[int, int]]   # (n!, c) as a_classes lists them, as far as read
 
     @property
     def ok(self) -> bool:
@@ -235,50 +246,41 @@ class ClaimAReport:
 
     def first_violation(self) -> int | None:
         for c in self.checks:
-            if not (c.bracket_ok and c.stored_ok and c.nesting_ok is not False):
+            if not (c.bracket_ok and c.stored_ok):
                 return c.n
         return None
 
 
-def _level_classes(prev: Level, lv: Level) -> list[int] | None:
-    """The classes that level ``lv`` (n) adds to A: the lifts
-    h_{n−1} + j·(n−1)! that H_n holds, other than h_n, as residues mod n!;
-    None when lv does not nest in ``prev``.
-
-    Level n nests when each of its n rows mod (n−1)! lies between
-    H'_{n−1} = H_{n−1} ∖ {h_{n−1}} and H_{n−1}: when the AND-fold of the
-    rows contains H'_{n−1} and their OR-fold lies inside H_{n−1}.  Then
-    H_n is H'_{n−1} tiled plus the lifts it holds, and when h_n is one of
-    those lifts (or outside H_n), H'_n is H'_{n−1} tiled plus these
-    classes.  No later level that nests removes any of them, so H'_N is
-    the union of every level's classes c + n!·N.
-    """
-    m = prev.modulus
-    if not (prev.H.discard(prev.h).issubset(fold(np.bitwise_and, lv.H, m))
-            and fold(np.bitwise_or, lv.H, m).issubset(prev.H)):
+def _lifts(prev: Level | None, lv: Level) -> list[int] | None:
+    """The classes that level ``lv`` (n) adds to A, as residues mod n!: the
+    lifts h_{n−1} + j·(n−1)! with j < k_n, before h_n.  None unless h_n
+    is lift k_n of h_{n−1} (``prev``'s), for an integer 0 <= k_n < n, or
+    at level 1 (``prev`` None) unless h_1 = 0."""
+    if prev is None:
+        return [] if lv.h == 0 else None
+    k = lv.k_chosen
+    if not (_is_int(k) and 0 <= k < lv.n and lv.h == prev.h + k * prev.modulus):
         return None
-    h = lv.h % lv.modulus
-    return [c for c in range(prev.h % m, lv.modulus, m) if c != h and c in lv.H]
+    return list(range(prev.h, lv.h, prev.modulus))
 
 
 def a_classes(t: Tower) -> list[tuple[int, int]]:
     """A's definite part, H'_N = H_N ∖ {h_N} mod N!, as its classes
-    ``(n!, c)``, each the integers c + n!·N, level by level
-    (``_level_classes``); the one class of N when A = N.  Raises
-    :class:`CertificateError` at the first level that does not nest in its
-    predecessor, or that holds its marked element off the class of the
-    predecessor's, as H'_N is then no union of these classes."""
+    ``(n!, c)``, each the integers c + n!·N: the lifts
+    h_{n−1} + j·(n−1)!, j < k_n, of every level n (``_lifts``); the one
+    class of N when A = N.  Reads only n, k_n and h_n of each level, never
+    H: the lifts after h_n leave H_n, and the class of h_n holds every
+    later level's.  Raises :class:`CertificateError` at the first level
+    whose k_n lies outside [0, n) or whose h_n is not lift k_n."""
     if t.trivial:
         return [(1, 0)]
     classes = []
-    for prev, lv in zip(t.levels, t.levels[1:]):
-        held = _level_classes(prev, lv)
-        if held is None:
-            raise CertificateError(f"level {lv.n} does not nest in level {prev.n}")
-        if lv.h in lv.H and (lv.h - prev.h) % prev.modulus:
-            raise CertificateError(f"level {lv.n} marks an element off the class "
-                                   f"of level {prev.n}'s")
-        classes += [(lv.modulus, c) for c in held]
+    for prev, lv in zip([None, *t.levels], t.levels):
+        lifts = _lifts(prev, lv)
+        if lifts is None:
+            raise CertificateError(f"level {lv.n} marks h = {lv.h}, not lift k = "
+                                   f"{lv.k_chosen!r} of h_{lv.n - 1} with 0 <= k < {lv.n}")
+        classes += [(lv.modulus, c) for c in lifts]
     return classes
 
 
@@ -293,65 +295,55 @@ def _class_sums(lv: Level, cover: ResidueSet,
     one factorial at a time, and each class rotates its fold.  As
     H = H' ∪ {h}, U adds the cover's residues s with s + h outside S:
     one count of the cover ANDed with the complement of S rotated back by
-    h and tiled to n! (U = L when h is outside H).
+    h and tiled to n!.
     """
     s, folded, m = ResidueSet(1), cover, lv.n
     for n in sorted(classes, reverse=True):
         while m > n:
             m -= 1
-            folded = fold(np.bitwise_or, folded, math.factorial(m))
+            folded = fold(folded, math.factorial(m))
         s = union(s, rotated(folded, classes[n]))
     lower = s.density()
-    if lv.h not in lv.H:
-        return lower, lower
     mask = rebase(rotated(s, [-lv.h % s.modulus]), lv.modulus).words()
     missed = ResidueSet.from_words(lv.modulus, cover.words() & ~mask)
     return lower, lower + Fraction(len(missed), lv.modulus)
 
 
 def check_claimA(t: Tower, oracle: CoverOracle) -> ClaimAReport:
-    """Recompute every level certificate from scratch and test the nesting
-    inclusions between consecutive levels, up to the first level whose
-    successor fails to nest in it.
+    """Recompute every level certificate from scratch, up to the first level
+    whose h_n is no lift k_n of h_{n−1}.
 
     Per level, the stored L, U, h, density and (from level 2 on) k_n with
-    h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values; |H| is
-    counted once.  L and U come from the classes of A that the levels so
-    far hold (``_class_sums``): each nesting check reveals the next
-    level's classes (``_level_classes``), so level n is summed only once
-    it has nested in level n − 1, and H'_n is a union of at most Σk full
-    classes.  A level whose stored h is no lift of h_{n−1} fails its
-    stored fields, whatever its L and U.  The checker rotates only through
+    h_n = h_{n−1} + k_n·(n−1)! are compared with recomputed values, and
+    the stored H with H_n rebuilt from H_1 = {0} by the k's (``_next_H``),
+    in one equality of words; |H_n| = n·|H_{n−1}| − (n − 1 − k_n) is
+    counted in closed form.  L and U come from the classes of A that the
+    levels so far add (``_lifts``, ``_class_sums``): H'_n is a union of at
+    most Σk full classes.  The checker rotates only through
     ``sets.rotated``: the builder instead adds one rotated cover per class
     to the tiled lower sumset through ``sets.Rotations`` and counts in
     closed form, so these certificates are an independent re-derivation.
-    The report carries the classes read, ``a_classes(t)`` once it is ok.
     A tower with no levels gets no checks, and its report is ok for
     alpha = 1 only.
     """
     checks: list[LevelCheck] = []
     classes: dict[int, list[int]] = {}
-    for i, lv in enumerate(t.levels):
+    words, size = ResidueSet(1, [0]).words(), 1   # H_1 = {0}
+    for prev, lv in zip([None, *t.levels], t.levels):
+        lifts = _lifts(prev, lv)
+        if prev is not None and lifts is not None:
+            words = _next_H(words, prev.h, lv.n, lv.k_chosen)
+            size = lv.n * size - (lv.n - 1 - lv.k_chosen)
+            if lifts:
+                classes[lv.n] = lifts
         lower, upper = _class_sums(lv, oracle.cover_cached(lv.modulus), classes)
-        bracket_ok = lower <= t.alpha < upper
-        stored_ok = (lower == lv.sum_lower and upper == lv.sum_upper
-                     and 0 <= lv.h < lv.modulus and lv.h in lv.H
-                     and lv.density_a == Fraction(len(lv.H), lv.modulus))
-        if i:
-            prev, k = t.levels[i - 1], lv.k_chosen
-            stored_ok = (stored_ok and k is not None and 0 <= k < lv.n
-                         and lv.h == prev.h + k * prev.modulus)
-        nesting_ok: bool | None = None
-        if i + 1 < len(t.levels):
-            held = _level_classes(lv, t.levels[i + 1])
-            nesting_ok = held is not None
-            if held:
-                classes[lv.n + 1] = held
-        checks.append(LevelCheck(lv.n, lower, upper, bracket_ok, stored_ok, nesting_ok))
-        if nesting_ok is False:
+        stored_ok = (lifts is not None and lower == lv.sum_lower and upper == lv.sum_upper
+                     and lv.density_a == Fraction(size, lv.modulus)
+                     and np.array_equal(lv.H.words(), words))
+        checks.append(LevelCheck(lv.n, lower, upper, lower <= t.alpha < upper, stored_ok))
+        if lifts is None:   # no H_n to rebuild, nor any after it
             break
-    read = [(math.factorial(n), c) for n, held in classes.items() for c in held]
-    return ClaimAReport(t.alpha, checks, read if t.levels else [(1, 0)])
+    return ClaimAReport(t.alpha, checks)
 
 
 def a_bounds(t: Tower) -> DensityInterval:
@@ -384,20 +376,20 @@ def sum_bounds(t: Tower, oracle: CoverOracle) -> SumBounds:
 def count_A(t: Tower, horizon: int) -> tuple[int, int]:
     """Integer interval for |A ∩ [1, horizon]|.
 
-    Upper bound counts A_N, in closed form over whole periods of H_N and
-    one prefix; the lower bound removes the marked class of h_N
-    (which contains every deeper removal) plus an outward-rounded tail
-    allowance of horizon * ``t.tail``."""
+    The upper bound counts A_N: A's classes (``a_classes``) and the marked
+    class of h_N mod N!, disjoint, each in closed form.  The lower bound
+    removes the marked class (which contains every deeper removal) plus
+    an outward-rounded tail allowance of horizon * ``t.tail``."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if t.trivial:
         return horizon, horizon
-    top = t.top
-    full, rest = divmod(horizon + 1, top.modulus)
-    upper = (full * len(top.H) + (len(top.H.prefix(rest)) if rest else 0)
-             - (0 in top.H))
-    first = top.h if top.h >= 1 else top.modulus
-    marked = 0 if first > horizon else (horizon - first) // top.modulus + 1
+
+    def members(m: int, c: int) -> int:   # of c + m·N in [1, horizon], 0 <= c < m
+        return (horizon - c) // m + (c > 0)
+
+    marked = members(t.top.modulus, t.top.h)
+    upper = marked + sum(members(m, c) for m, c in a_classes(t))
     lower = max(0, upper - marked - math.ceil(horizon * t.tail))
     return lower, upper
 

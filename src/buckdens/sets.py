@@ -55,6 +55,7 @@ __all__ = [
     "ResidueSet",
     "word_count",
     "tile_words",
+    "clear_bits",
     "fold",
     "union",
     "intersect",
@@ -148,6 +149,11 @@ def _bit(positions: np.ndarray) -> np.ndarray:
 
 def _set_bits(words: np.ndarray, positions: np.ndarray) -> None:
     np.bitwise_or.at(words, positions >> 6, _bit(positions))
+
+
+def clear_bits(words: np.ndarray, positions: np.ndarray) -> None:
+    """Clear the bits of ``words`` at ``positions``, in place."""
+    np.bitwise_and.at(words, positions >> 6, ~_bit(positions))
 
 
 def _get_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -308,16 +314,10 @@ class ResidueSet:
         shown = rs if len(rs) <= 12 else rs[:12] + ["..."]
         return f"ResidueSet(mod={self.modulus}, {{{', '.join(map(str, shown))}}})"
 
-    def issubset(self, other: "ResidueSet") -> bool:
-        if self.modulus != other.modulus:
-            raise ValueError("issubset requires equal moduli")
-        return not (self._words & ~other._words).any()
-
     def discard(self, r) -> "ResidueSet":
         """The set less the residue of r, an integer or an integer array."""
         out = self._words.copy()
-        positions = np.atleast_1d(np.asarray(r % self.modulus, dtype=np.int64))
-        np.bitwise_and.at(out, positions >> 6, ~_bit(positions))
+        clear_bits(out, np.atleast_1d(np.asarray(r % self.modulus, dtype=np.int64)))
         return ResidueSet.from_words(self.modulus, out)
 
 
@@ -337,20 +337,17 @@ def rebase(p: ResidueSet, m: int) -> ResidueSet:
     return ResidueSet.from_words(m, tile_words(p.words(), k, m // k))
 
 
-def fold(op: np.ufunc, p: ResidueSet, m: int) -> ResidueSet:
-    """The residues r mod m (``m | p.modulus``) whose lifts ``r + j·m`` in
-    p combine to 1 under ``op``: every lift for ``np.bitwise_and``, any
-    for ``np.bitwise_or``.
+def fold(p: ResidueSet, m: int) -> ResidueSet:
+    """The residues r mod m (``m | p.modulus``) with a lift ``r + j·m`` in p.
 
-    One ``op.reduce`` over the rows of words when m is a multiple of 64;
-    else the rows of the set's integer combined one by one."""
+    One OR-reduce over the rows of words when m is a multiple of 64; else
+    the rows of the set's integer ORed one by one."""
     words, q = p.words(), p.modulus // m
     if m % 64 == 0:
-        return ResidueSet.from_words(m, op.reduce(words.reshape(q, m // 64), axis=0))
-    combine = operator.and_ if op is np.bitwise_and else operator.or_
+        return ResidueSet.from_words(m, np.bitwise_or.reduce(words.reshape(q, m // 64), axis=0))
     x, mask = _to_int(words), (1 << m) - 1
     rows = ((x >> (j * m)) & mask for j in range(q))
-    return ResidueSet.from_words(m, _from_int(functools.reduce(combine, rows), m))
+    return ResidueSet.from_words(m, _from_int(functools.reduce(operator.or_, rows), m))
 
 
 def _combine(op: np.ufunc, p: ResidueSet, q: ResidueSet) -> ResidueSet:

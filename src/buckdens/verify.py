@@ -2,16 +2,16 @@
 A+B from a tower, compare empirical frequencies against the exact
 certificates, and cross-check with asymptotic/Banach/logarithmic proxies.
 
-Verify reads A only as its classes, which the tower's nesting reveals
-(``construction.a_classes``, or the report of ``check_claimA``); of a
-level's H it reads only whether h is in H, and |H| for the report.  A's
-own windows fill its classes, and the exceptional one the class of h_N
-mod N!.  For the A + B windows, within each residue class modulo the
-largest class modulus up to the window, A + B is everything from one
-threshold on, taken up the class moduli from B's first members, and a
-class whose modulus passes the window adds its one member plus B.  The
-proxies are float-side; the certified rationals come from
-:mod:`buckdens.construction` and are never touched.
+Verify reads A only as its classes, which each level's k_n and h_n give
+(``construction.a_classes``), and never reads a level's H: the report's
+|H| is densityA·n!, which ``check_claimA`` has checked.  A's own windows
+fill its classes, and the exceptional one the class of h_N mod N!.  For
+the A + B windows, within each residue class modulo the largest class
+modulus up to the window, A + B is everything from one threshold on,
+taken up the class moduli from B's first members, and a class whose
+modulus passes the window adds its one member plus B.  The proxies are
+float-side; the certified rationals come from :mod:`buckdens.construction`
+and are never touched.
 """
 
 from __future__ import annotations
@@ -62,14 +62,14 @@ def a_window(t: Tower, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     ``definite`` members are provably in A: they fill A's classes
     (``a_classes``), as beyond depth N the construction only ever removes
     elements congruent to h_N mod N!.  ``exceptional`` marks that single
-    undecided class, when h_N is in H_N.
+    undecided class.
     """
     _period_length(t, horizon)
     definite = np.zeros(horizon + 1, dtype=np.uint8)
     for m, c in a_classes(t):
         definite[c::m] = 1
     exceptional = np.zeros_like(definite)
-    if not t.trivial and t.top.h in t.top.H:
+    if not t.trivial:
         exceptional[t.top.h::t.top.modulus] = 1
     return definite, exceptional
 
@@ -163,22 +163,22 @@ def enumerate_sumset(t: Tower, oracle: CoverOracle, horizon: int) -> tuple[int, 
     Exceptional memberships of A (undecided beyond the tower depth) feed the
     upper count only.
     """
-    lo_cov, hi_cov, _ = _coverages(t, a_classes(t), oracle, horizon)
+    lo_cov, hi_cov, _ = _coverages(t, oracle, horizon)
     return int(np.count_nonzero(lo_cov[1:])), int(np.count_nonzero(hi_cov[1:]))
 
 
-def _coverages(t: Tower, lower: list[tuple[int, int]], oracle: CoverOracle,
+def _coverages(t: Tower, oracle: CoverOracle,
                horizon: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The A + B windows of A's definite part, the classes ``lower`` (as
-    ``a_classes`` lists them), and of A_N, which adds the class of h_N,
-    and the period length the proxies scan."""
+    """The A + B windows of A's definite part, its classes
+    (``a_classes``), and of A_N, which adds the class of h_N, and the
+    period length the proxies scan."""
     d = _period_length(t, horizon)
+    classes = a_classes(t)
     b_values = oracle.enumerate(horizon)
-    lo_cov = sumset_window(lower, b_values, horizon)
+    lo_cov = sumset_window(classes, b_values, horizon)
     # the class of h first enters the window at h
-    top = None if t.trivial else t.top
-    hi_cov = (lo_cov if top is None or top.h > horizon or top.h not in top.H
-              else sumset_window(lower + [(top.modulus, top.h)], b_values, horizon))
+    hi_cov = (lo_cov if t.trivial or t.top.h > horizon
+              else sumset_window(classes + [(t.top.modulus, t.top.h)], b_values, horizon))
     return lo_cov, hi_cov, d
 
 
@@ -272,7 +272,7 @@ def _level_rows(t: Tower, sb: SumBounds) -> list[dict]:
     for lv, (_, lower, upper, eps) in zip(t.levels, sb.per_level):
         rows.append({
             "n": lv.n,
-            "size_H": len(lv.H),
+            "size_H": int(lv.density_a * lv.modulus),
             "h": lv.h,
             "k": lv.k_chosen,
             "densityA": str(lv.density_a),
@@ -318,7 +318,7 @@ def theorem_report(oracle: CoverOracle, alpha, depth: int, horizon: int, *,
     lo_cert = float(sb.final.lower)
     hi_cert = float(sb.final.upper)
     # coverage of [0, t] is a prefix of coverage of [0, horizon]
-    lo_all, hi_all, period = _coverages(tower, claim.classes, oracle, horizon)
+    lo_all, hi_all, period = _coverages(tower, oracle, horizon)
     for t_val in sorted({max(1, horizon // 100), max(1, horizon // 10), horizon}):
         lo_cov, hi_cov = lo_all[: t_val + 1], hi_all[: t_val + 1]
         c_lo = int(np.count_nonzero(lo_cov[1:]))

@@ -5,7 +5,8 @@ each level's H with ``int.from_bytes(bytes.fromhex(data), "little")``, so
 residue r of H is bit r of one Python integer.  Covers come from the
 definitions of B (``COVERS``), not from the package's oracles.  H' + C mod
 n! is an OR of rotations of one operand, one per member of the other, taken
-over the operand with fewer members.
+over the operand with fewer members.  Each H_n is also rebuilt from the
+file's k's alone, H_1 = {0}, as the hex that the file should hold.
 """
 
 import json
@@ -90,15 +91,31 @@ def _sumset(a: int, c: int, m: int) -> int:
     return out
 
 
+def rebuilt_hex(levels: list[dict]) -> list[str]:
+    """Each level's H as hex, rebuilt from the k's: H_1 = {0} and h_1 = 0;
+    h_n = h_{n-1} + k_n·(n-1)!, and H_n is H_{n-1} repeated n times, less
+    the lifts h_{n-1} + j·(n-1)! with j > k_n."""
+    h_set, h, m, out = 1, 0, 1, []
+    for lv in levels:
+        n, k = lv["n"], lv["k_chosen"]
+        if n > 1:
+            h_set = sum(h_set << (j * m) for j in range(n))
+            for j in range(k + 1, n):
+                h_set &= ~(1 << (h + j * m))
+            h += k * m
+        m *= n
+        out.append(h_set.to_bytes(-(-m // 8), "little").hex())
+    return out
+
+
 def reference_check(text: str, cover) -> list[dict]:
-    """Per level of the tower text: n, L, U, |H|, h, k and whether the next
-    level nests in it (None at the top).  ``cover(m)`` is the cover of B mod
-    m as an integer bitmap.  Level n + 1 nests when each of its n + 1 rows
-    mod n! holds H' and lies inside H."""
+    """Per level of the tower text: n, L, U, |H|, h, k and ``rebuilt``, H
+    as ``rebuilt_hex`` gives it.  ``cover(m)`` is the cover of B mod m as
+    an integer bitmap."""
     levels = json.loads(text)["levels"]
     out = []
     m = 1
-    for i, lv in enumerate(levels):
+    for lv, rebuilt in zip(levels, rebuilt_hex(levels)):
         m *= lv["n"]
         h_set = int.from_bytes(bytes.fromhex(lv["H"]["data"]), "little")
         if h_set >> m:
@@ -108,12 +125,7 @@ def reference_check(text: str, cover) -> list[dict]:
         c = cover(m)
         low = _sumset(h_prime, c, m)
         high = low | _sumset(h_set & (1 << h), c, m)
-        nests = None
-        if i + 1 < len(levels):
-            upper = int.from_bytes(bytes.fromhex(levels[i + 1]["H"]["data"]), "little")
-            rows = [(upper >> (j * m)) & ((1 << m) - 1) for j in range(lv["n"] + 1)]
-            nests = all(h_prime & ~row == 0 and row & ~h_set == 0 for row in rows)
         out.append({"n": lv["n"], "L": Fraction(low.bit_count(), m),
                     "U": Fraction(high.bit_count(), m), "size": h_set.bit_count(),
-                    "h": h, "k": lv["k_chosen"], "nests": nests})
+                    "h": h, "k": lv["k_chosen"], "rebuilt": rebuilt})
     return out

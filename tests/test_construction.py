@@ -219,8 +219,8 @@ class TestClaimA:
         assert top.upper - top.lower <= Fraction(1, 120)
 
     def test_tampered_tower_is_caught(self, tmp_path, capsys):
-        # level 3 with 2 dropped fails to nest in level 2: the check stops
-        # at level 2, where the report fails
+        # level 3 with 2 dropped is not the H_3 that k_2 and k_3 build: the
+        # report fails at level 3, and checks every level
         oracle = FiniteOracle([0])
         t = construct(oracle, HALF, 4)
         lv = t.levels[2]
@@ -232,16 +232,15 @@ class TestClaimA:
                     levels=bad_levels)
         report = check_claimA(bad, oracle)
         assert not report.ok
-        assert report.first_violation() == 2
-        assert [c.n for c in report.checks] == [1, 2]
-        assert report.checks[-1].nesting_ok is False
+        assert report.first_violation() == 3
+        assert [c.n for c in report.checks] == [1, 2, 3, 4]
         path = tmp_path / "bad.json"
         path.write_text(tower_to_json(bad))
         code = main(["verify", "--tower", str(path), "--b", "finite:0",
                      "--horizon", "1000"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "certificate error: certificate FAILED at level 2\n"
+        assert captured.err == "certificate error: certificate FAILED at level 3\n"
 
     @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(1)])
     def test_a_tower_with_no_levels_certifies_alpha_one_only(self, alpha):
@@ -250,10 +249,9 @@ class TestClaimA:
         assert report.checks == []
         assert report.ok == (alpha == 1)
 
-    def test_unpeelable_level_after_a_nesting_failure_fails_the_check(
-            self, tmp_path, capsys):
-        # a random level 8, with no periodic layer, fails to nest in level
-        # 7: the check ends at the failed level 7, and verify exits 2
+    def test_a_random_top_level_fails_the_check(self, tmp_path, capsys):
+        # a random level 8, with no periodic layer, is not the H_8 of the
+        # k's: the check fails at level 8, and verify exits 2
         oracle = PerfectPowersOracle()
         t = construct(oracle, HALF, 8)
         top = t.top
@@ -262,22 +260,83 @@ class TestClaimA:
         bad = Tower(alpha=t.alpha, oracle_spec=t.oracle_spec, exact=t.exact,
                     levels=t.levels[:-1] + [replace(top, H=ResidueSet.from_bits(bits))])
         report = check_claimA(bad, oracle)
-        assert report.first_violation() == 7
-        assert [c.n for c in report.checks] == list(range(1, 8))
+        assert report.first_violation() == 8
+        assert [c.n for c in report.checks] == list(range(1, 9))
         path = tmp_path / "bad.json"
         path.write_text(tower_to_json(bad))
         code = main(["verify", "--tower", str(path), "--b", "powers",
                      "--horizon", "1000"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.count("\n") == 1 and "FAILED at level 7" in err
+        assert err.count("\n") == 1 and "FAILED at level 8" in err
+
+    @staticmethod
+    def with_top_lifts(t, oracle, lifts, alpha):
+        """``t`` with its top H holding the lifts j in ``lifts`` of h_{N-1}
+        in place of lifts 0..k_N, its densityA, L and U recomputed to
+        match, and target ``alpha``."""
+        prev, top = t.levels[-2], t.top
+        H = ResidueSet(top.modulus, [r for r in top.H.residues()
+                                     if (r - prev.h) % prev.modulus]
+                       + [prev.h + j * prev.modulus for j in lifts])
+        cover = oracle.cover_cached(top.modulus)
+        top = replace(top, H=H, density_a=H.density(),
+                      sum_lower=sumset_mod(H.discard(top.h), cover).density(),
+                      sum_upper=sumset_mod(H, cover).density())
+        return replace(t, alpha=alpha, levels=t.levels[:-1] + [top])
+
+    @pytest.mark.parametrize("spec, alpha, depth, lifts, target", [
+        # H_4 holds lifts 0 and 2 of h_3, not lift 1, with k_4 = 2
+        ("primes", HALF, 4, [0, 2], Fraction(5, 12)),
+        # H_4 holds lifts 0, 1 and 2 of h_3, past k_4 = 1
+        ("powers", Fraction(3, 4), 4, [0, 1, 2], Fraction(3, 4)),
+    ], ids=["non-prefix", "past-k"])
+    def test_lifts_other_than_those_up_to_k_are_caught(self, tmp_path, capsys, spec, alpha,
+                                                        depth, lifts, target):
+        # every stored number of these hand-made towers matches their H,
+        # and each level brackets alpha, but the top H is not the one that
+        # the k's build: the check fails there
+        oracle = parse_oracle(spec)
+        t = construct(oracle, alpha, depth)
+        bad = self.with_top_lifts(t, oracle, lifts, target)
+        assert bad.top.sum_lower <= target < bad.top.sum_upper
+        report = check_claimA(bad, oracle)
+        assert report.first_violation() == depth
+        assert all(c.bracket_ok and c.stored_ok for c in report.checks[:-1])
+        path = tmp_path / "bad.json"
+        path.write_text(tower_to_json(bad))
+        code = main(["verify", "--tower", str(path), "--b", spec, "--horizon", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"certificate error: certificate FAILED at level {depth}\n"
+
+    @pytest.mark.parametrize("level", range(2, 9))
+    def test_one_flipped_bit_fails_its_own_level(self, tmp_path, capsys, level):
+        # a bit of H_n off the lifts of h_{n-1} flipped (at level 2, every
+        # residue is a lift, and residue 0 is flipped): the check fails at
+        # level n, whichever way the lower levels nest
+        oracle = PrimesOracle()
+        t = construct(oracle, HALF, 8)
+        prev, lv = t.levels[level - 2], t.levels[level - 1]
+        r = next((r for r in range(lv.modulus) if (r - prev.h) % prev.modulus), 0)
+        flipped = lv.H.words().copy()
+        flipped[r >> 6] ^= np.uint64(1) << np.uint64(r & 63)
+        levels = list(t.levels)
+        levels[level - 1] = replace(lv, H=ResidueSet.from_words(lv.modulus, flipped))
+        bad = replace(t, levels=levels)
+        assert check_claimA(bad, oracle).first_violation() == level
+        path = tmp_path / "bad.json"
+        path.write_text(tower_to_json(bad))
+        code = main(["verify", "--tower", str(path), "--b", "primes", "--horizon", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"certificate error: certificate FAILED at level {level}\n"
 
     @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
-    def test_check_hands_sumset_mod_only_operands_that_peel(self, spec):
+    def test_flipped_bits_fail_the_check(self, spec):
         # a valid depth-8 tower, and the same tower with 1-3 bits flipped
-        # across its levels: check_claimA hands sumset_mod nothing, reads
-        # the classes of each level that nests, and fails every corrupted
-        # tower instead of raising
+        # across its levels: check_claimA fails every corrupted tower
+        # instead of raising
         oracle = parse_oracle(spec)
         t = construct(oracle, HALF, 8)
         rng = np.random.default_rng(len(spec))
@@ -443,6 +502,25 @@ class TestClaimA:
         report = check_claimA(bad, oracle)
         assert not report.ok
         assert report.first_violation() == 5
+
+
+class TestIntervalProperty:
+    # L_n is the U of candidate k_n − 1, so the bracket L_n <= alpha < U_n
+    # reads "k_n − 1 fails and k_n passes": a k sequence is the greedy one
+    # for every alpha in [L_N, U_N), and for no other
+    @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), HALF, Fraction(3, 4)],
+                             ids=["third", "half", "three-quarters"])
+    def test_a_k_sequence_certifies_its_interval(self, spec, alpha):
+        oracle = parse_oracle(spec)
+        t = construct(oracle, alpha, 9)
+
+        def ks(target):
+            return [lv.k_chosen for lv in construct(oracle, target, 9).levels]
+
+        own, top = [lv.k_chosen for lv in t.levels], t.top
+        assert ks(top.sum_lower) == ks(top.sum_upper - Fraction(1, 10**30)) == own
+        assert ks(top.sum_upper) != own
 
 
 class TestBounds:
@@ -771,5 +849,5 @@ class TestNesting:
             h_prime = prev.H.discard(prev.h)
             lo = rebase(h_prime, cur.modulus)
             hi = rebase(prev.H, cur.modulus)
-            assert lo.issubset(cur.H)
-            assert cur.H.issubset(hi)
+            assert not (lo.words() & ~cur.H.words()).any()
+            assert not (cur.H.words() & ~hi.words()).any()

@@ -31,6 +31,17 @@ CONSTRUCT_OUT = "729c6b748bb6870fd2137b810feac9afd2ba44c82a69831c08e34e87de975f9
 
 VERIFY = "7274d5b35a4f3a5abf24d4ba50c34b204a07c0676ab850d730754a0121a37917"
 
+# depth-10 powers towers at horizon 10**5: at alpha = 1/3 every k is 0 up
+# to k_10 = 2, so A's classes all sit at 10!; at alpha = 3/4 k_4 = k_8 = 1,
+# so they span levels 4 and 8, and count_A and size_H read them across
+# levels
+VERIFY_DEEP = {
+    ("powers", "1/3"):
+        "51a31f8ea39660a9498f0c49d6b625be6d572c45accb54adb26f7a6c6ffa8b13",
+    ("powers", "3/4"):
+        "2280704626b33691b52c5edb2bc00efbe5d4b766b9179271201d9eee6db8af58",
+}
+
 # at horizon 10**4 the logarithmic proxy's dot product has at most 10**4
 # terms, which it sums in one piece
 ESTIMATE_SETS = {
@@ -78,6 +89,17 @@ def test_verify_report(tmp_path, monkeypatch, capsys):
     digest = stdout_digest(capsys, "verify", "--tower", "tower.json", "--b",
                            "primes", "--horizon", "10000")
     assert digest == VERIFY
+
+
+@pytest.mark.parametrize("spec, alpha", list(VERIFY_DEEP))
+def test_verify_report_depth_10(tmp_path, monkeypatch, capsys, spec, alpha):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--b", spec, "--alpha", alpha, "--depth", "10",
+                 "--out", "tower.json"]) == 0
+    capsys.readouterr()
+    digest = stdout_digest(capsys, "verify", "--tower", "tower.json", "--b",
+                           spec, "--horizon", "100000")
+    assert digest == VERIFY_DEEP[spec, alpha]
 
 
 @pytest.mark.parametrize("kind, window", list(ESTIMATE))

@@ -39,8 +39,8 @@
 - Refusals in ``sets``: only ``check_budget`` (a modulus past the budget)
   raises ``ResourceLimitError``.
 - The verifier reads A only as its classes: ``verify`` imports nothing from
-  ``sets`` and cuts, windows or edits no residue set (no ``.window``,
-  ``.prefix`` or ``.discard``).
+  ``sets``, reads no level's ``.H``, and cuts, windows or edits no residue
+  set (no ``.window``, ``.prefix`` or ``.discard``).
 """
 
 import ast
@@ -142,7 +142,7 @@ def _reached(start, modules):
 
 def test_check_claimA_names_neither_rotations_nor_sumset_mod():
     reached, names = _reached("check_claimA", ["construction.py"])
-    assert {"check_claimA", "_class_sums", "_level_classes"} <= reached
+    assert {"check_claimA", "_class_sums"} <= reached
     assert "rotated" in names
     assert names.isdisjoint({"Rotations", "sumset_mod", "combine", "gain", "_rolled"})
 
@@ -288,6 +288,8 @@ def test_verify_reads_a_only_as_classes():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("window", "prefix", "discard")]
     assert calls == []
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "H"
+                   for node in ast.walk(tree))
 
 
 def test_axioms_takes_only_samples_seed_and_out():

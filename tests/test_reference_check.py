@@ -1,6 +1,8 @@
 """Tower files against the stdlib re-check in ``reference_check``, which
-reads the JSON bytes and derives each cover from its definition."""
+reads the JSON bytes, derives each cover from its definition and rebuilds
+each H from the file's k's."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -26,7 +28,8 @@ def cached_cover(spec):
 def test_file_and_check_match_the_reference(spec, depth, alpha):
     oracle = parse_oracle(spec)
     tower = construct(oracle, alpha, depth)
-    ref = reference_check(tower_to_json(tower), cached_cover(spec))
+    text = tower_to_json(tower)
+    ref = reference_check(text, cached_cover(spec))
     report = check_claimA(tower, oracle)
     assert report.ok
     assert len(ref) == len(report.checks) == depth
@@ -35,5 +38,6 @@ def test_file_and_check_match_the_reference(spec, depth, alpha):
         assert (lv.n, lv.sum_lower, lv.sum_upper, lv.h, lv.k_chosen) == \
             (want["n"], want["L"], want["U"], want["h"], want["k"])
         assert lv.density_a * math.factorial(lv.n) == want["size"]
-        assert (check.lower, check.upper, check.nesting_ok) == \
-            (want["L"], want["U"], want["nests"])
+        assert (check.lower, check.upper) == (want["L"], want["U"])
+    assert [want["rebuilt"] for want in ref] == \
+        [lv["H"]["data"] for lv in json.loads(text)["levels"]]

@@ -51,16 +51,15 @@ class TestAWindow:
             for lv in t.levels:
                 assert (int(x) % lv.modulus) in lv.H
 
-    def test_a_marked_element_outside_h_leaves_no_exceptional_class(self):
-        # h_5 moved to a lift of h_4 that H_5 does not hold: A_5 is H_5
-        # itself, all of it definite
+    def test_a_marked_element_outside_h_is_refused(self):
+        # h_5 moved to a lift of h_4 that H_5 does not hold, past lift k_5:
+        # h_5 is no longer lift k_5, and A's classes are read from k_5
         t = construct(PrimesOracle(), HALF, 5)
         prev, top = t.levels[-2], t.top
         h = next(c for c in range(prev.h, top.modulus, prev.modulus) if c not in top.H)
         bad = replace(t, levels=t.levels[:-1] + [replace(top, h=h)])
-        definite, exceptional = a_window(bad, 2 * top.modulus)
-        assert np.array_equal(definite, np.resize(top.H.window(top.modulus), 2 * top.modulus + 1))
-        assert not exceptional.any()
+        with pytest.raises(CertificateError, match="level 5 marks"):
+            a_window(bad, 2 * top.modulus)
 
     def test_definite_and_exceptional_disjoint(self):
         t = construct(PrimesOracle(), Fraction(1, 3), 5)
@@ -146,7 +145,7 @@ class TestSumsetWindow:
             definite, exceptional = a_window(t, horizon)
             assert np.array_equal(definite, lower)
             assert np.array_equal(exceptional, upper - lower)
-            lo, hi, d = verify._coverages(t, a_classes(t), oracle, horizon)
+            lo, hi, d = verify._coverages(t, oracle, horizon)
             assert d == (top.modulus if top.modulus <= horizon else horizon + 1)
             for window, full in zip((lo, hi), tower_bits(t)):
                 assert np.array_equal(window, window_by_double_loop(full, b, horizon))
@@ -172,7 +171,7 @@ class TestSumsetWindow:
         t = construct(oracle, HALF, 10)
         tracemalloc.start()
         try:
-            verify._coverages(t, a_classes(t), oracle, 10**4)
+            verify._coverages(t, oracle, 10**4)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             a_window(t, 10**4)
@@ -276,60 +275,54 @@ def unnested_top(t):
     return replace(t, levels=t.levels[:-1] + [replace(top, H=top.H.discard(r))])
 
 
-class TestClassReader:
-    # the windows read A's classes off the nesting of each level, so a
-    # tower whose levels do not nest is refused; the stored H is never
-    # read as A
-    @pytest.mark.parametrize("name", ["enumerate_sumset", "cross_density_check", "a_window"])
-    def test_a_top_level_that_does_not_nest_is_refused(self, name):
-        oracle = PrimesOracle()
-        bad = unnested_top(construct(oracle, HALF, 6))
-        call = {"enumerate_sumset": enumerate_sumset,
-                "cross_density_check": cross_density_check,
-                "a_window": lambda t, o, h: a_window(t, h)}[name]
-        with pytest.raises(CertificateError, match="level 6 does not nest in level 5"):
-            call(bad, oracle, 10**4)
+CLASS_READERS = {"enumerate_sumset": enumerate_sumset,
+                 "cross_density_check": cross_density_check,
+                 "a_window": lambda t, o, h: a_window(t, h)}
 
-    def test_a_marked_element_off_the_marked_class_is_refused(self):
-        # h_6 moved to a member of H_6 off the lifts of h_5: H_6 still nests,
-        # but H'_6 is no union of classes; the check fails at level 6
+
+class TestClassReader:
+    # the windows read A's classes from each level's k_n and h_n and never
+    # read its H: a tower whose only fault is an H reads as the tower the
+    # k's build (the CLI runs check_claimA first, which fails it), and a
+    # bad k_n or h_n is refused
+    @pytest.mark.parametrize("name", CLASS_READERS)
+    def test_a_tampered_h_is_not_read(self, name):
+        oracle = PrimesOracle()
+        t = construct(oracle, HALF, 6)
+        call = CLASS_READERS[name]
+        want, got = call(t, oracle, 10**4), call(unnested_top(t), oracle, 10**4)
+        if name == "a_window":
+            assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("name", CLASS_READERS)
+    def test_a_bad_k_or_h_is_refused(self, name):
+        # k_6 past its range with h_6 moved along, k_6 off h_6, and h_6
+        # moved to a member of H_6 off the lifts of h_5
         oracle = PrimesOracle()
         t = construct(oracle, HALF, 6)
         prev, top = t.levels[-2], t.top
-        h = next(r for r in top.H if (r - prev.h) % prev.modulus)
-        bad = replace(t, levels=t.levels[:-1] + [replace(top, h=h)])
-        assert check_claimA(bad, oracle).first_violation() == 6
-        with pytest.raises(CertificateError, match="level 6 marks an element off"):
-            enumerate_sumset(bad, oracle, 10**4)
-        with pytest.raises(CertificateError, match="level 6 marks an element off"):
-            a_window(bad, 10**4)
+        off = next(r for r in top.H if (r - prev.h) % prev.modulus)
+        for edit in ({"k_chosen": 6, "h": prev.h + 6 * prev.modulus},
+                     {"k_chosen": top.k_chosen + 1}, {"h": off}):
+            bad = replace(t, levels=t.levels[:-1] + [replace(top, **edit)])
+            assert check_claimA(bad, oracle).first_violation() == 6
+            with pytest.raises(CertificateError, match="level 6 marks"):
+                CLASS_READERS[name](bad, oracle, 10**4)
 
     @pytest.mark.parametrize("spec", ["primes", "powers", "factorials", "finite:0,24,7"])
-    @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4), Fraction(1)],
-                             ids=["half", "three-quarters", "one"])
-    def test_the_check_reads_the_classes_a_classes_lists(self, spec, alpha):
-        # the trivial tower at alpha = 1 included: A = N, the one class of N
+    @pytest.mark.parametrize("alpha", [HALF, Fraction(3, 4)], ids=["half", "three-quarters"])
+    def test_the_classes_and_the_marked_class_make_the_top_h(self, spec, alpha):
         oracle = parse_oracle(spec)
         t = construct(oracle, alpha, 8)
-        report = check_claimA(t, oracle)
-        assert report.ok
-        assert report.classes == a_classes(t)
+        assert check_claimA(t, oracle).ok
+        top = t.top
+        bits = class_bits(a_classes(t) + [(top.modulus, top.h)], top.modulus)
+        assert np.array_equal(bits, top.H.window(top.modulus))
 
-    def test_theorem_report_reads_the_classes_once(self, monkeypatch):
-        # the windows take A's classes from the check's report, so each of a
-        # depth-8 tower's seven nesting folds runs once, in check_claimA
-        calls = []
-        real = construction._level_classes
-
-        def counting(prev, lv):
-            calls.append(lv.n)
-            return real(prev, lv)
-
-        oracle = PrimesOracle()
-        t = construct(oracle, HALF, 8)
-        monkeypatch.setattr(construction, "_level_classes", counting)
-        theorem_report(oracle, t.alpha, 8, 10**4, tower=t)
-        assert calls == list(range(2, 9))
+    def test_a_tower_with_no_levels_is_the_one_class_of_n(self):
+        assert a_classes(construct(PrimesOracle(), Fraction(1), 8)) == [(1, 0)]
 
     def test_verify_on_a_tower_with_one_flipped_bit_exits_two(self, tmp_path, capsys):
         oracle = PrimesOracle()
@@ -338,7 +331,7 @@ class TestClassReader:
         code = main(["verify", "--tower", str(path), "--b", "primes", "--horizon", "1000"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "certificate error: certificate FAILED at level 5\n"
+        assert captured.err == "certificate error: certificate FAILED at level 6\n"
 
 
 class TestTheoremReport:
@@ -395,7 +388,7 @@ class TestTheoremReport:
         t = construct(oracle, Fraction(alpha), 8)
         for horizon in (1, 5, 100, 10**3, 10**4):
             b = oracle.enumerate(horizon)
-            lo, hi, _ = verify._coverages(t, a_classes(t), oracle, horizon)
+            lo, hi, _ = verify._coverages(t, oracle, horizon)
             for window, full in zip((lo, hi), tower_bits(t)):
                 assert np.array_equal(window, window_by_double_loop(full, b, horizon))
 
