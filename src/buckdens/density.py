@@ -122,6 +122,8 @@ def buck_upper_periodic(p: ResidueSet) -> Fraction:
 
 # the longest window [0, horizon] that verification materializes
 DEFAULT_ENUM_BUDGET = 10_000_000
+# the offsets, or reciprocals, the proxies hold in a temporary at a time
+_BLOCK = 1 << 16
 
 
 def check_horizon(horizon: int) -> None:
@@ -184,7 +186,9 @@ def empirical_banach(ind: np.ndarray, window: int, horizon: int, period: int) ->
     most W(i + p), so the maximum lies among the last p offsets
     i in [horizon - window - p + 1, horizon - window], and only those are
     counted.  p = horizon + 1 holds for every indicator and counts every
-    offset.
+    offset.  The int64 running count over them is summed in place and its
+    window differences taken ``_BLOCK`` offsets at a time: 8 bytes per
+    counted offset.
     """
     if not 1 <= window <= horizon:
         raise ValueError("need 1 <= window <= horizon")
@@ -192,11 +196,16 @@ def empirical_banach(ind: np.ndarray, window: int, horizon: int, period: int) ->
         raise ValueError(f"period must be at least 1, not {period}")
     _check_indicator(ind, horizon)
     first = max(0, horizon - window - period + 1)
-    # counts[j] = |X ∩ [first + 1, first + j]|
-    counts = np.zeros(horizon - first + 1, dtype=np.int64)
-    np.cumsum(ind[first + 1: horizon + 1], dtype=np.int64, out=counts[1:])
-    # window [i+1, i+window] for i in [first, horizon-window]
-    best = int(np.max(counts[window:] - counts[: counts.shape[0] - window]))
+    # counts[j] = |X ∩ [first + 1, first + j]|, summed in place
+    counts = np.empty(horizon - first + 1, dtype=np.int64)
+    counts[0] = 0
+    counts[1:] = ind[first + 1: horizon + 1]
+    np.cumsum(counts[1:], out=counts[1:])
+    # window [i+1, i+window] for i in [first, horizon-window], _BLOCK at a time
+    best = 0
+    for j in range(0, counts.shape[0] - window, _BLOCK):
+        ahead = counts[window + j: window + j + _BLOCK]
+        best = max(best, int(np.max(ahead - counts[j: j + ahead.shape[0]])))
     return best / window
 
 
@@ -211,19 +220,34 @@ def empirical_logarithmic(ind: np.ndarray, horizon: int) -> float:
     The dot product sums in the order the goldens were recorded in, that
     of OpenBLAS's ddot on two threads: one sum up to 10**4 terms, and past
     that the first ceil(n/2) terms plus the rest.  The package runs
-    OpenBLAS on one thread, which sums each part whole.
+    OpenBLAS on one thread, which sums each part whole.  Past 10**4 terms
+    the two halves pass in turn through one buffer of 2*ceil(n/2) + 8
+    float64s, each as its weights, its terms, its dot product and its part
+    of the harmonic sum.  That sum splits where numpy's pairwise summation
+    first splits the n weights, at floor(n/2) rounded down to a multiple of
+    8, so it has the bits of one ``sum`` over all of them: 8 bytes per term.
     """
     _check_indicator(ind, horizon)
     start = math.isqrt(horizon) + 1 if horizon > 4 else 1
-    weights = np.arange(start, horizon + 1, dtype=np.float64)
-    np.divide(1.0, weights, out=weights)
-    terms = ind[start: horizon + 1].astype(np.float64)
-    if terms.shape[0] <= 10**4:
-        total = np.dot(terms, weights)
+    n = horizon + 1 - start
+    # (first weight, first term, end, end of the summed weights) of each
+    # pass, counted from start
+    if n <= 10**4:
+        passes = [(0, 0, n, n)]
     else:
-        half = -(-terms.shape[0] // 2)
-        total = np.dot(terms[:half], weights[:half]) + np.dot(terms[half:], weights[half:])
-    return float(total / weights.sum())
+        half, cut = -(-n // 2), n // 2 - n // 2 % 8
+        passes = [(0, 0, half, cut), (cut, half, n, n)]
+    buf = np.empty(2 * passes[0][2] + 8)
+    total = norm = 0.0
+    for first, lo, hi, summed in passes:
+        weights, terms = buf[: hi - first], buf[hi - first: 2 * hi - first - lo]
+        for j in range(0, hi - first, _BLOCK):
+            part, i = weights[j: j + _BLOCK], start + first + j
+            np.divide(1.0, np.arange(i, i + part.shape[0], dtype=np.float64), out=part)
+        terms[...] = ind[start + lo: start + hi]
+        total += np.dot(terms, weights[lo - first:])
+        norm += weights[: summed - first].sum()
+    return float(total / norm)
 
 
 def default_window(horizon: int) -> int:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,6 +201,29 @@ class TestProxiesMatchReferences:
         with pytest.raises(ValueError, match="horizon must be at least 1"):
             estimator(ind, horizon)
 
+    @pytest.mark.parametrize("horizon", [edge + d for edge in (2**16, 2**17)
+                                         for d in (-1, 0, 1)])
+    def test_banach_around_the_block_edges(self, horizon):
+        # the window differences are taken density._BLOCK offsets at a time;
+        # a run of ones that fills the window at offset i alone puts the
+        # maximum at i, at and next to the blocks' ends
+        block = density._BLOCK
+        assert block == 2**16
+        rng = np.random.default_rng(horizon)
+        random_ind = (rng.random(horizon + 1) < 0.4).astype(np.uint8)
+        for window in {1, 2, horizon // 10, block - 1, block, block + 1, horizon - 1, horizon}:
+            if window > horizon:
+                continue
+            cases = [random_ind]
+            for i in (i for i in (block - 2, block - 1, block, 2 * block - 1)
+                      if i + window <= horizon):
+                run = np.zeros(horizon + 1, dtype=np.uint8)
+                run[i + 1: i + window + 1] = 1
+                cases.append(run)
+            for ind in cases:
+                assert (empirical_banach(ind, window, horizon, horizon + 1)
+                        == reference_proxies.banach(ind, window, horizon)), window
+
     @pytest.mark.parametrize("period", [0, -3])
     def test_banach_refuses_a_period_below_one(self, period):
         ind = periodic_indicator(ResidueSet(2, [0]), 100)
@@ -230,9 +254,13 @@ for horizon, seed in zip(map(int, sys.argv[1::2]), map(int, sys.argv[2::2])):
 
 
 class TestLogarithmicPastTheBlasThreshold:
-    # n > 10**4 terms, where the sum is taken in two halves
+    # n > 10**4 terms, where the sum is taken in two halves; n from 10**4 + 1
+    # to 10**4 + 16 takes both parities and every floor(n/2) mod 8, and so
+    # every offset of the normalizer's cut from the dot product's
     @pytest.mark.parametrize("seed", [0, 1, 11])
-    @pytest.mark.parametrize("horizon", [10**4 + 200, 10**5, 123457, 10**6])
+    @pytest.mark.parametrize("horizon", [
+        10**4 + 200, 10**5, 123457, 10**6,
+        *(_horizon_with_terms(n) for n in range(10**4 + 1, 10**4 + 17))])
     def test_bit_identical_to_the_reference(self, horizon, seed):
         ind = (np.random.default_rng(seed).random(horizon + 1) < 0.3).astype(np.uint8)
         assert empirical_logarithmic(ind, horizon) == reference_proxies.logarithmic(ind, horizon)
@@ -251,6 +279,35 @@ class TestLogarithmicPastTheBlasThreshold:
         for (horizon, seed), want in zip(cases, expected):
             ind = np.random.default_rng(seed).integers(0, 2, horizon + 1, dtype=np.uint8)
             assert empirical_logarithmic(ind, horizon).hex() == want, horizon
+
+
+def test_numpy_sums_the_halves_of_its_first_pairwise_cut():
+    # the logarithmic proxy sums its normalizer in two parts, split where
+    # numpy's pairwise summation first splits a contiguous float64 array
+    lengths = [*range(10**4 + 1, 10**4 + 401),
+               *np.geomspace(10**4 + 401, 10**7, 400).astype(np.int64).tolist()]
+    w = 1.0 / np.arange(1, lengths[-1] + 1)
+    for n in lengths:
+        cut = n // 2 - n // 2 % 8
+        assert w[:n].sum() == w[:cut].sum() + w[cut:n].sum(), (
+            f"numpy's pairwise summation no longer splits {n} terms at {cut}: "
+            "empirical_logarithmic's normalizer follows that split")
+
+
+class TestProxyMemory:
+    def test_the_proxies_hold_8_bytes_per_window_byte(self):
+        # one float64 buffer of n + 8, or one int64 running count, at a time:
+        # 7.6 MiB here, and a block temporary
+        horizon = 10**6
+        ind = (np.random.default_rng(0).random(horizon + 1) < 0.3).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            proxies(ind, horizon, horizon + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live <= 9 * 2**20
 
 
 class TestOneBlasThread:

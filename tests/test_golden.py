@@ -1,5 +1,5 @@
 """Byte-exact CLI outputs: sha256 of ``construct`` stdout for each built-in
-oracle, of one ``verify`` report and of ``estimate`` on one set file of each
+oracle, of ``verify`` reports and of ``estimate`` on one set file of each
 format.  A change to these digests is a change
 to the tower or report format and must be deliberate."""
 
@@ -42,6 +42,10 @@ VERIFY_DEEP = {
         "2280704626b33691b52c5edb2bc00efbe5d4b766b9179271201d9eee6db8af58",
 }
 
+# primes at alpha = 1/2, depth 10, horizon 10**7: every proxy past the
+# logarithmic proxy's split into halves, at the top of the enumeration budget
+VERIFY_TOP = "359a839c09c0a114bfe200f6bbb6532a9a1eb2e2a25330da086d570cb09b8376"
+
 # at horizon 10**4 the logarithmic proxy's dot product has at most 10**4
 # terms, which it sums in one piece
 ESTIMATE_SETS = {
@@ -57,6 +61,13 @@ ESTIMATE = {
         "c3cae8b81b3a69ac4d08c90e16c339cd2f1a043c6d58ab5668a6b9d7281567d2",
     ("bitmap", "137"):
         "57e05f9ed96660e4c6dbd347373cc9c32b43a7b2f140223c252c1b7dce3f18e7",
+}
+
+# past 10**4 terms the logarithmic proxy sums two halves, up to the top of
+# the enumeration budget
+ESTIMATE_LARGE = {
+    "1000000": "8f30d285dfbddc7b1f1bce43a7cbf39b9fd64fb21dc067dcc2b65bd17cf18d92",
+    "10000000": "aa45d6e14fb39311d54075817da5e9080183a409df30b5188f3d8214ecdbf2cc",
 }
 
 
@@ -102,6 +113,16 @@ def test_verify_report_depth_10(tmp_path, monkeypatch, capsys, spec, alpha):
     assert digest == VERIFY_DEEP[spec, alpha]
 
 
+def test_verify_report_at_the_enumeration_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--b", "primes", "--alpha", "1/2", "--depth", "10",
+                 "--out", "tower.json"]) == 0
+    capsys.readouterr()
+    digest = stdout_digest(capsys, "verify", "--tower", "tower.json", "--b",
+                           "primes", "--horizon", "10000000")
+    assert digest == VERIFY_TOP
+
+
 @pytest.mark.parametrize("kind, window", list(ESTIMATE))
 def test_estimate_stdout(tmp_path, capsys, kind, window):
     path = tmp_path / "set.txt"
@@ -110,3 +131,11 @@ def test_estimate_stdout(tmp_path, capsys, kind, window):
     digest = stdout_digest(capsys, "estimate", "--set", str(path),
                            "--horizon", "10000", *extra)
     assert digest == ESTIMATE[kind, window]
+
+
+@pytest.mark.parametrize("horizon", list(ESTIMATE_LARGE))
+def test_estimate_stdout_past_the_split(tmp_path, capsys, horizon):
+    path = tmp_path / "set.txt"
+    path.write_text(ESTIMATE_SETS["residues"])
+    digest = stdout_digest(capsys, "estimate", "--set", str(path), "--horizon", horizon)
+    assert digest == ESTIMATE_LARGE[horizon]
